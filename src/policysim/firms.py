@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .world.types import Firm, World
@@ -15,17 +13,6 @@ HIGH_STOCK_FRACTION = 1.0
 OPEN_VACANCY = "open_vacancy"
 FIRE_ONE = "fire_one"
 HOLD = "hold"
-
-
-@dataclass(frozen=True)
-class FirmDecisionParams:
-    """The firm-facing slice of the simulation parameters."""
-
-    alpha: float
-    markup: float
-    sticky_prices: float
-    labor_market_frequency: int
-    wage_ignore_unemployment: bool
 
 
 def produce(world: World, firm: Firm, alpha: float) -> float:
@@ -72,12 +59,12 @@ def update_price(
 def update_wage(
     firm: Firm,
     unemployment_rate: float,
-    params: FirmDecisionParams,
+    ignore_unemployment: bool,
     price_floor: float = 1e-9,
 ) -> float:
     """Set the wage offer from revenue per employee, damped by unemployment."""
     target = firm.revenue_this_month / max(1, len(firm.employee_ids))
-    if not params.wage_ignore_unemployment:
+    if not ignore_unemployment:
         target *= 1.0 - unemployment_rate
     firm.wage_offer = max(price_floor, target)
     return firm.wage_offer

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import CHANNELS, TAX_KINDS
+from .params import TAX_KINDS
 
+CHANNELS = ("local", "equal_pool", "fpm_pool")
 FRACTION_TOLERANCE = 1e-12
 
 
@@ -46,17 +47,8 @@ class TaxLedger:
             totals[kind] += amount
         return totals
 
-    def total_by_municipality(self) -> dict[str, float]:
-        totals: dict[str, float] = {}
-        for (muni, _), amount in self._amounts.items():
-            totals[muni] = totals.get(muni, 0.0) + amount
-        return totals
-
     def reset(self) -> None:
         self._amounts.clear()
-
-    def snapshot(self) -> dict[tuple[str, str], float]:
-        return dict(self._amounts)
 
 
 @dataclass(frozen=True)
@@ -141,6 +133,8 @@ class DistributionMatrix:
     def _apply_overrides(self, overrides: dict[str, float]) -> None:
         for key, fraction in overrides.items():
             regime, kind, channel = self._parse_override_key(key)
+            if not fraction >= 0.0:
+                raise FiscalError(f"override {key!r} = {fraction!r} must be >= 0")
             rows = [(ch, fr) for ch, fr in self._rows[regime][kind] if ch != channel]
             if fraction > 0.0:
                 rows.append((channel, float(fraction)))

@@ -1,16 +1,36 @@
-"""Simulation parameter set, validation, and flat KEY = value config parsing."""
+"""Simulation parameter set, validation, and flat KEY = value config parsing.
+
+Each parameter is declared once, as a field of SimParams or TaxRates: its
+name, type, default and bounds. The config key is the upper-case field name
+(``TAXES.<KIND>`` for a tax rate) unless the field's metadata names another.
+Parsing, sweeps, validation and run metadata all read the one field table
+built from those declarations. ``TAXES_STRUCTURE.*`` keys are the exception:
+they override channel fractions and are checked by building the matrix.
+"""
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import operator
+import typing
+from dataclasses import dataclass, field, fields
 
-TAX_KINDS = ("consumption", "labor", "transaction", "firms", "property")
-CHANNELS = ("local", "equal_pool", "fpm_pool")
+MAX_MONTHS = 360  # ceiling set by available data projections
+STRUCTURE_PREFIX = "TAXES_STRUCTURE."
 
 
 class ParamError(ValueError):
     """Invalid parameter value or unknown parameter name."""
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def param(default, *, gt=None, ge=None, le=None, key: str | None = None):
+    """A parameter field with optional bounds and an optional config key."""
+    bounds = ((">", gt), (">=", ge), ("<=", le))
+    limits = tuple((op, bound) for op, bound in bounds if bound is not None)
+    return field(default=default, metadata={"limits": limits, "key": key})
 
 
 @dataclass
@@ -21,104 +41,72 @@ class TaxRates:
     much smaller than the flow taxes.
     """
 
-    consumption: float = 0.05
-    labor: float = 0.04
-    transaction: float = 0.02
-    firms: float = 0.06
-    property: float = 0.0
+    consumption: float = param(0.05, ge=0.0, le=1.0)
+    labor: float = param(0.04, ge=0.0, le=1.0)
+    transaction: float = param(0.02, ge=0.0, le=1.0)
+    firms: float = param(0.06, ge=0.0, le=1.0)
+    property: float = param(0.0, ge=0.0, le=1.0)
 
-    def as_dict(self) -> dict[str, float]:
-        return {kind: getattr(self, kind) for kind in TAX_KINDS}
+
+TAX_KINDS = tuple(spec.name for spec in fields(TaxRates))
 
 
 @dataclass
 class SimParams:
     """Full parameter set for one simulation configuration.
 
-    Defaults are documented in the README config reference. All values can
-    be set from a config file or swept from the command line using the
-    upper-case names in PARAM_TABLE.
+    Defaults are documented in the README config reference. Every field
+    except taxes_structure can be set from a config file or swept from the
+    command line by its config key (see the module docstring).
     """
 
     # firm behaviour
-    alpha: float = 0.5
-    markup: float = 0.15
-    sticky_prices: float = 0.5
-    labor_market_frequency: int = 2
+    alpha: float = param(0.5, gt=0.0, le=1.0)
+    markup: float = param(0.15, ge=0.0)
+    sticky_prices: float = param(0.5, ge=0.0, le=1.0)
+    labor_market_frequency: int = param(2, ge=1, key="LABOR_MARKET")
     wage_ignore_unemployment: bool = False
 
     # family behaviour and market sampling
-    beta: float = 0.95
-    size_market: int = 5
-    pct_distance_hiring: float = 0.3
-    percentage_check_new_location: float = 0.05
-    price_criterion_probability: float = 0.5
+    beta: float = param(0.95, ge=0.0, le=1.0)
+    size_market: int = param(5, ge=1)
+    pct_distance_hiring: float = param(0.3, ge=0.0, le=1.0)
+    percentage_check_new_location: float = param(0.05, ge=0.0, le=1.0)
+    price_criterion_probability: float = param(0.5, ge=0.0, le=1.0)
 
     # world generation
-    house_vacancy: float = 0.1
-    members_per_family: float = 2.5
-    percentage_actual_pop: float = 0.2
-    citizens_per_firm: float = 5.0
-    hedonic_base_coefficient: float = 0.005
+    house_vacancy: float = param(0.1, ge=0.0)
+    members_per_family: float = param(2.5, gt=0.0)
+    percentage_actual_pop: float = param(0.2, gt=0.0, le=1.0)
+    citizens_per_firm: float = param(5.0, gt=0.0)
+    hedonic_base_coefficient: float = param(0.005, gt=0.0)
 
     # fiscal regime
     alternative0: bool = True
     fpm_distribution: bool = True
     taxes: TaxRates = field(default_factory=TaxRates)
     taxes_structure: dict[str, float] = field(default_factory=dict)
-    reference_cost_per_capita: float = 1.0
+    reference_cost_per_capita: float = param(1.0, gt=0.0)
 
     # run control
     processing_acps: list[str] = field(default_factory=list)
-    months: int = 240
-    working_age_min: int = 16
+    months: int = param(240, ge=0, le=MAX_MONTHS)
+    working_age_min: int = param(16, ge=0)
     working_age_max: int = 70
-    initial_unemployment: float = 0.3
-    price_floor: float = 1e-300
+    initial_unemployment: float = param(0.3, ge=0.0, le=1.0)
+    price_floor: float = param(1e-300, gt=0.0)
 
     def validate(self) -> None:
         problems = []
-        if not 0.0 < self.alpha <= 1.0:
-            problems.append("alpha must be in (0, 1]")
-        if self.markup < 0.0:
-            problems.append("markup must be >= 0")
-        if not 0.0 <= self.sticky_prices <= 1.0:
-            problems.append("sticky_prices must be in [0, 1]")
-        if self.labor_market_frequency < 1:
-            problems.append("labor_market_frequency must be >= 1")
-        if not 0.0 <= self.beta <= 1.0:
-            problems.append("beta must be in [0, 1]")
-        if self.size_market < 1:
-            problems.append("size_market must be >= 1")
-        if not 0.0 <= self.pct_distance_hiring <= 1.0:
-            problems.append("pct_distance_hiring must be in [0, 1]")
-        if not 0.0 <= self.percentage_check_new_location <= 1.0:
-            problems.append("percentage_check_new_location must be in [0, 1]")
-        if not 0.0 <= self.price_criterion_probability <= 1.0:
-            problems.append("price_criterion_probability must be in [0, 1]")
-        if self.house_vacancy < 0.0:
-            problems.append("house_vacancy must be >= 0")
-        if self.members_per_family <= 0.0:
-            problems.append("members_per_family must be > 0")
-        if not 0.0 < self.percentage_actual_pop <= 1.0:
-            problems.append("percentage_actual_pop must be in (0, 1]")
-        if self.citizens_per_firm <= 0.0:
-            problems.append("citizens_per_firm must be > 0")
-        if self.hedonic_base_coefficient <= 0.0:
-            problems.append("hedonic_base_coefficient must be > 0")
-        for kind, rate in self.taxes.as_dict().items():
-            if not 0.0 <= rate <= 1.0:
-                problems.append(f"tax rate {kind} must be in [0, 1]")
-        if self.reference_cost_per_capita <= 0.0:
-            problems.append("reference_cost_per_capita must be > 0")
-        if not 0 <= self.months <= 360:
-            problems.append("months must be in [0, 360]")
-        if not 0 <= self.working_age_min <= self.working_age_max:
-            problems.append("working age bounds must satisfy 0 <= min <= max")
-        if not 0.0 <= self.initial_unemployment <= 1.0:
-            problems.append("initial_unemployment must be in [0, 1]")
-        if self.price_floor <= 0.0:
-            problems.append("price_floor must be > 0")
+        for spec in FIELDS.values():
+            value = spec.get(self)
+            if not all(_COMPARE[op](value, bound) for op, bound in spec.limits):
+                wanted = " and ".join(f"{op} {bound}" for op, bound in spec.limits)
+                problems.append(f"{spec.key} = {value!r} must be {wanted}")
+        if self.working_age_min > self.working_age_max:
+            problems.append("WORKING_AGE_MIN must be <= WORKING_AGE_MAX")
+        if self.taxes_structure:
+            problems += _structure_problems(self.taxes_structure)
         if problems:
             raise ParamError("; ".join(problems))
 
@@ -126,75 +114,92 @@ class SimParams:
         return copy.deepcopy(self)
 
 
-# upper-case config/sweep name -> (attribute path, value type)
-PARAM_TABLE: dict[str, tuple[str, type]] = {
-    "ALPHA": ("alpha", float),
-    "BETA": ("beta", float),
-    "MARKUP": ("markup", float),
-    "STICKY_PRICES": ("sticky_prices", float),
-    "LABOR_MARKET": ("labor_market_frequency", int),
-    "WAGE_IGNORE_UNEMPLOYMENT": ("wage_ignore_unemployment", bool),
-    "SIZE_MARKET": ("size_market", int),
-    "PCT_DISTANCE_HIRING": ("pct_distance_hiring", float),
-    "PERCENTAGE_CHECK_NEW_LOCATION": ("percentage_check_new_location", float),
-    "PRICE_CRITERION_PROBABILITY": ("price_criterion_probability", float),
-    "HOUSE_VACANCY": ("house_vacancy", float),
-    "MEMBERS_PER_FAMILY": ("members_per_family", float),
-    "PERCENTAGE_ACTUAL_POP": ("percentage_actual_pop", float),
-    "CITIZENS_PER_FIRM": ("citizens_per_firm", float),
-    "HEDONIC_BASE_COEFFICIENT": ("hedonic_base_coefficient", float),
-    "ALTERNATIVE0": ("alternative0", bool),
-    "FPM_DISTRIBUTION": ("fpm_distribution", bool),
-    "REFERENCE_COST_PER_CAPITA": ("reference_cost_per_capita", float),
-    "PROCESSING_ACPS": ("processing_acps", list),
-    "MONTHS": ("months", int),
-    "WORKING_AGE_MIN": ("working_age_min", int),
-    "WORKING_AGE_MAX": ("working_age_max", int),
-    "INITIAL_UNEMPLOYMENT": ("initial_unemployment", float),
-    "PRICE_FLOOR": ("price_floor", float),
-}
-for _kind in TAX_KINDS:
-    PARAM_TABLE[f"TAXES.{_kind.upper()}"] = (f"taxes.{_kind}", float)
+def _structure_problems(overrides: dict[str, float]) -> list[str]:
+    from .fiscal import DistributionMatrix, FiscalError
+
+    problems = [
+        f"{STRUCTURE_PREFIX}{key}: merged regimes (ALTERNATIVE0 = false) "
+        "ignore channel fractions"
+        for key in overrides
+        if key.upper().startswith("FALSE_")
+    ]
+    try:
+        DistributionMatrix(overrides)
+    except FiscalError as exc:
+        problems.append(f"{STRUCTURE_PREFIX}*: {exc}")
+    return problems
+
+
+class _Field(typing.NamedTuple):
+    """One settable parameter: its config key and where it lives."""
+
+    key: str
+    group: str | None  # attribute of SimParams holding the field, if nested
+    name: str
+    kind: type  # bool, int, float or list
+    limits: tuple  # (operator, bound) pairs from param()
+
+    def get(self, params: SimParams):
+        return getattr(getattr(params, self.group) if self.group else params, self.name)
+
+    def set(self, params: SimParams, value) -> None:
+        setattr(getattr(params, self.group) if self.group else params, self.name, value)
+
+
+def _field_table() -> dict[str, _Field]:
+    table = {}
+    for owner, group in ((SimParams, None), (TaxRates, "taxes")):
+        hints = typing.get_type_hints(owner)
+        for spec in fields(owner):
+            kind = typing.get_origin(hints[spec.name]) or hints[spec.name]
+            if kind not in (bool, int, float, list):
+                continue  # taxes and taxes_structure: reached by prefix
+            key = spec.metadata.get("key") or spec.name.upper()
+            if group:
+                key = f"{group.upper()}.{key}"
+            limits = spec.metadata.get("limits", ())
+            table[key] = _Field(key, group, spec.name, kind, limits)
+    return table
+
+
+# upper-case config/sweep key -> field, in declaration order
+FIELDS = _field_table()
+
+_CAST = {bool: bool, int: lambda value: int(round(float(value))), float: float, list: list}
+
+
+def _field(name: str) -> _Field:
+    try:
+        return FIELDS[name.upper()]
+    except KeyError:
+        raise ParamError(f"unknown parameter {name!r}") from None
 
 
 def is_known_param(name: str) -> bool:
     upper = name.upper()
-    return upper in PARAM_TABLE or upper.startswith("TAXES_STRUCTURE.")
+    return upper in FIELDS or upper.startswith(STRUCTURE_PREFIX)
 
 
 def param_type(name: str) -> type:
-    upper = name.upper()
-    if upper.startswith("TAXES_STRUCTURE."):
+    if name.upper().startswith(STRUCTURE_PREFIX):
         return float
-    if upper not in PARAM_TABLE:
-        raise ParamError(f"unknown parameter {name!r}")
-    return PARAM_TABLE[upper][1]
+    return _field(name).kind
 
 
 def set_param(params: SimParams, name: str, value) -> None:
     """Assign one parameter in place, by its upper-case config name."""
     upper = name.upper()
-    if upper.startswith("TAXES_STRUCTURE."):
-        params.taxes_structure[upper[len("TAXES_STRUCTURE."):]] = float(value)
+    if upper.startswith(STRUCTURE_PREFIX):
+        params.taxes_structure[upper[len(STRUCTURE_PREFIX):]] = float(value)
         return
-    if upper not in PARAM_TABLE:
-        raise ParamError(f"unknown parameter {name!r}")
-    path, kind = PARAM_TABLE[upper]
-    if kind is int:
-        value = int(round(float(value)))
-    elif kind is float:
-        value = float(value)
-    elif kind is bool:
-        value = bool(value)
-    if "." in path:
-        head, tail = path.split(".", 1)
-        setattr(getattr(params, head), tail, value)
-    else:
-        setattr(params, path, value)
+    spec = _field(upper)
+    spec.set(params, _CAST[spec.kind](value))
 
 
 def _coerce(raw: str, kind: type, key: str):
     raw = raw.strip()
+    if kind is list:
+        return [item.strip() for item in raw.split(",") if item.strip()]
     if kind is bool:
         lowered = raw.lower()
         if lowered in ("true", "1", "yes"):
@@ -202,19 +207,11 @@ def _coerce(raw: str, kind: type, key: str):
         if lowered in ("false", "0", "no"):
             return False
         raise ParamError(f"{key}: expected a boolean, got {raw!r}")
-    if kind is int:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ParamError(f"{key}: expected an integer, got {raw!r}") from exc
-    if kind is float:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ParamError(f"{key}: expected a number, got {raw!r}") from exc
-    if kind is list:
-        return [item.strip() for item in raw.split(",") if item.strip()]
-    raise ParamError(f"{key}: unsupported type")
+    try:
+        return kind(raw)
+    except ValueError as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ParamError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
 def parse_config_text(text: str, base: SimParams | None = None) -> SimParams:
@@ -246,17 +243,9 @@ def load_config(path) -> SimParams:
 def params_as_flat_dict(params: SimParams) -> dict[str, object]:
     """Config-style view of a parameter set, used in run metadata."""
     out: dict[str, object] = {}
-    for key, (path, _) in PARAM_TABLE.items():
-        if "." in path:
-            head, tail = path.split(".", 1)
-            out[key] = getattr(getattr(params, head), tail)
-        else:
-            value = getattr(params, path)
-            out[key] = list(value) if isinstance(value, list) else value
+    for key, spec in FIELDS.items():
+        value = spec.get(params)
+        out[key] = list(value) if isinstance(value, list) else value
     for key, value in sorted(params.taxes_structure.items()):
-        out[f"TAXES_STRUCTURE.{key}"] = value
+        out[f"{STRUCTURE_PREFIX}{key}"] = value
     return out
-
-
-def bool_param_names() -> list[str]:
-    return [name for name, (_, kind) in PARAM_TABLE.items() if kind is bool]

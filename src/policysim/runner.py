@@ -301,8 +301,3 @@ def _safe_name(config_id: str) -> str:
     return "".join(
         ch if ch.isalnum() or ch in "=._-" else "_" for ch in config_id
     )
-
-
-def run_single(region_path: str, params, seed: int) -> RunResult:
-    """Convenience wrapper: load a region directory and run once."""
-    return run(load_region_data(region_path), params, seed)

@@ -23,13 +23,11 @@ from .fiscal import (
     distribute,
     invest_qli,
 )
-from .params import SimParams
+from .params import MAX_MONTHS, SimParams
 from .stats import gini
 from .world.generate import generate_world
 from .world.regions import RegionData
 from .world.types import World
-
-MAX_MONTHS = 360
 
 
 class RunError(ValueError):
@@ -65,19 +63,6 @@ class RunResult:
     sales: list[dict] = field(default_factory=list)
     grave: list[dict] = field(default_factory=list)
 
-    def series(self, name: str) -> list[float]:
-        return [getattr(record, name) for record in self.records]
-
-
-def _decision_params(params: SimParams) -> firms.FirmDecisionParams:
-    return firms.FirmDecisionParams(
-        alpha=params.alpha,
-        markup=params.markup,
-        sticky_prices=params.sticky_prices,
-        labor_market_frequency=params.labor_market_frequency,
-        wage_ignore_unemployment=params.wage_ignore_unemployment,
-    )
-
 
 def step_production(world: World, params: SimParams) -> None:
     for firm in world.firms.values():
@@ -102,7 +87,6 @@ def step_goods_market(world: World, params: SimParams, rng: np.random.Generator)
 
 
 def step_firm_decisions(world: World, params: SimParams, rng: np.random.Generator) -> None:
-    decision_params = _decision_params(params)
     unemployment = world.unemployment_rate(
         params.working_age_min, params.working_age_max
     )
@@ -110,7 +94,9 @@ def step_firm_decisions(world: World, params: SimParams, rng: np.random.Generato
         firms.update_price(
             firm, params.markup, params.sticky_prices, rng, params.price_floor
         )
-        firms.update_wage(firm, unemployment, decision_params, params.price_floor)
+        firms.update_wage(
+            firm, unemployment, params.wage_ignore_unemployment, params.price_floor
+        )
         decision = firms.hire_fire_decision(
             firm, world.clock, params.labor_market_frequency
         )

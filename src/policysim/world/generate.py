@@ -95,8 +95,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     municipality in proportion to population, at least one each.
     """
     params.validate()
-    if params.members_per_family <= 0:
-        raise GenerationError("members_per_family must be positive")
     rng = np.random.default_rng(seed)
 
     specs = region.municipalities

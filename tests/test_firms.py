@@ -5,7 +5,6 @@ from policysim.firms import (
     FIRE_ONE,
     HOLD,
     OPEN_VACANCY,
-    FirmDecisionParams,
     compute_profit,
     fire_employee,
     hire_fire_decision,
@@ -107,24 +106,17 @@ def test_update_price_floor():
     assert price >= 1e-6
 
 
-def decision_params(**kw):
-    defaults = dict(alpha=0.5, markup=0.15, sticky_prices=0.5,
-                    labor_market_frequency=1, wage_ignore_unemployment=False)
-    defaults.update(kw)
-    return FirmDecisionParams(**defaults)
-
-
 def test_update_wage_ignores_unemployment_when_told():
     firm = simple_firm(employees=range(10))
     firm.revenue_this_month = 1000.0
-    wage = update_wage(firm, 0.5, decision_params(wage_ignore_unemployment=True))
+    wage = update_wage(firm, 0.5, ignore_unemployment=True)
     assert wage == 100.0
 
 
 def test_update_wage_damped_by_unemployment():
     firm = simple_firm(employees=range(10))
     firm.revenue_this_month = 1000.0
-    wage = update_wage(firm, 0.2, decision_params())
+    wage = update_wage(firm, 0.2, ignore_unemployment=False)
     assert abs(wage - 80.0) <= 1e-12
 
 
@@ -132,14 +124,14 @@ def test_update_wage_flag_inert_at_full_employment():
     for flag in (True, False):
         firm = simple_firm(employees=range(10))
         firm.revenue_this_month = 1000.0
-        wage = update_wage(firm, 0.0, decision_params(wage_ignore_unemployment=flag))
+        wage = update_wage(firm, 0.0, ignore_unemployment=flag)
         assert wage == 100.0
 
 
 def test_update_wage_empty_firm_uses_unit_divisor():
     firm = simple_firm()
     firm.revenue_this_month = 7.0
-    assert update_wage(firm, 0.0, decision_params(wage_ignore_unemployment=True)) == 7.0
+    assert update_wage(firm, 0.0, ignore_unemployment=True) == 7.0
 
 
 def test_hire_fire_positive_profit_opens_vacancy():
