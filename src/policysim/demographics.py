@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .world.regions import RegionData
 from .world.types import FEMALE, MALE, Citizen, World
+
+
+@dataclass(frozen=True)
+class GraveRecord:
+    """One death; its fields are the columns of grave.csv."""
+
+    id: int
+    month: int
+    age: int
+    gender: str
+    family_id: int
 
 
 def monthly_probability(annual_probability: float) -> float:
@@ -85,15 +98,9 @@ def mortality_step(
         family.member_ids.discard(citizen.id)
         if not family.member_ids:
             emptied_families.append(family.id)
-        world.grave.append(
-            {
-                "id": citizen.id,
-                "month": world.clock,
-                "age": citizen.age,
-                "gender": citizen.gender,
-                "family_id": citizen.family_id,
-            }
-        )
+        world.grave.append(GraveRecord(
+            citizen.id, world.clock, citizen.age, citizen.gender, citizen.family_id
+        ))
         del world.citizens[citizen.id]
 
     for family_id in emptied_families:

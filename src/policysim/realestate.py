@@ -23,6 +23,9 @@ class Listing:
 
 @dataclass(frozen=True)
 class SaleRecord:
+    """One house sale; its fields are the columns of sales.csv."""
+
+    month: int
     house_id: int
     seller_id: int
     buyer_id: int
@@ -125,6 +128,7 @@ def match_market(
         best_house.owner = buyer.id
         sales.append(
             SaleRecord(
+                month=world.clock,
                 house_id=best_house.id,
                 seller_id=seller.id,
                 buyer_id=buyer.id,

@@ -2,7 +2,12 @@
 
 Jobs are fully independent; workers receive (job, data_dir) pairs and load
 their region from disk, so results are identical for any worker count.
-The coordinator writes all files after every job has been joined.
+A job sends back the tables it will write, not its world: a JobResult
+holds the monthly matrix and the entity dumps its Job.save_data asks for.
+Every output column is named once: the monthly.csv, mean.csv and std.csv
+columns come from the MonthRecord fields (scheduler.monthly_table), and
+each entity file is one DUMPS entry. The coordinator writes all files
+after every job has been joined.
 """
 
 from __future__ import annotations
@@ -10,22 +15,102 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, fields
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
+from .demographics import GraveRecord
 from .params import TAX_KINDS, params_as_flat_dict
-from .scheduler import MonthRecord, RunResult, run
+from .realestate import SaleRecord
+from .scheduler import TAX_COLUMNS, RunResult, monthly_table, run
 from .stats import compare_tax_distributions, load_tax_reference, write_ks_report
-from .sweeps import ExperimentPlan, Job
 from .world.regions import load_region_data
+
+if TYPE_CHECKING:
+    from .sweeps import ExperimentPlan, Job
+
+
+class Dump(NamedTuple):
+    """One entity file: the entities it lists, in order, and its columns."""
+
+    file_name: str
+    entities: Callable[[RunResult], list]
+    columns: tuple[tuple[str, Callable], ...]  # (column, getter) pairs
+
+
+def _attributes(*names: str) -> tuple[tuple[str, Callable], ...]:
+    return tuple((name, attrgetter(name)) for name in names)
+
+
+def _sorted(world_attribute: str) -> Callable[[RunResult], list]:
+    return lambda result: sorted(
+        getattr(result.world, world_attribute).values(), key=attrgetter("id")
+    )
+
+
+def _size(attribute: str) -> Callable:
+    return lambda entity: len(getattr(entity, attribute))
+
+
+# --save-data flag -> the file it adds to each run directory
+DUMPS = {
+    "agents": Dump("agents.csv", _sorted("citizens"), _attributes(
+        "id", "family_id", "age", "gender", "qualification", "employer", "wage"
+    )),
+    "grave": Dump("grave.csv", attrgetter("grave"), _attributes(
+        *(spec.name for spec in fields(GraveRecord))
+    )),
+    "house": Dump("sales.csv", attrgetter("sales"), _attributes(
+        *(spec.name for spec in fields(SaleRecord))
+    )),
+    "family": Dump("families.csv", _sorted("families"), (
+        *_attributes("id"),
+        ("members", _size("member_ids")),
+        *_attributes("residence"),
+        ("owned_houses", _size("owned_houses")),
+        *_attributes("monthly_cash", "savings"),
+    )),
+    "firms": Dump("firms.csv", _sorted("firms"), (
+        *_attributes("id"),
+        ("municipality", attrgetter("municipality_id")),
+        *_attributes("price", "cash", "wage_offer"),
+        ("employees", _size("employee_ids")),
+        *_attributes("stock", "last_profit"),
+    )),
+}
 
 
 @dataclass
 class JobResult:
+    """What one job sends back: its output tables, or the error it hit.
+
+    Built as ``JobResult(job=job, result=run_result)``: the run becomes the
+    monthly matrix plus the rows of each dump in ``job.save_data``, and the
+    world it carried is not kept.
+    """
+
     job: Job
-    result: RunResult | None = None
+    result: InitVar[RunResult | None] = None
     error: str | None = None
+    columns: list[str] = field(init=False, default_factory=list)
+    monthly: np.ndarray | None = field(init=False, default=None)
+    dumps: dict[str, list[list]] = field(init=False, default_factory=dict)
+
+    def __post_init__(self, result: RunResult | None) -> None:
+        if result is not None:
+            self.columns, self.monthly = monthly_table(
+                result.records, list(result.world.municipalities)
+            )
+            self.dumps = {
+                flag: [
+                    [get(entity) for _, get in dump.columns]
+                    for entity in dump.entities(result)
+                ]
+                for flag, dump in DUMPS.items()
+                if flag in self.job.save_data
+            }
 
     @property
     def ok(self) -> bool:
@@ -55,129 +140,7 @@ def execute(jobs: list[Job], cores: int, data_dir: str) -> list[JobResult]:
         return pool.map(_execute_job, payloads)
 
 
-def record_columns(municipality_ids: list[str]) -> list[str]:
-    columns = [
-        "month",
-        "population",
-        "unemployment",
-        "price_index",
-        "inflation",
-        "house_price_index",
-        "gini_wealth",
-    ]
-    columns += [f"tax_{kind}" for kind in TAX_KINDS]
-    columns.append("tax_total")
-    columns += [f"qli_{muni}" for muni in municipality_ids]
-    return columns
-
-
-def record_row(record: MonthRecord, municipality_ids: list[str]) -> list[float]:
-    row = [
-        float(record.month),
-        float(record.population),
-        record.unemployment,
-        record.price_index,
-        record.inflation,
-        record.house_price_index,
-        record.gini_wealth,
-    ]
-    row += [record.taxes[kind] for kind in TAX_KINDS]
-    row.append(record.tax_total)
-    row += [record.qli[muni] for muni in municipality_ids]
-    return row
-
-
-def result_matrix(result: RunResult) -> tuple[list[str], np.ndarray]:
-    municipality_ids = list(result.world.municipalities.keys())
-    columns = record_columns(municipality_ids)
-    if not result.records:
-        return columns, np.empty((0, len(columns)))
-    rows = [record_row(record, municipality_ids) for record in result.records]
-    return columns, np.asarray(rows, dtype=float)
-
-
-def _write_csv(path, columns: list[str], matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in matrix:
-            handle.write(",".join(repr(float(value)) for value in row) + "\n")
-
-
-def write_monthly_csv(result: RunResult, path) -> None:
-    columns, matrix = result_matrix(result)
-    _write_csv(path, columns, matrix)
-
-
-def aggregate(results: list[RunResult]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Pointwise mean and population std across replicates of one config."""
-    if not results:
-        raise ValueError("aggregate needs at least one result")
-    columns, first = result_matrix(results[0])
-    stack = np.stack(
-        [first] + [result_matrix(result)[1] for result in results[1:]], axis=0
-    )
-    return columns, np.mean(stack, axis=0), np.std(stack, axis=0)
-
-
-def _write_entity_dumps(result: RunResult, directory: str, flags: set[str]) -> None:
-    world = result.world
-    if "agents" in flags:
-        rows = [
-            [c.id, c.family_id, c.age, c.gender, c.qualification, c.employer, c.wage]
-            for c in sorted(world.citizens.values(), key=lambda c: c.id)
-        ]
-        _write_plain_csv(
-            os.path.join(directory, "agents.csv"),
-            ["id", "family_id", "age", "gender", "qualification", "employer", "wage"],
-            rows,
-        )
-    if "family" in flags:
-        rows = [
-            [f.id, len(f.member_ids), f.residence, len(f.owned_houses), f.monthly_cash, f.savings]
-            for f in sorted(world.families.values(), key=lambda f: f.id)
-        ]
-        _write_plain_csv(
-            os.path.join(directory, "families.csv"),
-            ["id", "members", "residence", "owned_houses", "monthly_cash", "savings"],
-            rows,
-        )
-    if "firms" in flags:
-        rows = [
-            [fm.id, fm.municipality_id, fm.price, fm.cash, fm.wage_offer,
-             len(fm.employee_ids), fm.stock, fm.last_profit]
-            for fm in sorted(world.firms.values(), key=lambda fm: fm.id)
-        ]
-        _write_plain_csv(
-            os.path.join(directory, "firms.csv"),
-            ["id", "municipality", "price", "cash", "wage_offer",
-             "employees", "stock", "last_profit"],
-            rows,
-        )
-    if "house" in flags:
-        rows = [
-            [s["month"], s["house_id"], s["seller_id"], s["buyer_id"],
-             s["bid"], s["offer"], s["transaction_price"], s["tax"]]
-            for s in result.sales
-        ]
-        _write_plain_csv(
-            os.path.join(directory, "sales.csv"),
-            ["month", "house_id", "seller_id", "buyer_id",
-             "bid", "offer", "transaction_price", "tax"],
-            rows,
-        )
-    if "grave" in flags:
-        rows = [
-            [g["id"], g["month"], g["age"], g["gender"], g["family_id"]]
-            for g in result.grave
-        ]
-        _write_plain_csv(
-            os.path.join(directory, "grave.csv"),
-            ["id", "month", "age", "gender", "family_id"],
-            rows,
-        )
-
-
-def _write_plain_csv(path, columns: list[str], rows: list[list]) -> None:
+def _write_csv(path, columns: list[str], rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(columns) + "\n")
         for row in rows:
@@ -190,6 +153,19 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def write_monthly_csv(result: RunResult, path) -> None:
+    columns, matrix = monthly_table(result.records, list(result.world.municipalities))
+    _write_csv(path, columns, matrix.tolist())
+
+
+def aggregate(job_results: list[JobResult]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Pointwise mean and population std across replicates of one config."""
+    if not job_results:
+        raise ValueError("aggregate needs at least one result")
+    stack = np.stack([job_result.monthly for job_result in job_results], axis=0)
+    return job_results[0].columns, np.mean(stack, axis=0), np.std(stack, axis=0)
 
 
 def _write_plot_script(directory: str, columns: list[str]) -> None:
@@ -209,16 +185,22 @@ def _write_plot_script(directory: str, columns: list[str]) -> None:
         handle.write("\n".join(lines) + "\n")
 
 
-def simulated_tax_totals(results_by_region: dict[str, list[RunResult]]) -> dict[str, dict[str, float]]:
-    """Whole-run tax totals per region, averaged over replicates."""
+def simulated_tax_totals(
+    results_by_region: dict[str, list[JobResult]],
+) -> dict[str, dict[str, float]]:
+    """Whole-run tax totals per region, averaged over replicates.
+
+    Each kind is summed month by month in job order, one float at a time.
+    """
     totals: dict[str, dict[str, float]] = {}
-    for region, results in results_by_region.items():
+    for region, job_results in results_by_region.items():
         sums = {kind: 0.0 for kind in TAX_KINDS}
-        for result in results:
-            for record in result.records:
-                for kind in TAX_KINDS:
-                    sums[kind] += record.taxes[kind]
-        totals[region] = {kind: sums[kind] / len(results) for kind in TAX_KINDS}
+        for job_result in job_results:
+            for kind, column in zip(TAX_KINDS, TAX_COLUMNS):
+                index = job_result.columns.index(column)
+                for value in job_result.monthly[:, index].tolist():
+                    sums[kind] += value
+        totals[region] = {kind: sums[kind] / len(job_results) for kind in TAX_KINDS}
     return totals
 
 
@@ -252,9 +234,16 @@ def write_outputs(
             run_dir = os.path.join(config_dir, f"run_{job_result.job.replicate}")
             os.makedirs(run_dir, exist_ok=True)
             if job_result.ok:
-                write_monthly_csv(job_result.result, os.path.join(run_dir, "monthly.csv"))
-                _write_entity_dumps(job_result.result, run_dir, plan.save_data)
-                ok_results.append(job_result.result)
+                _write_csv(
+                    os.path.join(run_dir, "monthly.csv"),
+                    job_result.columns,
+                    job_result.monthly.tolist(),
+                )
+                for flag, rows in job_result.dumps.items():
+                    dump = DUMPS[flag]
+                    columns = [name for name, _ in dump.columns]
+                    _write_csv(os.path.join(run_dir, dump.file_name), columns, rows)
+                ok_results.append(job_result)
             else:
                 summary["failures"].append(
                     {
@@ -265,8 +254,8 @@ def write_outputs(
                 )
         if ok_results:
             columns, mean, std = aggregate(ok_results)
-            _write_csv(os.path.join(config_dir, "mean.csv"), columns, mean)
-            _write_csv(os.path.join(config_dir, "std.csv"), columns, std)
+            _write_csv(os.path.join(config_dir, "mean.csv"), columns, mean.tolist())
+            _write_csv(os.path.join(config_dir, "std.csv"), columns, std.tolist())
             _write_plot_script(config_dir, columns)
         summary["configs"].append(
             {
@@ -279,11 +268,11 @@ def write_outputs(
         )
 
     if reference_path is not None:
-        results_by_region: dict[str, list[RunResult]] = {}
+        results_by_region: dict[str, list[JobResult]] = {}
         for job_result in job_results:
             if job_result.ok:
                 results_by_region.setdefault(job_result.job.region_name, []).append(
-                    job_result.result
+                    job_result
                 )
         report = compare_tax_distributions(
             simulated_tax_totals(results_by_region), load_tax_reference(reference_path)

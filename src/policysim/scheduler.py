@@ -10,7 +10,7 @@ world's single seeded stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .fiscal import (
     distribute,
     invest_qli,
 )
-from .params import MAX_MONTHS, SimParams
+from .params import MAX_MONTHS, TAX_KINDS, SimParams
 from .stats import gini
 from .world.generate import generate_world
 from .world.regions import RegionData
@@ -53,6 +53,36 @@ class MonthRecord:
         return sum(self.taxes.values())
 
 
+TAX_COLUMNS = tuple(f"tax_{kind}" for kind in TAX_KINDS)
+
+
+def monthly_table(
+    records: list[MonthRecord], municipality_ids: list[str]
+) -> tuple[list[str], np.ndarray]:
+    """The monthly.csv columns and a months x columns float matrix.
+
+    The columns are the MonthRecord fields in order, except that ``taxes``
+    spreads to TAX_COLUMNS (TAX_KINDS order) plus ``tax_total``, and ``qli``
+    to one ``qli_<municipality>`` column per municipality.
+    """
+    columns: list[str] = []
+    values: list[list] = []  # one list per column
+    for spec in fields(MonthRecord):
+        cells = [getattr(record, spec.name) for record in records]
+        if spec.name == "taxes":
+            columns += [*TAX_COLUMNS, "tax_total"]
+            values += [[taxes[kind] for taxes in cells] for kind in TAX_KINDS]
+            values.append([record.tax_total for record in records])
+        elif spec.name == "qli":
+            columns += [f"qli_{muni}" for muni in municipality_ids]
+            values += [[qli[muni] for qli in cells] for muni in municipality_ids]
+        else:
+            columns.append(spec.name)
+            values.append(cells)
+    matrix = np.array(values, dtype=float).reshape(len(columns), len(records))
+    return columns, np.ascontiguousarray(matrix.T)
+
+
 @dataclass
 class RunResult:
     """Per-month time series plus the final world snapshot of one run."""
@@ -60,8 +90,8 @@ class RunResult:
     records: list[MonthRecord]
     world: World
     seed: int
-    sales: list[dict] = field(default_factory=list)
-    grave: list[dict] = field(default_factory=list)
+    sales: list[realestate.SaleRecord] = field(default_factory=list)
+    grave: list[demographics.GraveRecord] = field(default_factory=list)
 
 
 def step_production(world: World, params: SimParams) -> None:
@@ -126,22 +156,9 @@ def step_real_estate(world: World, params: SimParams, rng: np.random.Generator) 
     entrants = realestate.select_entrants(
         world.active_families(), params.percentage_check_new_location, rng
     )
-    sales = realestate.match_market(
+    world.sales_log += realestate.match_market(
         world, entrants, listings, params.taxes.transaction, world.ledger
     )
-    for sale in sales:
-        world.sales_log.append(
-            {
-                "month": world.clock,
-                "house_id": sale.house_id,
-                "seller_id": sale.seller_id,
-                "buyer_id": sale.buyer_id,
-                "bid": sale.bid,
-                "offer": sale.offer,
-                "transaction_price": sale.transaction_price,
-                "tax": sale.tax,
-            }
-        )
     realestate.collect_property_tax(world, params.taxes.property, world.ledger)
 
 

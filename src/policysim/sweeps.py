@@ -7,9 +7,10 @@ import itertools
 from dataclasses import dataclass, field
 
 from .params import ParamError, SimParams, is_known_param, param_type, set_param
+from .runner import DUMPS
 
 RUN_TYPES = ("run", "sensitivity", "distributions", "acps")
-SAVE_DATA_FLAGS = ("agents", "grave", "house", "family", "firms")
+SAVE_DATA_FLAGS = tuple(DUMPS)
 
 
 class SweepSpecError(ValueError):
@@ -43,6 +44,8 @@ def parse_sweep_spec(text: str) -> SweepSpec:
     name = pieces[0].strip().upper()
     if not is_known_param(name):
         raise SweepSpecError(f"unknown parameter {name!r}")
+    if param_type(name) is list:
+        raise SweepSpecError(f"{name} is a list and cannot be swept; use the acps run type")
     if len(pieces) == 1:
         if param_type(name) is not bool:
             raise SweepSpecError(
@@ -68,7 +71,11 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         raise SweepSpecError(f"count must be >= 2, got {count}")
     if first > last:
         raise SweepSpecError(f"first must be <= last in {text!r}")
-    return SweepSpec(name=name, kind="range", first=first, last=last, count=count)
+    spec = SweepSpec(name=name, kind="range", first=first, last=last, count=count)
+    values = spec.values()
+    if len(set(values)) < count:
+        raise SweepSpecError(f"{text!r} repeats grid values: {values}")
+    return spec
 
 
 @dataclass
@@ -106,6 +113,7 @@ class Job:
     seed: int
     params: SimParams
     region_name: str
+    save_data: frozenset[str] = frozenset()  # DUMPS flags the result carries
 
 
 def derive_seed(master_seed: int, config_id: str, replicate: int) -> int:
@@ -185,6 +193,7 @@ def expand_plan(
                     seed=derive_seed(plan.master_seed, config_id, replicate),
                     params=params.copy(),
                     region_name=region,
+                    save_data=frozenset(plan.save_data),
                 )
             )
     return jobs

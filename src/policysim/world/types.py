@@ -7,7 +7,7 @@ is creation order and is the canonical deterministic iteration order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -15,6 +15,8 @@ import numpy as np
 from ..fiscal import DistributionMatrix, TaxLedger
 
 if TYPE_CHECKING:
+    from ..demographics import GraveRecord
+    from ..realestate import SaleRecord
     from .regions import RegionData
 
 Location = tuple[float, float]
@@ -111,8 +113,8 @@ class World:
     ledger: TaxLedger = field(default_factory=TaxLedger)
     next_citizen_id: int = 0
     price_index_prev: float | None = None
-    grave: list[dict] = field(default_factory=list)
-    sales_log: list[dict] = field(default_factory=list)
+    grave: list[GraveRecord] = field(default_factory=list)
+    sales_log: list[SaleRecord] = field(default_factory=list)
     distribution_matrix: DistributionMatrix | None = None  # built on first fiscal step
 
     def municipality_ids(self) -> list[str]:
@@ -164,82 +166,14 @@ class World:
         return family.monthly_cash + family.savings + housing
 
     def to_dict(self) -> dict:
-        """Stable full-state snapshot used for determinism checks."""
-        return {
-            "clock": self.clock,
-            "next_citizen_id": self.next_citizen_id,
-            "citizens": [
-                {
-                    "id": c.id,
-                    "family_id": c.family_id,
-                    "age": c.age,
-                    "gender": c.gender,
-                    "qualification": c.qualification,
-                    "birth_month": c.birth_month,
-                    "employer": c.employer,
-                    "wage": c.wage,
-                }
-                for c in sorted(self.citizens.values(), key=lambda c: c.id)
-            ],
-            "families": [
-                {
-                    "id": f.id,
-                    "member_ids": sorted(f.member_ids),
-                    "residence": f.residence,
-                    "owned_houses": sorted(f.owned_houses),
-                    "monthly_cash": f.monthly_cash,
-                    "savings": f.savings,
-                }
-                for f in sorted(self.families.values(), key=lambda f: f.id)
-            ],
-            "houses": [
-                {
-                    "id": h.id,
-                    "municipality_id": h.municipality_id,
-                    "location": list(h.location),
-                    "size": h.size,
-                    "quality": h.quality,
-                    "current_price": h.current_price,
-                    "owner": h.owner,
-                    "occupied": h.occupied,
-                }
-                for h in sorted(self.houses.values(), key=lambda h: h.id)
-            ],
-            "firms": [
-                {
-                    "id": fm.id,
-                    "municipality_id": fm.municipality_id,
-                    "location": list(fm.location),
-                    "stock": fm.stock,
-                    "price": fm.price,
-                    "cash": fm.cash,
-                    "wage_offer": fm.wage_offer,
-                    "employee_ids": sorted(fm.employee_ids),
-                    "last_profit": fm.last_profit,
-                }
-                for fm in sorted(self.firms.values(), key=lambda fm: fm.id)
-            ],
-            "municipalities": [
-                {
-                    "id": m.id,
-                    "acp_id": m.acp_id,
-                    "treasury": m.treasury,
-                    "qli": m.qli,
-                    "population": m.population,
-                    "fpm_coefficient": m.fpm_coefficient,
-                }
-                for m in self.municipalities.values()
-            ],
-            "rng_state": _rng_state_as_jsonable(self.rng),
+        """Full-state snapshot of agents, clock and random stream, for determinism checks."""
+        state = {
+            name: [asdict(entity) for entity in getattr(self, name).values()]
+            for name in ("citizens", "families", "houses", "firms", "municipalities")
         }
-
-
-def _rng_state_as_jsonable(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": int(state["state"]["state"]),
-        "inc": int(state["state"]["inc"]),
-        "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
-    }
+        state.update(
+            clock=self.clock,
+            next_citizen_id=self.next_citizen_id,
+            rng_state=self.rng.bit_generator.state,
+        )
+        return state

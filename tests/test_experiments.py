@@ -1,15 +1,20 @@
 import json
 import os
+import pickle
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from policysim import SimParams
 from policysim.params import ParamError, parse_config_text, set_param
-from policysim.runner import JobResult, aggregate, execute, write_outputs
-from policysim.scheduler import MonthRecord, RunResult
+from policysim.runner import DUMPS, JobResult, aggregate, execute, write_outputs
+from policysim.scheduler import MonthRecord, RunResult, monthly_table, run
 from policysim.sweeps import (
+    SAVE_DATA_FLAGS,
     ExperimentPlan,
+    Job,
     SweepSpecError,
     derive_seed,
     expand_plan,
@@ -60,6 +65,23 @@ def test_parse_sweep_errors():
         parse_sweep_spec("ALTERNATIVE0:0:1:2")  # boolean takes no range
     with pytest.raises(SweepSpecError):
         parse_sweep_spec("ALPHA:1:0:3")  # first > last
+
+
+@pytest.mark.parametrize("text", ["LABOR_MARKET:1:2:4", "ALPHA:0.5:0.5:3"])
+def test_parse_sweep_rejects_repeated_grid_values(text, tmp_path):
+    # LABOR_MARKET:1:2:4 rounds to [1, 1, 2, 2]: four jobs, two configs
+    with pytest.raises(SweepSpecError, match="repeats grid values"):
+        parse_sweep_spec(text)
+    assert main(["sensitivity", text, "--output", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["PROCESSING_ACPS:1:2:2", "PROCESSING_ACPS"])
+def test_parse_sweep_rejects_list_parameter(text, tmp_path, capsys):
+    with pytest.raises(SweepSpecError, match="acps run type"):
+        parse_sweep_spec(text)
+    assert main(["sensitivity", text, "--output", str(tmp_path)]) == 2
+    assert "acps run type" in capsys.readouterr().err
 
 
 def test_expand_sensitivity_28_jobs():
@@ -130,7 +152,8 @@ def fake_result(values, seed=0):
         )
         for i, v in enumerate(values)
     ]
-    return RunResult(records=records, world=world, seed=seed)
+    job = Job("fake", 0, seed, SimParams(), region.name)
+    return JobResult(job=job, result=RunResult(records=records, world=world, seed=seed))
 
 
 def test_aggregate_single_replicate():
@@ -210,6 +233,35 @@ def test_write_outputs_files(tmp_path):
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["run_type"] == "run"
     assert summary["configs"][0]["seeds"]
+
+
+def test_no_world_leaves_the_job(tmp_path, fixture3):
+    plan = small_plan(tmp_path, save=SAVE_DATA_FLAGS)
+    jobs = expand_plan(plan, fast_params(), ["fixture3"])
+    in_process = JobResult(job=jobs[0], result=run(fixture3, jobs[0].params, jobs[0].seed))
+    for job_result in execute(jobs, cores=1, data_dir=default_data_dir()) + [in_process]:
+        assert job_result.ok and set(job_result.dumps) == set(SAVE_DATA_FLAGS)
+        assert b"policysim.world.types" not in pickle.dumps(job_result)
+
+
+def _readme_outputs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("## Outputs", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_outputs_match_declared_columns():
+    section = _readme_outputs()
+    dumps = {}
+    for line in section.splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 3 and line.lstrip("| ").startswith("`"):
+            dumps[cells[0]] = (cells[1], cells[2])
+    assert dumps == {
+        flag: (dump.file_name, ",".join(name for name, _ in dump.columns))
+        for flag, dump in DUMPS.items()
+    }
+    monthly = ",".join(re.findall(r"`([a-z_]+,[a-z_,]+)`", section.split("|", 1)[0]))
+    assert monthly == ",".join(monthly_table([], [])[0])
 
 
 def test_config_text_parsing():
