@@ -208,3 +208,19 @@ def test_match_replay_respects_wage_order():
     hires = match(world, pool, pct_distance_hiring=0.5, sample_size=3, rng=world.rng)
     hire_wages = [world.firms[fid].wage_offer for fid, _ in hires]
     assert hire_wages == sorted(hire_wages, reverse=True)
+
+
+@pytest.mark.parametrize("sample_size", [50, 3], ids=["whole-pool", "sampled"])
+@pytest.mark.parametrize("pct_distance_hiring", [0.0, 0.5, 1.0])
+def test_match_keeps_candidate_order(sample_size, pct_distance_hiring):
+    # 12 candidates, 7 vacancies: a sample of 50 always covers the pool
+    # (k == len(remaining)); a sample of 3 never does (k < len(remaining))
+    specs = [(cid, 30, (cid * 7) % 11, float((cid * 5) % 13)) for cid in range(12)]
+    world = staffed_world(specs, [(0, 3.0, 4, 0.0), (1, 2.0, 3, 6.0)])
+    pool = build_pool(world, SimParams())
+    pool.candidates = [int(cid) for cid in np.random.default_rng(8).permutation(12)]
+    before = list(pool.candidates)
+    hires = match(world, pool, pct_distance_hiring, sample_size, rng=world.rng)
+    hired = {cid for _, cid in hires}
+    assert len(hires) == 7
+    assert pool.candidates == [cid for cid in before if cid not in hired]

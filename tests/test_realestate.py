@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from policysim.fiscal import TaxLedger
 from policysim.realestate import (
     Listing,
+    SaleRecord,
     build_listings,
     collect_property_tax,
     hedonic_offer_price,
@@ -231,3 +234,155 @@ def test_vacant_houses_pay_no_property_tax():
     ledger = TaxLedger()
     collected = collect_property_tax(world, 0.01, ledger)
     assert abs(collected - 0.01 * total_price) <= 1e-12
+
+
+def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, ledger,
+                           seen):
+    """The dict-scan matcher kept as the reference for match_market.
+
+    For every buyer it scans all open listings and keeps the maximum of
+    (offer, -house_id) over the affordable ones the buyer does not own.
+    seen collects which edge cases the scan met.
+    """
+    open_listings = {listing.house_id: listing.offer_price for listing in listings}
+    vacated = set()
+    order = sorted(
+        (world.families[fid] for fid in entrant_ids),
+        key=lambda family: (-family.savings, family.id),
+    )
+    sales = []
+    for buyer in order:
+        bid = buyer.savings
+        best_house = None
+        for house_id, offer in open_listings.items():
+            if offer > bid:
+                continue
+            house = world.houses[house_id]
+            if house.owner == buyer.id:
+                continue
+            if best_house is None or (offer, -house_id) > (
+                open_listings[best_house.id],
+                -best_house.id,
+            ):
+                best_house = house
+        affordable = [
+            (offer, -hid) for hid, offer in open_listings.items() if offer <= bid
+        ]
+        if not affordable:
+            seen.add("no affordable listing")
+        elif world.houses[-max(affordable)[1]].owner == buyer.id:
+            seen.add("buyer owns the best affordable listing")
+        if best_house is None:
+            continue
+        offer = open_listings.pop(best_house.id)
+        if any(
+            other_offer == offer and world.houses[hid].owner != buyer.id
+            for hid, other_offer in open_listings.items()
+        ):
+            seen.add("equal offers")
+        if offer == bid:
+            seen.add("bid == offer")
+        if best_house.id in vacated:
+            seen.add("vacated residence resold")
+        seller = world.families[best_house.owner]
+        price = (bid + offer) / 2.0
+        tax = price * transaction_tax_rate
+        buyer.savings -= price
+        seller.savings += price - tax
+        ledger.add(best_house.municipality_id, "transaction", tax)
+        seller.owned_houses.discard(best_house.id)
+        buyer.owned_houses.add(best_house.id)
+        best_house.owner = buyer.id
+        sales.append(
+            SaleRecord(
+                month=world.clock,
+                house_id=best_house.id,
+                seller_id=seller.id,
+                buyer_id=buyer.id,
+                bid=bid,
+                offer=offer,
+                transaction_price=price,
+                tax=tax,
+            )
+        )
+        residence = world.houses[buyer.residence]
+        new_score = best_house.amenity_score(
+            world.municipalities[best_house.municipality_id].qli
+        )
+        old_score = residence.amenity_score(
+            world.municipalities[residence.municipality_id].qli
+        )
+        if new_score > old_score:
+            residence.occupied = False
+            open_listings[residence.id] = residence.current_price
+            vacated.add(residence.id)
+            best_house.occupied = True
+            buyer.residence = best_house.id
+    return sales
+
+
+def random_market(seed):
+    """A small market on a coarse price grid, so ties and exact bids are common."""
+    rng = np.random.default_rng(seed)
+    n_families = int(rng.integers(2, 9))
+    citizens, families, houses = [], [], []
+    for fid in range(n_families):
+        citizens.append(simple_citizen(cid=fid, family_id=fid))
+        families.append(
+            simple_family(family_id=fid, member_ids=(fid,), residence=fid,
+                          savings=10.0 * int(rng.integers(0, 9)))
+        )
+        houses.append(
+            simple_house(house_id=fid, owner=fid, size=float(rng.integers(1, 4)),
+                         quality=int(rng.integers(1, 4)),
+                         price=10.0 * int(rng.integers(1, 6)))
+        )
+    for hid in range(n_families, n_families + int(rng.integers(0, 8))):
+        owner = int(rng.integers(0, n_families))
+        houses.append(
+            simple_house(house_id=hid, owner=owner, size=float(rng.integers(1, 4)),
+                         quality=int(rng.integers(1, 4)),
+                         price=10.0 * int(rng.integers(1, 6)), occupied=False)
+        )
+        families[owner].owned_houses.add(hid)
+    world = make_world(citizens, families, houses)
+    entrants = [fid for fid in range(n_families) if rng.random() < 0.7]
+    order = rng.permutation(len(houses))
+    listings = [
+        Listing(houses[i].id, houses[i].current_price)
+        for i in order
+        if not houses[i].occupied
+    ]
+    return world, entrants, listings
+
+
+def market_state(world, ledger):
+    return (
+        [(h.id, h.owner, h.occupied) for h in world.houses.values()],
+        [(f.id, f.residence, sorted(f.owned_houses), f.savings)
+         for f in world.families.values()],
+        ledger.get("m0", "transaction"),
+    )
+
+
+def test_match_market_equals_dict_scan_reference():
+    seen = set()
+    for seed in range(80):
+        world, entrants, listings = random_market(seed)
+        reference_world = copy.deepcopy(world)
+        ledger, reference_ledger = TaxLedger(), TaxLedger()
+        sales = match_market(world, entrants, listings, 0.1, ledger)
+        reference_sales = reference_match_market(
+            reference_world, entrants, listings, 0.1, reference_ledger, seen
+        )
+        assert sales == reference_sales, seed
+        assert market_state(world, ledger) == market_state(
+            reference_world, reference_ledger
+        ), seed
+    assert seen == {
+        "no affordable listing",
+        "buyer owns the best affordable listing",
+        "equal offers",
+        "bid == offer",
+        "vacated residence resold",
+    }
