@@ -60,33 +60,25 @@ def match(
         firm = world.firms[firm_id]
         k = min(sample_size, len(remaining))
         if k == len(remaining):
-            sample = list(remaining)
+            positions = range(k)
         else:
-            picks = rng.choice(len(remaining), size=k, replace=False)
-            sample = [remaining[int(index)] for index in picks]
+            positions = rng.choice(len(remaining), size=k, replace=False).tolist()
         by_distance = float(rng.random()) < pct_distance_hiring
-        if by_distance:
-            chosen = min(
-                sample,
-                key=lambda cid: (
-                    distance(
-                        world.residence_location(
-                            world.families[world.citizens[cid].family_id]
-                        ),
-                        firm.location,
-                    ),
-                    cid,
-                ),
-            )
-        else:
-            chosen = min(
-                sample, key=lambda cid: (-world.citizens[cid].qualification, cid)
-            )
+
+        def rank(index: int) -> tuple[float, int]:
+            cid = remaining[index]
+            if by_distance:
+                family = world.families[world.citizens[cid].family_id]
+                return distance(world.residence_location(family), firm.location), cid
+            return -world.citizens[cid].qualification, cid
+
+        position = min(positions, key=rank)
+        chosen = remaining[position]
+        del remaining[position]
         citizen = world.citizens[chosen]
         citizen.employer = firm_id
         citizen.wage = wage
         firm.employee_ids.add(chosen)
-        remaining.remove(chosen)
         hires.append((firm_id, chosen))
     pool.candidates = remaining
     return hires

@@ -7,6 +7,8 @@ a transaction price halfway between bid and offer.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +94,11 @@ def match_market(
     in when the bought house beats its residence on size x quality x qli,
     which puts the vacated home straight on the market.
     """
-    open_listings: dict[int, float] = {
-        listing.house_id: listing.offer_price for listing in listings
-    }
+    # ascending by (offer, -house id): the best affordable listing is the
+    # last one at or below the bid, ties going to the lower house id
+    open_listings = sorted(
+        (listing.offer_price, -listing.house_id) for listing in listings
+    )
     order = sorted(
         (world.families[fid] for fid in entrant_ids),
         key=lambda family: (-family.savings, family.id),
@@ -102,21 +106,13 @@ def match_market(
     sales: list[SaleRecord] = []
     for buyer in order:
         bid = buyer.savings
-        best_house: House | None = None
-        for house_id, offer in open_listings.items():
-            if offer > bid:
-                continue
-            house = world.houses[house_id]
-            if house.owner == buyer.id:
-                continue
-            if best_house is None or (offer, -house_id) > (
-                open_listings[best_house.id],
-                -best_house.id,
-            ):
-                best_house = house
-        if best_house is None:
+        index = bisect_right(open_listings, (bid, math.inf))
+        while index and world.houses[-open_listings[index - 1][1]].owner == buyer.id:
+            index -= 1
+        if not index:
             continue
-        offer = open_listings.pop(best_house.id)
+        offer, negative_id = open_listings.pop(index - 1)
+        best_house = world.houses[-negative_id]
         seller = world.families[best_house.owner]
         price = (bid + offer) / 2.0
         tax = price * transaction_tax_rate
@@ -147,7 +143,7 @@ def match_market(
         )
         if new_score > old_score:
             residence.occupied = False
-            open_listings[residence.id] = residence.current_price
+            insort(open_listings, (residence.current_price, -residence.id))
             best_house.occupied = True
             buyer.residence = best_house.id
     return sales

@@ -144,11 +144,12 @@ class World:
         ]
 
     def unemployment_rate(self, age_min: int, age_max: int) -> float:
-        pool = self.working_age_citizens(age_min, age_max)
-        if not pool:
-            return 0.0
-        unemployed = sum(1 for citizen in pool if citizen.employer is None)
-        return unemployed / len(pool)
+        pool = unemployed = 0
+        for citizen in self.citizens.values():
+            if age_min <= citizen.age <= age_max:
+                pool += 1
+                unemployed += citizen.employer is None
+        return unemployed / pool if pool else 0.0
 
     def total_money(self) -> float:
         """Family cash and savings, firm cash, treasuries, and the ledger."""
