@@ -140,3 +140,43 @@ def test_treasuries_drain_each_month(fixture3):
     result = run(fixture3, params, seed=2)
     for muni in result.world.municipalities.values():
         assert muni.treasury == 0.0
+
+
+def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
+    # the transfer rule is read from params every month, so a world stepped
+    # under one TAXES_STRUCTURE and then another follows the second
+    from policysim.fiscal import DistributionMatrix, DistributionRegime, TaxLedger, distribute
+
+    params = SimParams()
+    world = generate_world(fixture3, params, seed=4)
+    step(world, params)
+
+    override = params.copy()
+    override.taxes_structure = {
+        "TRUE_TRUE.CONSUMPTION.LOCAL": 1.0,
+        "TRUE_TRUE.CONSUMPTION.EQUAL_POOL": 0.0,
+    }
+    collected = {"core": 120.0, "north": 30.0, "east": 6.0}
+    expected_ledger = TaxLedger()
+    for ledger in (world.ledger, expected_ledger):
+        ledger.reset()
+        for muni_id, amount in collected.items():
+            ledger.add(muni_id, "consumption", amount)
+    populations = world.population_by_municipality()
+    receipts = distribute(
+        expected_ledger,
+        DistributionRegime(override.alternative0, override.fpm_distribution),
+        DistributionMatrix(override.taxes_structure),
+        world.municipality_ids(),
+        populations,
+        fixture3.fpm_brackets,
+    )
+    assert receipts == pytest.approx(collected)  # all of it stays local
+    before = {muni_id: muni.qli for muni_id, muni in world.municipalities.items()}
+
+    step_fiscal(world, override)
+
+    for muni_id, muni in world.municipalities.items():
+        gain = receipts[muni_id] / max(1, populations[muni_id])
+        gain /= override.reference_cost_per_capita
+        assert muni.qli - before[muni_id] == pytest.approx(gain, rel=1e-9)
