@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .firms import fire_employee
 from .world.regions import RegionData
 from .world.types import FEMALE, MALE, Citizen, World
 
@@ -34,15 +35,6 @@ def age_step(world: World) -> None:
             citizen.age += 1
 
 
-def _remove_from_employer(world: World, citizen: Citizen) -> None:
-    if citizen.employer is not None:
-        firm = world.firms.get(citizen.employer)
-        if firm is not None:
-            firm.employee_ids.discard(citizen.id)
-        citizen.employer = None
-        citizen.wage = 0.0
-
-
 def _transfer_estate(world: World, family_id: int, rng: np.random.Generator) -> None:
     """Move an extinct family's houses and money to a surviving family.
 
@@ -54,15 +46,11 @@ def _transfer_estate(world: World, family_id: int, rng: np.random.Generator) -> 
     extinct = world.families[family_id]
     heirs = [f.id for f in world.families.values() if f.is_active and f.id != family_id]
     if not heirs:
-        if world.houses[extinct.residence].occupied:
-            world.houses[extinct.residence].occupied = False
         return
     heir = world.families[heirs[int(rng.integers(0, len(heirs)))]]
     for house_id in sorted(extinct.owned_houses):
         house = world.houses[house_id]
         house.owner = heir.id
-        if house_id == extinct.residence:
-            house.occupied = False
         heir.owned_houses.add(house_id)
     heir.monthly_cash += extinct.monthly_cash
     heir.savings += extinct.savings
@@ -93,7 +81,8 @@ def mortality_step(
 
     emptied_families: list[int] = []
     for citizen in deceased:
-        _remove_from_employer(world, citizen)
+        if citizen.employer is not None:
+            fire_employee(world, world.firms[citizen.employer], citizen.id)
         family = world.families[citizen.family_id]
         family.member_ids.discard(citizen.id)
         if not family.member_ids:

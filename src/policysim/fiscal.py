@@ -176,20 +176,24 @@ def fpm_allocate(
     Shares are proportional to coefficients; the last recipient absorbs the
     rounding residual so the shares sum to the pool exactly.
     """
-    coefficients = {
-        muni: coefficient_for(populations.get(muni, 0), brackets)
-        for muni in municipality_ids
-    }
-    total_coefficient = sum(coefficients.values())
+    coefficients = [
+        coefficient_for(populations.get(muni, 0), brackets) for muni in municipality_ids
+    ]
+    return _split_by_weight(pool, municipality_ids, coefficients)
+
+
+def _split_by_weight(
+    pool: float, municipality_ids: list[str], weights: list[float]
+) -> dict[str, float]:
+    """Shares proportional to weights; the last recipient takes the residual."""
+    total_weight = sum(weights)
     shares: dict[str, float] = {}
     running = 0.0
-    for index, muni in enumerate(municipality_ids):
-        if index == len(municipality_ids) - 1:
-            shares[muni] = pool - running
-        else:
-            share = pool * coefficients[muni] / total_coefficient
-            shares[muni] = share
-            running += share
+    for muni, weight in zip(municipality_ids[:-1], weights):
+        share = pool * weight / total_weight
+        shares[muni] = share
+        running += share
+    shares[municipality_ids[-1]] = pool - running
     return shares
 
 
@@ -204,19 +208,10 @@ def _split_equally(pool: float, municipality_ids: list[str]) -> dict[str, float]
 def _split_by_population(
     pool: float, municipality_ids: list[str], populations: dict[str, int]
 ) -> dict[str, float]:
-    total_population = sum(populations.get(muni, 0) for muni in municipality_ids)
-    if total_population <= 0:
+    weights = [populations.get(muni, 0) for muni in municipality_ids]
+    if sum(weights) <= 0:
         return _split_equally(pool, municipality_ids)
-    shares: dict[str, float] = {}
-    running = 0.0
-    for index, muni in enumerate(municipality_ids):
-        if index == len(municipality_ids) - 1:
-            shares[muni] = pool - running
-        else:
-            share = pool * populations.get(muni, 0) / total_population
-            shares[muni] = share
-            running += share
-    return shares
+    return _split_by_weight(pool, municipality_ids, weights)
 
 
 def distribute(
@@ -244,23 +239,18 @@ def distribute(
             if channel == "local":
                 for muni in municipality_ids:
                     receipts[muni] += fraction * ledger.get(muni, kind)
-            elif channel == "equal_pool":
-                pool = fraction * sum(
-                    ledger.get(muni, kind) for muni in municipality_ids
-                )
-                for muni, share in _split_equally(pool, municipality_ids).items():
-                    receipts[muni] += share
+                continue
+            pool = fraction * sum(ledger.get(muni, kind) for muni in municipality_ids)
+            if channel == "equal_pool":
+                allocated = _split_equally(pool, municipality_ids)
             elif channel == "fpm_pool":
-                pool = fraction * sum(
-                    ledger.get(muni, kind) for muni in municipality_ids
-                )
                 allocated = fpm_allocate(
                     pool, municipality_ids, populations, fpm_brackets
                 )
-                for muni, share in allocated.items():
-                    receipts[muni] += share
             else:
                 raise FiscalError(f"unknown channel {channel!r}")
+            for muni, share in allocated.items():
+                receipts[muni] += share
     return receipts
 
 

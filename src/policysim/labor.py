@@ -118,11 +118,12 @@ def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> float:
 def calibrate_initial_unemployment(
     world: World, target_rate: float, params: SimParams, rng: np.random.Generator
 ) -> None:
-    """Pre-simulation hiring rounds until unemployment reaches the target.
+    """One pre-simulation hiring round that meets the unemployment target.
 
-    Each round offers exactly the missing number of vacancies, spread over
-    firms in proportion to their expected size, so the final rate lands
-    within one hire of the target whenever candidates remain.
+    The round offers exactly the missing number of vacancies, spread over
+    firms in proportion to their expected size. Every missing hire has an
+    unemployed working-age candidate in the pool, so ``match`` fills each
+    vacancy and the employed count lands on the rounded target exactly.
     """
     working_age = world.working_age_citizens(
         params.working_age_min, params.working_age_max
@@ -141,21 +142,14 @@ def calibrate_initial_unemployment(
         for firm in firm_list
     ]
 
-    target_employed = round((1.0 - target_rate) * len(working_age))
-    for _ in range(100):
-        unemployed = [c for c in working_age if c.employer is None]
-        employed_count = len(working_age) - len(unemployed)
-        needed = int(target_employed - employed_count)
-        if needed <= 0 or not unemployed:
-            break
-        allocation = allocate_proportionally(needed, weights)
-        for firm, vacancies in zip(firm_list, allocation):
-            firm.open_vacancies = vacancies
-        pool = build_pool(world, params)
-        hired = match(
-            world, pool, params.pct_distance_hiring, params.size_market, rng
-        )
-        for firm in firm_list:
-            firm.open_vacancies = 0
-        if not hired:
-            break
+    employed = sum(citizen.employer is not None for citizen in working_age)
+    needed = round((1.0 - target_rate) * len(working_age)) - employed
+    if needed <= 0:
+        return
+    allocation = allocate_proportionally(needed, weights)
+    for firm, vacancies in zip(firm_list, allocation):
+        firm.open_vacancies = vacancies
+    pool = build_pool(world, params)
+    match(world, pool, params.pct_distance_hiring, params.size_market, rng)
+    for firm in firm_list:
+        firm.open_vacancies = 0

@@ -58,10 +58,11 @@ def reprice_houses(world: World, base_coefficient: float) -> None:
 
 def build_listings(world: World) -> list[Listing]:
     """Every vacant house is on the market at its current hedonic price."""
+    residents = world.residents_by_house()
     return [
         Listing(house.id, house.current_price)
         for house in world.houses.values()
-        if not house.occupied
+        if house.id not in residents
     ]
 
 
@@ -142,9 +143,7 @@ def match_market(
             world.municipalities[residence.municipality_id].qli
         )
         if new_score > old_score:
-            residence.occupied = False
             insort(open_listings, (residence.current_price, -residence.id))
-            best_house.occupied = True
             buyer.residence = best_house.id
     return sales
 
@@ -156,8 +155,6 @@ def collect_property_tax(
     residents = world.residents_by_house()
     total = 0.0
     for house in world.houses.values():
-        if not house.occupied:
-            continue
         family = residents.get(house.id)
         if family is None:
             continue

@@ -175,11 +175,10 @@ def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
             populations[muni_id], world.region.fpm_brackets
         )
     regime = DistributionRegime(params.alternative0, params.fpm_distribution)
-    matrix = _matrix_for(world, params)
     receipts = distribute(
         world.ledger,
         regime,
-        matrix,
+        DistributionMatrix(params.taxes_structure),
         world.municipality_ids(),
         populations,
         world.region.fpm_brackets,
@@ -189,12 +188,6 @@ def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
         invest_qli(muni, muni.treasury, params.reference_cost_per_capita)
     world.ledger.reset()
     return totals
-
-
-def _matrix_for(world: World, params: SimParams) -> DistributionMatrix:
-    if world.distribution_matrix is None:
-        world.distribution_matrix = DistributionMatrix(params.taxes_structure)
-    return world.distribution_matrix
 
 
 def record_month(world: World, params: SimParams, taxes: dict[str, float]) -> MonthRecord:

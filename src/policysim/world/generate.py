@@ -13,7 +13,7 @@ import numpy as np
 
 from ..fiscal import TaxLedger, coefficient_for
 from ..params import SimParams
-from .regions import RegionData
+from .regions import MunicipalitySpec, RegionData
 from .types import FEMALE, MALE, Citizen, Family, Firm, House, Municipality, World
 
 HOUSE_SIZE_RANGE = (30.0, 120.0)  # m2
@@ -84,6 +84,26 @@ def _draw_qualification(region: RegionData, age: int, rng: np.random.Generator) 
         if u < cumulative:
             return years
     return rows[-1][0]
+
+
+def _draw_house(
+    house_id: int, spec: MunicipalitySpec, owner: int, params: SimParams, rng: np.random.Generator
+) -> House:
+    """A house at a uniform point of the municipality, priced at the initial QLI."""
+    xmin, ymin, xmax, ymax = spec.bounds
+    x = float(rng.uniform(xmin, xmax))
+    y = float(rng.uniform(ymin, ymax))
+    size = float(rng.uniform(*HOUSE_SIZE_RANGE))
+    quality = int(rng.integers(1, HOUSE_QUALITY_LEVELS + 1))
+    return House(
+        id=house_id,
+        municipality_id=spec.id,
+        location=(x, y),
+        size=size,
+        quality=quality,
+        current_price=params.hedonic_base_coefficient * size * quality * INITIAL_QLI,
+        owner=owner,
+    )
 
 
 def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
@@ -171,24 +191,10 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
             next_citizen += 1
         working_age_per_muni.append(working_age)
 
-        # occupied family homes, one per family
+        # family homes, one per family
         family_ids = []
         for _ in range(n_families):
-            x = float(rng.uniform(xmin, xmax))
-            y = float(rng.uniform(ymin, ymax))
-            size = float(rng.uniform(*HOUSE_SIZE_RANGE))
-            quality = int(rng.integers(1, HOUSE_QUALITY_LEVELS + 1))
-            price = params.hedonic_base_coefficient * size * quality * INITIAL_QLI
-            house = House(
-                id=next_house,
-                municipality_id=spec.id,
-                location=(x, y),
-                size=size,
-                quality=quality,
-                current_price=price,
-                owner=next_family,
-                occupied=True,
-            )
+            house = _draw_house(next_house, spec, next_family, params, rng)
             houses[house.id] = house
             family = Family(
                 id=next_family,
@@ -211,21 +217,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
 
         # vacant surplus houses, owners drawn later over all families
         for _ in range(surplus_per_muni[muni_index]):
-            x = float(rng.uniform(xmin, xmax))
-            y = float(rng.uniform(ymin, ymax))
-            size = float(rng.uniform(*HOUSE_SIZE_RANGE))
-            quality = int(rng.integers(1, HOUSE_QUALITY_LEVELS + 1))
-            price = params.hedonic_base_coefficient * size * quality * INITIAL_QLI
-            houses[next_house] = House(
-                id=next_house,
-                municipality_id=spec.id,
-                location=(x, y),
-                size=size,
-                quality=quality,
-                current_price=price,
-                owner=-1,
-                occupied=False,
-            )
+            houses[next_house] = _draw_house(next_house, spec, -1, params, rng)
             next_house += 1
 
         for _ in range(firms_per_muni[muni_index]):

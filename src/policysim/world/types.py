@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..fiscal import DistributionMatrix, TaxLedger
+from ..fiscal import TaxLedger
 
 if TYPE_CHECKING:
     from ..demographics import GraveRecord
@@ -65,7 +65,6 @@ class House:
     quality: int  # ordinal 1..4, fixed
     current_price: float
     owner: int  # family id
-    occupied: bool
 
     def amenity_score(self, qli: float) -> float:
         return self.size * self.quality * qli
@@ -115,7 +114,6 @@ class World:
     price_index_prev: float | None = None
     grave: list[GraveRecord] = field(default_factory=list)
     sales_log: list[SaleRecord] = field(default_factory=list)
-    distribution_matrix: DistributionMatrix | None = None  # built on first fiscal step
 
     def municipality_ids(self) -> list[str]:
         return list(self.municipalities.keys())
@@ -127,6 +125,7 @@ class World:
         return self.houses[family.residence].location
 
     def residents_by_house(self) -> dict[int, Family]:
+        """The occupied houses: each active family's residence, in family order."""
         return {family.residence: family for family in self.active_families()}
 
     def population_by_municipality(self) -> dict[str, int]:

@@ -111,7 +111,7 @@ def simple_citizen(cid=0, family_id=0, age=30, gender="female", qualification=9,
 
 
 def simple_house(house_id=0, muni="m0", location=(0.0, 0.0), size=50.0, quality=2,
-                 price=10.0, owner=0, occupied=True):
+                 price=10.0, owner=0):
     return House(
         id=house_id,
         municipality_id=muni,
@@ -120,7 +120,6 @@ def simple_house(house_id=0, muni="m0", location=(0.0, 0.0), size=50.0, quality=
         quality=quality,
         current_price=price,
         owner=owner,
-        occupied=occupied,
     )
 
 

@@ -122,7 +122,7 @@ def test_inheritance_moves_estate_to_surviving_family():
     assert heir.monthly_cash == 7.0
     assert heir.savings == 3.0
     assert world.houses[0].owner == 1
-    assert not world.houses[0].occupied
+    assert 0 not in world.residents_by_house()
 
 
 def test_zero_fertility_no_births():

@@ -182,6 +182,31 @@ def test_calibration_hits_ten_percent_window(fixture3):
     assert 0.09 <= rate <= 0.11
 
 
+@pytest.mark.parametrize("rate", [0.0, 0.07, 0.3, 0.55, 0.93, 1.0])
+def test_calibration_employs_the_rounded_target_exactly(fixture3, rate):
+    params = SimParams()
+    world = generate_world(fixture3, params, seed=6)
+    working_age = world.working_age_citizens(params.working_age_min, params.working_age_max)
+    calibrate_initial_unemployment(world, rate, params, world.rng)
+    employed = sum(citizen.employer is not None for citizen in working_age)
+    assert employed == round((1.0 - rate) * len(working_age))
+
+
+def test_calibration_tops_up_an_employed_world_in_one_match(fixture3, monkeypatch):
+    import policysim.labor as labor
+
+    params = SimParams()
+    world = generate_world(fixture3, params, seed=6)
+    working_age = world.working_age_citizens(params.working_age_min, params.working_age_max)
+    calibrate_initial_unemployment(world, 0.5, params, world.rng)
+    calls = []
+    monkeypatch.setattr(labor, "match", lambda *args: calls.append(1) or match(*args))
+    calibrate_initial_unemployment(world, 0.2, params, world.rng)
+    assert len(calls) == 1
+    employed = sum(citizen.employer is not None for citizen in working_age)
+    assert employed == round(0.8 * len(working_age))
+
+
 def test_zero_distance_hiring_ignores_geography():
     # identical worlds apart from where candidates live hire the same people
     specs_near = [(i, 30, i % 7, float(i)) for i in range(8)]

@@ -65,8 +65,7 @@ def sale_world():
     houses = [
         simple_house(house_id=0, owner=0, size=60.0, quality=3, price=10.0),
         simple_house(house_id=1, owner=1, size=60.0, quality=3, price=10.0),
-        simple_house(house_id=2, owner=1, size=40.0, quality=1, price=80.0,
-                     occupied=False),
+        simple_house(house_id=2, owner=1, size=40.0, quality=1, price=80.0),
     ]
     return make_world(citizens, families, houses)
 
@@ -127,8 +126,9 @@ def test_relocation_into_better_house():
     assert len(sales) == 1
     buyer = world.families[0]
     assert buyer.residence == 2
-    assert world.houses[2].occupied
-    assert not world.houses[0].occupied
+    residents = world.residents_by_house()
+    assert residents[2] is buyer
+    assert 0 not in residents
 
 
 def test_vacated_house_enters_market_same_step():
@@ -172,7 +172,7 @@ def test_buyers_ordered_by_starting_savings():
     houses = [simple_house(house_id=i, owner=i, price=5.0) for i in range(4)]
     for j in range(3):
         houses.append(
-            simple_house(house_id=4 + j, owner=0, price=float(20 + j), occupied=False)
+            simple_house(house_id=4 + j, owner=0, price=float(20 + j))
         )
     world = make_world(citizens, families, houses)
     listings = build_listings(world)
@@ -313,10 +313,8 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
             world.municipalities[residence.municipality_id].qli
         )
         if new_score > old_score:
-            residence.occupied = False
             open_listings[residence.id] = residence.current_price
             vacated.add(residence.id)
-            best_house.occupied = True
             buyer.residence = best_house.id
     return sales
 
@@ -342,23 +340,24 @@ def random_market(seed):
         houses.append(
             simple_house(house_id=hid, owner=owner, size=float(rng.integers(1, 4)),
                          quality=int(rng.integers(1, 4)),
-                         price=10.0 * int(rng.integers(1, 6)), occupied=False)
+                         price=10.0 * int(rng.integers(1, 6)))
         )
         families[owner].owned_houses.add(hid)
     world = make_world(citizens, families, houses)
     entrants = [fid for fid in range(n_families) if rng.random() < 0.7]
     order = rng.permutation(len(houses))
+    residences = {family.residence for family in families}
     listings = [
         Listing(houses[i].id, houses[i].current_price)
         for i in order
-        if not houses[i].occupied
+        if houses[i].id not in residences
     ]
     return world, entrants, listings
 
 
 def market_state(world, ledger):
     return (
-        [(h.id, h.owner, h.occupied) for h in world.houses.values()],
+        [(h.id, h.owner) for h in world.houses.values()],
         [(f.id, f.residence, sorted(f.owned_houses), f.savings)
          for f in world.families.values()],
         ledger.get("m0", "transaction"),

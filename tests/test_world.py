@@ -152,9 +152,8 @@ def test_occupancy_bijection_and_surplus(fixture3):
     world = generate_world(fixture3, params, seed=3)
     residences = [family.residence for family in world.families.values()]
     assert len(residences) == len(set(residences))
-    occupied = {h.id for h in world.houses.values() if h.occupied}
-    assert occupied == set(residences)
-    vacant = [h for h in world.houses.values() if not h.occupied]
+    assert set(world.residents_by_house()) == set(residences)
+    vacant = [h for h in world.houses.values() if h.id not in residences]
     assert len(vacant) == len(world.houses) - len(world.families)
     assert len(vacant) >= 0
     for house in world.houses.values():
