@@ -236,6 +236,17 @@ def test_vacant_houses_pay_no_property_tax():
     assert abs(collected - 0.01 * total_price) <= 1e-12
 
 
+def test_home_of_an_extinct_family_is_vacant():
+    # family 1 died out with no heir: it keeps its houses, but lives nowhere
+    world = sale_world()
+    world.families[1].member_ids.clear()
+    world.families[0].monthly_cash = world.families[1].monthly_cash = 10.0
+    assert [listing.house_id for listing in build_listings(world)] == [1, 2]
+    collected = collect_property_tax(world, 0.01, TaxLedger())
+    assert collected == 0.01 * world.houses[0].current_price
+    assert world.families[1].monthly_cash == 10.0
+
+
 def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, ledger,
                            seen):
     """The dict-scan matcher kept as the reference for match_market.
