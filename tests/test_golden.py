@@ -5,6 +5,11 @@ quality of life) of fixture3 at default parameters. Any change to the
 random stream, the schedule or the arithmetic order shows up here; a
 refactor that claims "same behaviour" must leave them unchanged.
 
+Seed 1 is also pinned under the three other fiscal regimes
+(ALTERNATIVE0, FPM_DISTRIBUTION), so a change to the transfer rules shows up
+in the regime it touches. The two merged regimes share one hash: merged
+municipalities pool every tax by population whatever FPM_DISTRIBUTION says.
+
 The default population share gives about 220 citizens, so one more case
 runs fixture3 with ten times its target population at share 1.0: its
 labor and housing markets draw from pools of thousands.
@@ -26,6 +31,12 @@ GOLDEN_MONTHLY_SHA256 = {
     3: "936ce3d4d619ab2771006ca3f42d5d7ac88da33e3148ce1a31db17c94ef91656",
 }
 
+REGIME_MONTHLY_SHA256 = {
+    (True, False): "9514aed0373893b88b4a5147f4211646efc22c5dbc6abf04310041f4a9adf057",
+    (False, True): "231e860fc9a644da92faf9890d058b90508df7bcc77214a8d6fcc6c6d82c8df8",
+    (False, False): "231e860fc9a644da92faf9890d058b90508df7bcc77214a8d6fcc6c6d82c8df8",
+}
+
 LARGE_POOL_SCALE = 10
 LARGE_POOL_MONTHS = 6
 LARGE_POOL_MONTHLY_SHA256 = "2d4c156b2b102048ac5ae36b113538050ec9a4f3989f9322ff02f62bc982c27e"
@@ -38,6 +49,19 @@ def test_monthly_csv_fingerprint(fixture3, tmp_path, seed):
     path = tmp_path / "monthly.csv"
     write_monthly_csv(run(fixture3, params, seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MONTHLY_SHA256[seed]
+
+
+@pytest.mark.parametrize(
+    "alternative0, fpm_distribution",
+    sorted(REGIME_MONTHLY_SHA256, reverse=True),
+    ids=lambda flag: str(flag).lower(),
+)
+def test_regime_monthly_csv_fingerprint(fixture3, tmp_path, alternative0, fpm_distribution):
+    params = SimParams(alternative0=alternative0, fpm_distribution=fpm_distribution)
+    path = tmp_path / "monthly.csv"
+    write_monthly_csv(run(fixture3, params, 1), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == REGIME_MONTHLY_SHA256[(alternative0, fpm_distribution)]
 
 
 def scaled_region(source, target, scale):
