@@ -36,7 +36,7 @@ def update_price(
     markup: float,
     sticky_prices: float,
     rng: np.random.Generator,
-    price_floor: float = 1e-9,
+    price_floor: float,
 ) -> float:
     """Re-evaluate the price with probability sticky_prices.
 
@@ -60,7 +60,7 @@ def update_wage(
     firm: Firm,
     unemployment_rate: float,
     ignore_unemployment: bool,
-    price_floor: float = 1e-9,
+    price_floor: float,
 ) -> float:
     """Set the wage offer from revenue per employee, damped by unemployment."""
     target = firm.revenue_this_month / max(1, len(firm.employee_ids))

@@ -58,47 +58,39 @@ class DistributionRegime:
     alternative0: bool
     fpm_distribution: bool
 
-    @property
-    def key(self) -> tuple[bool, bool]:
-        return (self.alternative0, self.fpm_distribution)
-
-
-ALL_REGIMES = (
-    DistributionRegime(True, True),
-    DistributionRegime(False, True),
-    DistributionRegime(True, False),
-    DistributionRegime(False, False),
-)
 
 # Default channel fractions per (regime, tax kind). Channels:
 #   local      - stays with the collecting municipality
 #   equal_pool - pooled and split equally across the ACP's municipalities
 #   fpm_pool   - pooled and split by population-bracket coefficients
-_DEFAULT_FRACTIONS: dict[tuple[bool, bool], dict[str, list[tuple[str, float]]]] = {
-    (True, True): {
+_DEFAULT_FRACTIONS: dict[DistributionRegime, dict[str, list[tuple[str, float]]]] = {
+    DistributionRegime(True, True): {
         "consumption": [("local", 0.1875), ("equal_pool", 0.8125)],
         "labor": [("equal_pool", 0.765), ("fpm_pool", 0.235)],
         "transaction": [("local", 1.0)],
         "firms": [("equal_pool", 0.765), ("fpm_pool", 0.235)],
         "property": [("local", 1.0)],
     },
-    (False, True): {
+    DistributionRegime(True, False): {kind: [("local", 1.0)] for kind in TAX_KINDS},
+    DistributionRegime(False, True): {
         "consumption": [("equal_pool", 1.0)],
         "labor": [("equal_pool", 0.765), ("fpm_pool", 0.235)],
         "transaction": [("equal_pool", 1.0)],
         "firms": [("equal_pool", 0.765), ("fpm_pool", 0.235)],
         "property": [("equal_pool", 1.0)],
     },
-    (True, False): {kind: [("local", 1.0)] for kind in TAX_KINDS},
-    (False, False): {kind: [("equal_pool", 1.0)] for kind in TAX_KINDS},
+    DistributionRegime(False, False): {kind: [("equal_pool", 1.0)] for kind in TAX_KINDS},
 }
+
+# in the order the distributions run type expands its configurations
+ALL_REGIMES = tuple(_DEFAULT_FRACTIONS)
 
 
 class DistributionMatrix:
     """Channel fractions per (tax kind, regime), overridable from config."""
 
     def __init__(self, overrides: dict[str, float] | None = None) -> None:
-        self._rows: dict[tuple[bool, bool], dict[str, list[tuple[str, float]]]] = {
+        self._rows: dict[DistributionRegime, dict[str, list[tuple[str, float]]]] = {
             regime: {kind: list(rows) for kind, rows in table.items()}
             for regime, table in _DEFAULT_FRACTIONS.items()
         }
@@ -107,7 +99,7 @@ class DistributionMatrix:
         self.validate()
 
     @staticmethod
-    def _parse_override_key(key: str) -> tuple[tuple[bool, bool], str, str]:
+    def _parse_override_key(key: str) -> tuple[DistributionRegime, str, str]:
         # key format: <TRUE|FALSE>_<TRUE|FALSE>.<KIND>.<CHANNEL>
         parts = key.upper().split(".")
         if len(parts) != 3:
@@ -117,11 +109,16 @@ class DistributionMatrix:
         regime_part, kind_part, channel_part = parts
         try:
             alt0_token, fpm_token = regime_part.split("_")
-            regime = (alt0_token == "TRUE", fpm_token == "TRUE")
             if alt0_token not in ("TRUE", "FALSE") or fpm_token not in ("TRUE", "FALSE"):
                 raise ValueError
         except ValueError as exc:
             raise FiscalError(f"bad regime token in override {key!r}") from exc
+        if alt0_token == "FALSE":
+            raise FiscalError(
+                f"override {key!r}: merged regimes (ALTERNATIVE0 = false) "
+                "ignore channel fractions"
+            )
+        regime = DistributionRegime(True, fpm_token == "TRUE")
         kind = kind_part.lower()
         if kind not in TAX_KINDS:
             raise FiscalError(f"unknown tax kind in override {key!r}")
@@ -154,7 +151,7 @@ class DistributionMatrix:
     def rows(self, kind: str, regime: DistributionRegime) -> list[tuple[str, float]]:
         if kind not in TAX_KINDS:
             raise FiscalError(f"unknown tax kind {kind!r}")
-        return list(self._rows[regime.key][kind])
+        return list(self._rows[regime][kind])
 
 
 def coefficient_for(population: int, brackets: list[tuple[int, int, float]]) -> float:
@@ -254,16 +251,16 @@ def distribute(
     return receipts
 
 
-def invest_qli(municipality, funds: float, reference_cost_per_capita: float) -> float:
-    """Convert treasury funds into quality of life, weighted by population.
+def invest_qli(
+    municipality, funds: float, population: int, reference_cost_per_capita: float
+) -> float:
+    """Convert a month's receipts into quality of life, per resident.
 
     Money leaves circulation here. Returns the new index value.
     """
     if funds < 0.0:
         raise FiscalError("investment funds must be >= 0")
-    population = max(1, municipality.population)
-    municipality.qli += (funds / population) / reference_cost_per_capita
-    municipality.treasury -= funds
+    municipality.qli += (funds / max(1, population)) / reference_cost_per_capita
     return municipality.qli
 
 

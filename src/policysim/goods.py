@@ -41,12 +41,13 @@ def choose_firm(
     firms: list[Firm],
     size_market: int,
     rng: np.random.Generator,
-    price_criterion_probability: float = 0.5,
+    price_criterion_probability: float,
 ) -> Firm:
     """Pick from a uniform sample of firms, by price or by proximity.
 
-    A fair coin (configurable) decides whether the cheapest or the closest
-    sampled firm wins; ties go to the lower firm id.
+    A coin that lands on price with probability price_criterion_probability
+    decides whether the cheapest or the closest sampled firm wins; ties go
+    to the lower firm id.
     """
     sample_size = min(size_market, len(firms))
     if sample_size == len(firms):
@@ -101,7 +102,7 @@ def goods_market_step(
     size_market: int,
     consumption_tax_rate: float,
     rng: np.random.Generator,
-    price_criterion_probability: float = 0.5,
+    price_criterion_probability: float,
 ) -> list[PurchaseRecord]:
     """Run the whole monthly goods market over a seeded family permutation."""
     active = world.active_families()

@@ -117,17 +117,11 @@ class SimParams:
 def _structure_problems(overrides: dict[str, float]) -> list[str]:
     from .fiscal import DistributionMatrix, FiscalError
 
-    problems = [
-        f"{STRUCTURE_PREFIX}{key}: merged regimes (ALTERNATIVE0 = false) "
-        "ignore channel fractions"
-        for key in overrides
-        if key.upper().startswith("FALSE_")
-    ]
     try:
         DistributionMatrix(overrides)
     except FiscalError as exc:
-        problems.append(f"{STRUCTURE_PREFIX}*: {exc}")
-    return problems
+        return [f"{STRUCTURE_PREFIX}*: {exc}"]
+    return []
 
 
 class _Field(typing.NamedTuple):

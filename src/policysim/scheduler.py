@@ -19,7 +19,6 @@ from .fiscal import (
     DistributionMatrix,
     DistributionRegime,
     collect_firm_tax,
-    coefficient_for,
     distribute,
     invest_qli,
 )
@@ -169,11 +168,6 @@ def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
     """
     totals = world.ledger.total_by_kind()
     populations = world.population_by_municipality()
-    for muni_id, muni in world.municipalities.items():
-        muni.population = populations[muni_id]
-        muni.fpm_coefficient = coefficient_for(
-            populations[muni_id], world.region.fpm_brackets
-        )
     regime = DistributionRegime(params.alternative0, params.fpm_distribution)
     receipts = distribute(
         world.ledger,
@@ -184,8 +178,9 @@ def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
         world.region.fpm_brackets,
     )
     for muni_id, muni in world.municipalities.items():
-        muni.treasury += receipts[muni_id]
-        invest_qli(muni, muni.treasury, params.reference_cost_per_capita)
+        invest_qli(
+            muni, receipts[muni_id], populations[muni_id], params.reference_cost_per_capita
+        )
     world.ledger.reset()
     return totals
 
@@ -223,9 +218,9 @@ def record_month(world: World, params: SimParams, taxes: dict[str, float]) -> Mo
     )
 
 
-def step(world: World, params: SimParams, rng: np.random.Generator | None = None) -> MonthRecord:
+def step(world: World, params: SimParams) -> MonthRecord:
     """Run one full month and advance the clock."""
-    rng = world.rng if rng is None else rng
+    rng = world.rng
     try:
         step_production(world, params)
         step_demographics(world, params, rng)

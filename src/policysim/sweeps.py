@@ -6,6 +6,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 
+from .fiscal import ALL_REGIMES
 from .params import ParamError, SimParams, is_known_param, param_type, set_param
 from .runner import DUMPS
 
@@ -163,16 +164,15 @@ def expand_plan(
                 labels.append(f"{spec.name}={_format_value(value)}")
             configs.append(("__".join(labels), params, default_region))
     elif plan.run_type == "distributions":
-        for alternative0 in (True, False):
-            for fpm in (True, False):
-                params = base_params.copy()
-                params.alternative0 = alternative0
-                params.fpm_distribution = fpm
-                label = (
-                    f"ALTERNATIVE0={_format_value(alternative0)}"
-                    f"__FPM_DISTRIBUTION={_format_value(fpm)}"
-                )
-                configs.append((label, params, default_region))
+        for regime in ALL_REGIMES:
+            params = base_params.copy()
+            params.alternative0 = regime.alternative0
+            params.fpm_distribution = regime.fpm_distribution
+            label = (
+                f"ALTERNATIVE0={_format_value(regime.alternative0)}"
+                f"__FPM_DISTRIBUTION={_format_value(regime.fpm_distribution)}"
+            )
+            configs.append((label, params, default_region))
     elif plan.run_type == "acps":
         for region in region_names:
             params = base_params.copy()

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..fiscal import TaxLedger, coefficient_for
+from ..fiscal import TaxLedger
 from ..params import SimParams
 from .regions import MunicipalitySpec, RegionData
 from .types import FEMALE, MALE, Citizen, Family, Firm, House, Municipality, World
@@ -135,7 +135,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
 
     municipalities: dict[str, Municipality] = {}
     for spec in specs:
-        municipalities[spec.id] = Municipality(id=spec.id, acp_id=region.name, qli=INITIAL_QLI)
+        municipalities[spec.id] = Municipality(id=spec.id, qli=INITIAL_QLI)
 
     citizens: dict[int, Citizen] = {}
     families: dict[int, Family] = {}
@@ -163,7 +163,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     next_family = 0
     next_house = 0
     next_firm = 0
-    working_age_per_muni: list[int] = []
 
     for muni_index, spec in enumerate(specs):
         n_citizens = citizens_per_muni[muni_index]
@@ -189,7 +188,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
             if params.working_age_min <= age <= params.working_age_max:
                 working_age += 1
             next_citizen += 1
-        working_age_per_muni.append(working_age)
 
         # family homes, one per family
         family_ids = []
@@ -254,7 +252,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         family.monthly_cash = float(adults) * INITIAL_WAGE_OFFER
         family.savings = 0.0
 
-    world = World(
+    return World(
         clock=0,
         region=region,
         citizens=citizens,
@@ -266,8 +264,3 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         ledger=TaxLedger(),
         next_citizen_id=next_citizen,
     )
-    for muni_id, population in world.population_by_municipality().items():
-        muni = municipalities[muni_id]
-        muni.population = population
-        muni.fpm_coefficient = coefficient_for(population, region.fpm_brackets)
-    return world

@@ -324,6 +324,15 @@ def load_region_data(path: str) -> RegionData:
         )
     for age in range(0, region.max_mortality_age + 1):
         region.qualification_rows_for_age(age)
+    top = region.fpm_brackets[-1][1]
+    for spec in region.municipalities:
+        if spec.target_population >= top:
+            raise RegionDataError(
+                "fpm_coefficients.csv",
+                None,
+                f"brackets end at population {top} but municipality {spec.id!r} "
+                f"targets {spec.target_population}",
+            )
     return region
 
 

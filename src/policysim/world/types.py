@@ -90,11 +90,7 @@ class Firm:
 @dataclass
 class Municipality:
     id: str
-    acp_id: str
-    treasury: float = 0.0
     qli: float = 1.0
-    population: int = 0  # derived, refreshed by the scheduler
-    fpm_coefficient: float = 1.0
 
 
 @dataclass
@@ -151,14 +147,12 @@ class World:
         return unemployed / pool if pool else 0.0
 
     def total_money(self) -> float:
-        """Family cash and savings, firm cash, treasuries, and the ledger."""
+        """Family cash and savings, firm cash, and the taxes not yet distributed."""
         total = 0.0
         for family in self.families.values():
             total += family.monthly_cash + family.savings
         for firm in self.firms.values():
             total += firm.cash
-        for muni in self.municipalities.values():
-            total += muni.treasury
         return total + self.ledger.total()
 
     def family_wealth(self, family: Family) -> float:

@@ -67,7 +67,7 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
     if region is None:
         region = make_region()
     municipalities = {
-        spec.id: Municipality(id=spec.id, acp_id=region.name)
+        spec.id: Municipality(id=spec.id)
         for spec in region.municipalities
     }
     world = World(

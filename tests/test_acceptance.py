@@ -1,5 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a verdict."""
 
+import multiprocessing
 import os
 
 import numpy as np
@@ -53,19 +54,29 @@ def final_qli_population_weighted(result):
     return sum(record.qli[m] * populations[m] for m in record.qli) / max(1, total)
 
 
+def regime_final_qli(region, alternative0, fpm, seed):
+    params = fiscal_experiment_params()
+    params.alternative0 = alternative0
+    params.fpm_distribution = fpm
+    return final_qli_population_weighted(run(region, params, seed))
+
+
 @pytest.fixture(scope="module")
 def regime_outcomes(fixture3_region):
-    """Mean population-weighted final QLI per regime over the shared seeds."""
-    outcomes = {}
-    for alternative0, fpm in [(True, True), (False, True), (True, False), (False, False)]:
-        finals = []
-        for seed in SEEDS:
-            params = fiscal_experiment_params()
-            params.alternative0 = alternative0
-            params.fpm_distribution = fpm
-            finals.append(final_qli_population_weighted(run(fixture3_region, params, seed)))
-        outcomes[(alternative0, fpm)] = float(np.mean(finals))
-    return outcomes
+    """Mean population-weighted final QLI per regime over the shared seeds.
+
+    Each run depends only on its own seed, so the 40 runs go to a process
+    pool; the finals come back in submission order and are averaged as a
+    serial loop would average them.
+    """
+    regimes = [(True, True), (False, True), (True, False), (False, False)]
+    runs = [(fixture3_region, *regime, seed) for regime in regimes for seed in SEEDS]
+    with multiprocessing.Pool(processes=min(4, os.cpu_count() or 1)) as pool:
+        finals = pool.starmap(regime_final_qli, runs)
+    return {
+        regime: float(np.mean(finals[index * len(SEEDS):(index + 1) * len(SEEDS)]))
+        for index, regime in enumerate(regimes)
+    }
 
 
 def test_c01_distribution_fractions_exact():

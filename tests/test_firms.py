@@ -13,8 +13,11 @@ from policysim.firms import (
     update_price,
     update_wage,
 )
+from policysim.params import SimParams
 
 from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
+
+PRICE_FLOOR = SimParams().price_floor
 
 
 def world_with_employees(quals, firm_id=0):
@@ -71,14 +74,14 @@ def test_update_price_never_evaluates_at_zero_probability():
     firm.last_output = 10.0
     rng = np.random.default_rng(0)
     for _ in range(50):
-        assert update_price(firm, markup=0.5, sticky_prices=0.0, rng=rng) == 1.0
+        assert update_price(firm, 0.5, 0.0, rng, PRICE_FLOOR) == 1.0
 
 
 def test_update_price_raises_on_scarce_stock():
     firm = simple_firm(price=1.0, stock=0.0)
     firm.last_output = 10.0
     rng = np.random.default_rng(0)
-    price = update_price(firm, markup=0.1, sticky_prices=1.0, rng=rng)
+    price = update_price(firm, 0.1, 1.0, rng, PRICE_FLOOR)
     assert abs(price - 1.1) <= 1e-12
 
 
@@ -86,7 +89,7 @@ def test_update_price_cuts_on_glut():
     firm = simple_firm(price=1.0, stock=25.0)
     firm.last_output = 10.0
     rng = np.random.default_rng(0)
-    price = update_price(firm, markup=0.1, sticky_prices=1.0, rng=rng)
+    price = update_price(firm, 0.1, 1.0, rng, PRICE_FLOOR)
     assert abs(price - 0.9) <= 1e-12
 
 
@@ -94,7 +97,7 @@ def test_update_price_zero_markup_is_inert():
     firm = simple_firm(price=2.0, stock=0.0)
     firm.last_output = 10.0
     rng = np.random.default_rng(0)
-    assert update_price(firm, markup=0.0, sticky_prices=1.0, rng=rng) == 2.0
+    assert update_price(firm, 0.0, 1.0, rng, PRICE_FLOOR) == 2.0
 
 
 def test_update_price_floor():
@@ -109,14 +112,14 @@ def test_update_price_floor():
 def test_update_wage_ignores_unemployment_when_told():
     firm = simple_firm(employees=range(10))
     firm.revenue_this_month = 1000.0
-    wage = update_wage(firm, 0.5, ignore_unemployment=True)
+    wage = update_wage(firm, 0.5, ignore_unemployment=True, price_floor=PRICE_FLOOR)
     assert wage == 100.0
 
 
 def test_update_wage_damped_by_unemployment():
     firm = simple_firm(employees=range(10))
     firm.revenue_this_month = 1000.0
-    wage = update_wage(firm, 0.2, ignore_unemployment=False)
+    wage = update_wage(firm, 0.2, ignore_unemployment=False, price_floor=PRICE_FLOOR)
     assert abs(wage - 80.0) <= 1e-12
 
 
@@ -124,14 +127,14 @@ def test_update_wage_flag_inert_at_full_employment():
     for flag in (True, False):
         firm = simple_firm(employees=range(10))
         firm.revenue_this_month = 1000.0
-        wage = update_wage(firm, 0.0, ignore_unemployment=flag)
+        wage = update_wage(firm, 0.0, ignore_unemployment=flag, price_floor=PRICE_FLOOR)
         assert wage == 100.0
 
 
 def test_update_wage_empty_firm_uses_unit_divisor():
     firm = simple_firm()
     firm.revenue_this_month = 7.0
-    assert update_wage(firm, 0.0, ignore_unemployment=True) == 7.0
+    assert update_wage(firm, 0.0, ignore_unemployment=True, price_floor=PRICE_FLOOR) == 7.0
 
 
 def test_hire_fire_positive_profit_opens_vacancy():

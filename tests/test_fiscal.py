@@ -202,24 +202,23 @@ def test_unknown_tax_kind_rejected():
 
 
 def test_invest_qli_examples():
-    muni = Municipality(id="a", acp_id="r", qli=1.0, population=100, treasury=1000.0)
-    new_qli = invest_qli(muni, 1000.0, reference_cost_per_capita=10.0)
+    muni = Municipality(id="a", qli=1.0)
+    new_qli = invest_qli(muni, 1000.0, population=100, reference_cost_per_capita=10.0)
     assert abs(new_qli - 2.0) <= 1e-12
-    assert muni.treasury == 0.0
 
-    untouched = Municipality(id="b", acp_id="r", qli=1.5, population=100)
-    assert invest_qli(untouched, 0.0, 10.0) == 1.5
+    untouched = Municipality(id="b", qli=1.5)
+    assert invest_qli(untouched, 0.0, 100, 10.0) == 1.5
 
-    crowded = Municipality(id="c", acp_id="r", qli=1.0, population=200, treasury=1000.0)
-    assert abs(invest_qli(crowded, 1000.0, 10.0) - 1.5) <= 1e-12
+    crowded = Municipality(id="c", qli=1.0)
+    assert abs(invest_qli(crowded, 1000.0, 200, 10.0) - 1.5) <= 1e-12
 
 
 def test_invest_qli_never_decreases():
     rng = np.random.default_rng(9)
-    muni = Municipality(id="a", acp_id="r", qli=1.0, population=50)
+    muni = Municipality(id="a", qli=1.0)
     for _ in range(100):
         before = muni.qli
-        invest_qli(muni, float(rng.uniform(0, 100)), 1.0)
+        invest_qli(muni, float(rng.uniform(0, 100)), 50, 1.0)
         assert muni.qli >= before
 
 

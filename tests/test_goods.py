@@ -7,6 +7,8 @@ from policysim.params import SimParams
 
 from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
 
+PRICE_CRITERION = SimParams().price_criterion_probability
+
 
 @pytest.mark.parametrize(
     "cash,beta,budget,saved",
@@ -140,7 +142,7 @@ def market_world(num_families=6, num_firms=3, stock=100.0, cash=10.0):
 def test_goods_market_zero_beta_means_zero_revenue():
     world = market_world()
     goods_market_step(world, beta=0.0, size_market=2, consumption_tax_rate=0.1,
-                      rng=world.rng)
+                      rng=world.rng, price_criterion_probability=PRICE_CRITERION)
     assert all(firm.revenue_this_month == 0.0 for firm in world.firms.values())
     assert all(family.monthly_cash == 0.0 for family in world.families.values())
     assert all(family.savings == 10.0 for family in world.families.values())
@@ -150,7 +152,7 @@ def test_goods_market_stock_never_negative_and_fcfs():
     world = market_world(num_families=10, num_firms=1, stock=3.0, cash=10.0)
     total_before = world.firms[0].stock
     goods_market_step(world, beta=1.0, size_market=1, consumption_tax_rate=0.0,
-                      rng=world.rng)
+                      rng=world.rng, price_criterion_probability=PRICE_CRITERION)
     firm = world.firms[0]
     assert firm.stock >= 0.0
     sold = total_before - firm.stock
@@ -163,7 +165,7 @@ def test_goods_market_stock_never_negative_and_fcfs():
 def test_goods_market_consumption_tax_to_firm_municipality():
     world = market_world(num_families=4, num_firms=2)
     goods_market_step(world, beta=1.0, size_market=2, consumption_tax_rate=0.25,
-                      rng=world.rng)
+                      rng=world.rng, price_criterion_probability=PRICE_CRITERION)
     collected = world.ledger.get("m0", "consumption")
     spent = sum(firm.revenue_this_month for firm in world.firms.values())
     # collected tax is a third of net revenue at a 25% rate

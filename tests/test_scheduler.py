@@ -134,14 +134,6 @@ def test_unemployment_bounds_and_population(fixture3):
         assert np.isfinite(record.price_index)
 
 
-def test_treasuries_drain_each_month(fixture3):
-    params = SimParams()
-    params.months = 5
-    result = run(fixture3, params, seed=2)
-    for muni in result.world.municipalities.values():
-        assert muni.treasury == 0.0
-
-
 def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
     # the transfer rule is read from params every month, so a world stepped
     # under one TAXES_STRUCTURE and then another follows the second

@@ -107,6 +107,17 @@ def test_zero_target_population_rejected(tmp_path):
         load_region_data(str(tmp_path))
 
 
+def test_brackets_must_cover_every_target_population(tmp_path):
+    write_minimal_region(
+        tmp_path,
+        {"fpm_coefficients.csv": "population_min,population_max,coefficient\n0,50,1.0\n"},
+    )
+    with pytest.raises(RegionDataError) as err:
+        load_region_data(str(tmp_path))
+    assert "fpm_coefficients.csv" in str(err.value)
+    assert "'m0'" in str(err.value)
+
+
 def test_generate_counts_match_formulas(fixture3):
     params = SimParams()
     params.percentage_actual_pop = 0.1
