@@ -70,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
         plan = ExperimentPlan(
             run_type=args.run_type,
             runs_per_config=args.runs,
-            cores=args.cores,
             sweeps=[parse_sweep_spec(text) for text in args.sweeps],
             output_dir=args.output,
             save_data={flag for flag in args.save_data.split(",") if flag},
@@ -84,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     print(f"{plan.run_type}: {len(jobs)} job(s) on {args.cores} core(s)")
-    job_results = execute(jobs, plan.cores, data_dir)
+    job_results = execute(jobs, args.cores, data_dir)
     summary = write_outputs(plan, job_results, args.output, args.reference)
     completed = sum(config["completed"] for config in summary["configs"])
     print(f"completed {completed}/{len(jobs)} runs -> {args.output}")

@@ -103,13 +103,12 @@ def fire_employee(world: World, firm: Firm, citizen_id: int) -> None:
     citizen.wage = 0.0
 
 
-def compute_profit(firm: Firm, firm_tax_paid: float) -> float:
+def compute_profit(firm: Firm, wages_paid: float, firm_tax_paid: float) -> float:
     """Close the month's books: revenue minus wage bill minus firm tax.
 
-    Stores the result as last_profit and resets the monthly accumulators.
+    Stores the result as last_profit and resets the month's revenue.
     """
-    profit = firm.revenue_this_month - firm.wages_paid_this_month - firm_tax_paid
+    profit = firm.revenue_this_month - wages_paid - firm_tax_paid
     firm.last_profit = profit
     firm.revenue_this_month = 0.0
-    firm.wages_paid_this_month = 0.0
     return profit

@@ -23,8 +23,8 @@ class LaborPool:
     vacancies: list[tuple[int, float]] = field(default_factory=list)  # (firm, wage)
 
 
-def build_pool(world: World, params: SimParams) -> LaborPool:
-    """Unemployed working-age citizens and open vacancies sorted by wage."""
+def build_pool(world: World, params: SimParams, openings: dict[int, int]) -> LaborPool:
+    """Unemployed working-age citizens, and the openings' vacancies sorted by wage."""
     candidates = [
         citizen.id
         for citizen in world.citizens.values()
@@ -32,8 +32,8 @@ def build_pool(world: World, params: SimParams) -> LaborPool:
         and params.working_age_min <= citizen.age <= params.working_age_max
     ]
     vacancies: list[tuple[int, float]] = []
-    for firm in world.firms.values():
-        vacancies.extend((firm.id, firm.wage_offer) for _ in range(firm.open_vacancies))
+    for firm_id, count in openings.items():
+        vacancies.extend([(firm_id, world.firms[firm_id].wage_offer)] * count)
     vacancies.sort(key=lambda entry: (-entry[1], entry[0]))
     return LaborPool(candidates=candidates, vacancies=vacancies)
 
@@ -84,15 +84,16 @@ def match(
     return hires
 
 
-def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> float:
+def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> dict[int, float]:
     """Pay every employee their contracted wage, net of the labor tax.
 
     Wages are sticky: each employee earns the offer that hired them, while
     the firm's posted offer tracks current revenue for new hires only.
     A firm that cannot cover its bill sheds its least qualified employees,
-    unpaid, until the remainder is affordable. Returns the tax collected.
+    unpaid, until the remainder is affordable. Returns each paying firm's
+    wage bill by firm id.
     """
-    total_tax = 0.0
+    bills: dict[int, float] = {}
     for firm in world.firms.values():
         while firm.employee_ids and firm.cash < sum(
             world.citizens[cid].wage for cid in firm.employee_ids
@@ -108,11 +109,10 @@ def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> float:
             family = world.families[citizen.family_id]
             family.monthly_cash += wage - tax
             ledger.add(firm.municipality_id, "labor", tax)
-            total_tax += tax
             bill += wage
         firm.cash -= bill
-        firm.wages_paid_this_month += bill
-    return total_tax
+        bills[firm.id] = bill
+    return bills
 
 
 def calibrate_initial_unemployment(
@@ -146,10 +146,6 @@ def calibrate_initial_unemployment(
     needed = round((1.0 - target_rate) * len(working_age)) - employed
     if needed <= 0:
         return
-    allocation = allocate_proportionally(needed, weights)
-    for firm, vacancies in zip(firm_list, allocation):
-        firm.open_vacancies = vacancies
-    pool = build_pool(world, params)
+    openings = dict(zip(world.firms, allocate_proportionally(needed, weights)))
+    pool = build_pool(world, params, openings)
     match(world, pool, params.pct_distance_hiring, params.size_market, rng)
-    for firm in firm_list:
-        firm.open_vacancies = 0

@@ -159,9 +159,6 @@ def _field_table() -> dict[str, _Field]:
 # upper-case config/sweep key -> field, in declaration order
 FIELDS = _field_table()
 
-_CAST = {bool: bool, int: lambda value: int(round(float(value))), float: float, list: list}
-
-
 def _field(name: str) -> _Field:
     try:
         return FIELDS[name.upper()]
@@ -187,7 +184,7 @@ def set_param(params: SimParams, name: str, value) -> None:
         params.taxes_structure[upper[len(STRUCTURE_PREFIX):]] = float(value)
         return
     spec = _field(upper)
-    spec.set(params, _CAST[spec.kind](value))
+    spec.set(params, value)
 
 
 def _coerce(raw: str, kind: type, key: str):

@@ -6,6 +6,10 @@ real-estate market with the property tax, fiscal distribution with
 quality-of-life investment, and finally indicator recording. Agents are
 iterated in id order inside every substep; all randomness comes from the
 world's single seeded stream.
+
+Substeps communicate through the world, except for one hand-off: firm
+decisions return the vacancies they open, and ``step`` passes them to the
+labor market.
 """
 
 from __future__ import annotations
@@ -115,7 +119,11 @@ def step_goods_market(world: World, params: SimParams, rng: np.random.Generator)
     )
 
 
-def step_firm_decisions(world: World, params: SimParams, rng: np.random.Generator) -> None:
+def step_firm_decisions(
+    world: World, params: SimParams, rng: np.random.Generator
+) -> dict[int, int]:
+    """Reprice, offer wages, hire or fire; returns firm id -> vacancies opened."""
+    openings: dict[int, int] = {}
     unemployment = world.unemployment_rate(
         params.working_age_min, params.working_age_max
     )
@@ -130,23 +138,24 @@ def step_firm_decisions(world: World, params: SimParams, rng: np.random.Generato
             firm, world.clock, params.labor_market_frequency
         )
         if decision == firms.OPEN_VACANCY:
-            firm.open_vacancies = 1
+            openings[firm.id] = 1
         elif decision == firms.FIRE_ONE:
             firms.fire_employee(
                 world, firm, firms.lowest_qualified_employee(world, firm)
             )
+    return openings
 
 
-def step_labor_market(world: World, params: SimParams, rng: np.random.Generator) -> None:
-    pool = labor.build_pool(world, params)
+def step_labor_market(
+    world: World, params: SimParams, rng: np.random.Generator, openings: dict[int, int]
+) -> None:
+    pool = labor.build_pool(world, params, openings)
     labor.match(world, pool, params.pct_distance_hiring, params.size_market, rng)
-    for firm in world.firms.values():
-        firm.open_vacancies = 0
-    labor.pay_wages(world, params.taxes.labor, world.ledger)
+    bills = labor.pay_wages(world, params.taxes.labor, world.ledger)
     # close the month's books: firm tax on the stored profit, then profit
     for firm in world.firms.values():
         tax = collect_firm_tax(firm, params.taxes.firms, world.ledger)
-        firms.compute_profit(firm, tax)
+        firms.compute_profit(firm, bills.get(firm.id, 0.0), tax)
 
 
 def step_real_estate(world: World, params: SimParams, rng: np.random.Generator) -> None:
@@ -225,8 +234,8 @@ def step(world: World, params: SimParams) -> MonthRecord:
         step_production(world, params)
         step_demographics(world, params, rng)
         step_goods_market(world, params, rng)
-        step_firm_decisions(world, params, rng)
-        step_labor_market(world, params, rng)
+        openings = step_firm_decisions(world, params, rng)
+        step_labor_market(world, params, rng, openings)
         step_real_estate(world, params, rng)
         taxes = step_fiscal(world, params)
         record = record_month(world, params, taxes)

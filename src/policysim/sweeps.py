@@ -6,7 +6,6 @@ import hashlib
 import itertools
 from dataclasses import dataclass, field
 
-from .fiscal import ALL_REGIMES
 from .params import ParamError, SimParams, is_known_param, param_type, set_param
 from .runner import DUMPS
 
@@ -81,11 +80,10 @@ def parse_sweep_spec(text: str) -> SweepSpec:
 
 @dataclass
 class ExperimentPlan:
-    """What to run: run type, replicates, workers, sweeps, and outputs."""
+    """What to run: run type, replicates, sweeps, and outputs."""
 
     run_type: str
     runs_per_config: int = 1
-    cores: int = -1
     sweeps: list[SweepSpec] = field(default_factory=list)
     output_dir: str = "output"
     save_data: set[str] = field(default_factory=set)
@@ -154,25 +152,17 @@ def expand_plan(
     configs: list[tuple[str, SimParams, str]] = []
     if plan.run_type == "run":
         configs.append(("run", base_params.copy(), default_region))
-    elif plan.run_type == "sensitivity":
-        value_lists = [spec.values() for spec in plan.sweeps]
-        for combo in itertools.product(*value_lists):
+    elif plan.run_type in ("sensitivity", "distributions"):
+        sweeps = plan.sweeps
+        if plan.run_type == "distributions":  # the four fiscal regimes
+            sweeps = [parse_sweep_spec(name) for name in ("ALTERNATIVE0", "FPM_DISTRIBUTION")]
+        for combo in itertools.product(*(spec.values() for spec in sweeps)):
             params = base_params.copy()
             labels = []
-            for spec, value in zip(plan.sweeps, combo):
+            for spec, value in zip(sweeps, combo):
                 set_param(params, spec.name, value)
                 labels.append(f"{spec.name}={_format_value(value)}")
             configs.append(("__".join(labels), params, default_region))
-    elif plan.run_type == "distributions":
-        for regime in ALL_REGIMES:
-            params = base_params.copy()
-            params.alternative0 = regime.alternative0
-            params.fpm_distribution = regime.fpm_distribution
-            label = (
-                f"ALTERNATIVE0={_format_value(regime.alternative0)}"
-                f"__FPM_DISTRIBUTION={_format_value(regime.fpm_distribution)}"
-            )
-            configs.append((label, params, default_region))
     elif plan.run_type == "acps":
         for region in region_names:
             params = base_params.copy()

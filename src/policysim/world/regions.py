@@ -143,6 +143,11 @@ def _load_municipalities(directory: str) -> list[MunicipalitySpec]:
         muni_id = (row["id"] or "").strip()
         if not muni_id:
             raise RegionDataError(filename, lineno, "empty municipality id")
+        if any(char in muni_id for char in ',"\r\n'):
+            # the id names a qli_<id> column of the unquoted monthly.csv
+            raise RegionDataError(
+                filename, lineno, f"id {muni_id!r} holds a comma, quote or line break"
+            )
         if muni_id in seen:
             raise RegionDataError(filename, lineno, f"duplicate id {muni_id!r}")
         seen.add(muni_id)

@@ -82,9 +82,7 @@ class Firm:
     employee_ids: set[int] = field(default_factory=set)
     last_profit: float = 0.0
     revenue_this_month: float = 0.0
-    wages_paid_this_month: float = 0.0
     last_output: float = 0.0
-    open_vacancies: int = 0
 
 
 @dataclass

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from policysim import SimParams
+from policysim.fiscal import ALL_REGIMES, DistributionRegime
 from policysim.params import ParamError, parse_config_text, set_param
 from policysim.runner import DUMPS, JobResult, aggregate, execute, write_outputs
 from policysim.scheduler import MonthRecord, RunResult, monthly_table, run
@@ -106,6 +107,33 @@ def test_expand_distributions_four_regimes():
     assert regimes == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def test_expand_distributions_is_the_sensitivity_grid_of_the_fiscal_toggles():
+    params = SimParams()
+    distributions = expand_plan(
+        ExperimentPlan(run_type="distributions", runs_per_config=2, master_seed=3),
+        params,
+        ["fixture3"],
+    )
+    sensitivity = expand_plan(
+        ExperimentPlan(
+            run_type="sensitivity",
+            runs_per_config=2,
+            master_seed=3,
+            sweeps=[parse_sweep_spec("ALTERNATIVE0"), parse_sweep_spec("FPM_DISTRIBUTION")],
+        ),
+        params,
+        ["fixture3"],
+    )
+    assert [(job.config_id, job.seed, job.params) for job in distributions] == [
+        (job.config_id, job.seed, job.params) for job in sensitivity
+    ]
+    order = [
+        DistributionRegime(job.params.alternative0, job.params.fpm_distribution)
+        for job in distributions[::2]
+    ]
+    assert order == list(ALL_REGIMES)
+
+
 def test_expand_run_single_job():
     plan = ExperimentPlan(run_type="run")
     jobs = expand_plan(plan, SimParams(), ["fixture3"])
@@ -170,11 +198,10 @@ def test_aggregate_population_std():
     assert std[0, price_column] == 1.0  # population convention
 
 
-def small_plan(tmp_path, run_type="run", runs=1, sweeps=(), cores=1, save=()):
+def small_plan(tmp_path, run_type="run", runs=1, sweeps=(), save=()):
     return ExperimentPlan(
         run_type=run_type,
         runs_per_config=runs,
-        cores=cores,
         sweeps=[parse_sweep_spec(s) for s in sweeps],
         output_dir=str(tmp_path),
         save_data=set(save),

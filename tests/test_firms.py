@@ -197,8 +197,6 @@ def test_fire_requires_employees():
 def test_compute_profit_examples(revenue, wages, tax, expected):
     firm = simple_firm()
     firm.revenue_this_month = revenue
-    firm.wages_paid_this_month = wages
-    assert compute_profit(firm, tax) == expected
+    assert compute_profit(firm, wages, tax) == expected
     assert firm.last_profit == expected
     assert firm.revenue_this_month == 0.0
-    assert firm.wages_paid_this_month == 0.0

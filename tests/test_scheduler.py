@@ -13,7 +13,7 @@ from policysim.scheduler import (
     step_real_estate,
 )
 
-from conftest import make_world
+from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
 
 
 def test_empty_world_steps_without_error():
@@ -85,9 +85,9 @@ def test_ledger_writes_only_in_market_steps(fixture3):
         totals.append(world.ledger.total())
         step_goods_market(world, params, rng)
         totals.append(world.ledger.total())
-        step_firm_decisions(world, params, rng)
+        openings = step_firm_decisions(world, params, rng)
         totals.append(world.ledger.total())
-        step_labor_market(world, params, rng)
+        step_labor_market(world, params, rng, openings)
         totals.append(world.ledger.total())
         step_real_estate(world, params, rng)
         totals.append(world.ledger.total())
@@ -102,6 +102,25 @@ def test_ledger_writes_only_in_market_steps(fixture3):
         assert labor >= decisions
         assert estate >= labor
         assert fiscal == 0.0  # distribution zeroes the ledger
+
+
+def test_firm_decisions_return_the_openings_of_deciding_firms():
+    # with LABOR_MARKET = 2, firms 0, 2 and 4 decide in month 0
+    params = SimParams()
+    params.labor_market_frequency = 2
+    profits = {0: 5.0, 1: 5.0, 2: -1.0, 3: -1.0, 4: 0.0}
+    firms = [simple_firm(firm_id=fid, employees=(fid,)) for fid in profits]
+    citizens = [simple_citizen(cid=fid, family_id=fid) for fid in profits]
+    families = [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in profits]
+    houses = [simple_house(house_id=fid, owner=fid) for fid in profits]
+    for fid, profit in profits.items():
+        firms[fid].last_profit = profit
+        citizens[fid].employer = fid
+    world = make_world(citizens, families, houses, firms)
+    openings = step_firm_decisions(world, params, world.rng)
+    assert list(openings.items()) == [(0, 1), (4, 1)]
+    assert not world.firms[2].employee_ids  # fired its one employee, opened nothing
+    assert world.firms[3].employee_ids == {3}  # holds: not its decision month
 
 
 def test_records_carry_per_municipality_qli(fixture3):

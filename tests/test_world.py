@@ -107,6 +107,20 @@ def test_zero_target_population_rejected(tmp_path):
         load_region_data(str(tmp_path))
 
 
+@pytest.mark.parametrize(
+    "muni_id", ['"Sao Paulo, SP"', '"say ""hi"""', '"two\nlines"', '"carriage\rreturn"']
+)
+def test_municipality_id_that_breaks_csv_columns_rejected(tmp_path, muni_id):
+    # the id becomes the qli_<id> column name of monthly.csv
+    header = "id,target_population,xmin,ymin,xmax,ymax\n"
+    write_minimal_region(
+        tmp_path, {"municipalities.csv": header + "m0,50,0,0,5,5\n" + muni_id + ",600,0,0,5,5\n"}
+    )
+    with pytest.raises(RegionDataError) as err:
+        load_region_data(str(tmp_path))
+    assert "municipalities.csv:3" in str(err.value)
+
+
 def test_brackets_must_cover_every_target_population(tmp_path):
     write_minimal_region(
         tmp_path,
