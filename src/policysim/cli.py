@@ -14,6 +14,7 @@ from importlib import resources
 
 from .params import ParamError, SimParams, load_config, set_param
 from .runner import execute, write_outputs
+from .stats import StatsError, check_region_keys, load_tax_reference
 from .sweeps import (
     RUN_TYPES,
     SAVE_DATA_FLAGS,
@@ -78,13 +79,17 @@ def main(argv: list[str] | None = None) -> int:
         data_dir = args.data or default_data_dir()
         regions = list_regions(data_dir)
         jobs = expand_plan(plan, params, regions)
-    except (ParamError, SweepSpecError, OSError) as exc:
+        reference = None
+        if args.reference is not None:
+            reference = load_tax_reference(args.reference)
+            check_region_keys({job.region_name for job in jobs}, set(reference))
+    except (ParamError, SweepSpecError, StatsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     print(f"{plan.run_type}: {len(jobs)} job(s) on {args.cores} core(s)")
     job_results = execute(jobs, args.cores, data_dir)
-    summary = write_outputs(plan, job_results, args.output, args.reference)
+    summary = write_outputs(plan, job_results, args.output, reference)
     completed = sum(config["completed"] for config in summary["configs"])
     print(f"completed {completed}/{len(jobs)} runs -> {args.output}")
     for failure in summary["failures"]:

@@ -49,8 +49,6 @@ def _transfer_estate(world: World, family_id: int, rng: np.random.Generator) -> 
         return
     heir = world.families[heirs[int(rng.integers(0, len(heirs)))]]
     for house_id in sorted(extinct.owned_houses):
-        house = world.houses[house_id]
-        house.owner = heir.id
         heir.owned_houses.add(house_id)
     heir.monthly_cash += extinct.monthly_cash
     heir.savings += extinct.savings

@@ -1,8 +1,10 @@
 """Real-estate market: hedonic offers, savings-ordered bidding, relocation.
 
-Vacant houses are always for sale. Entering families bid their full
-savings, richest first; each takes the best-priced listing it can afford at
-a transaction price halfway between bid and offer.
+Vacant houses are always for sale. A listing is a vacant house's id; its
+offer is the house's current_price. Ownership lives only in
+Family.owned_houses. Entering families bid their full savings, richest
+first; each takes the best-priced listing it can afford at a transaction
+price halfway between bid and offer.
 """
 
 from __future__ import annotations
@@ -15,12 +17,6 @@ import numpy as np
 
 from .fiscal import TaxLedger
 from .world.types import Family, House, World
-
-
-@dataclass(frozen=True)
-class Listing:
-    house_id: int
-    offer_price: float
 
 
 @dataclass(frozen=True)
@@ -56,14 +52,10 @@ def reprice_houses(world: World, base_coefficient: float) -> None:
         hedonic_offer_price(house, qli, base_coefficient)
 
 
-def build_listings(world: World) -> list[Listing]:
+def build_listings(world: World) -> list[int]:
     """Every vacant house is on the market at its current hedonic price."""
     residents = world.residents_by_house()
-    return [
-        Listing(house.id, house.current_price)
-        for house in world.houses.values()
-        if house.id not in residents
-    ]
+    return [house_id for house_id in world.houses if house_id not in residents]
 
 
 def select_entrants(
@@ -83,7 +75,7 @@ def select_entrants(
 def match_market(
     world: World,
     entrant_ids: list[int],
-    listings: list[Listing],
+    listings: list[int],
     transaction_tax_rate: float,
     ledger: TaxLedger,
 ) -> list[SaleRecord]:
@@ -97,9 +89,12 @@ def match_market(
     """
     # ascending by (offer, -house id): the best affordable listing is the
     # last one at or below the bid, ties going to the lower house id
-    open_listings = sorted(
-        (listing.offer_price, -listing.house_id) for listing in listings
-    )
+    open_listings = sorted((world.houses[h].current_price, -h) for h in listings)
+    owners = {
+        house_id: family
+        for family in world.families.values()
+        for house_id in family.owned_houses
+    }
     order = sorted(
         (world.families[fid] for fid in entrant_ids),
         key=lambda family: (-family.savings, family.id),
@@ -108,13 +103,13 @@ def match_market(
     for buyer in order:
         bid = buyer.savings
         index = bisect_right(open_listings, (bid, math.inf))
-        while index and world.houses[-open_listings[index - 1][1]].owner == buyer.id:
+        while index and -open_listings[index - 1][1] in buyer.owned_houses:
             index -= 1
         if not index:
             continue
         offer, negative_id = open_listings.pop(index - 1)
         best_house = world.houses[-negative_id]
-        seller = world.families[best_house.owner]
+        seller = owners[best_house.id]
         price = (bid + offer) / 2.0
         tax = price * transaction_tax_rate
         buyer.savings -= price
@@ -122,7 +117,7 @@ def match_market(
         ledger.add(best_house.municipality_id, "transaction", tax)
         seller.owned_houses.discard(best_house.id)
         buyer.owned_houses.add(best_house.id)
-        best_house.owner = buyer.id
+        owners[best_house.id] = buyer
         sales.append(
             SaleRecord(
                 month=world.clock,

@@ -25,7 +25,7 @@ from .demographics import GraveRecord
 from .params import TAX_KINDS, params_as_flat_dict
 from .realestate import SaleRecord
 from .scheduler import TAX_COLUMNS, RunResult, monthly_table, run
-from .stats import compare_tax_distributions, load_tax_reference, write_ks_report
+from .stats import compare_tax_distributions, write_ks_report
 from .world.regions import load_region_data
 
 if TYPE_CHECKING:
@@ -208,11 +208,14 @@ def write_outputs(
     plan: ExperimentPlan,
     job_results: list[JobResult],
     output_dir: str,
-    reference_path: str | None = None,
+    reference: dict[str, dict[str, float]] | None = None,
 ) -> dict:
     """Write per-run, per-config, and whole-experiment files.
 
-    Returns the summary dict that also lands in summary.json.
+    reference is a loaded tax reference (stats.load_tax_reference); with
+    it, ks_report.csv compares the simulated tax totals per region, or
+    summary.json says why it could not. Returns the summary dict that also
+    lands in summary.json.
     """
     os.makedirs(output_dir, exist_ok=True)
     by_config: dict[str, list[JobResult]] = {}
@@ -227,7 +230,7 @@ def write_outputs(
         "failures": [],
     }
     for config_id, bundle in by_config.items():
-        config_dir = os.path.join(output_dir, _safe_name(config_id))
+        config_dir = os.path.join(output_dir, config_dir_name(config_id))
         os.makedirs(config_dir, exist_ok=True)
         ok_results = []
         for job_result in bundle:
@@ -267,18 +270,22 @@ def write_outputs(
             }
         )
 
-    if reference_path is not None:
+    if reference is not None:
         results_by_region: dict[str, list[JobResult]] = {}
         for job_result in job_results:
             if job_result.ok:
                 results_by_region.setdefault(job_result.job.region_name, []).append(
                     job_result
                 )
-        report = compare_tax_distributions(
-            simulated_tax_totals(results_by_region), load_tax_reference(reference_path)
-        )
-        write_ks_report(report, os.path.join(output_dir, "ks_report.csv"))
-        summary["ks_report"] = "ks_report.csv"
+        failed_regions = sorted(set(reference) - set(results_by_region))
+        if failed_regions:
+            summary["ks_report_skipped"] = f"no completed run in region(s) {failed_regions}"
+        else:
+            report = compare_tax_distributions(
+                simulated_tax_totals(results_by_region), reference
+            )
+            write_ks_report(report, os.path.join(output_dir, "ks_report.csv"))
+            summary["ks_report"] = "ks_report.csv"
 
     with open(os.path.join(output_dir, "summary.json"), "w", encoding="utf-8") as handle:
         json.dump(summary, handle, indent=2, sort_keys=True)
@@ -286,7 +293,8 @@ def write_outputs(
     return summary
 
 
-def _safe_name(config_id: str) -> str:
+def config_dir_name(config_id: str) -> str:
+    """The directory of a config under the output directory."""
     return "".join(
         ch if ch.isalnum() or ch in "=._-" else "_" for ch in config_id
     )

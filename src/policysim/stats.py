@@ -18,7 +18,7 @@ SCALE_NOTE = (
 
 
 class StatsError(ValueError):
-    """Empty sample or mismatched comparison keys."""
+    """Empty sample, mismatched comparison keys, or a malformed reference file."""
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -100,16 +100,8 @@ def compare_tax_distributions(
     Both inputs map region -> tax kind -> total. The region key sets must
     match exactly; mismatches are reported by region id.
     """
-    simulated_keys = set(simulated)
-    reference_keys = set(reference)
-    if simulated_keys != reference_keys:
-        missing = sorted(reference_keys - simulated_keys)
-        extra = sorted(simulated_keys - reference_keys)
-        raise StatsError(
-            "region key mismatch: "
-            f"missing from simulated {missing}, unexpected in simulated {extra}"
-        )
-    regions = sorted(simulated_keys)
+    check_region_keys(set(simulated), set(reference))
+    regions = sorted(simulated)
     rows: list[KsReportRow] = []
     for kind in TAX_KINDS:
         sample_sim = [simulated[region].get(kind, 0.0) for region in regions]
@@ -123,17 +115,43 @@ def compare_tax_distributions(
     return KsReport(rows=rows, note=SCALE_NOTE)
 
 
+def check_region_keys(simulated_keys: set[str], reference_keys: set[str]) -> None:
+    """Raise StatsError unless both sides cover the same regions."""
+    if simulated_keys != reference_keys:
+        missing = sorted(reference_keys - simulated_keys)
+        extra = sorted(simulated_keys - reference_keys)
+        raise StatsError(
+            "region key mismatch: "
+            f"missing from simulated {missing}, unexpected in simulated {extra}"
+        )
+
+
 def load_tax_reference(path) -> dict[str, dict[str, float]]:
     """Read a long-form reference CSV: region, tax_kind, total."""
+    columns = ("region", "tax_kind", "total")
     out: dict[str, dict[str, float]] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
+        missing = [name for name in columns if name not in (reader.fieldnames or [])]
+        if missing:
+            raise StatsError(f"{path}: missing column(s) {missing}")
         for row in reader:
-            region = row["region"].strip()
-            kind = row["tax_kind"].strip()
+            region, kind, total = (row[name] for name in columns)
+            if None in (region, kind, total):
+                raise StatsError(f"{path}:{reader.line_num}: expected {','.join(columns)}")
+            region, kind = region.strip(), kind.strip()
             if kind not in TAX_KINDS:
                 raise StatsError(f"unknown tax kind {kind!r} in {path}")
-            out.setdefault(region, {})[kind] = float(row["total"])
+            try:
+                value = float(total)
+            except ValueError:
+                raise StatsError(
+                    f"{path}:{reader.line_num}: total {total!r} is not a number"
+                ) from None
+            totals = out.setdefault(region, {})
+            if kind in totals:
+                raise StatsError(f"{path}:{reader.line_num}: second {kind} total for {region!r}")
+            totals[kind] = value
     if not out:
         raise StatsError(f"no reference rows in {path}")
     return out

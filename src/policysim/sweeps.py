@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .params import ParamError, SimParams, is_known_param, param_type, set_param
-from .runner import DUMPS
+from .runner import DUMPS, config_dir_name
 
 RUN_TYPES = ("run", "sensitivity", "distributions", "acps")
 SAVE_DATA_FLAGS = tuple(DUMPS)
@@ -168,6 +168,16 @@ def expand_plan(
             params = base_params.copy()
             params.processing_acps = [region]
             configs.append((region, params, region))
+
+    directories: dict[str, str] = {}
+    for config_id, _, _ in configs:
+        directory = config_dir_name(config_id)
+        if directory in directories:
+            raise SweepSpecError(
+                f"configs {directories[directory]!r} and {config_id!r} "
+                f"would share the output directory {directory!r}"
+            )
+        directories[directory] = config_id
 
     jobs: list[Job] = []
     for config_id, params, region in configs:

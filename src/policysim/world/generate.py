@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 
-from ..fiscal import TaxLedger
 from ..params import SimParams
+from ..realestate import hedonic_offer_price
 from .regions import MunicipalitySpec, RegionData
-from .types import FEMALE, MALE, Citizen, Family, Firm, House, Municipality, World
+from .types import FEMALE, MALE, Citizen, Family, Firm, House, Location, Municipality, World
 
 HOUSE_SIZE_RANGE = (30.0, 120.0)  # m2
 HOUSE_QUALITY_LEVELS = 4
@@ -86,24 +86,29 @@ def _draw_qualification(region: RegionData, age: int, rng: np.random.Generator) 
     return rows[-1][0]
 
 
+def _draw_point(spec: MunicipalitySpec, rng: np.random.Generator) -> Location:
+    """A uniform point of the municipality's box, x drawn before y."""
+    xmin, ymin, xmax, ymax = spec.bounds
+    return float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax))
+
+
 def _draw_house(
-    house_id: int, spec: MunicipalitySpec, owner: int, params: SimParams, rng: np.random.Generator
+    house_id: int, spec: MunicipalitySpec, params: SimParams, rng: np.random.Generator
 ) -> House:
     """A house at a uniform point of the municipality, priced at the initial QLI."""
-    xmin, ymin, xmax, ymax = spec.bounds
-    x = float(rng.uniform(xmin, xmax))
-    y = float(rng.uniform(ymin, ymax))
+    location = _draw_point(spec, rng)
     size = float(rng.uniform(*HOUSE_SIZE_RANGE))
     quality = int(rng.integers(1, HOUSE_QUALITY_LEVELS + 1))
-    return House(
+    house = House(
         id=house_id,
         municipality_id=spec.id,
-        location=(x, y),
+        location=location,
         size=size,
         quality=quality,
-        current_price=params.hedonic_base_coefficient * size * quality * INITIAL_QLI,
-        owner=owner,
+        current_price=0.0,
     )
+    hedonic_offer_price(house, INITIAL_QLI, params.hedonic_base_coefficient)
+    return house
 
 
 def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
@@ -163,11 +168,11 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     next_family = 0
     next_house = 0
     next_firm = 0
+    surplus_house_ids: list[int] = []
 
     for muni_index, spec in enumerate(specs):
         n_citizens = citizens_per_muni[muni_index]
         n_families = families_per_muni[muni_index]
-        xmin, ymin, xmax, ymax = spec.bounds
 
         drawn = _draw_ages_and_genders(region, n_citizens, rng)
         birth_months = rng.integers(0, 12, size=n_citizens)
@@ -192,7 +197,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         # family homes, one per family
         family_ids = []
         for _ in range(n_families):
-            house = _draw_house(next_house, spec, next_family, params, rng)
+            house = _draw_house(next_house, spec, params, rng)
             houses[house.id] = house
             family = Family(
                 id=next_family,
@@ -215,17 +220,16 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
 
         # vacant surplus houses, owners drawn later over all families
         for _ in range(surplus_per_muni[muni_index]):
-            houses[next_house] = _draw_house(next_house, spec, -1, params, rng)
+            houses[next_house] = _draw_house(next_house, spec, params, rng)
+            surplus_house_ids.append(next_house)
             next_house += 1
 
         for _ in range(firms_per_muni[muni_index]):
-            x = float(rng.uniform(xmin, xmax))
-            y = float(rng.uniform(ymin, ymax))
             expected_employees = working_age / firms_per_muni[muni_index]
             firms[next_firm] = Firm(
                 id=next_firm,
                 municipality_id=spec.id,
-                location=(x, y),
+                location=_draw_point(spec, rng),
                 price=INITIAL_GOODS_PRICE,
                 wage_offer=INITIAL_WAGE_OFFER,
                 cash=INITIAL_WAGE_OFFER * expected_employees,
@@ -234,11 +238,9 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
 
     # assign surplus houses to randomly drawn existing families
     family_id_list = list(families.keys())
-    for house in houses.values():
-        if house.owner == -1:
-            owner_id = family_id_list[int(rng.integers(0, len(family_id_list)))]
-            house.owner = owner_id
-            families[owner_id].owned_houses.add(house.id)
+    for house_id in surplus_house_ids:
+        owner_id = family_id_list[int(rng.integers(0, len(family_id_list)))]
+        families[owner_id].owned_houses.add(house_id)
 
     # one month of the average wage per working-age member, savings start empty
     for family in families.values():
@@ -250,7 +252,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
             <= params.working_age_max
         )
         family.monthly_cash = float(adults) * INITIAL_WAGE_OFFER
-        family.savings = 0.0
 
     return World(
         clock=0,
@@ -261,6 +262,5 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         firms=firms,
         municipalities=municipalities,
         rng=rng,
-        ledger=TaxLedger(),
         next_citizen_id=next_citizen,
     )

@@ -64,7 +64,6 @@ class House:
     size: float  # m2, fixed
     quality: int  # ordinal 1..4, fixed
     current_price: float
-    owner: int  # family id
 
     def amenity_score(self, qli: float) -> float:
         return self.size * self.quality * qli

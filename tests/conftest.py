@@ -85,6 +85,14 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
     return world
 
 
+def assert_ownership_partition(world):
+    """Every house has exactly one owning family; active families own their home."""
+    owned = [house_id for family in world.families.values() for house_id in family.owned_houses]
+    assert sorted(owned) == sorted(world.houses)
+    for family in world.active_families():
+        assert family.residence in family.owned_houses
+
+
 def simple_family(family_id=0, member_ids=(), residence=0, cash=0.0, savings=0.0):
     return Family(
         id=family_id,
@@ -111,7 +119,7 @@ def simple_citizen(cid=0, family_id=0, age=30, gender="female", qualification=9,
 
 
 def simple_house(house_id=0, muni="m0", location=(0.0, 0.0), size=50.0, quality=2,
-                 price=10.0, owner=0):
+                 price=10.0):
     return House(
         id=house_id,
         municipality_id=muni,
@@ -119,7 +127,6 @@ def simple_house(house_id=0, muni="m0", location=(0.0, 0.0), size=50.0, quality=
         size=size,
         quality=quality,
         current_price=price,
-        owner=owner,
     )
 
 

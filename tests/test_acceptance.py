@@ -263,7 +263,7 @@ def test_c09_demographic_oracles():
         region = make_region(ages=(30,), mortality=mortality, fertility=fertility)
         citizens = [simple_citizen(cid=i, family_id=i, age=30) for i in range(count)]
         families = [simple_family(family_id=i, member_ids=(i,), residence=i) for i in range(count)]
-        houses = [simple_house(house_id=i, owner=i) for i in range(count)]
+        houses = [simple_house(house_id=i) for i in range(count)]
         return make_world(citizens, families, houses, region=region, seed=seed)
 
     # constant population over 120 months without vital events

@@ -20,7 +20,7 @@ def build_population(count, age=30, mortality=None, fertility=None, seed=0,
         citizens.append(simple_citizen(cid=i, family_id=i, age=age, gender=gender,
                                        birth_month=0))
         families.append(simple_family(family_id=i, member_ids=(i,), residence=i))
-        houses.append(simple_house(house_id=i, owner=i))
+        houses.append(simple_house(house_id=i))
     return make_world(citizens, families, houses, region=region, seed=seed)
 
 
@@ -109,7 +109,7 @@ def test_inheritance_moves_estate_to_surviving_family():
         simple_family(family_id=0, member_ids=(0,), residence=0, cash=7.0, savings=3.0),
         simple_family(family_id=1, member_ids=(1,), residence=1),
     ]
-    houses = [simple_house(house_id=0, owner=0), simple_house(house_id=1, owner=1)]
+    houses = [simple_house(house_id=0), simple_house(house_id=1)]
     world = make_world([rich, poor], families, houses, region=region, seed=1)
     # only the 80-year-old dies
     for gender in world.region.mortality:
@@ -121,7 +121,7 @@ def test_inheritance_moves_estate_to_surviving_family():
     assert heir.owned_houses == {0, 1}
     assert heir.monthly_cash == 7.0
     assert heir.savings == 3.0
-    assert world.houses[0].owner == 1
+    assert 0 in world.families[1].owned_houses
     assert 0 not in world.residents_by_house()
 
 

@@ -371,6 +371,81 @@ def test_cli_reference_report(tmp_path):
     assert len(report) == 7
 
 
+@pytest.mark.parametrize(
+    "contents",
+    [
+        None,
+        b"region,tax_kind,total\nfixture3,wealth,1.0\n",
+        b"region,tax_kind,total\nnowhere,labor,1.0\n",
+        b"region,tax_kind,total\n\xff\xfe,labor,1.0\n",
+    ],
+    ids=["missing file", "unknown tax kind", "region mismatch", "not utf-8"],
+)
+def test_cli_checks_reference_before_any_job(tmp_path, capsys, contents):
+    reference = tmp_path / "reference.csv"
+    if contents is not None:
+        reference.write_bytes(contents)
+    out = tmp_path / "out"
+    code = main([
+        "run", "--months", "3", "--cores", "1",
+        "--output", str(out), "--reference", str(reference),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "job(s)" not in captured.out
+    assert not out.exists()
+
+
+def test_cli_region_without_completed_run_has_no_ks_report(tmp_path, monkeypatch):
+    import policysim.runner
+
+    real_run = policysim.runner.run
+
+    def run_failing_in_solo(region, params, seed):
+        if region.name == "solo":
+            raise RuntimeError("injected failure")
+        return real_run(region, params, seed)
+
+    monkeypatch.setattr(policysim.runner, "run", run_failing_in_solo)
+    reference = tmp_path / "reference.csv"
+    reference.write_text(
+        "region,tax_kind,total\nfixture3,labor,1.0\nsolo,labor,2.0\n"
+    )
+    out = tmp_path / "out"
+    code = main([
+        "acps", "--months", "2", "--cores", "1",
+        "--output", str(out), "--reference", str(reference),
+    ])
+    assert code == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["ks_report_skipped"] == "no completed run in region(s) ['solo']"
+    assert "ks_report" not in summary
+    assert not (out / "ks_report.csv").exists()
+
+
+def test_expand_plan_rejects_configs_sharing_a_directory():
+    with pytest.raises(SweepSpecError) as err:
+        expand_plan(ExperimentPlan(run_type="acps"), SimParams(), ["a b", "a_b"])
+    assert "configs 'a b' and 'a_b'" in str(err.value)
+
+
+def test_cli_rejects_configs_sharing_a_directory(tmp_path, capsys):
+    import shutil
+
+    data = tmp_path / "data"
+    for name in ("a b", "a_b"):
+        shutil.copytree(os.path.join(default_data_dir(), "fixture3"), data / name)
+    out = tmp_path / "out"
+    code = main([
+        "acps", "--months", "3", "--cores", "1",
+        "--data", str(data), "--output", str(out),
+    ])
+    assert code == 2
+    assert "'a b' and 'a_b'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_unknown_sweep(tmp_path, capsys):
     code = main(["sensitivity", "BOGUS:1:2:3", "--output", str(tmp_path)])
     assert code == 2

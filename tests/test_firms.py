@@ -26,7 +26,7 @@ def world_with_employees(quals, firm_id=0):
         for i, q in enumerate(quals)
     ]
     family = simple_family(family_id=0, member_ids=tuple(range(len(quals))))
-    house = simple_house(house_id=0, owner=0)
+    house = simple_house(house_id=0)
     firm = simple_firm(firm_id=firm_id, employees=range(len(quals)))
     world = make_world(citizens, [family], [house], [firm])
     return world, firm

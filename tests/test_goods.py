@@ -133,7 +133,7 @@ def market_world(num_families=6, num_firms=3, stock=100.0, cash=10.0):
     for i in range(num_families):
         citizens.append(simple_citizen(cid=i, family_id=i))
         families.append(simple_family(family_id=i, member_ids=(i,), residence=i, cash=cash))
-        houses.append(simple_house(house_id=i, owner=i, location=(float(i), 0.0)))
+        houses.append(simple_house(house_id=i, location=(float(i), 0.0)))
     for j in range(num_firms):
         firms.append(simple_firm(firm_id=j, price=1.0, stock=stock, location=(float(j), 5.0)))
     return make_world(citizens, families, houses, firms)

@@ -18,7 +18,7 @@ def staffed_world(candidate_specs, firm_specs):
     for cid, age, qual, x in candidate_specs:
         citizens.append(simple_citizen(cid=cid, family_id=cid, age=age, qualification=qual))
         families.append(simple_family(family_id=cid, member_ids=(cid,), residence=cid))
-        houses.append(simple_house(house_id=cid, owner=cid, location=(x, 0.0)))
+        houses.append(simple_house(house_id=cid, location=(x, 0.0)))
     for fid, wage, vacancies, x in firm_specs:
         firms.append(simple_firm(firm_id=fid, wage_offer=wage, location=(x, 0.0), cash=100.0))
         openings[fid] = vacancies

@@ -5,7 +5,6 @@ import pytest
 
 from policysim.fiscal import TaxLedger
 from policysim.realestate import (
-    Listing,
     SaleRecord,
     build_listings,
     collect_property_tax,
@@ -15,7 +14,13 @@ from policysim.realestate import (
     select_entrants,
 )
 
-from conftest import make_world, simple_citizen, simple_family, simple_house
+from conftest import (
+    assert_ownership_partition,
+    make_world,
+    simple_citizen,
+    simple_family,
+    simple_house,
+)
 
 
 def test_hedonic_formula():
@@ -62,10 +67,11 @@ def sale_world():
         simple_family(family_id=0, member_ids=(0,), residence=0, savings=100.0),
         simple_family(family_id=1, member_ids=(1,), residence=1, savings=30.0),
     ]
+    families[1].owned_houses.add(2)
     houses = [
-        simple_house(house_id=0, owner=0, size=60.0, quality=3, price=10.0),
-        simple_house(house_id=1, owner=1, size=60.0, quality=3, price=10.0),
-        simple_house(house_id=2, owner=1, size=40.0, quality=1, price=80.0),
+        simple_house(house_id=0, size=60.0, quality=3, price=10.0),
+        simple_house(house_id=1, size=60.0, quality=3, price=10.0),
+        simple_house(house_id=2, size=40.0, quality=1, price=80.0),
     ]
     return make_world(citizens, families, houses)
 
@@ -73,8 +79,7 @@ def sale_world():
 def test_sale_worked_example():
     world = sale_world()
     ledger = TaxLedger()
-    listings = [Listing(2, 80.0)]
-    sales = match_market(world, [0], listings, transaction_tax_rate=0.1, ledger=ledger)
+    sales = match_market(world, [0], [2], transaction_tax_rate=0.1, ledger=ledger)
     assert len(sales) == 1
     sale = sales[0]
     assert sale.bid == 100.0
@@ -85,7 +90,6 @@ def test_sale_worked_example():
     assert abs(buyer.savings - 10.0) <= 1e-9
     assert abs(seller.savings - (30.0 + 81.0)) <= 1e-9
     assert abs(ledger.get("m0", "transaction") - 9.0) <= 1e-9
-    assert world.houses[2].owner == 0
     assert 2 in buyer.owned_houses
     assert 2 not in seller.owned_houses
 
@@ -93,7 +97,7 @@ def test_sale_worked_example():
 def test_buyer_without_budget_buys_nothing():
     world = sale_world()
     world.families[0].savings = 5.0
-    sales = match_market(world, [0], [Listing(2, 80.0)], 0.1, TaxLedger())
+    sales = match_market(world, [0], [2], 0.1, TaxLedger())
     assert sales == []
 
 
@@ -102,8 +106,8 @@ def test_richest_entrant_bids_first():
     world.families[0].savings = 500.0
     world.families[1].savings = 300.0
     # one affordable listing; the poorer family owns it, so both could bid
-    listings = [Listing(2, 250.0)]
-    sales = match_market(world, [0, 1], listings, 0.0, TaxLedger())
+    world.houses[2].current_price = 250.0
+    sales = match_market(world, [0, 1], [2], 0.0, TaxLedger())
     assert len(sales) == 1
     assert sales[0].buyer_id == 0
 
@@ -112,7 +116,7 @@ def test_no_self_purchase():
     world = sale_world()
     # family 1 owns the vacant house and enters alone with deep savings
     world.families[1].savings = 500.0
-    sales = match_market(world, [1], [Listing(2, 80.0)], 0.1, TaxLedger())
+    sales = match_market(world, [1], [2], 0.1, TaxLedger())
     assert sales == []
 
 
@@ -122,7 +126,7 @@ def test_relocation_into_better_house():
     world.houses[2].size = 90.0
     world.houses[2].quality = 4
     world.houses[2].current_price = 80.0
-    sales = match_market(world, [0], [Listing(2, 80.0)], 0.0, TaxLedger())
+    sales = match_market(world, [0], [2], 0.0, TaxLedger())
     assert len(sales) == 1
     buyer = world.families[0]
     assert buyer.residence == 2
@@ -138,7 +142,7 @@ def test_vacated_house_enters_market_same_step():
     world.houses[2].current_price = 80.0
     # second entrant can afford the vacated house (priced at 10)
     world.families[1].savings = 20.0
-    sales = match_market(world, [0, 1], [Listing(2, 80.0)], 0.0, TaxLedger())
+    sales = match_market(world, [0, 1], [2], 0.0, TaxLedger())
     assert len(sales) == 2
     assert sales[1].house_id == 0
     assert sales[1].buyer_id == 1
@@ -149,11 +153,11 @@ def test_sale_conserves_money():
     for _ in range(200):
         world = sale_world()
         world.families[0].savings = float(rng.uniform(50, 400))
-        offer = float(rng.uniform(1, world.families[0].savings))
+        world.houses[2].current_price = float(rng.uniform(1, world.families[0].savings))
         rate = float(rng.uniform(0, 0.5))
         ledger = TaxLedger()
         before = world.families[0].savings + world.families[1].savings
-        sales = match_market(world, [0], [Listing(2, offer)], rate, ledger)
+        sales = match_market(world, [0], [2], rate, ledger)
         after = world.families[0].savings + world.families[1].savings
         assert len(sales) == 1
         leak = before - after - ledger.get("m0", "transaction")
@@ -169,11 +173,10 @@ def test_buyers_ordered_by_starting_savings():
                       savings=float(100 + 50 * i))
         for i in range(4)
     ]
-    houses = [simple_house(house_id=i, owner=i, price=5.0) for i in range(4)]
+    houses = [simple_house(house_id=i, price=5.0) for i in range(4)]
     for j in range(3):
-        houses.append(
-            simple_house(house_id=4 + j, owner=0, price=float(20 + j))
-        )
+        houses.append(simple_house(house_id=4 + j, price=float(20 + j)))
+    families[0].owned_houses.update({4, 5, 6})
     world = make_world(citizens, families, houses)
     listings = build_listings(world)
     sales = match_market(world, [0, 1, 2, 3], listings, 0.0, TaxLedger())
@@ -181,6 +184,27 @@ def test_buyers_ordered_by_starting_savings():
     assert buyer_starting_savings == sorted(buyer_starting_savings, reverse=True)
     for sale in sales:
         assert sale.offer <= sale.bid
+
+
+def test_ownership_stays_a_partition_over_a_run(fixture3):
+    from policysim import SimParams, generate_world
+    from policysim.labor import calibrate_initial_unemployment
+    from policysim.params import set_param
+    from policysim.scheduler import step
+
+    params = SimParams()
+    params.percentage_actual_pop = 1.0
+    set_param(params, "TAXES.PROPERTY", 0.002)
+    set_param(params, "PERCENTAGE_CHECK_NEW_LOCATION", 0.1)
+    world = generate_world(fixture3, params, seed=5)
+    calibrate_initial_unemployment(world, params.initial_unemployment, params, world.rng)
+    families_at_start = len(world.families)
+    for _ in range(60):
+        step(world, params)
+        assert_ownership_partition(world)
+    # both write paths ran: sales and estate transfers of deleted families
+    assert world.sales_log
+    assert len(world.families) < families_at_start
 
 
 def test_reprice_houses_applies_qli(fixture3):
@@ -241,7 +265,7 @@ def test_home_of_an_extinct_family_is_vacant():
     world = sale_world()
     world.families[1].member_ids.clear()
     world.families[0].monthly_cash = world.families[1].monthly_cash = 10.0
-    assert [listing.house_id for listing in build_listings(world)] == [1, 2]
+    assert build_listings(world) == [1, 2]
     collected = collect_property_tax(world, 0.01, TaxLedger())
     assert collected == 0.01 * world.houses[0].current_price
     assert world.families[1].monthly_cash == 10.0
@@ -253,9 +277,10 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
 
     For every buyer it scans all open listings and keeps the maximum of
     (offer, -house_id) over the affordable ones the buyer does not own.
+    The seller is found by scanning every family's owned houses.
     seen collects which edge cases the scan met.
     """
-    open_listings = {listing.house_id: listing.offer_price for listing in listings}
+    open_listings = {hid: world.houses[hid].current_price for hid in listings}
     vacated = set()
     order = sorted(
         (world.families[fid] for fid in entrant_ids),
@@ -269,7 +294,7 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
             if offer > bid:
                 continue
             house = world.houses[house_id]
-            if house.owner == buyer.id:
+            if house_id in buyer.owned_houses:
                 continue
             if best_house is None or (offer, -house_id) > (
                 open_listings[best_house.id],
@@ -281,13 +306,13 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
         ]
         if not affordable:
             seen.add("no affordable listing")
-        elif world.houses[-max(affordable)[1]].owner == buyer.id:
+        elif -max(affordable)[1] in buyer.owned_houses:
             seen.add("buyer owns the best affordable listing")
         if best_house is None:
             continue
         offer = open_listings.pop(best_house.id)
         if any(
-            other_offer == offer and world.houses[hid].owner != buyer.id
+            other_offer == offer and hid not in buyer.owned_houses
             for hid, other_offer in open_listings.items()
         ):
             seen.add("equal offers")
@@ -295,7 +320,10 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
             seen.add("bid == offer")
         if best_house.id in vacated:
             seen.add("vacated residence resold")
-        seller = world.families[best_house.owner]
+        seller = next(
+            family for family in world.families.values()
+            if best_house.id in family.owned_houses
+        )
         price = (bid + offer) / 2.0
         tax = price * transaction_tax_rate
         buyer.savings -= price
@@ -303,7 +331,6 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
         ledger.add(best_house.municipality_id, "transaction", tax)
         seller.owned_houses.discard(best_house.id)
         buyer.owned_houses.add(best_house.id)
-        best_house.owner = buyer.id
         sales.append(
             SaleRecord(
                 month=world.clock,
@@ -342,14 +369,14 @@ def random_market(seed):
                           savings=10.0 * int(rng.integers(0, 9)))
         )
         houses.append(
-            simple_house(house_id=fid, owner=fid, size=float(rng.integers(1, 4)),
+            simple_house(house_id=fid, size=float(rng.integers(1, 4)),
                          quality=int(rng.integers(1, 4)),
                          price=10.0 * int(rng.integers(1, 6)))
         )
     for hid in range(n_families, n_families + int(rng.integers(0, 8))):
         owner = int(rng.integers(0, n_families))
         houses.append(
-            simple_house(house_id=hid, owner=owner, size=float(rng.integers(1, 4)),
+            simple_house(house_id=hid, size=float(rng.integers(1, 4)),
                          quality=int(rng.integers(1, 4)),
                          price=10.0 * int(rng.integers(1, 6)))
         )
@@ -358,17 +385,12 @@ def random_market(seed):
     entrants = [fid for fid in range(n_families) if rng.random() < 0.7]
     order = rng.permutation(len(houses))
     residences = {family.residence for family in families}
-    listings = [
-        Listing(houses[i].id, houses[i].current_price)
-        for i in order
-        if houses[i].id not in residences
-    ]
+    listings = [houses[i].id for i in order if houses[i].id not in residences]
     return world, entrants, listings
 
 
 def market_state(world, ledger):
     return (
-        [(h.id, h.owner) for h in world.houses.values()],
         [(f.id, f.residence, sorted(f.owned_houses), f.savings)
          for f in world.families.values()],
         ledger.get("m0", "transaction"),

@@ -112,7 +112,7 @@ def test_firm_decisions_return_the_openings_of_deciding_firms():
     firms = [simple_firm(firm_id=fid, employees=(fid,)) for fid in profits]
     citizens = [simple_citizen(cid=fid, family_id=fid) for fid in profits]
     families = [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in profits]
-    houses = [simple_house(house_id=fid, owner=fid) for fid in profits]
+    houses = [simple_house(house_id=fid) for fid in profits]
     for fid, profit in profits.items():
         firms[fid].last_profit = profit
         citizens[fid].employer = fid

@@ -151,3 +151,22 @@ def test_reference_roundtrip(tmp_path):
                 fh.write(f"{region},{kind},{value}\n")
     loaded = load_tax_reference(ref_path)
     assert loaded == totals()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("region,kind,total\nr1,labor,1.0\n", "missing column(s) ['tax_kind']"),
+        ("region,tax_kind,total\nr1,labor,lots\n", "total 'lots' is not a number"),
+        ("region,tax_kind,total\nr1,labor\n", "expected region,tax_kind,total"),
+        ("region,tax_kind,total\nr1,wealth,1.0\n", "unknown tax kind 'wealth'"),
+        ("region,tax_kind,total\nr1,labor,1.0\nr1,labor,5.0\n", "second labor total for 'r1'"),
+    ],
+    ids=["missing column", "non-numeric total", "short row", "unknown kind", "duplicate row"],
+)
+def test_malformed_reference_raises_stats_error(tmp_path, text, message):
+    path = tmp_path / "reference.csv"
+    path.write_text(text)
+    with pytest.raises(StatsError) as err:
+        load_tax_reference(path)
+    assert message in str(err.value)

@@ -14,6 +14,8 @@ from policysim import (
 )
 from policysim.world.generate import allocate_proportionally
 
+from conftest import assert_ownership_partition
+
 
 def test_fixture3_loads(fixture3):
     assert [m.id for m in fixture3.municipalities] == ["core", "north", "east"]
@@ -181,9 +183,7 @@ def test_occupancy_bijection_and_surplus(fixture3):
     vacant = [h for h in world.houses.values() if h.id not in residences]
     assert len(vacant) == len(world.houses) - len(world.families)
     assert len(vacant) >= 0
-    for house in world.houses.values():
-        assert house.owner in world.families
-        assert house.id in world.families[house.owner].owned_houses
+    assert_ownership_partition(world)
 
 
 def test_generated_citizens_within_table_support(fixture3):
