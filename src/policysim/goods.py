@@ -1,26 +1,17 @@
 """Goods market: family budgets, firm choice, and taxed purchases.
 
 Families shop once a month at a single firm, first come first served over a
-seeded permutation, so earlier shoppers can exhaust a firm's stock.
+seeded permutation, so earlier shoppers can exhaust a firm's stock. Each
+shopper samples size_market firms and flips a coin between price and
+proximity; the month's samples and coins come from batched draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fiscal import TaxLedger
-from .world.types import Family, Firm, Location, World, distance
-
-
-@dataclass(frozen=True)
-class PurchaseRecord:
-    family_id: int
-    firm_id: int
-    quantity: float
-    gross_value: float
-    tax: float
+from .sampling import sample_blocks
+from .world.types import Family, Firm, World, distances
 
 
 def set_budget(family: Family, beta: float) -> tuple[float, float]:
@@ -36,42 +27,11 @@ def set_budget(family: Family, beta: float) -> tuple[float, float]:
     return budget, saved
 
 
-def choose_firm(
-    residence: Location,
-    firms: list[Firm],
-    size_market: int,
-    rng: np.random.Generator,
-    price_criterion_probability: float,
-) -> Firm:
-    """Pick from a uniform sample of firms, by price or by proximity.
+def transact(family: Family, firm: Firm, budget: float, consumption_tax_rate: float) -> float:
+    """Buy as much as stock and budget allow; returns the consumption tax.
 
-    A coin that lands on price with probability price_criterion_probability
-    decides whether the cheapest or the closest sampled firm wins; ties go
-    to the lower firm id.
-    """
-    sample_size = min(size_market, len(firms))
-    if sample_size == len(firms):
-        sample = list(firms)
-    else:
-        picks = rng.choice(len(firms), size=sample_size, replace=False)
-        sample = [firms[int(index)] for index in picks]
-    by_price = float(rng.random()) < price_criterion_probability
-    if by_price:
-        return min(sample, key=lambda firm: (firm.price, firm.id))
-    return min(sample, key=lambda firm: (distance(residence, firm.location), firm.id))
-
-
-def transact(
-    family: Family,
-    firm: Firm,
-    budget: float,
-    consumption_tax_rate: float,
-    ledger: TaxLedger,
-) -> PurchaseRecord:
-    """Buy as much as stock and budget allow; tax goes to the firm's town.
-
-    The firm keeps gross value net of the consumption tax; unspent budget
-    returns to the family's liquid cash.
+    The firm keeps gross value net of the tax, which is owed to the firm's
+    municipality; unspent budget returns to the family's liquid cash.
     """
     demanded = budget / firm.price if budget > 0.0 else 0.0
     if firm.stock >= demanded:
@@ -85,15 +45,48 @@ def transact(
     firm.stock -= quantity
     firm.cash += gross - tax
     firm.revenue_this_month += gross - tax
-    ledger.add(firm.municipality_id, "consumption", tax)
     family.monthly_cash += budget - gross
-    return PurchaseRecord(
-        family_id=family.id,
-        firm_id=firm.id,
-        quantity=quantity,
-        gross_value=gross,
-        tax=tax,
-    )
+    return tax
+
+
+def choose_firms(
+    world: World,
+    shoppers: list[Family],
+    firms: list[Firm],
+    size_market: int,
+    rng: np.random.Generator,
+    price_criterion_probability: float,
+) -> np.ndarray:
+    """Each shopper's firm id, from batched draws.
+
+    Per shopper, a uniform sample of min(size_market, len(firms)) firms and
+    a coin that lands on price with probability price_criterion_probability:
+    the cheapest sampled firm wins, or else the closest. Ties go to the
+    lower firm id.
+    """
+    firm_ids = np.array([firm.id for firm in firms])
+    firm_x, firm_y = np.array([firm.location for firm in firms]).T
+    by_price = sorted(range(len(firms)), key=lambda i: (firms[i].price, firms[i].id))
+    price_rank = np.empty(len(firms), dtype=np.int64)
+    price_rank[by_price] = np.arange(len(firms))
+    homes = np.array([world.residence_location(family) for family in shoppers])
+
+    chosen: list[np.ndarray] = []
+    start = 0
+    pool_sizes = np.full(len(shoppers), len(firms))
+    for picks, coins in sample_blocks(rng, pool_sizes, size_market):
+        # sample columns in firm id order, so the first minimum is the lower id
+        picks = np.take_along_axis(picks, np.argsort(firm_ids[picks], axis=1), axis=1)
+        best = picks[np.arange(len(picks)), np.argmin(price_rank[picks], axis=1)]
+        near = np.flatnonzero(coins >= price_criterion_probability)
+        if len(near):
+            home_x, home_y = homes[start + near].T
+            sampled = picks[near]
+            km = distances(home_x[:, None], home_y[:, None], firm_x[sampled], firm_y[sampled])
+            best[near] = sampled[np.arange(len(near)), np.argmin(km, axis=1)]
+        chosen.append(best)
+        start += len(picks)
+    return firm_ids[np.concatenate(chosen)] if chosen else np.empty(0, dtype=np.int64)
 
 
 def goods_market_step(
@@ -103,34 +96,30 @@ def goods_market_step(
     consumption_tax_rate: float,
     rng: np.random.Generator,
     price_criterion_probability: float,
-) -> list[PurchaseRecord]:
-    """Run the whole monthly goods market over a seeded family permutation."""
+) -> np.ndarray:
+    """Run the whole monthly goods market over a seeded family permutation.
+
+    Returns the chosen firm id of each purchase, in shopping order. The
+    consumption tax is booked once per municipality, in first-purchase order.
+    """
     active = world.active_families()
-    budgets: dict[int, float] = {}
-    for family in active:
-        consume_budget, _ = set_budget(family, beta)
-        budgets[family.id] = consume_budget
+    budgets = [set_budget(family, beta)[0] for family in active]
     firms = list(world.firms.values())
-    records: list[PurchaseRecord] = []
     if not firms or not active:
         # nowhere to shop; planned budgets return to liquid cash
-        for family in active:
-            family.monthly_cash += budgets[family.id]
-        return records
-    order = rng.permutation(len(active))
-    for index in order:
-        family = active[int(index)]
-        budget = budgets[family.id]
-        if budget <= 0.0:
-            continue
-        firm = choose_firm(
-            world.residence_location(family),
-            firms,
-            size_market,
-            rng,
-            price_criterion_probability,
-        )
-        records.append(
-            transact(family, firm, budget, consumption_tax_rate, ledger=world.ledger)
-        )
-    return records
+        for family, budget in zip(active, budgets):
+            family.monthly_cash += budget
+        return np.empty(0, dtype=np.int64)
+    order = [i for i in rng.permutation(len(active)).tolist() if budgets[i] > 0.0]
+    shoppers = [active[i] for i in order]
+    chosen = choose_firms(
+        world, shoppers, firms, size_market, rng, price_criterion_probability
+    )
+    taxes: dict[str, float] = {}
+    for i, family, firm_id in zip(order, shoppers, chosen.tolist()):
+        firm = world.firms[firm_id]
+        tax = transact(family, firm, budgets[i], consumption_tax_rate)
+        taxes[firm.municipality_id] = taxes.get(firm.municipality_id, 0.0) + tax
+    for municipality_id, tax in taxes.items():
+        world.ledger.add(municipality_id, "consumption", tax)
+    return chosen

@@ -13,6 +13,7 @@ import numpy as np
 from .firms import fire_employee, lowest_qualified_employee
 from .fiscal import TaxLedger
 from .params import SimParams
+from .sampling import sample_blocks
 from .world.generate import allocate_proportionally
 from .world.types import World, distance
 
@@ -51,35 +52,36 @@ def match(
     and takes the closest one with probability pct_distance_hiring, the
     best qualified otherwise. Ties break toward the lower citizen id.
     The hired citizen's wage is the vacancy's offer.
+
+    Every vacancy up to the number of candidates hires exactly one, so the
+    pool shrinks by one per vacancy and every sample size is known before
+    the first hire; the samples come from batched draws.
     """
     remaining = list(pool.candidates)
+    vacancies = iter(pool.vacancies[: len(remaining)])
+    pool_sizes = np.arange(len(remaining), 0, -1)[: len(pool.vacancies)]
     hires: list[tuple[int, int]] = []
-    for firm_id, wage in pool.vacancies:
-        if not remaining:
-            break
-        firm = world.firms[firm_id]
-        k = min(sample_size, len(remaining))
-        if k == len(remaining):
-            positions = range(k)
-        else:
-            positions = rng.choice(len(remaining), size=k, replace=False).tolist()
-        by_distance = float(rng.random()) < pct_distance_hiring
+    for picks, coins in sample_blocks(rng, pool_sizes, sample_size):
+        by_distance_rows = (coins < pct_distance_hiring).tolist()
+        for sample, by_distance, (firm_id, wage) in zip(picks, by_distance_rows, vacancies):
+            firm = world.firms[firm_id]
+            positions = sample[: min(sample_size, len(remaining))].tolist()
 
-        def rank(index: int) -> tuple[float, int]:
-            cid = remaining[index]
-            if by_distance:
-                family = world.families[world.citizens[cid].family_id]
-                return distance(world.residence_location(family), firm.location), cid
-            return -world.citizens[cid].qualification, cid
+            def rank(index: int) -> tuple[float, int]:
+                cid = remaining[index]
+                if by_distance:
+                    family = world.families[world.citizens[cid].family_id]
+                    return distance(world.residence_location(family), firm.location), cid
+                return -world.citizens[cid].qualification, cid
 
-        position = min(positions, key=rank)
-        chosen = remaining[position]
-        del remaining[position]
-        citizen = world.citizens[chosen]
-        citizen.employer = firm_id
-        citizen.wage = wage
-        firm.employee_ids.add(chosen)
-        hires.append((firm_id, chosen))
+            position = min(positions, key=rank)
+            chosen = remaining[position]
+            del remaining[position]
+            citizen = world.citizens[chosen]
+            citizen.employer = firm_id
+            citizen.wage = wage
+            firm.employee_ids.add(chosen)
+            hires.append((firm_id, chosen))
     pool.candidates = remaining
     return hires
 
@@ -90,10 +92,12 @@ def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> dict[in
     Wages are sticky: each employee earns the offer that hired them, while
     the firm's posted offer tracks current revenue for new hires only.
     A firm that cannot cover its bill sheds its least qualified employees,
-    unpaid, until the remainder is affordable. Returns each paying firm's
-    wage bill by firm id.
+    unpaid, until the remainder is affordable. The labor tax is booked once
+    per municipality, in first-firm order. Returns each paying firm's wage
+    bill by firm id.
     """
     bills: dict[int, float] = {}
+    taxes: dict[str, float] = {}
     for firm in world.firms.values():
         while firm.employee_ids and firm.cash < sum(
             world.citizens[cid].wage for cid in firm.employee_ids
@@ -108,10 +112,12 @@ def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> dict[in
             tax = wage * labor_tax_rate
             family = world.families[citizen.family_id]
             family.monthly_cash += wage - tax
-            ledger.add(firm.municipality_id, "labor", tax)
+            taxes[firm.municipality_id] = taxes.get(firm.municipality_id, 0.0) + tax
             bill += wage
         firm.cash -= bill
         bills[firm.id] = bill
+    for municipality_id, tax in taxes.items():
+        ledger.add(municipality_id, "labor", tax)
     return bills
 
 

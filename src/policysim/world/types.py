@@ -30,6 +30,19 @@ def distance(a: Location, b: Location) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
 
+def distances(
+    ax: np.ndarray, ay: np.ndarray, bx: np.ndarray, by: np.ndarray
+) -> np.ndarray:
+    """``distance`` between broadcast coordinate arrays, bit for bit.
+
+    Each value comes from math.hypot: numpy's hypot rounds the last bit
+    differently for some points, which would reorder near ties.
+    """
+    dx, dy = np.broadcast_arrays(ax - bx, ay - by)
+    values = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
+    return np.fromiter(values, dtype=float, count=dx.size).reshape(dx.shape)
+
+
 @dataclass
 class Citizen:
     id: int

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from policysim.fiscal import TaxLedger
-from policysim.goods import choose_firm, goods_market_step, set_budget, transact
+from policysim.goods import goods_market_step, set_budget, transact
 from policysim.params import SimParams
 
 from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
@@ -35,78 +34,88 @@ def test_set_budget_conserves_cash():
         assert family.monthly_cash == 0.0
 
 
-def firms_with_prices(prices, locations=None):
+def shop_once(prices, locations=None, size_market=10, price_criterion_probability=1.0,
+              seed=0):
+    """One family at (0, 0) shops among firms with these prices; returns the firm id."""
     locations = locations or [(float(i), 0.0) for i in range(len(prices))]
-    return [
-        simple_firm(firm_id=i, price=p, location=locations[i])
+    firms = [
+        simple_firm(firm_id=i, price=p, location=locations[i], stock=1000.0)
         for i, p in enumerate(prices)
     ]
+    world = make_world(
+        [simple_citizen()], [simple_family(member_ids=(0,), cash=10.0)], [simple_house()],
+        firms, seed=seed,
+    )
+    chosen = goods_market_step(world, beta=1.0, size_market=size_market,
+                               consumption_tax_rate=0.0, rng=world.rng,
+                               price_criterion_probability=price_criterion_probability)
+    assert len(chosen) == 1
+    return int(chosen[0])
 
 
 def test_choose_firm_by_price():
-    firms = firms_with_prices([3.0, 1.0, 2.0])
-    rng = np.random.default_rng(0)
-    chosen = choose_firm((0.0, 0.0), firms, size_market=10, rng=rng,
-                         price_criterion_probability=1.0)
-    assert chosen.id == 1
+    assert shop_once([3.0, 1.0, 2.0], price_criterion_probability=1.0) == 1
 
 
 def test_choose_firm_by_distance():
-    firms = firms_with_prices([1.0, 1.0, 1.0], locations=[(5.0, 0.0), (2.0, 0.0), (9.0, 0.0)])
-    rng = np.random.default_rng(0)
-    chosen = choose_firm((0.0, 0.0), firms, size_market=10, rng=rng,
-                         price_criterion_probability=0.0)
-    assert chosen.id == 1
+    chosen = shop_once([1.0, 1.0, 1.0], locations=[(5.0, 0.0), (2.0, 0.0), (9.0, 0.0)],
+                       price_criterion_probability=0.0)
+    assert chosen == 1
 
 
 def test_choose_firm_price_tie_breaks_by_id():
-    firms = firms_with_prices([2.0, 2.0, 5.0])
-    rng = np.random.default_rng(0)
-    chosen = choose_firm((0.0, 0.0), firms, size_market=10, rng=rng,
-                         price_criterion_probability=1.0)
-    assert chosen.id == 0
+    assert shop_once([2.0, 2.0, 5.0], price_criterion_probability=1.0) == 0
 
 
 def test_choose_firm_sample_caps_at_population():
-    firms = firms_with_prices([3.0, 1.0])
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        chosen = choose_firm((0.0, 0.0), firms, size_market=50, rng=rng,
-                             price_criterion_probability=1.0)
-        assert chosen.id == 1  # sample is always the full population
+        # the sample is always the full population
+        assert shop_once([3.0, 1.0], size_market=50, seed=seed) == 1
+
+
+def test_choose_firm_distance_tie_breaks_by_id():
+    # firms listed out of id order: equidistant firms 7 and 3 tie, 3 wins
+    firms = [
+        simple_firm(firm_id=fid, location=location, stock=1000.0)
+        for fid, location in ((7, (0.0, 4.0)), (5, (9.0, 0.0)), (3, (4.0, 0.0)))
+    ]
+    world = make_world(
+        [simple_citizen()], [simple_family(member_ids=(0,), cash=10.0)], [simple_house()],
+        firms,
+    )
+    chosen = goods_market_step(world, beta=1.0, size_market=10, consumption_tax_rate=0.0,
+                               rng=world.rng, price_criterion_probability=0.0)
+    assert chosen.tolist() == [3]
 
 
 def test_transact_budget_limited():
     family = simple_family()
     firm = simple_firm(price=2.0, stock=500.0)
-    ledger = TaxLedger()
-    record = transact(family, firm, budget=100.0, consumption_tax_rate=0.1, ledger=ledger)
-    assert record.quantity == 50.0
-    assert record.gross_value == 100.0
-    assert abs(record.tax - 10.0) <= 1e-12
+    tax = transact(family, firm, budget=100.0, consumption_tax_rate=0.1)
+    assert firm.stock == 450.0
+    assert abs(tax - 10.0) <= 1e-12
     assert abs(firm.cash - 90.0) <= 1e-12
-    assert abs(ledger.get("m0", "consumption") - 10.0) <= 1e-12
+    assert abs(firm.revenue_this_month - 90.0) <= 1e-12
     assert family.monthly_cash == 0.0
 
 
 def test_transact_stock_limited_returns_change():
     family = simple_family()
     firm = simple_firm(price=2.0, stock=10.0)
-    ledger = TaxLedger()
-    record = transact(family, firm, budget=100.0, consumption_tax_rate=0.0, ledger=ledger)
-    assert record.quantity == 10.0
-    assert record.gross_value == 20.0
+    tax = transact(family, firm, budget=100.0, consumption_tax_rate=0.0)
+    assert tax == 0.0
     assert firm.stock == 0.0
+    assert firm.cash == 20.0
     assert family.monthly_cash == 80.0
 
 
 def test_transact_empty_stock_returns_everything():
     family = simple_family()
     firm = simple_firm(price=2.0, stock=0.0)
-    ledger = TaxLedger()
-    record = transact(family, firm, budget=100.0, consumption_tax_rate=0.1, ledger=ledger)
-    assert record.quantity == 0.0
-    assert record.gross_value == 0.0
+    tax = transact(family, firm, budget=100.0, consumption_tax_rate=0.1)
+    assert tax == 0.0
+    assert firm.stock == 0.0
+    assert firm.cash == 0.0
     assert family.monthly_cash == 100.0
 
 
@@ -119,13 +128,11 @@ def test_transact_conserves_money():
         rate = float(rng.uniform(0, 1))
         family = simple_family()
         firm = simple_firm(price=price, stock=stock)
-        ledger = TaxLedger()
-        record = transact(family, firm, budget, rate, ledger)
+        tax = transact(family, firm, budget, rate)
         outflow = budget - family.monthly_cash
-        inflow = firm.cash + ledger.get("m0", "consumption")
+        inflow = firm.cash + tax
         assert abs(outflow - inflow) <= 1e-9 * max(1.0, budget)
-        assert firm.stock >= 0.0
-        assert record.quantity <= stock + 1e-12
+        assert 0.0 <= firm.stock <= stock
 
 
 def market_world(num_families=6, num_firms=3, stock=100.0, cash=10.0):
