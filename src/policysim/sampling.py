@@ -34,7 +34,6 @@ TAIL_SHUFFLE_DIVISOR = 50
 # pools x sample width per batched draw: large enough that numpy's per-call
 # cost vanishes, small enough that the draw's index arrays add no peak memory
 BLOCK_CELLS = 1 << 12
-VECTOR_FLOYD_MAX = 64  # larger samples dedupe row by row, in linear time
 
 
 def sample_blocks(
@@ -70,7 +69,7 @@ def sample_positions(
     rows = len(n)
     k = np.minimum(n, sample_size)
     whole = k == n
-    tail = (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
+    tail = ~whole & (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
     counts = np.where(whole, 0, np.where(tail, k, 2 * k - 1)) + 1
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -100,22 +99,12 @@ def sample_positions(
 def _floyd_picks(draws: np.ndarray, starts: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
     """Floyd's algorithm over many rows: a repeat of an earlier pick takes j = n-k+t."""
     values = draws[starts[:, None] + np.arange(k)].astype(np.int64)
-    if k > VECTOR_FLOYD_MAX:
-        return np.array([_floyd_row(row, int(size)) for row, size in zip(values.tolist(), n)])
     picks = np.empty_like(values)
     for t in range(k):
         value = values[:, t]
         repeat = (picks[:, :t] == value[:, None]).any(axis=1)
         picks[:, t] = np.where(repeat, n - k + t, value)
     return picks
-
-
-def _floyd_row(values: list[int], n: int) -> list[int]:
-    k = len(values)
-    picked: set[int] = set()
-    for t, value in enumerate(values):
-        picked.add(n - k + t if value in picked else value)
-    return list(picked)
 
 
 def _tail_picks(draws: np.ndarray, n: int) -> list[int]:

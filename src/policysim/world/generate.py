@@ -71,11 +71,8 @@ def _draw_ages_and_genders(
             probabilities.append(p_male)
     weights = np.asarray(probabilities, dtype=float)
     weights = weights / weights.sum()
-    # the inverse-CDF lookup that Generator.choice makes for weighted draws
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    picks = cdf.searchsorted(rng.random(count), side="right")
-    return [categories[index] for index in picks.tolist()]
+    picks = rng.choice(len(categories), size=count, p=weights)
+    return [categories[int(index)] for index in picks]
 
 
 def _draw_qualification(region: RegionData, age: int, rng: np.random.Generator) -> int:

@@ -114,10 +114,11 @@ def tail_shuffle_world():
     return world, build_pool(world, SimParams(), {0: 4, 1: 3, 2: 2})
 
 
-@pytest.mark.parametrize("sample_size", [201, 300])
+@pytest.mark.parametrize("sample_size", [201, 300, WHOLE_MARKET])
 def test_match_on_the_tail_shuffle_branch(sample_size):
     # more than 10000 candidates and a sample above n // 50: numpy shuffles
-    # the tail of the pool instead of running Floyd's algorithm
+    # the tail of the pool instead of running Floyd's algorithm; a sample of
+    # the whole pool draws only the coin, however large the pool
     outcomes = []
     for matcher in (match, reference_markets.match):
         world, pool = tail_shuffle_world()
@@ -142,7 +143,10 @@ SAMPLER_CASES = {
     "tail-n20000-k401": ([20_000] * 2, 401),
     "whole-pool": ([3, 1, 4, 2, 5], 5),
     "whole-and-sampled": (list(range(12, 0, -1)), 3),
-    "floyd-row-by-row-k90": ([500] * 20, 90),
+    "whole-n10001-and-n10000": ([10_001, 10_000], WHOLE_MARKET),
+    "whole-n10050": ([10_050], 10_050),
+    "tail-then-whole": ([10_051, 10_050, 10_049], 10_050),
+    "floyd-k90": ([500] * 20, 90),
 }
 
 

@@ -12,7 +12,7 @@ from policysim import (
     generate_world,
     load_region_data,
 )
-from policysim.world.generate import _draw_ages_and_genders, allocate_proportionally
+from policysim.world.generate import allocate_proportionally
 from policysim.world.types import distances
 
 from conftest import assert_ownership_partition
@@ -237,22 +237,6 @@ def test_distances_equal_distance_bit_for_bit():
     grid = distances(a[:3, 0, None], a[:3, 1, None], b[:4, 0], b[:4, 1])
     assert grid.shape == (3, 4)
     assert grid[2, 1] == distance(tuple(a[2]), tuple(b[1]))
-
-
-def test_age_gender_draw_replays_weighted_choice(fixture3):
-    # the inverse-CDF lookup draws what Generator.choice with p= draws
-    categories = [
-        (age, gender)
-        for age, p_female, p_male in fixture3.age_gender
-        for gender, p in (("female", p_female), ("male", p_male))
-        if p > 0.0
-    ]
-    weights = np.array([p for _, pf, pm in fixture3.age_gender for p in (pf, pm) if p > 0.0])
-    ours, theirs = np.random.default_rng(9), np.random.default_rng(9)
-    drawn = _draw_ages_and_genders(fixture3, 5000, ours)
-    picks = theirs.choice(len(categories), size=5000, p=weights / weights.sum())
-    assert drawn == [categories[index] for index in picks.tolist()]
-    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_allocate_proportionally_exact():
