@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .firms import fire_employee
-from .world.regions import RegionData
-from .world.types import FEMALE, MALE, Citizen, World
+from .world.regions import RegionData, RegionDataError
+from .world.types import FEMALE, MALE, Citizen, Family, World
 
 
 @dataclass(frozen=True)
@@ -35,24 +35,13 @@ def age_step(world: World) -> None:
             citizen.age += 1
 
 
-def _transfer_estate(world: World, family_id: int, rng: np.random.Generator) -> None:
-    """Move an extinct family's houses and money to a surviving family.
-
-    Membership only ever changes through births and deaths, so no former
-    co-member of an extinct family can still be alive; the heir is always a
-    uniformly drawn surviving family. If none survives, the empty family
-    keeps its assets so that money and houses stay accounted for.
-    """
-    extinct = world.families[family_id]
-    heirs = [f.id for f in world.families.values() if f.is_active and f.id != family_id]
-    if not heirs:
-        return
-    heir = world.families[heirs[int(rng.integers(0, len(heirs)))]]
+def _transfer_estate(world: World, extinct: Family, heir: Family) -> None:
+    """Move an extinct family's houses and money to its heir."""
     for house_id in sorted(extinct.owned_houses):
         heir.owned_houses.add(house_id)
     heir.monthly_cash += extinct.monthly_cash
     heir.savings += extinct.savings
-    del world.families[family_id]
+    del world.families[extinct.id]
 
 
 def mortality_step(
@@ -60,16 +49,29 @@ def mortality_step(
 ) -> list[int]:
     """Kill citizens at the monthly hazard implied by their annual rate.
 
-    Deceased citizens leave their firm and family; families whose last
-    member dies pass their estate on. Returns the ids of the deceased.
+    Deceased citizens leave their firm and family. Each family whose last
+    member dies passes its estate to a uniformly drawn surviving family;
+    membership changes only through births and deaths, so every extinct
+    family draws from the same survivors. If none survives, the empty
+    family keeps its assets so that money and houses stay accounted for.
+    Returns the ids of the deceased.
     """
     citizen_list = list(world.citizens.values())
     if not citizen_list:
         return []
-    hazards = np.empty(len(citizen_list), dtype=float)
-    for index, citizen in enumerate(citizen_list):
-        annual = mortality_table.annual_mortality(citizen.age, citizen.gender)
-        hazards[index] = monthly_probability(annual)
+    hazard_table = {
+        gender: {age: monthly_probability(annual) for age, annual in by_age.items()}
+        for gender, by_age in mortality_table.mortality.items()
+    }
+    try:
+        hazards = [hazard_table[c.gender][c.age] for c in citizen_list]
+    except KeyError:
+        missing = next(
+            c for c in citizen_list if c.age not in hazard_table.get(c.gender, {})
+        )
+        raise RegionDataError(
+            "mortality.csv", None, f"no row for age {missing.age}, gender {missing.gender}"
+        ) from None
     draws = rng.random(len(citizen_list))
     deceased = [
         citizen
@@ -77,21 +79,24 @@ def mortality_step(
         if draw < hazard
     ]
 
-    emptied_families: list[int] = []
+    emptied_families: list[Family] = []
     for citizen in deceased:
         if citizen.employer is not None:
             fire_employee(world, world.firms[citizen.employer], citizen.id)
         family = world.families[citizen.family_id]
         family.member_ids.discard(citizen.id)
         if not family.member_ids:
-            emptied_families.append(family.id)
+            emptied_families.append(family)
         world.grave.append(GraveRecord(
             citizen.id, world.clock, citizen.age, citizen.gender, citizen.family_id
         ))
         del world.citizens[citizen.id]
 
-    for family_id in emptied_families:
-        _transfer_estate(world, family_id, rng)
+    if emptied_families:
+        heirs = [family for family in world.families.values() if family.member_ids]
+        if heirs:
+            for extinct in emptied_families:
+                _transfer_estate(world, extinct, heirs[int(rng.integers(0, len(heirs)))])
     return [citizen.id for citizen in deceased]
 
 
@@ -103,18 +108,22 @@ def fertility_step(
     Newborns start at age zero with no schooling, a uniformly drawn gender,
     and join the mother's family unemployed.
     """
+    birth_chances = {
+        age: min(1.0, rate / 12.0)
+        for age, rate in fertility_table.fertility.items()
+        if rate > 0.0
+    }
     mothers = [
         citizen
         for citizen in world.citizens.values()
-        if citizen.gender == FEMALE and fertility_table.annual_fertility(citizen.age) > 0.0
+        if citizen.gender == FEMALE and citizen.age in birth_chances
     ]
     if not mothers:
         return []
     draws = rng.random(len(mothers))
     newborn_ids: list[int] = []
     for mother, draw in zip(mothers, draws):
-        rate = fertility_table.annual_fertility(mother.age)
-        if draw >= min(1.0, rate / 12.0):
+        if draw >= birth_chances[mother.age]:
             continue
         gender = FEMALE if rng.random() < 0.5 else MALE
         baby = Citizen(

@@ -91,29 +91,27 @@ def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> dict[in
 
     Wages are sticky: each employee earns the offer that hired them, while
     the firm's posted offer tracks current revenue for new hires only.
-    A firm that cannot cover its bill sheds its least qualified employees,
-    unpaid, until the remainder is affordable. The labor tax is booked once
+    A firm that cannot cover its bill, the wages summed in id order, sheds
+    its least qualified employees, unpaid, until the remainder is affordable. The labor tax is booked once
     per municipality, in first-firm order. Returns each paying firm's wage
     bill by firm id.
     """
     bills: dict[int, float] = {}
     taxes: dict[str, float] = {}
     for firm in world.firms.values():
-        while firm.employee_ids and firm.cash < sum(
-            world.citizens[cid].wage for cid in firm.employee_ids
-        ):
+        employee_ids = sorted(firm.employee_ids)
+        bill = sum(world.citizens[cid].wage for cid in employee_ids)
+        while employee_ids and firm.cash < bill:
             fire_employee(world, firm, lowest_qualified_employee(world, firm))
-        if not firm.employee_ids:
+            employee_ids = sorted(firm.employee_ids)
+            bill = sum(world.citizens[cid].wage for cid in employee_ids)
+        if not employee_ids:
             continue
-        bill = 0.0
-        for citizen_id in sorted(firm.employee_ids):
+        for citizen_id in employee_ids:
             citizen = world.citizens[citizen_id]
-            wage = citizen.wage
-            tax = wage * labor_tax_rate
-            family = world.families[citizen.family_id]
-            family.monthly_cash += wage - tax
+            tax = citizen.wage * labor_tax_rate
+            world.families[citizen.family_id].monthly_cash += citizen.wage - tax
             taxes[firm.municipality_id] = taxes.get(firm.municipality_id, 0.0) + tax
-            bill += wage
         firm.cash -= bill
         bills[firm.id] = bill
     for municipality_id, tax in taxes.items():

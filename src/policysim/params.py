@@ -76,7 +76,7 @@ class SimParams:
 
     # world generation
     house_vacancy: float = param(0.1, ge=0.0)
-    members_per_family: float = param(2.5, gt=0.0)
+    members_per_family: float = param(2.5, ge=1.0)
     percentage_actual_pop: float = param(0.2, gt=0.0, le=1.0)
     citizens_per_firm: float = param(5.0, gt=0.0)
     hedonic_base_coefficient: float = param(0.005, gt=0.0)

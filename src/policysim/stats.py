@@ -84,12 +84,6 @@ class KsReport:
     rows: list[KsReportRow]
     note: str
 
-    def row(self, kind: str) -> KsReportRow:
-        for entry in self.rows:
-            if entry.kind == kind:
-                return entry
-        raise KeyError(kind)
-
 
 def compare_tax_distributions(
     simulated: dict[str, dict[str, float]],

@@ -76,17 +76,6 @@ class RegionData:
             "qualification.csv", None, f"no age band covers age {age}"
         )
 
-    def annual_mortality(self, age: int, gender: str) -> float:
-        table = self.mortality[gender]
-        if age not in table:
-            raise RegionDataError(
-                "mortality.csv", None, f"no row for age {age}, gender {gender}"
-            )
-        return table[age]
-
-    def annual_fertility(self, age: int) -> float:
-        return self.fertility.get(age, 0.0)
-
 
 def _rows(path: str, filename: str, required: tuple[str, ...]):
     if not os.path.isfile(path):

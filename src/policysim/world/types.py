@@ -64,10 +64,6 @@ class Family:
     monthly_cash: float = 0.0  # liquid, funds consumption
     savings: float = 0.0  # illiquid, real-estate only
 
-    @property
-    def is_active(self) -> bool:
-        return bool(self.member_ids)
-
 
 @dataclass
 class House:
@@ -125,7 +121,7 @@ class World:
         return list(self.municipalities.keys())
 
     def active_families(self) -> list[Family]:
-        return [family for family in self.families.values() if family.is_active]
+        return [family for family in self.families.values() if family.member_ids]
 
     def residence_location(self, family: Family) -> Location:
         return self.houses[family.residence].location

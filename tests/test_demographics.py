@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from policysim.demographics import (
     age_step,
@@ -6,6 +7,7 @@ from policysim.demographics import (
     monthly_probability,
     mortality_step,
 )
+from policysim.world.regions import RegionDataError
 
 from conftest import make_region, make_world, simple_citizen, simple_family, simple_house
 
@@ -180,3 +182,64 @@ def test_constant_population_without_vital_events():
         mortality_step(world, world.region, world.rng)
         fertility_step(world, world.region, world.rng)
     assert set(world.citizens) == start
+
+
+def test_families_dying_out_together_draw_heirs_from_one_survivor_list():
+    region = make_region(ages=(30, 80))
+    # citizen 0 empties family 1 before citizen 1 empties family 0
+    citizens = [
+        simple_citizen(cid=0, family_id=1, age=80),
+        simple_citizen(cid=1, family_id=0, age=80),
+    ] + [simple_citizen(cid=cid, family_id=cid, age=30) for cid in (2, 3, 4)]
+    families = [
+        simple_family(family_id=0, member_ids=(1,), residence=0, cash=1.0),
+        simple_family(family_id=1, member_ids=(0,), residence=1, cash=100.0),
+    ] + [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in (2, 3, 4)]
+    houses = [simple_house(house_id=hid) for hid in range(5)]
+    world = make_world(citizens, families, houses, region=region, seed=5)
+    for gender in world.region.mortality:
+        for age in world.region.mortality[gender]:
+            world.region.mortality[gender][age] = 1.0 if age >= 80 else 0.0
+
+    replay = np.random.default_rng(5)
+    replay.random(5)
+    survivors = [2, 3, 4]
+    heir_of_family_1 = survivors[int(replay.integers(0, 3))]
+    heir_of_family_0 = survivors[int(replay.integers(0, 3))]
+
+    assert sorted(mortality_step(world, world.region, world.rng)) == [0, 1]
+    assert world.rng.bit_generator.state == replay.bit_generator.state
+    assert sorted(world.families) == survivors
+    expected_cash = {fid: 0.0 for fid in survivors}
+    expected_cash[heir_of_family_1] += 100.0
+    expected_cash[heir_of_family_0] += 1.0
+    assert {fid: family.monthly_cash for fid, family in world.families.items()} == expected_cash
+    assert 1 in world.families[heir_of_family_1].owned_houses
+    assert 0 in world.families[heir_of_family_0].owned_houses
+
+
+@pytest.mark.parametrize("missing", ["age row", "gender table"])
+def test_missing_mortality_row_raises_region_data_error(missing):
+    world = build_population(3, age=30)
+    if missing == "age row":
+        del world.region.mortality["female"][30]
+    else:
+        del world.region.mortality["female"]
+    state = world.rng.bit_generator.state
+    with pytest.raises(RegionDataError) as err:
+        mortality_step(world, world.region, world.rng)
+    assert "mortality.csv" in str(err.value)
+    assert "age 30, gender female" in str(err.value)
+    assert world.rng.bit_generator.state == state
+
+
+def test_woman_outside_the_fertility_table_takes_no_draw():
+    world = build_population(2, fertility=12.0)
+    world.citizens[0].age = 60  # the table covers ages 15..49 only
+    replay = np.random.default_rng(0)
+    replay.random(1)  # the one mother's birth draw
+    replay.random()  # the newborn's gender
+
+    newborns = fertility_step(world, world.region, world.rng)
+    assert [world.citizens[baby].family_id for baby in newborns] == [1]
+    assert world.rng.bit_generator.state == replay.bit_generator.state

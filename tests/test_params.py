@@ -18,7 +18,7 @@ BOUNDS = {
     "PERCENTAGE_CHECK_NEW_LOCATION": (0.0, True, 1.0),
     "PRICE_CRITERION_PROBABILITY": (0.0, True, 1.0),
     "HOUSE_VACANCY": (0.0, True, None),
-    "MEMBERS_PER_FAMILY": (0.0, False, None),
+    "MEMBERS_PER_FAMILY": (1.0, True, None),
     "PERCENTAGE_ACTUAL_POP": (0.0, False, 1.0),
     "CITIZENS_PER_FIRM": (0.0, False, None),
     "HEDONIC_BASE_COEFFICIENT": (0.0, False, None),

@@ -147,6 +147,14 @@ def test_generate_counts_match_formulas(fixture3):
     assert world.population_by_municipality() == {"core": 60, "north": 30, "east": 10}
 
 
+def test_generate_one_member_per_family_at_the_lower_bound(fixture3):
+    params = SimParams()
+    params.members_per_family = 1.0
+    world = generate_world(fixture3, params, seed=42)
+    assert len(world.families) == len(world.citizens)
+    assert all(len(family.member_ids) == 1 for family in world.families.values())
+
+
 def test_generate_single_citizen_floor(tmp_path):
     write_minimal_region(
         tmp_path,
