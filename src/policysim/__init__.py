@@ -12,7 +12,6 @@ from .fiscal import (
     DistributionRegime,
     FiscalError,
     TaxLedger,
-    collect_firm_tax,
     distribute,
     fpm_allocate,
     invest_qli,
@@ -73,7 +72,6 @@ __all__ = [
     "TaxLedger",
     "TaxRates",
     "World",
-    "collect_firm_tax",
     "compare_tax_distributions",
     "derive_seed",
     "distance",

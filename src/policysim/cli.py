@@ -64,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.cores < 1 and args.cores != -1:
+            raise ParamError(f"--cores = {args.cores} must be -1 (all) or >= 1")
         params = load_config(args.config) if args.config else SimParams()
         if args.months is not None:
             set_param(params, "MONTHS", args.months)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .firms import fire_employee
-from .world.regions import RegionData, RegionDataError
+from .world.regions import RegionDataError
 from .world.types import FEMALE, MALE, Citizen, Family, World
 
 
@@ -44,9 +44,7 @@ def _transfer_estate(world: World, extinct: Family, heir: Family) -> None:
     del world.families[extinct.id]
 
 
-def mortality_step(
-    world: World, mortality_table: RegionData, rng: np.random.Generator
-) -> list[int]:
+def mortality_step(world: World, rng: np.random.Generator) -> list[int]:
     """Kill citizens at the monthly hazard implied by their annual rate.
 
     Deceased citizens leave their firm and family. Each family whose last
@@ -61,7 +59,7 @@ def mortality_step(
         return []
     hazard_table = {
         gender: {age: monthly_probability(annual) for age, annual in by_age.items()}
-        for gender, by_age in mortality_table.mortality.items()
+        for gender, by_age in world.region.mortality.items()
     }
     try:
         hazards = [hazard_table[c.gender][c.age] for c in citizen_list]
@@ -100,9 +98,7 @@ def mortality_step(
     return [citizen.id for citizen in deceased]
 
 
-def fertility_step(
-    world: World, fertility_table: RegionData, rng: np.random.Generator
-) -> list[int]:
+def fertility_step(world: World, rng: np.random.Generator) -> list[int]:
     """Give each eligible female a birth draw at one twelfth the annual rate.
 
     Newborns start at age zero with no schooling, a uniformly drawn gender,
@@ -110,7 +106,7 @@ def fertility_step(
     """
     birth_chances = {
         age: min(1.0, rate / 12.0)
-        for age, rate in fertility_table.fertility.items()
+        for age, rate in world.region.fertility.items()
         if rate > 0.0
     }
     mothers = [

@@ -1,4 +1,4 @@
-"""Firm behaviour: production plus price, wage, and staffing decisions."""
+"""Firm behaviour: production, price, wage and staffing decisions, month close."""
 
 from __future__ import annotations
 
@@ -103,12 +103,16 @@ def fire_employee(world: World, firm: Firm, citizen_id: int) -> None:
     citizen.wage = 0.0
 
 
-def compute_profit(firm: Firm, wages_paid: float, firm_tax_paid: float) -> float:
-    """Close the month's books: revenue minus wage bill minus firm tax.
+def close_books(world: World, wage_bills: dict[int, float], firm_tax_rate: float) -> None:
+    """Close every firm's month, in id order.
 
-    Stores the result as last_profit and resets the month's revenue.
+    The firm tax falls on last month's profit (losses are not taxed), comes
+    out of cash and is booked to the firm's municipality. The new profit is
+    revenue minus the wage bill minus that tax; revenue starts over.
     """
-    profit = firm.revenue_this_month - wages_paid - firm_tax_paid
-    firm.last_profit = profit
-    firm.revenue_this_month = 0.0
-    return profit
+    for firm in world.firms.values():
+        tax = max(0.0, firm.last_profit) * firm_tax_rate
+        firm.cash -= tax
+        world.ledger.add(firm.municipality_id, "firms", tax)
+        firm.last_profit = firm.revenue_this_month - wage_bills.get(firm.id, 0.0) - tax
+        firm.revenue_this_month = 0.0

@@ -263,13 +263,3 @@ def invest_qli(
     municipality.qli += (funds / max(1, population)) / reference_cost_per_capita
     return municipality.qli
 
-
-def collect_firm_tax(firm, rate: float, ledger: TaxLedger) -> float:
-    """Charge the firm tax on the stored (previous decision) profit.
-
-    Losses are not taxed. The charge is booked to the firm's municipality.
-    """
-    tax = max(0.0, firm.last_profit) * rate
-    firm.cash -= tax
-    ledger.add(firm.municipality_id, "firms", tax)
-    return tax

@@ -99,8 +99,8 @@ def goods_market_step(
 ) -> np.ndarray:
     """Run the whole monthly goods market over a seeded family permutation.
 
-    Returns the chosen firm id of each purchase, in shopping order. The
-    consumption tax is booked once per municipality, in first-purchase order.
+    Returns the chosen firm id of each purchase, in shopping order. Each
+    purchase books its consumption tax to the firm's municipality.
     """
     active = world.active_families()
     budgets = [set_budget(family, beta)[0] for family in active]
@@ -115,11 +115,8 @@ def goods_market_step(
     chosen = choose_firms(
         world, shoppers, firms, size_market, rng, price_criterion_probability
     )
-    taxes: dict[str, float] = {}
     for i, family, firm_id in zip(order, shoppers, chosen.tolist()):
         firm = world.firms[firm_id]
         tax = transact(family, firm, budgets[i], consumption_tax_rate)
-        taxes[firm.municipality_id] = taxes.get(firm.municipality_id, 0.0) + tax
-    for municipality_id, tax in taxes.items():
-        world.ledger.add(municipality_id, "consumption", tax)
+        world.ledger.add(firm.municipality_id, "consumption", tax)
     return chosen

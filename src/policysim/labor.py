@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .firms import fire_employee, lowest_qualified_employee
-from .fiscal import TaxLedger
 from .params import SimParams
 from .sampling import sample_blocks
 from .world.generate import allocate_proportionally
@@ -86,18 +85,17 @@ def match(
     return hires
 
 
-def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> dict[int, float]:
+def pay_wages(world: World, labor_tax_rate: float) -> dict[int, float]:
     """Pay every employee their contracted wage, net of the labor tax.
 
     Wages are sticky: each employee earns the offer that hired them, while
     the firm's posted offer tracks current revenue for new hires only.
     A firm that cannot cover its bill, the wages summed in id order, sheds
-    its least qualified employees, unpaid, until the remainder is affordable. The labor tax is booked once
-    per municipality, in first-firm order. Returns each paying firm's wage
-    bill by firm id.
+    its least qualified employees, unpaid, until the remainder is
+    affordable. Each wage books its tax to the firm's municipality.
+    Returns each paying firm's wage bill by firm id.
     """
     bills: dict[int, float] = {}
-    taxes: dict[str, float] = {}
     for firm in world.firms.values():
         employee_ids = sorted(firm.employee_ids)
         bill = sum(world.citizens[cid].wage for cid in employee_ids)
@@ -111,11 +109,9 @@ def pay_wages(world: World, labor_tax_rate: float, ledger: TaxLedger) -> dict[in
             citizen = world.citizens[citizen_id]
             tax = citizen.wage * labor_tax_rate
             world.families[citizen.family_id].monthly_cash += citizen.wage - tax
-            taxes[firm.municipality_id] = taxes.get(firm.municipality_id, 0.0) + tax
+            world.ledger.add(firm.municipality_id, "labor", tax)
         firm.cash -= bill
         bills[firm.id] = bill
-    for municipality_id, tax in taxes.items():
-        ledger.add(municipality_id, "labor", tax)
     return bills
 
 

@@ -11,6 +11,7 @@ they override channel fractions and are checked by building the matrix.
 from __future__ import annotations
 
 import copy
+import math
 import operator
 import typing
 from dataclasses import dataclass, field, fields
@@ -100,7 +101,9 @@ class SimParams:
         problems = []
         for spec in FIELDS.values():
             value = spec.get(self)
-            if not all(_COMPARE[op](value, bound) for op, bound in spec.limits):
+            if spec.kind is float and not math.isfinite(value):
+                problems.append(f"{spec.key} = {value!r} must be finite")
+            elif not all(_COMPARE[op](value, bound) for op, bound in spec.limits):
                 wanted = " and ".join(f"{op} {bound}" for op, bound in spec.limits)
                 problems.append(f"{spec.key} = {value!r} must be {wanted}")
         if self.working_age_min > self.working_age_max:

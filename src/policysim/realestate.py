@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiscal import TaxLedger
 from .world.types import Family, House, World
 
 
@@ -77,7 +76,6 @@ def match_market(
     entrant_ids: list[int],
     listings: list[int],
     transaction_tax_rate: float,
-    ledger: TaxLedger,
 ) -> list[SaleRecord]:
     """Sequential matching, deepest savings first.
 
@@ -114,7 +112,7 @@ def match_market(
         tax = price * transaction_tax_rate
         buyer.savings -= price
         seller.savings += price - tax
-        ledger.add(best_house.municipality_id, "transaction", tax)
+        world.ledger.add(best_house.municipality_id, "transaction", tax)
         seller.owned_houses.discard(best_house.id)
         buyer.owned_houses.add(best_house.id)
         owners[best_house.id] = buyer
@@ -143,12 +141,9 @@ def match_market(
     return sales
 
 
-def collect_property_tax(
-    world: World, property_tax_rate: float, ledger: TaxLedger
-) -> float:
+def collect_property_tax(world: World, property_tax_rate: float) -> None:
     """Monthly levy on each occupied house, clamped at the resident's cash."""
     residents = world.residents_by_house()
-    total = 0.0
     for house in world.houses.values():
         family = residents.get(house.id)
         if family is None:
@@ -156,6 +151,4 @@ def collect_property_tax(
         owed = property_tax_rate * house.current_price
         paid = min(owed, family.monthly_cash)
         family.monthly_cash -= paid
-        ledger.add(house.municipality_id, "property", paid)
-        total += paid
-    return total
+        world.ledger.add(house.municipality_id, "property", paid)

@@ -19,13 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import demographics, firms, goods, labor, realestate
-from .fiscal import (
-    DistributionMatrix,
-    DistributionRegime,
-    collect_firm_tax,
-    distribute,
-    invest_qli,
-)
+from .fiscal import DistributionMatrix, DistributionRegime, distribute, invest_qli
 from .params import MAX_MONTHS, TAX_KINDS, SimParams
 from .stats import gini
 from .world.generate import generate_world
@@ -104,8 +98,8 @@ def step_production(world: World, params: SimParams) -> None:
 
 def step_demographics(world: World, params: SimParams, rng: np.random.Generator) -> None:
     demographics.age_step(world)
-    demographics.mortality_step(world, world.region, rng)
-    demographics.fertility_step(world, world.region, rng)
+    demographics.mortality_step(world, rng)
+    demographics.fertility_step(world, rng)
 
 
 def step_goods_market(world: World, params: SimParams, rng: np.random.Generator) -> None:
@@ -151,11 +145,8 @@ def step_labor_market(
 ) -> None:
     pool = labor.build_pool(world, params, openings)
     labor.match(world, pool, params.pct_distance_hiring, params.size_market, rng)
-    bills = labor.pay_wages(world, params.taxes.labor, world.ledger)
-    # close the month's books: firm tax on the stored profit, then profit
-    for firm in world.firms.values():
-        tax = collect_firm_tax(firm, params.taxes.firms, world.ledger)
-        firms.compute_profit(firm, bills.get(firm.id, 0.0), tax)
+    bills = labor.pay_wages(world, params.taxes.labor)
+    firms.close_books(world, bills, params.taxes.firms)
 
 
 def step_real_estate(world: World, params: SimParams, rng: np.random.Generator) -> None:
@@ -165,9 +156,9 @@ def step_real_estate(world: World, params: SimParams, rng: np.random.Generator) 
         world.active_families(), params.percentage_check_new_location, rng
     )
     world.sales_log += realestate.match_market(
-        world, entrants, listings, params.taxes.transaction, world.ledger
+        world, entrants, listings, params.taxes.transaction
     )
-    realestate.collect_property_tax(world, params.taxes.property, world.ledger)
+    realestate.collect_property_tax(world, params.taxes.property)
 
 
 def step_fiscal(world: World, params: SimParams) -> dict[str, float]:

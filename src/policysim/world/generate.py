@@ -75,8 +75,8 @@ def _draw_ages_and_genders(
     return [categories[int(index)] for index in picks]
 
 
-def _draw_qualification(region: RegionData, age: int, rng: np.random.Generator) -> int:
-    rows = region.qualification_rows_for_age(age)
+def _draw_qualification(rows: list[tuple[int, float]], rng: np.random.Generator) -> int:
+    """Years of schooling from one age band's (years, probability) rows."""
     u = float(rng.random())
     cumulative = 0.0
     for years, probability in rows:
@@ -164,6 +164,9 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         total_firms, [float(count) for count in citizens_per_muni], minimum=1
     )
 
+    qualification_rows = {
+        age: region.qualification_rows_for_age(age) for age, _, _ in region.age_gender
+    }
     next_citizen = 0
     next_family = 0
     next_house = 0
@@ -179,7 +182,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         muni_citizen_ids = []
         working_age = 0
         for offset, (age, gender) in enumerate(drawn):
-            qualification = _draw_qualification(region, age, rng)
+            qualification = _draw_qualification(qualification_rows[age], rng)
             citizen = Citizen(
                 id=next_citizen,
                 family_id=-1,

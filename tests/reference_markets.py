@@ -113,7 +113,7 @@ def match(world, pool, pct_distance_hiring, sample_size, rng):
     return hires
 
 
-def pay_wages(world, labor_tax_rate, ledger):
+def pay_wages(world, labor_tax_rate):
     bills = {}
     for firm in world.firms.values():
         while firm.employee_ids and firm.cash < sum(
@@ -129,7 +129,7 @@ def pay_wages(world, labor_tax_rate, ledger):
             tax = wage * labor_tax_rate
             family = world.families[citizen.family_id]
             family.monthly_cash += wage - tax
-            ledger.add(firm.municipality_id, "labor", tax)
+            world.ledger.add(firm.municipality_id, "labor", tax)
             bill += wage
         firm.cash -= bill
         bills[firm.id] = bill

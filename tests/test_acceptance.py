@@ -272,14 +272,14 @@ def test_c09_demographic_oracles():
     for month in range(120):
         world.clock = month
         age_step(world)
-        mortality_step(world, world.region, world.rng)
-        fertility_step(world, world.region, world.rng)
+        mortality_step(world, world.rng)
+        fertility_step(world, world.rng)
     assert set(world.citizens) == initial
 
     # binomial window for deaths at an annual rate of 0.12
     n = 10_000
     world = population(n, mortality=0.12, fertility=0.0, seed=2)
-    deaths = len(mortality_step(world, world.region, world.rng))
+    deaths = len(mortality_step(world, world.rng))
     p = monthly_probability(0.12)
     sigma = (n * p * (1 - p)) ** 0.5
     assert abs(deaths - n * p) <= 4 * sigma
@@ -287,7 +287,7 @@ def test_c09_demographic_oracles():
     # binomial window for births at an annual rate of 0.6
     n = 1000
     world = population(n, mortality=0.0, fertility=0.6, seed=3)
-    births = len(fertility_step(world, world.region, world.rng))
+    births = len(fertility_step(world, world.rng))
     p = 0.6 / 12.0
     sigma = (n * p * (1 - p)) ** 0.5
     assert abs(births - n * p) <= 4 * sigma

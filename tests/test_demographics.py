@@ -57,7 +57,7 @@ def test_monthly_probability_bounds():
 
 def test_zero_mortality_no_deaths():
     world = build_population(200, mortality=0.0)
-    deceased = mortality_step(world, world.region, world.rng)
+    deceased = mortality_step(world, world.rng)
     assert deceased == []
     assert len(world.citizens) == 200
 
@@ -68,7 +68,7 @@ def test_certain_mortality_kills_everyone():
     for gender in world.region.mortality:
         for age in world.region.mortality[gender]:
             world.region.mortality[gender][age] = 1.0
-    deceased = mortality_step(world, world.region, world.rng)
+    deceased = mortality_step(world, world.rng)
     assert len(deceased) == 50
     assert len(world.citizens) == 0
 
@@ -77,7 +77,7 @@ def test_mortality_binomial_rate():
     # one month at annual probability 0.12 over 10,000 citizens
     n = 10_000
     world = build_population(n, mortality=0.12, seed=42)
-    deceased = mortality_step(world, world.region, world.rng)
+    deceased = mortality_step(world, world.rng)
     p = monthly_probability(0.12)
     mean = n * p
     sigma = (n * p * (1 - p)) ** 0.5
@@ -96,7 +96,7 @@ def test_dead_are_fully_removed():
     for gender in world.region.mortality:
         for age in world.region.mortality[gender]:
             world.region.mortality[gender][age] = 1.0
-    deceased = mortality_step(world, world.region, world.rng)
+    deceased = mortality_step(world, world.rng)
     assert len(deceased) == 30
     assert firm.employee_ids == set()
     for family in world.families.values():
@@ -117,7 +117,7 @@ def test_inheritance_moves_estate_to_surviving_family():
     for gender in world.region.mortality:
         for age in world.region.mortality[gender]:
             world.region.mortality[gender][age] = 1.0 if age >= 80 else 0.0
-    mortality_step(world, world.region, world.rng)
+    mortality_step(world, world.rng)
     assert 0 not in world.families
     heir = world.families[1]
     assert heir.owned_houses == {0, 1}
@@ -129,12 +129,12 @@ def test_inheritance_moves_estate_to_surviving_family():
 
 def test_zero_fertility_no_births():
     world = build_population(100, fertility=0.0)
-    assert fertility_step(world, world.region, world.rng) == []
+    assert fertility_step(world, world.rng) == []
 
 
 def test_certain_fertility_every_eligible_female():
     world = build_population(40, fertility=12.0)
-    newborns = fertility_step(world, world.region, world.rng)
+    newborns = fertility_step(world, world.rng)
     assert len(newborns) == 40
     for baby_id in newborns:
         baby = world.citizens[baby_id]
@@ -147,7 +147,7 @@ def test_certain_fertility_every_eligible_female():
 def test_fertility_binomial_rate():
     n = 1000
     world = build_population(n, fertility=0.6, seed=7)
-    newborns = fertility_step(world, world.region, world.rng)
+    newborns = fertility_step(world, world.rng)
     p = 0.6 / 12.0
     mean = n * p
     sigma = (n * p * (1 - p)) ** 0.5
@@ -156,7 +156,7 @@ def test_fertility_binomial_rate():
 
 def test_males_do_not_give_birth():
     world = build_population(50, fertility=12.0, gender="male")
-    assert fertility_step(world, world.region, world.rng) == []
+    assert fertility_step(world, world.rng) == []
 
 
 def test_population_accounting_over_time(fixture3):
@@ -168,8 +168,8 @@ def test_population_accounting_over_time(fixture3):
         world.clock = month
         before = len(world.citizens)
         age_step(world)
-        deaths = mortality_step(world, world.region, world.rng)
-        births = fertility_step(world, world.region, world.rng)
+        deaths = mortality_step(world, world.rng)
+        births = fertility_step(world, world.rng)
         assert len(world.citizens) == before + len(births) - len(deaths)
 
 
@@ -179,8 +179,8 @@ def test_constant_population_without_vital_events():
     for month in range(120):
         world.clock = month
         age_step(world)
-        mortality_step(world, world.region, world.rng)
-        fertility_step(world, world.region, world.rng)
+        mortality_step(world, world.rng)
+        fertility_step(world, world.rng)
     assert set(world.citizens) == start
 
 
@@ -207,7 +207,7 @@ def test_families_dying_out_together_draw_heirs_from_one_survivor_list():
     heir_of_family_1 = survivors[int(replay.integers(0, 3))]
     heir_of_family_0 = survivors[int(replay.integers(0, 3))]
 
-    assert sorted(mortality_step(world, world.region, world.rng)) == [0, 1]
+    assert sorted(mortality_step(world, world.rng)) == [0, 1]
     assert world.rng.bit_generator.state == replay.bit_generator.state
     assert sorted(world.families) == survivors
     expected_cash = {fid: 0.0 for fid in survivors}
@@ -227,7 +227,7 @@ def test_missing_mortality_row_raises_region_data_error(missing):
         del world.region.mortality["female"]
     state = world.rng.bit_generator.state
     with pytest.raises(RegionDataError) as err:
-        mortality_step(world, world.region, world.rng)
+        mortality_step(world, world.rng)
     assert "mortality.csv" in str(err.value)
     assert "age 30, gender female" in str(err.value)
     assert world.rng.bit_generator.state == state
@@ -240,6 +240,6 @@ def test_woman_outside_the_fertility_table_takes_no_draw():
     replay.random(1)  # the one mother's birth draw
     replay.random()  # the newborn's gender
 
-    newborns = fertility_step(world, world.region, world.rng)
+    newborns = fertility_step(world, world.rng)
     assert [world.citizens[baby].family_id for baby in newborns] == [1]
     assert world.rng.bit_generator.state == replay.bit_generator.state

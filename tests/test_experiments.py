@@ -446,6 +446,17 @@ def test_cli_rejects_configs_sharing_a_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cores", ["0", "-5"])
+def test_cli_rejects_meaningless_cores(tmp_path, capsys, cores):
+    out = tmp_path / "out"
+    code = main(["run", "--months", "3", "--cores", cores, "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: --cores")
+    assert "job(s)" not in captured.out
+    assert not out.exists()
+
+
 def test_cli_rejects_unknown_sweep(tmp_path, capsys):
     code = main(["sensitivity", "BOGUS:1:2:3", "--output", str(tmp_path)])
     assert code == 2

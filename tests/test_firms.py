@@ -5,7 +5,7 @@ from policysim.firms import (
     FIRE_ONE,
     HOLD,
     OPEN_VACANCY,
-    compute_profit,
+    close_books,
     fire_employee,
     hire_fire_decision,
     lowest_qualified_employee,
@@ -191,12 +191,37 @@ def test_fire_requires_employees():
 
 
 @pytest.mark.parametrize(
-    "revenue,wages,tax,expected",
-    [(100.0, 60.0, 10.0, 30.0), (0.0, 0.0, 0.0, 0.0), (0.0, 60.0, 0.0, -60.0)],
+    "last_profit,rate,revenue,bills,tax,profit",
+    [
+        (100.0, 0.1, 100.0, {0: 60.0}, 10.0, 30.0),
+        (0.0, 0.1, 0.0, {}, 0.0, 0.0),
+        (-40.0, 0.1, 0.0, {0: 60.0}, 0.0, -60.0),
+        (100.0, 0.0, 0.0, {}, 0.0, 0.0),
+    ],
+    ids=["taxed-profit", "idle", "untaxed-loss", "zero-rate"],
 )
-def test_compute_profit_examples(revenue, wages, tax, expected):
-    firm = simple_firm()
+def test_close_books_examples(last_profit, rate, revenue, bills, tax, profit):
+    world = make_world(firms=[simple_firm(cash=50.0)])
+    firm = world.firms[0]
+    firm.last_profit = last_profit
     firm.revenue_this_month = revenue
-    assert compute_profit(firm, wages, tax) == expected
-    assert firm.last_profit == expected
+    close_books(world, bills, rate)
+    assert firm.cash == 50.0 - tax
+    assert world.ledger.get("m0", "firms") == tax
+    assert firm.last_profit == profit
     assert firm.revenue_this_month == 0.0
+
+
+def test_close_books_taxes_last_months_profit():
+    # month 1 stores 100 - 60 - 25 = 15; month 2 taxes those 15, not its revenue
+    world = make_world(firms=[simple_firm(cash=50.0)])
+    firm = world.firms[0]
+    firm.last_profit = 100.0
+    firm.revenue_this_month = 100.0
+    close_books(world, {0: 60.0}, 0.25)
+    assert firm.last_profit == 15.0
+    firm.revenue_this_month = 50.0
+    close_books(world, {}, 0.25)
+    assert firm.last_profit == 50.0 - 3.75
+    assert firm.cash == 50.0 - 25.0 - 3.75
+    assert world.ledger.get("m0", "firms") == 25.0 + 3.75

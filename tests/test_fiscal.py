@@ -8,15 +8,12 @@ from policysim.fiscal import (
     FiscalError,
     TaxLedger,
     coefficient_for,
-    collect_firm_tax,
     distribute,
     fpm_allocate,
     invest_qli,
 )
 from policysim.params import TAX_KINDS
 from policysim.world.types import Municipality
-
-from conftest import simple_firm
 
 THREE_MUNIS = ["a", "b", "c"]
 EQUAL_POPS = {"a": 100, "b": 100, "c": 100}
@@ -221,19 +218,3 @@ def test_invest_qli_never_decreases():
         invest_qli(muni, float(rng.uniform(0, 100)), 50, 1.0)
         assert muni.qli >= before
 
-
-def test_collect_firm_tax_examples():
-    ledger = TaxLedger()
-    firm = simple_firm(cash=50.0)
-    firm.last_profit = 100.0
-    assert collect_firm_tax(firm, 0.1, ledger) == 10.0
-    assert firm.cash == 40.0
-    assert ledger.get("m0", "firms") == 10.0
-
-    loser = simple_firm(cash=50.0)
-    loser.last_profit = -40.0
-    assert collect_firm_tax(loser, 0.1, ledger) == 0.0
-    assert loser.cash == 50.0
-
-    firm.last_profit = 100.0
-    assert collect_firm_tax(firm, 0.0, ledger) == 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from policysim import SimParams, generate_world
-from policysim.fiscal import TaxLedger
+from policysim.fiscal import FiscalError
 from policysim.labor import build_pool, calibrate_initial_unemployment, match, pay_wages
 
 from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
@@ -114,12 +114,11 @@ def test_pay_wages_arithmetic():
     world.citizens[0].employer = 0
     world.citizens[0].wage = 100.0
     firm.cash = 150.0
-    ledger = TaxLedger()
-    bills = pay_wages(world, labor_tax_rate=0.2, ledger=ledger)
+    bills = pay_wages(world, labor_tax_rate=0.2)
     assert bills == {0: 100.0}
     assert world.families[0].monthly_cash == 80.0
-    assert ledger.get("m0", "labor") == 20.0
-    assert ledger.total() == 20.0
+    assert world.ledger.get("m0", "labor") == 20.0
+    assert world.ledger.total() == 20.0
     assert firm.cash == 50.0
 
 
@@ -129,7 +128,7 @@ def test_pay_wages_zero_rate_pays_full():
     firm.employee_ids = {0}
     world.citizens[0].employer = 0
     world.citizens[0].wage = 100.0
-    pay_wages(world, labor_tax_rate=0.0, ledger=TaxLedger())
+    pay_wages(world, labor_tax_rate=0.0)
     assert world.families[0].monthly_cash == 100.0
 
 
@@ -144,7 +143,7 @@ def test_pay_wages_solvency_fires_lowest_qualified():
     for cid in (0, 1):
         world.citizens[cid].employer = 0
         world.citizens[cid].wage = 100.0
-    bills = pay_wages(world, labor_tax_rate=0.0, ledger=TaxLedger())
+    bills = pay_wages(world, labor_tax_rate=0.0)
     assert bills == {0: 100.0}
     assert firm.employee_ids == {1}
     assert world.citizens[0].employer is None
@@ -165,10 +164,25 @@ def test_pay_wages_bills_only_the_firms_that_paid():
         world.citizens[cid].employer = fid
         world.citizens[cid].wage = 60.0
     world.firms[1].cash = 50.0
-    bills = pay_wages(world, labor_tax_rate=0.1, ledger=TaxLedger())
+    bills = pay_wages(world, labor_tax_rate=0.1)
     assert bills == {0: 60.0}
     assert not world.firms[1].employee_ids
     assert world.firms[1].cash == 50.0
+
+
+def test_pay_wages_rejects_a_negative_charge_in_a_positive_total():
+    # two firms of m0: the second wage's tax is negative, the municipality's sum is not
+    world, _ = staffed_world(
+        [(0, 30, 5, 0.0), (1, 30, 5, 1.0)],
+        [(0, 1.0, 0, 0.0), (1, 1.0, 0, 1.0)],
+    )
+    for cid, wage in ((0, 100.0), (1, -1.0)):
+        world.firms[cid].employee_ids.add(cid)
+        world.citizens[cid].employer = cid
+        world.citizens[cid].wage = wage
+    with pytest.raises(FiscalError, match="negative tax amount"):
+        pay_wages(world, labor_tax_rate=0.2)
+    assert world.ledger.get("m0", "labor") == 20.0  # the first wage's charge
 
 
 def test_wages_are_sticky_per_contract():
@@ -178,7 +192,7 @@ def test_wages_are_sticky_per_contract():
     world.citizens[0].employer = 0
     world.citizens[0].wage = 100.0
     firm.wage_offer = 40.0  # newer, lower offer does not reprice the contract
-    pay_wages(world, labor_tax_rate=0.0, ledger=TaxLedger())
+    pay_wages(world, labor_tax_rate=0.0)
     assert world.families[0].monthly_cash == 100.0
 
 

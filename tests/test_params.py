@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -53,6 +54,8 @@ def _bound_cases():
         if high is not None:
             yield pytest.param(key, high, True, id=f"{key}-high-edge")
             yield pytest.param(key, _step(high, 1), False, id=f"{key}-above-high")
+        else:
+            yield pytest.param(key, math.inf, False, id=f"{key}-inf")
 
 
 @pytest.mark.parametrize("key, value, accepted", _bound_cases())
@@ -61,5 +64,5 @@ def test_bounds(key, value, accepted):
     if accepted:
         parse_config_text(text)
     else:
-        with pytest.raises(ParamError):
+        with pytest.raises(ParamError, match=re.escape(key)):
             parse_config_text(text)

@@ -78,8 +78,7 @@ def sale_world():
 
 def test_sale_worked_example():
     world = sale_world()
-    ledger = TaxLedger()
-    sales = match_market(world, [0], [2], transaction_tax_rate=0.1, ledger=ledger)
+    sales = match_market(world, [0], [2], transaction_tax_rate=0.1)
     assert len(sales) == 1
     sale = sales[0]
     assert sale.bid == 100.0
@@ -89,7 +88,7 @@ def test_sale_worked_example():
     buyer, seller = world.families[0], world.families[1]
     assert abs(buyer.savings - 10.0) <= 1e-9
     assert abs(seller.savings - (30.0 + 81.0)) <= 1e-9
-    assert abs(ledger.get("m0", "transaction") - 9.0) <= 1e-9
+    assert abs(world.ledger.get("m0", "transaction") - 9.0) <= 1e-9
     assert 2 in buyer.owned_houses
     assert 2 not in seller.owned_houses
 
@@ -97,7 +96,7 @@ def test_sale_worked_example():
 def test_buyer_without_budget_buys_nothing():
     world = sale_world()
     world.families[0].savings = 5.0
-    sales = match_market(world, [0], [2], 0.1, TaxLedger())
+    sales = match_market(world, [0], [2], 0.1)
     assert sales == []
 
 
@@ -107,7 +106,7 @@ def test_richest_entrant_bids_first():
     world.families[1].savings = 300.0
     # one affordable listing; the poorer family owns it, so both could bid
     world.houses[2].current_price = 250.0
-    sales = match_market(world, [0, 1], [2], 0.0, TaxLedger())
+    sales = match_market(world, [0, 1], [2], 0.0)
     assert len(sales) == 1
     assert sales[0].buyer_id == 0
 
@@ -116,7 +115,7 @@ def test_no_self_purchase():
     world = sale_world()
     # family 1 owns the vacant house and enters alone with deep savings
     world.families[1].savings = 500.0
-    sales = match_market(world, [1], [2], 0.1, TaxLedger())
+    sales = match_market(world, [1], [2], 0.1)
     assert sales == []
 
 
@@ -126,7 +125,7 @@ def test_relocation_into_better_house():
     world.houses[2].size = 90.0
     world.houses[2].quality = 4
     world.houses[2].current_price = 80.0
-    sales = match_market(world, [0], [2], 0.0, TaxLedger())
+    sales = match_market(world, [0], [2], 0.0)
     assert len(sales) == 1
     buyer = world.families[0]
     assert buyer.residence == 2
@@ -142,7 +141,7 @@ def test_vacated_house_enters_market_same_step():
     world.houses[2].current_price = 80.0
     # second entrant can afford the vacated house (priced at 10)
     world.families[1].savings = 20.0
-    sales = match_market(world, [0, 1], [2], 0.0, TaxLedger())
+    sales = match_market(world, [0, 1], [2], 0.0)
     assert len(sales) == 2
     assert sales[1].house_id == 0
     assert sales[1].buyer_id == 1
@@ -155,12 +154,11 @@ def test_sale_conserves_money():
         world.families[0].savings = float(rng.uniform(50, 400))
         world.houses[2].current_price = float(rng.uniform(1, world.families[0].savings))
         rate = float(rng.uniform(0, 0.5))
-        ledger = TaxLedger()
         before = world.families[0].savings + world.families[1].savings
-        sales = match_market(world, [0], [2], rate, ledger)
+        sales = match_market(world, [0], [2], rate)
         after = world.families[0].savings + world.families[1].savings
         assert len(sales) == 1
-        leak = before - after - ledger.get("m0", "transaction")
+        leak = before - after - world.ledger.get("m0", "transaction")
         assert abs(leak) <= 1e-9 * max(1.0, before)
         sale = sales[0]
         assert min(sale.bid, sale.offer) <= sale.transaction_price <= max(sale.bid, sale.offer)
@@ -179,7 +177,7 @@ def test_buyers_ordered_by_starting_savings():
     families[0].owned_houses.update({4, 5, 6})
     world = make_world(citizens, families, houses)
     listings = build_listings(world)
-    sales = match_market(world, [0, 1, 2, 3], listings, 0.0, TaxLedger())
+    sales = match_market(world, [0, 1, 2, 3], listings, 0.0)
     buyer_starting_savings = [100.0 + 50 * s.buyer_id for s in sales]
     assert buyer_starting_savings == sorted(buyer_starting_savings, reverse=True)
     for sale in sales:
@@ -224,18 +222,17 @@ def test_property_tax_examples():
     world = sale_world()
     world.houses[0].current_price = 100.0
     world.families[0].monthly_cash = 5.0
-    ledger = TaxLedger()
-    collected = collect_property_tax(world, 0.005, ledger)
+    collect_property_tax(world, 0.005)
     assert abs(world.families[0].monthly_cash - 4.5) <= 1e-12
-    assert ledger.get("m0", "property") >= 0.5
+    assert world.ledger.get("m0", "property") >= 0.5
 
 
 def test_property_tax_zero_rate():
     world = sale_world()
     world.families[0].monthly_cash = 5.0
     world.families[1].monthly_cash = 5.0
-    collected = collect_property_tax(world, 0.0, TaxLedger())
-    assert collected == 0.0
+    collect_property_tax(world, 0.0)
+    assert world.ledger.total() == 0.0
     assert world.families[0].monthly_cash == 5.0
 
 
@@ -244,10 +241,9 @@ def test_property_tax_clamped_at_cash():
     world.houses[0].current_price = 100.0
     world.families[0].monthly_cash = 0.2
     world.families[1].monthly_cash = 1.0
-    ledger = TaxLedger()
-    collect_property_tax(world, 0.005, ledger)  # family 0 owes 0.5, has 0.2
+    collect_property_tax(world, 0.005)  # family 0 owes 0.5, has 0.2
     assert world.families[0].monthly_cash == 0.0
-    assert abs(ledger.get("m0", "property") - (0.2 + 0.05)) <= 1e-12  # family 1 pays 0.05
+    assert abs(world.ledger.get("m0", "property") - (0.2 + 0.05)) <= 1e-12  # family 1 pays 0.05
 
 
 def test_vacant_houses_pay_no_property_tax():
@@ -255,9 +251,8 @@ def test_vacant_houses_pay_no_property_tax():
     world.families[0].monthly_cash = 10.0
     world.families[1].monthly_cash = 10.0
     total_price = world.houses[0].current_price + world.houses[1].current_price
-    ledger = TaxLedger()
-    collected = collect_property_tax(world, 0.01, ledger)
-    assert abs(collected - 0.01 * total_price) <= 1e-12
+    collect_property_tax(world, 0.01)
+    assert abs(world.ledger.get("m0", "property") - 0.01 * total_price) <= 1e-12
 
 
 def test_home_of_an_extinct_family_is_vacant():
@@ -266,8 +261,8 @@ def test_home_of_an_extinct_family_is_vacant():
     world.families[1].member_ids.clear()
     world.families[0].monthly_cash = world.families[1].monthly_cash = 10.0
     assert build_listings(world) == [1, 2]
-    collected = collect_property_tax(world, 0.01, TaxLedger())
-    assert collected == 0.01 * world.houses[0].current_price
+    collect_property_tax(world, 0.01)
+    assert world.ledger.get("m0", "property") == 0.01 * world.houses[0].current_price
     assert world.families[1].monthly_cash == 10.0
 
 
@@ -402,13 +397,13 @@ def test_match_market_equals_dict_scan_reference():
     for seed in range(80):
         world, entrants, listings = random_market(seed)
         reference_world = copy.deepcopy(world)
-        ledger, reference_ledger = TaxLedger(), TaxLedger()
-        sales = match_market(world, entrants, listings, 0.1, ledger)
+        reference_ledger = TaxLedger()
+        sales = match_market(world, entrants, listings, 0.1)
         reference_sales = reference_match_market(
             reference_world, entrants, listings, 0.1, reference_ledger, seen
         )
         assert sales == reference_sales, seed
-        assert market_state(world, ledger) == market_state(
+        assert market_state(world, world.ledger) == market_state(
             reference_world, reference_ledger
         ), seed
     assert seen == {
