@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 
@@ -12,10 +14,13 @@ from policysim import (
     generate_world,
     load_region_data,
 )
+from policysim.cli import default_data_dir
+from policysim.labor import calibrate_initial_unemployment
 from policysim.world.generate import allocate_proportionally
 from policysim.world.types import distances
 
 from conftest import assert_ownership_partition
+from test_golden import scaled_region
 
 
 def test_fixture3_loads(fixture3):
@@ -262,3 +267,89 @@ def test_allocate_proportionally_minimum():
     allocation = allocate_proportionally(10, [5.0, 1.0, 1.0], minimum=1)
     assert sum(allocation) == 10
     assert all(v >= 1 for v in allocation)
+
+
+# World.to_dict() as canonical JSON (sets sorted, random stream state
+# included), hashed right after generation and right after calibration.
+# The hashes were taken before generation replayed its per-agent draws in
+# batched Generator calls; a change to any draw or its order fails here.
+WORLD_SHA256 = {
+    ("fixture3-share0.2", 1): (
+        "7ce3ba0d79966341184155532aea3a469a43b2dc819e314fce0397d768172b62",
+        "8960ab2a62967bf72600a6538e4be98edfe90a42ce7d893ab2fc279cd1bec72c",
+    ),
+    ("fixture3-share0.2", 2): (
+        "f323708698d08a913a50185cf5ece95b076da77422a5fce6fcd52b4753705531",
+        "e14d208dc6c0140db107c58564a8ffe5997d6b9931b13fa510c5cbdce1eb6644",
+    ),
+    ("fixture3-share0.2", 3): (
+        "1d7ddd833887bbf56df381b6d54c598f244943b8c040360d148e9374c5d64e14",
+        "dee01f80c58bd56c121eeda4562943bd9fabab32c4f17b0f9a54f384eed44e0f",
+    ),
+    ("fixture3-share1", 1): (
+        "ca45b4090455dc720a2e236dcd182d8abc049cd3e5cfff1101e1fc7a7b487d37",
+        "9264f128068fdf11381a11cfc93c2a52978167c4dfc4080923d269d5449859e7",
+    ),
+    ("fixture3-share1", 2): (
+        "3d843b2a755ae842609a9a4a6ab26c07f0cf3a4e1d23eae6b57c43a378c9afa2",
+        "826c06b39d2a25c4e3804e876af7d0d2990a6051bd4514c4c697ea1529373001",
+    ),
+    ("fixture3-share1", 3): (
+        "e6ed84d7276e19545c69f0a1b80137ea565ef3fb77f03e8c949aaeb66b5434b0",
+        "cb19670981608902d2297591a63897f6106007a1ad37bbe8fbe83af112bab96b",
+    ),
+    ("fixture3x10-share1", 1): (
+        "5eab21a8774890a46bc453cef6bf2278e9ac83368a60a895a62200564a650b80",
+        "6ddd71db120ec5e6c504ec4dd01cbea5bde824b502c1f9b0497995e0ee6f355e",
+    ),
+    ("fixture3x10-share1", 2): (
+        "b8403a634c8e07aa076a6aff2c5cb324502051f61086ae72c9970c50523d733c",
+        "87b401bf44040479741221f45a2b7f32d64da8971a8f3fae8824b9ce9271f835",
+    ),
+    ("fixture3x10-share1", 3): (
+        "432795935a483de9556e61738f11fb1d17115971b012b81b0caa0820c8e471c6",
+        "113f2cd8d0dbb05bedb5c22079bcfb6b86a95a9010fbc0e4c3469d7051ac96d2",
+    ),
+    ("solo-share0.2", 1): (
+        "c62aaf89d225de01f87b6a2e99675dfbf5c4df2ff2d8d9e3ebb15a6141593758",
+        "52c137216154e32dbe7d4411e58d89856f2f063fdc36f0e9631c152f0f0edafc",
+    ),
+    ("solo-share0.2", 2): (
+        "718c2adc6517854005e66eaf99e3c75a4cb5679331fc7957abc090ee22c3b4c0",
+        "b092c252a16ba716263cfa45377b946007a55f6bea18dfdec7b2bf3ab468b8e0",
+    ),
+    ("solo-share0.2", 3): (
+        "9af74843e2f652bc5c1804b5ebcaaa546a988a40209bb52199250a47925ba838",
+        "191c2470669d983eda17b0a1a84193336491f78f998a8c50a170612b50d5fceb",
+    ),
+}
+WORLD_CASES = {
+    "fixture3-share1": ("fixture3", 1, 1.0),
+    "fixture3-share0.2": ("fixture3", 1, 0.2),
+    "fixture3x10-share1": ("fixture3", 10, 1.0),
+    "solo-share0.2": ("solo", 1, 0.2),
+}
+
+
+def world_sha256(world):
+    def encode(value):
+        if isinstance(value, (set, frozenset)):
+            return sorted(value)
+        raise TypeError(f"cannot encode {type(value).__name__}")
+
+    text = json.dumps(world.to_dict(), sort_keys=True, default=encode)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("case", sorted(WORLD_CASES))
+def test_generated_and_calibrated_world_pinned(tmp_path, case, seed):
+    name, scale, share = WORLD_CASES[case]
+    source = os.path.join(default_data_dir(), name)
+    if scale != 1:
+        source = str(scaled_region(source, tmp_path / f"{name}x{scale}", scale))
+    params = SimParams(percentage_actual_pop=share)
+    world = generate_world(load_region_data(source), params, seed)
+    generated = world_sha256(world)
+    calibrate_initial_unemployment(world, params.initial_unemployment, params, world.rng)
+    assert (generated, world_sha256(world)) == WORLD_SHA256[case, seed]
