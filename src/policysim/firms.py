@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from .world.types import Firm, World
 
 # stock thresholds for the price rule, as fractions of the last output
@@ -35,17 +33,16 @@ def update_price(
     firm: Firm,
     markup: float,
     sticky_prices: float,
-    rng: np.random.Generator,
+    u: float,
     price_floor: float,
 ) -> float:
-    """Re-evaluate the price with probability sticky_prices.
+    """Re-evaluate the price when the uniform u falls below sticky_prices.
 
     Low end-of-month stock (under 10% of the last output) signals excess
     demand and raises the price by the markup; stock above the last output
-    lowers it symmetrically. One draw is consumed per call either way.
+    lowers it symmetrically.
     """
-    evaluate = float(rng.random()) < sticky_prices
-    if evaluate:
+    if u < sticky_prices:
         low = LOW_STOCK_FRACTION * firm.last_output
         high = HIGH_STOCK_FRACTION * firm.last_output
         if firm.stock < low:

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 COIN_BOUND = np.iinfo(np.uint64).max
-_COIN_SCALE = 1.0 / 9007199254740992.0  # 2**-53, as numpy's random()
+_WORD_SCALE = 1.0 / 9007199254740992.0  # 2**-53, as numpy's random()
 TAIL_SHUFFLE_MIN_POOL = 10000
 TAIL_SHUFFLE_DIVISOR = 50
 # pools x sample width per batched draw: large enough that numpy's per-call
@@ -81,7 +81,7 @@ def sample_positions(
     bounds = np.where(tail[row], n_at - 1 - step, floyd_bounds).astype(np.uint64)
     bounds[ends - 1] = COIN_BOUND
     draws = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)
-    coins = (draws[ends - 1] >> np.uint64(11)).astype(np.float64) * _COIN_SCALE
+    coins = unit_doubles(draws[ends - 1])
 
     width = int(min(sample_size, n.max()))
     picks = np.full((rows, width), -1, dtype=np.int64)
@@ -94,6 +94,11 @@ def sample_positions(
     for r in np.flatnonzero(tail).tolist():
         picks[r] = _tail_picks(draws[starts[r] : starts[r] + width], int(n[r]))
     return picks, coins
+
+
+def unit_doubles(words: np.ndarray) -> np.ndarray:
+    """The ``random()`` double of each whole 64-bit word: its top 53 bits times 2**-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * _WORD_SCALE
 
 
 def _floyd_picks(draws: np.ndarray, starts: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:

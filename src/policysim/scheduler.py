@@ -116,14 +116,19 @@ def step_goods_market(world: World, params: SimParams, rng: np.random.Generator)
 def step_firm_decisions(
     world: World, params: SimParams, rng: np.random.Generator
 ) -> dict[int, int]:
-    """Reprice, offer wages, hire or fire; returns firm id -> vacancies opened."""
+    """Reprice, offer wages, hire or fire; returns firm id -> vacancies opened.
+
+    One uniform per firm, in id order, decides whether it reprices; they
+    are the substep's only draws.
+    """
     openings: dict[int, int] = {}
     unemployment = world.unemployment_rate(
         params.working_age_min, params.working_age_max
     )
-    for firm in world.firms.values():
+    reprice_draws = rng.random(len(world.firms)).tolist()
+    for firm, u in zip(world.firms.values(), reprice_draws):
         firms.update_price(
-            firm, params.markup, params.sticky_prices, rng, params.price_floor
+            firm, params.markup, params.sticky_prices, u, params.price_floor
         )
         firms.update_wage(
             firm, unemployment, params.wage_ignore_unemployment, params.price_floor

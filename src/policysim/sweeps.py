@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .params import ParamError, SimParams, is_known_param, param_type, set_param
@@ -63,6 +64,9 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         last = float(pieces[2])
     except ValueError as exc:
         raise SweepSpecError(f"non-numeric bounds in {text!r}") from exc
+    for raw, value in ((pieces[1], first), (pieces[2], last)):
+        if not math.isfinite(value):
+            raise SweepSpecError(f"endpoint {raw.strip()!r} of {text!r} is not finite")
     try:
         count = int(pieces[3])
     except ValueError as exc:

@@ -2,17 +2,41 @@
 
 All randomness flows through a single generator seeded once, consumed in a
 fixed order, so equal (region, params, seed) inputs produce field-identical
-worlds.
+worlds. Each municipality, in region order, makes seven Generator calls,
+whatever its population:
+
+1. ``choice`` of an (age, gender) category per citizen;
+2. ``integers(0, 12)`` per citizen, the birth months;
+3. ``random()`` per citizen, looked up in its age's schooling table;
+4. per family home, uniform x, y and size and a quality in 1..4;
+5. ``permutation`` of the citizens, dealt to the families round-robin;
+6. the draws of step 4 per surplus house;
+7. uniform x and y per firm.
+
+Then one ``integers(0, families)`` call draws an owner per surplus house,
+in house order.
+
+Steps 4, 6 and 7 each make one ``Generator.integers`` call over mixed
+inclusive bounds, which returns the values of one scalar ``uniform`` or
+``integers(1, 5)`` call per value and leaves the same state. A uniform is
+the bound 2**64-1: numpy returns a whole 64-bit word for it, decoded as
+``random()`` decodes it. A quality is the bound 3: numpy serves every
+bound below 2**32 from the bit generator's half-word buffer, which the
+birth months and the previous house's quality share. So the qualities are
+drawn in the same call as the words around them; a fixed count of raw
+64-bit words per house would not replay the stream.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
 from ..params import SimParams
 from ..realestate import hedonic_offer_price
+from ..sampling import COIN_BOUND, unit_doubles
 from .regions import MunicipalitySpec, RegionData
 from .types import FEMALE, MALE, Citizen, Family, Firm, House, Location, Municipality, World
 
@@ -21,6 +45,10 @@ HOUSE_QUALITY_LEVELS = 4
 INITIAL_WAGE_OFFER = 1.0
 INITIAL_GOODS_PRICE = 1.0
 INITIAL_QLI = 1.0
+# inclusive draw bounds per house (x, y and size words, quality - 1) and per
+# firm (x and y words)
+HOUSE_DRAW_BOUNDS = (COIN_BOUND, COIN_BOUND, COIN_BOUND, HOUSE_QUALITY_LEVELS - 1)
+FIRM_DRAW_BOUNDS = (COIN_BOUND, COIN_BOUND)
 
 
 class GenerationError(ValueError):
@@ -75,40 +103,76 @@ def _draw_ages_and_genders(
     return [categories[int(index)] for index in picks]
 
 
-def _draw_qualification(rows: list[tuple[int, float]], rng: np.random.Generator) -> int:
-    """Years of schooling from one age band's (years, probability) rows."""
-    u = float(rng.random())
-    cumulative = 0.0
-    for years, probability in rows:
-        cumulative += probability
-        if u < cumulative:
-            return years
-    return rows[-1][0]
+def _schooling_tables(region: RegionData) -> dict[int, tuple[list[float], list[int]]]:
+    """Per age: the running sums of its band's probabilities, and their years.
+
+    The sums are made left to right, so the first row whose running sum
+    exceeds a uniform u is ``bisect_right(sums, u)``; past the last row the
+    draw falls back on the last row's years.
+    """
+    tables = {}
+    for age, _, _ in region.age_gender:
+        rows = region.qualification_rows_for_age(age)
+        sums, cumulative = [], 0.0
+        for _, probability in rows:
+            cumulative += probability
+            sums.append(cumulative)
+        tables[age] = (sums, [years for years, _ in rows])
+    return tables
 
 
-def _draw_point(spec: MunicipalitySpec, rng: np.random.Generator) -> Location:
-    """A uniform point of the municipality's box, x drawn before y."""
+def _draw_rows(
+    rng: np.random.Generator, bounds: tuple[int, ...], count: int
+) -> np.ndarray:
+    """``count`` rows of draws in [0, bound] per column, in one Generator call.
+
+    Row by row and column by column, the values and the generator state
+    afterwards are those of one scalar call per value: the bound 2**64-1
+    takes a whole 64-bit word, and a bound below 2**32 takes half a word
+    from the bit generator's buffer, which earlier calls may have left full.
+    """
+    tiled = np.tile(np.asarray(bounds, dtype=np.uint64), count)
+    words = rng.integers(0, tiled, dtype=np.uint64, endpoint=True)
+    return words.reshape(count, len(bounds))
+
+
+def _uniforms(low: float, high: float, words: np.ndarray) -> list[float]:
+    """``Generator.uniform(low, high)`` of each word: low + (high - low) * random()."""
+    return (low + (high - low) * unit_doubles(words)).tolist()
+
+
+def _points(spec: MunicipalitySpec, words: np.ndarray) -> list[Location]:
+    """Uniform points of the municipality's box from the first two columns, x then y."""
     xmin, ymin, xmax, ymax = spec.bounds
-    return float(rng.uniform(xmin, xmax)), float(rng.uniform(ymin, ymax))
+    return list(zip(_uniforms(xmin, xmax, words[:, 0]), _uniforms(ymin, ymax, words[:, 1])))
 
 
-def _draw_house(
-    house_id: int, spec: MunicipalitySpec, params: SimParams, rng: np.random.Generator
-) -> House:
-    """A house at a uniform point of the municipality, priced at the initial QLI."""
-    location = _draw_point(spec, rng)
-    size = float(rng.uniform(*HOUSE_SIZE_RANGE))
-    quality = int(rng.integers(1, HOUSE_QUALITY_LEVELS + 1))
-    house = House(
-        id=house_id,
-        municipality_id=spec.id,
-        location=location,
-        size=size,
-        quality=quality,
-        current_price=0.0,
-    )
-    hedonic_offer_price(house, INITIAL_QLI, params.hedonic_base_coefficient)
-    return house
+def _build_houses(
+    first_id: int,
+    spec: MunicipalitySpec,
+    count: int,
+    params: SimParams,
+    rng: np.random.Generator,
+) -> list[House]:
+    """Houses at uniform points of the municipality, priced at the initial QLI."""
+    words = _draw_rows(rng, HOUSE_DRAW_BOUNDS, count)
+    sizes = _uniforms(*HOUSE_SIZE_RANGE, words[:, 2])
+    qualities = (words[:, 3] + np.uint64(1)).tolist()
+    houses = []
+    for offset, (location, size, quality) in enumerate(
+        zip(_points(spec, words), sizes, qualities)
+    ):
+        house = House(
+            id=first_id + offset,
+            municipality_id=spec.id,
+            location=location,
+            size=size,
+            quality=quality,
+            current_price=0.0,
+        )
+        hedonic_offer_price(house, INITIAL_QLI, params.hedonic_base_coefficient)
+        houses.append(house)
+    return houses
 
 
 def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
@@ -164,9 +228,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         total_firms, [float(count) for count in citizens_per_muni], minimum=1
     )
 
-    qualification_rows = {
-        age: region.qualification_rows_for_age(age) for age, _, _ in region.age_gender
-    }
+    schooling = _schooling_tables(region)
     next_citizen = 0
     next_family = 0
     next_house = 0
@@ -176,31 +238,33 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     for muni_index, spec in enumerate(specs):
         n_citizens = citizens_per_muni[muni_index]
         n_families = families_per_muni[muni_index]
+        n_firms = firms_per_muni[muni_index]
 
         drawn = _draw_ages_and_genders(region, n_citizens, rng)
-        birth_months = rng.integers(0, 12, size=n_citizens)
-        muni_citizen_ids = []
-        working_age = 0
-        for offset, (age, gender) in enumerate(drawn):
-            qualification = _draw_qualification(qualification_rows[age], rng)
+        birth_months = rng.integers(0, 12, size=n_citizens).tolist()
+        schooling_draws = rng.random(n_citizens).tolist()
+        muni_citizens = []
+        for (age, gender), birth_month, u in zip(drawn, birth_months, schooling_draws):
+            sums, years = schooling[age]
             citizen = Citizen(
                 id=next_citizen,
                 family_id=-1,
                 age=int(age),
                 gender=gender,
-                qualification=int(qualification),
-                birth_month=int(birth_months[offset]),
+                qualification=years[min(bisect_right(sums, u), len(years) - 1)],
+                birth_month=birth_month,
             )
             citizens[citizen.id] = citizen
-            muni_citizen_ids.append(citizen.id)
-            if params.working_age_min <= age <= params.working_age_max:
-                working_age += 1
+            muni_citizens.append(citizen)
             next_citizen += 1
+        working_age = [
+            params.working_age_min <= citizen.age <= params.working_age_max
+            for citizen in muni_citizens
+        ]
 
         # family homes, one per family
-        family_ids = []
-        for _ in range(n_families):
-            house = _draw_house(next_house, spec, params, rng)
+        muni_families = []
+        for house in _build_houses(next_house, spec, n_families, params, rng):
             houses[house.id] = house
             family = Family(
                 id=next_family,
@@ -209,30 +273,36 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
                 owned_houses={house.id},
             )
             families[family.id] = family
-            family_ids.append(family.id)
+            muni_families.append(family)
             next_family += 1
-            next_house += 1
+        next_house += n_families
 
-        # deal citizens to families round-robin over a seeded shuffle
-        order = rng.permutation(len(muni_citizen_ids))
-        for position, citizen_index in enumerate(order):
-            citizen = citizens[muni_citizen_ids[int(citizen_index)]]
-            family = families[family_ids[position % n_families]]
+        # deal citizens to families round-robin over a seeded shuffle; each
+        # family starts with one month of the average wage per working-age
+        # member, and savings start empty
+        adults = [0] * n_families
+        for position, index in enumerate(rng.permutation(n_citizens).tolist()):
+            citizen = muni_citizens[index]
+            family = muni_families[position % n_families]
             citizen.family_id = family.id
             family.member_ids.add(citizen.id)
+            adults[position % n_families] += working_age[index]
+        for family, count in zip(muni_families, adults):
+            family.monthly_cash = float(count) * INITIAL_WAGE_OFFER
 
         # vacant surplus houses, owners drawn later over all families
-        for _ in range(surplus_per_muni[muni_index]):
-            houses[next_house] = _draw_house(next_house, spec, params, rng)
-            surplus_house_ids.append(next_house)
-            next_house += 1
+        n_surplus = surplus_per_muni[muni_index]
+        for house in _build_houses(next_house, spec, n_surplus, params, rng):
+            houses[house.id] = house
+            surplus_house_ids.append(house.id)
+        next_house += n_surplus
 
-        for _ in range(firms_per_muni[muni_index]):
-            expected_employees = working_age / firms_per_muni[muni_index]
+        expected_employees = sum(working_age) / n_firms
+        for location in _points(spec, _draw_rows(rng, FIRM_DRAW_BOUNDS, n_firms)):
             firms[next_firm] = Firm(
                 id=next_firm,
                 municipality_id=spec.id,
-                location=_draw_point(spec, rng),
+                location=location,
                 price=INITIAL_GOODS_PRICE,
                 wage_offer=INITIAL_WAGE_OFFER,
                 cash=INITIAL_WAGE_OFFER * expected_employees,
@@ -241,20 +311,9 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
 
     # assign surplus houses to randomly drawn existing families
     family_id_list = list(families.keys())
-    for house_id in surplus_house_ids:
-        owner_id = family_id_list[int(rng.integers(0, len(family_id_list)))]
-        families[owner_id].owned_houses.add(house_id)
-
-    # one month of the average wage per working-age member, savings start empty
-    for family in families.values():
-        adults = sum(
-            1
-            for cid in family.member_ids
-            if params.working_age_min
-            <= citizens[cid].age
-            <= params.working_age_max
-        )
-        family.monthly_cash = float(adults) * INITIAL_WAGE_OFFER
+    owners = rng.integers(0, len(family_id_list), size=len(surplus_house_ids)).tolist()
+    for house_id, owner_index in zip(surplus_house_ids, owners):
+        families[family_id_list[owner_index]].owned_houses.add(house_id)
 
     return World(
         clock=0,

@@ -43,7 +43,7 @@ def distances(
     return np.fromiter(values, dtype=float, count=dx.size).reshape(dx.shape)
 
 
-@dataclass
+@dataclass(slots=True)
 class Citizen:
     id: int
     family_id: int
@@ -55,7 +55,7 @@ class Citizen:
     wage: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Family:
     id: int
     member_ids: set[int]
@@ -65,7 +65,7 @@ class Family:
     savings: float = 0.0  # illiquid, real-estate only
 
 
-@dataclass
+@dataclass(slots=True)
 class House:
     id: int
     municipality_id: str
@@ -78,7 +78,7 @@ class House:
         return self.size * self.quality * qli
 
 
-@dataclass
+@dataclass(slots=True)
 class Firm:
     id: int
     municipality_id: str
@@ -93,13 +93,13 @@ class Firm:
     last_output: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Municipality:
     id: str
     qli: float = 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class World:
     """Complete mutable state of one simulation run."""
 

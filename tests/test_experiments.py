@@ -77,6 +77,19 @@ def test_parse_sweep_rejects_repeated_grid_values(text, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "text, endpoint",
+    [("MARKUP:0.1:1e400:2", "1e400"), ("MARKUP:nan:nan:2", "nan"), ("MARKUP:-inf:0.2:3", "-inf")],
+)
+def test_parse_sweep_rejects_non_finite_endpoint(text, endpoint, tmp_path, capsys):
+    with pytest.raises(SweepSpecError, match=f"endpoint '{endpoint}' of"):
+        parse_sweep_spec(text)
+    out = tmp_path / "out"
+    assert main(["sensitivity", text, "--output", str(out)]) == 2
+    assert f"endpoint '{endpoint}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["PROCESSING_ACPS:1:2:2", "PROCESSING_ACPS"])
 def test_parse_sweep_rejects_list_parameter(text, tmp_path, capsys):
     with pytest.raises(SweepSpecError, match="acps run type"):

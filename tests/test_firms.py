@@ -72,39 +72,34 @@ def test_produce_monotone_in_workforce():
 def test_update_price_never_evaluates_at_zero_probability():
     firm = simple_firm(price=1.0, stock=0.0)
     firm.last_output = 10.0
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        assert update_price(firm, 0.5, 0.0, rng, PRICE_FLOOR) == 1.0
+    for u in [0.0] + np.random.default_rng(0).random(50).tolist():
+        assert update_price(firm, 0.5, 0.0, u, PRICE_FLOOR) == 1.0
 
 
 def test_update_price_raises_on_scarce_stock():
     firm = simple_firm(price=1.0, stock=0.0)
     firm.last_output = 10.0
-    rng = np.random.default_rng(0)
-    price = update_price(firm, 0.1, 1.0, rng, PRICE_FLOOR)
+    price = update_price(firm, 0.1, 1.0, 0.5, PRICE_FLOOR)
     assert abs(price - 1.1) <= 1e-12
 
 
 def test_update_price_cuts_on_glut():
     firm = simple_firm(price=1.0, stock=25.0)
     firm.last_output = 10.0
-    rng = np.random.default_rng(0)
-    price = update_price(firm, 0.1, 1.0, rng, PRICE_FLOOR)
+    price = update_price(firm, 0.1, 1.0, 0.5, PRICE_FLOOR)
     assert abs(price - 0.9) <= 1e-12
 
 
 def test_update_price_zero_markup_is_inert():
     firm = simple_firm(price=2.0, stock=0.0)
     firm.last_output = 10.0
-    rng = np.random.default_rng(0)
-    assert update_price(firm, 0.0, 1.0, rng, PRICE_FLOOR) == 2.0
+    assert update_price(firm, 0.0, 1.0, 0.5, PRICE_FLOOR) == 2.0
 
 
 def test_update_price_floor():
     firm = simple_firm(price=1.0, stock=25.0)
     firm.last_output = 10.0
-    rng = np.random.default_rng(0)
-    price = update_price(firm, markup=0.999999, sticky_prices=1.0, rng=rng,
+    price = update_price(firm, markup=0.999999, sticky_prices=1.0, u=0.5,
                          price_floor=1e-6)
     assert price >= 1e-6
 

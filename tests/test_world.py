@@ -16,7 +16,13 @@ from policysim import (
 )
 from policysim.cli import default_data_dir
 from policysim.labor import calibrate_initial_unemployment
-from policysim.world.generate import allocate_proportionally
+from policysim.world.generate import (
+    HOUSE_DRAW_BOUNDS,
+    HOUSE_SIZE_RANGE,
+    _draw_rows,
+    _uniforms,
+    allocate_proportionally,
+)
 from policysim.world.types import distances
 
 from conftest import assert_ownership_partition
@@ -353,3 +359,58 @@ def test_generated_and_calibrated_world_pinned(tmp_path, case, seed):
     generated = world_sha256(world)
     calibrate_initial_unemployment(world, params.initial_unemployment, params, world.rng)
     assert (generated, world_sha256(world)) == WORLD_SHA256[case, seed]
+
+
+# Canaries for the numpy properties that generate_world's batched draws
+# replay; a numpy release that breaks one fails here by name. "buffered"
+# starts from a generator holding half a 64-bit word in its buffer.
+def generators(buffered):
+    pair = np.random.default_rng(11), np.random.default_rng(11)
+    if buffered:
+        # an odd number of bounded 32-bit draws leaves half a word buffered
+        for rng in pair:
+            rng.integers(0, 12, size=5)
+            assert rng.bit_generator.state["has_uint32"] == 1
+    return pair
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-uint32"])
+def test_house_rows_replay_scalar_draws(buffered):
+    ours, theirs = generators(buffered)
+    count = 301
+    words = _draw_rows(ours, HOUSE_DRAW_BOUNDS, count)
+    batched = list(
+        zip(
+            _uniforms(-2.5, 7.0, words[:, 0]),
+            _uniforms(0.0, 3.0, words[:, 1]),
+            _uniforms(*HOUSE_SIZE_RANGE, words[:, 2]),
+            (words[:, 3] + np.uint64(1)).tolist(),
+        )
+    )
+    scalar = [
+        (
+            float(theirs.uniform(-2.5, 7.0)),
+            float(theirs.uniform(0.0, 3.0)),
+            float(theirs.uniform(*HOUSE_SIZE_RANGE)),
+            int(theirs.integers(1, 5)),
+        )
+        for _ in range(count)
+    ]
+    assert batched == scalar
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-uint32"])
+@pytest.mark.parametrize("bound", [7, 16_000, 3 * 10**9])
+def test_sized_integers_replay_scalar_calls(buffered, bound):
+    ours, theirs = generators(buffered)
+    batched = ours.integers(0, bound, size=501).tolist()
+    assert batched == [int(theirs.integers(0, bound)) for _ in range(501)]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-uint32"])
+def test_sized_random_replays_scalar_calls(buffered):
+    ours, theirs = generators(buffered)
+    assert ours.random(501).tolist() == [float(theirs.random()) for _ in range(501)]
+    assert ours.bit_generator.state == theirs.bit_generator.state
