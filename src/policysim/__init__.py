@@ -31,7 +31,7 @@ from .sweeps import (
 from .world import (
     Citizen,
     Family,
-    Firm,
+    Firms,
     GenerationError,
     House,
     Municipality,
@@ -53,7 +53,7 @@ __all__ = [
     "DistributionRegime",
     "ExperimentPlan",
     "Family",
-    "Firm",
+    "Firms",
     "FiscalError",
     "GenerationError",
     "House",

@@ -80,7 +80,7 @@ def mortality_step(world: World, rng: np.random.Generator) -> list[int]:
     emptied_families: list[Family] = []
     for citizen in deceased:
         if citizen.employer is not None:
-            fire_employee(world, world.firms[citizen.employer], citizen.id)
+            fire_employee(world, citizen.employer, citizen.id)
         family = world.families[citizen.family_id]
         family.member_ids.discard(citizen.id)
         if not family.member_ids:

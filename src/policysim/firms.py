@@ -1,115 +1,138 @@
-"""Firm behaviour: production, price, wage and staffing decisions, month close."""
+"""Firm behaviour: production, price, wage and staffing decisions, month close.
+
+Every function here runs over all firms at once, on the columns of
+``world.firms``. Floats keep the order of the per-firm loops they replace:
+a per-firm sum adds its terms left to right, in employee-id order, with
+``np.add.at`` (which adds repeated indices in index order), never with
+``np.sum``, which may add in pairs.
+"""
 
 from __future__ import annotations
 
-from .world.types import Firm, World
+import numpy as np
+
+from .world.regions import MAX_SCHOOLING_YEARS
+from .world.types import Citizen, Firms, World
 
 # stock thresholds for the price rule, as fractions of the last output
 LOW_STOCK_FRACTION = 0.1
 HIGH_STOCK_FRACTION = 1.0
 
-OPEN_VACANCY = "open_vacancy"
-FIRE_ONE = "fire_one"
-HOLD = "hold"
+HOLD = 0
+OPEN_VACANCY = 1
+FIRE_ONE = 2
 
 
-def produce(world: World, firm: Firm, alpha: float) -> float:
-    """Add each employee's qualification**alpha to the firm's stock.
+def staff(world: World) -> tuple[list[Citizen], np.ndarray]:
+    """The employed citizens in id order, and the firm id of each."""
+    employed = [citizen for citizen in world.citizens.values() if citizen.employer is not None]
+    employers = np.fromiter(
+        (citizen.employer for citizen in employed), dtype=np.int64, count=len(employed)
+    )
+    return employed, employers
 
-    0**0 counts as 1, so alpha 0 degrades to plain headcount output.
-    Employees are summed in id order, which also makes the result
-    independent of employee-set ordering.
+
+def produce(world: World, alpha: float) -> np.ndarray:
+    """Add each employee's qualification**alpha to their firm's stock.
+
+    The powers come from a table of Python ``float(q) ** alpha`` (numpy's
+    ``**`` rounds the last bit differently for some values), and each
+    firm sums its employees in id order. 0**0 counts as 1. Returns the
+    outputs.
     """
-    output = 0.0
-    for citizen_id in sorted(firm.employee_ids):
-        qualification = world.citizens[citizen_id].qualification
-        output += float(qualification) ** alpha
-    firm.stock += output
-    firm.last_output = output
+    power = np.array([float(q) ** alpha for q in range(MAX_SCHOOLING_YEARS + 1)])
+    employed, employers = staff(world)
+    qualifications = np.fromiter(
+        (citizen.qualification for citizen in employed), dtype=np.int64, count=len(employed)
+    )
+    firms = world.firms
+    output = np.zeros(len(firms))
+    np.add.at(output, employers, power[qualifications])
+    firms.stock += output
+    firms.last_output = output
     return output
 
 
-def update_price(
-    firm: Firm,
+def update_prices(
+    firms: Firms,
     markup: float,
     sticky_prices: float,
-    u: float,
+    u: np.ndarray,
     price_floor: float,
-) -> float:
-    """Re-evaluate the price when the uniform u falls below sticky_prices.
+) -> None:
+    """Re-evaluate the price of each firm whose uniform u falls below sticky_prices.
 
     Low end-of-month stock (under 10% of the last output) signals excess
     demand and raises the price by the markup; stock above the last output
-    lowers it symmetrically.
+    lowers it symmetrically. A re-evaluated price is at least price_floor.
     """
-    if u < sticky_prices:
-        low = LOW_STOCK_FRACTION * firm.last_output
-        high = HIGH_STOCK_FRACTION * firm.last_output
-        if firm.stock < low:
-            firm.price *= 1.0 + markup
-        elif firm.stock > high:
-            firm.price *= 1.0 - markup
-        firm.price = max(price_floor, firm.price)
-    return firm.price
+    reprice = u < sticky_prices
+    up = reprice & (firms.stock < LOW_STOCK_FRACTION * firms.last_output)
+    down = reprice & ~up & (firms.stock > HIGH_STOCK_FRACTION * firms.last_output)
+    price = np.where(up, firms.price * (1.0 + markup), firms.price)
+    price = np.where(down, firms.price * (1.0 - markup), price)
+    firms.price = np.where(reprice & ~(price > price_floor), price_floor, price)
 
 
-def update_wage(
-    firm: Firm,
+def update_wage_offers(
+    firms: Firms,
+    headcount: np.ndarray,
     unemployment_rate: float,
     ignore_unemployment: bool,
     price_floor: float,
-) -> float:
-    """Set the wage offer from revenue per employee, damped by unemployment."""
-    target = firm.revenue_this_month / max(1, len(firm.employee_ids))
+) -> None:
+    """Set each wage offer from revenue per employee, damped by unemployment."""
+    target = firms.revenue / np.maximum(1, headcount)
     if not ignore_unemployment:
         target *= 1.0 - unemployment_rate
-    firm.wage_offer = max(price_floor, target)
-    return firm.wage_offer
+    firms.wage_offer = np.where(target > price_floor, target, price_floor)
 
 
-def hire_fire_decision(firm: Firm, clock: int, labor_market_frequency: int) -> str:
-    """Profit sign decides hiring or firing on the firm's decision months.
+def hire_fire_decisions(
+    firms: Firms, headcount: np.ndarray, clock: int, labor_market_frequency: int
+) -> np.ndarray:
+    """HOLD, OPEN_VACANCY or FIRE_ONE per firm, from the sign of its profit.
 
-    Each firm runs on its own cycle (phase = id mod frequency); synchronized
-    decisions would make every firm hire or fire in the same month, which
-    pulses the whole labor market at once.
+    Each firm decides on its own cycle (phase = id mod frequency);
+    synchronized decisions would make every firm hire or fire in the same
+    month, which pulses the whole labor market at once. Non-negative books
+    open a vacancy, so an idle firm with a cash hoard can hire back into
+    the market instead of idling forever; a loss fires one employee.
     """
-    if (clock - firm.id) % labor_market_frequency != 0:
-        return HOLD
-    if firm.last_profit >= 0.0:
-        # non-negative books open a vacancy: an idle firm with a cash
-        # hoard can hire back into the market instead of idling forever
-        return OPEN_VACANCY
-    if firm.employee_ids:
-        return FIRE_ONE
-    return HOLD
+    deciding = (clock - np.arange(len(firms))) % labor_market_frequency == 0
+    profitable = firms.last_profit >= 0.0
+    decisions = np.full(len(firms), HOLD)
+    decisions[deciding & profitable] = OPEN_VACANCY
+    decisions[deciding & ~profitable & (headcount > 0)] = FIRE_ONE
+    return decisions
 
 
-def lowest_qualified_employee(world: World, firm: Firm) -> int:
+def lowest_qualified_employee(world: World, firm_id: int) -> int:
     """Employee id with the lowest qualification, ties broken by id."""
     return min(
-        firm.employee_ids,
+        world.firms.employees[firm_id],
         key=lambda cid: (world.citizens[cid].qualification, cid),
     )
 
 
-def fire_employee(world: World, firm: Firm, citizen_id: int) -> None:
-    firm.employee_ids.discard(citizen_id)
+def fire_employee(world: World, firm_id: int, citizen_id: int) -> None:
+    world.firms.employees[firm_id].discard(citizen_id)
     citizen = world.citizens[citizen_id]
     citizen.employer = None
     citizen.wage = 0.0
 
 
-def close_books(world: World, wage_bills: dict[int, float], firm_tax_rate: float) -> None:
-    """Close every firm's month, in id order.
+def close_books(world: World, wage_bills: np.ndarray, firm_tax_rate: float) -> None:
+    """Close every firm's month.
 
     The firm tax falls on last month's profit (losses are not taxed), comes
-    out of cash and is booked to the firm's municipality. The new profit is
-    revenue minus the wage bill minus that tax; revenue starts over.
+    out of cash and is booked to the firm's municipality, in id order. The
+    new profit is revenue minus the wage bill minus that tax; revenue
+    starts over.
     """
-    for firm in world.firms.values():
-        tax = max(0.0, firm.last_profit) * firm_tax_rate
-        firm.cash -= tax
-        world.ledger.add(firm.municipality_id, "firms", tax)
-        firm.last_profit = firm.revenue_this_month - wage_bills.get(firm.id, 0.0) - tax
-        firm.revenue_this_month = 0.0
+    firms = world.firms
+    tax = np.where(firms.last_profit > 0.0, firms.last_profit, 0.0) * firm_tax_rate
+    firms.cash -= tax
+    world.ledger.book("firms", firms.municipality_ids, firms.municipality, tax)
+    firms.last_profit = firms.revenue - wage_bills - tax
+    firms.revenue = np.zeros(len(firms))

@@ -10,6 +10,9 @@ intentional sink in the monetary audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .params import TAX_KINDS
 
@@ -28,12 +31,40 @@ class TaxLedger:
         self._amounts: dict[tuple[str, str], float] = {}
 
     def add(self, municipality_id: str, kind: str, amount: float) -> None:
+        """Book a single charge."""
+        self.book(kind, [municipality_id], np.zeros(1, dtype=np.int64), [amount])
+
+    def book(
+        self,
+        kind: str,
+        municipality_ids: Sequence[str],
+        codes: np.ndarray,
+        amounts: Sequence[float],
+    ) -> None:
+        """Book charge i, ``amounts[i]``, to ``(municipality_ids[codes[i]], kind)``.
+
+        The result is that of booking the charges one by one, in order: a
+        key enters the ledger at its first charge, and each key's charges
+        are added to it left to right (``np.add.at`` adds repeated indices
+        in index order; ``np.sum`` may add in pairs). Every charge must be
+        >= 0: the first negative one raises FiscalError after the charges
+        before it are booked.
+        """
         if kind not in TAX_KINDS:
             raise FiscalError(f"unknown tax kind {kind!r}")
-        if amount < 0.0:
-            raise FiscalError(f"negative tax amount {amount!r} for {kind}")
-        key = (municipality_id, kind)
-        self._amounts[key] = self._amounts.get(key, 0.0) + amount
+        amounts = np.asarray(amounts, dtype=float)
+        negative = np.flatnonzero(amounts < 0.0)
+        end = int(negative[0]) if len(negative) else len(amounts)
+        codes = np.asarray(codes, dtype=np.int64)[:end]
+        first = np.full(len(municipality_ids), end)
+        np.minimum.at(first, codes, np.arange(end))
+        keys = [(muni, kind) for muni in municipality_ids]
+        totals = np.array([self._amounts.get(key, 0.0) for key in keys])
+        np.add.at(totals, codes, amounts[:end])
+        for code in np.argsort(first)[: np.count_nonzero(first < end)].tolist():
+            self._amounts[keys[code]] = float(totals[code])
+        if end < len(amounts):
+            raise FiscalError(f"negative tax amount {float(amounts[end])!r} for {kind}")
 
     def get(self, municipality_id: str, kind: str) -> float:
         return self._amounts.get((municipality_id, kind), 0.0)
@@ -170,8 +201,9 @@ def fpm_allocate(
 ) -> dict[str, float]:
     """Split a pool by each municipality's population-bracket coefficient.
 
-    Shares are proportional to coefficients; the last recipient absorbs the
-    rounding residual so the shares sum to the pool exactly.
+    Shares are proportional to coefficients; the last recipient with a
+    positive coefficient absorbs the rounding residual so the shares sum to
+    the pool exactly.
     """
     coefficients = [
         coefficient_for(populations.get(muni, 0), brackets) for muni in municipality_ids
@@ -182,15 +214,20 @@ def fpm_allocate(
 def _split_by_weight(
     pool: float, municipality_ids: list[str], weights: list[float]
 ) -> dict[str, float]:
-    """Shares proportional to weights; the last recipient takes the residual."""
+    """Shares proportional to weights; the last recipient with a positive
+    weight takes the rounding residual, and a zero weight gets exactly 0.0."""
     total_weight = sum(weights)
+    last = max(
+        (index for index, weight in enumerate(weights) if weight > 0),
+        default=len(weights) - 1,
+    )
     shares: dict[str, float] = {}
     running = 0.0
-    for muni, weight in zip(municipality_ids[:-1], weights):
-        share = pool * weight / total_weight
-        shares[muni] = share
-        running += share
-    shares[municipality_ids[-1]] = pool - running
+    for index, (muni, weight) in enumerate(zip(municipality_ids, weights)):
+        if index != last:
+            shares[muni] = pool * weight / total_weight
+            running += shares[muni]
+    shares[municipality_ids[last]] = pool - running
     return shares
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .sampling import sample_blocks
-from .world.types import Family, Firm, World, distances
+from .world.types import Family, Firms, World, distances
 
 
 def set_budget(family: Family, beta: float) -> tuple[float, float]:
@@ -27,96 +27,138 @@ def set_budget(family: Family, beta: float) -> tuple[float, float]:
     return budget, saved
 
 
-def transact(family: Family, firm: Firm, budget: float, consumption_tax_rate: float) -> float:
-    """Buy as much as stock and budget allow; returns the consumption tax.
+def rank_layout(owners: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Order items so that pass t takes the t-th item of every owner at once.
 
-    The firm keeps gross value net of the tax, which is owed to the firm's
-    municipality; unspent budget returns to the family's liquid cash.
+    ``owners[i]`` is item i's owner in 0..count-1, and each owner's items
+    are in their sequential order. Returns (order, rows, ends): pass t
+    takes the items ``order[ends[t-1]:ends[t]]``, one for each of the owners
+    ``rows[:ends[t] - ends[t-1]]``. ``rows`` lists the owners that have
+    items, those with the most first (ties by owner), so that each pass's
+    owners are a prefix of it. There are as many passes as the busiest
+    owner has items.
     """
-    demanded = budget / firm.price if budget > 0.0 else 0.0
-    if firm.stock >= demanded:
-        # budget-limited: spend exactly the budget, no rounding residue
-        quantity = demanded
-        gross = budget if budget > 0.0 else 0.0
-    else:
-        quantity = firm.stock
-        gross = quantity * firm.price
-    tax = gross * consumption_tax_rate
-    firm.stock -= quantity
-    firm.cash += gross - tax
-    firm.revenue_this_month += gross - tax
-    family.monthly_cash += budget - gross
-    return tax
+    items = len(owners)
+    counts = np.bincount(owners, minlength=count)
+    # np.sort of unique keys (key * size + position) orders as a stable sort
+    # would, and runs several times faster than a stable argsort
+    busiest = (counts.max(initial=0) - counts) * count + np.arange(count)
+    rows = (np.sort(busiest) % max(count, 1))[: np.count_nonzero(counts)]
+    slot = np.empty(count, dtype=np.int64)
+    slot[rows] = np.arange(len(rows))
+    grouped = np.sort(owners * items + np.arange(items)) % max(items, 1)
+    rank = np.empty(items, dtype=np.int64)
+    rank[grouped] = np.arange(items) - np.repeat(np.cumsum(counts) - counts, counts)
+    per_rank = np.bincount(rank)
+    ends = np.cumsum(per_rank)
+    order = np.empty(items, dtype=np.int64)
+    order[ends[rank] - per_rank[rank] + slot[owners]] = np.arange(items)
+    return order, rows, ends.tolist()
+
+
+def transact(
+    firms: Firms, chosen: np.ndarray, budgets: np.ndarray, consumption_tax_rate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply purchases in shopping order; returns each one's tax and change.
+
+    Purchase i spends the positive ``budgets[i]`` at firm ``chosen[i]``: it
+    buys budget / price when the stock covers that, or else the remaining
+    stock. The firm keeps the gross value net of the tax, which is owed to
+    the firm's municipality; the change (unspent budget) goes back to the
+    shopper. Pass t applies every firm's t-th purchase to its stock at
+    once, and ``np.add.at`` adds the takings to cash and revenue in
+    shopping order, so each firm sees its purchases as a sequential loop
+    would.
+    """
+    order, rows, ends = rank_layout(chosen, len(firms))
+    price = firms.price[chosen[order]]
+    demanded = budgets[order] / price
+    stock = firms.stock[rows]
+    quantity = np.empty(len(order))
+    start = 0
+    for end in ends:
+        wanted, left = demanded[start:end], stock[: end - start]
+        bought = np.where(left >= wanted, wanted, left)
+        left -= bought
+        quantity[start:end] = bought
+        start = end
+    firms.stock[rows] = stock
+    # a purchase the stock covered bought exactly what it demanded
+    paid = np.empty(len(order))
+    paid[order] = np.where(quantity == demanded, budgets[order], quantity * price)
+    tax = paid * consumption_tax_rate
+    np.add.at(firms.cash, chosen, paid - tax)
+    np.add.at(firms.revenue, chosen, paid - tax)
+    return tax, budgets - paid
 
 
 def choose_firms(
     world: World,
     shoppers: list[Family],
-    firms: list[Firm],
     size_market: int,
     rng: np.random.Generator,
     price_criterion_probability: float,
 ) -> np.ndarray:
     """Each shopper's firm id, from batched draws.
 
-    Per shopper, a uniform sample of min(size_market, len(firms)) firms and
-    a coin that lands on price with probability price_criterion_probability:
+    Per shopper, a uniform sample of min(size_market, firms) firms and a
+    coin that lands on price with probability price_criterion_probability:
     the cheapest sampled firm wins, or else the closest. Ties go to the
     lower firm id.
     """
-    firm_ids = np.array([firm.id for firm in firms])
-    firm_x, firm_y = np.array([firm.location for firm in firms]).T
-    by_price = sorted(range(len(firms)), key=lambda i: (firms[i].price, firms[i].id))
+    firms = world.firms
     price_rank = np.empty(len(firms), dtype=np.int64)
-    price_rank[by_price] = np.arange(len(firms))
-    homes = np.array([world.residence_location(family) for family in shoppers])
+    price_rank[np.argsort(firms.price, kind="stable")] = np.arange(len(firms))
+    houses = world.houses
+    homes = np.array([houses[family.residence].location for family in shoppers])
 
     chosen: list[np.ndarray] = []
     start = 0
     pool_sizes = np.full(len(shoppers), len(firms))
     for picks, coins in sample_blocks(rng, pool_sizes, size_market):
         # sample columns in firm id order, so the first minimum is the lower id
-        picks = np.take_along_axis(picks, np.argsort(firm_ids[picks], axis=1), axis=1)
+        picks = np.sort(picks, axis=1)
         best = picks[np.arange(len(picks)), np.argmin(price_rank[picks], axis=1)]
         near = np.flatnonzero(coins >= price_criterion_probability)
         if len(near):
             home_x, home_y = homes[start + near].T
             sampled = picks[near]
-            km = distances(home_x[:, None], home_y[:, None], firm_x[sampled], firm_y[sampled])
+            km = distances(home_x[:, None], home_y[:, None], firms.x[sampled], firms.y[sampled])
             best[near] = sampled[np.arange(len(near)), np.argmin(km, axis=1)]
         chosen.append(best)
         start += len(picks)
-    return firm_ids[np.concatenate(chosen)] if chosen else np.empty(0, dtype=np.int64)
+    return np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
 
 
 def goods_market_step(
     world: World,
+    active: list[Family],
     beta: float,
     size_market: int,
     consumption_tax_rate: float,
     rng: np.random.Generator,
     price_criterion_probability: float,
 ) -> np.ndarray:
-    """Run the whole monthly goods market over a seeded family permutation.
+    """Run the whole monthly goods market over a seeded permutation of the
+    active families.
 
     Returns the chosen firm id of each purchase, in shopping order. Each
     purchase books its consumption tax to the firm's municipality.
     """
-    active = world.active_families()
     budgets = [set_budget(family, beta)[0] for family in active]
-    firms = list(world.firms.values())
-    if not firms or not active:
+    firms = world.firms
+    if not len(firms) or not active:
         # nowhere to shop; planned budgets return to liquid cash
         for family, budget in zip(active, budgets):
             family.monthly_cash += budget
         return np.empty(0, dtype=np.int64)
     order = [i for i in rng.permutation(len(active)).tolist() if budgets[i] > 0.0]
     shoppers = [active[i] for i in order]
-    chosen = choose_firms(
-        world, shoppers, firms, size_market, rng, price_criterion_probability
+    chosen = choose_firms(world, shoppers, size_market, rng, price_criterion_probability)
+    taxes, change = transact(
+        firms, chosen, np.array([budgets[i] for i in order], dtype=float), consumption_tax_rate
     )
-    for i, family, firm_id in zip(order, shoppers, chosen.tolist()):
-        firm = world.firms[firm_id]
-        tax = transact(family, firm, budgets[i], consumption_tax_rate)
-        world.ledger.add(firm.municipality_id, "consumption", tax)
+    for family, amount in zip(shoppers, change.tolist()):
+        family.monthly_cash += amount
+    world.ledger.book("consumption", firms.municipality_ids, firms.municipality[chosen], taxes)
     return chosen

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .firms import fire_employee, lowest_qualified_employee
+from .firms import fire_employee, lowest_qualified_employee, staff
 from .params import SimParams
 from .sampling import sample_blocks
 from .world.generate import allocate_proportionally
@@ -31,9 +31,10 @@ def build_pool(world: World, params: SimParams, openings: dict[int, int]) -> Lab
         if citizen.employer is None
         and params.working_age_min <= citizen.age <= params.working_age_max
     ]
+    offers = world.firms.wage_offer.tolist()
     vacancies: list[tuple[int, float]] = []
     for firm_id, count in openings.items():
-        vacancies.extend([(firm_id, world.firms[firm_id].wage_offer)] * count)
+        vacancies.extend([(firm_id, offers[firm_id])] * count)
     vacancies.sort(key=lambda entry: (-entry[1], entry[0]))
     return LaborPool(candidates=candidates, vacancies=vacancies)
 
@@ -56,6 +57,8 @@ def match(
     pool shrinks by one per vacancy and every sample size is known before
     the first hire; the samples come from batched draws.
     """
+    firms = world.firms
+    firm_x, firm_y = firms.x.tolist(), firms.y.tolist()
     remaining = list(pool.candidates)
     vacancies = iter(pool.vacancies[: len(remaining)])
     pool_sizes = np.arange(len(remaining), 0, -1)[: len(pool.vacancies)]
@@ -63,14 +66,14 @@ def match(
     for picks, coins in sample_blocks(rng, pool_sizes, sample_size):
         by_distance_rows = (coins < pct_distance_hiring).tolist()
         for sample, by_distance, (firm_id, wage) in zip(picks, by_distance_rows, vacancies):
-            firm = world.firms[firm_id]
+            location = firm_x[firm_id], firm_y[firm_id]
             positions = sample[: min(sample_size, len(remaining))].tolist()
 
             def rank(index: int) -> tuple[float, int]:
                 cid = remaining[index]
                 if by_distance:
                     family = world.families[world.citizens[cid].family_id]
-                    return distance(world.residence_location(family), firm.location), cid
+                    return distance(world.residence_location(family), location), cid
                 return -world.citizens[cid].qualification, cid
 
             position = min(positions, key=rank)
@@ -79,40 +82,55 @@ def match(
             citizen = world.citizens[chosen]
             citizen.employer = firm_id
             citizen.wage = wage
-            firm.employee_ids.add(chosen)
+            firms.employees[firm_id].add(chosen)
             hires.append((firm_id, chosen))
     pool.candidates = remaining
     return hires
 
 
-def pay_wages(world: World, labor_tax_rate: float) -> dict[int, float]:
+def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     """Pay every employee their contracted wage, net of the labor tax.
 
     Wages are sticky: each employee earns the offer that hired them, while
     the firm's posted offer tracks current revenue for new hires only.
-    A firm that cannot cover its bill, the wages summed in id order, sheds
-    its least qualified employees, unpaid, until the remainder is
-    affordable. Each wage books its tax to the firm's municipality.
-    Returns each paying firm's wage bill by firm id.
+    A firm's bill is its wages summed in employee-id order. A firm that
+    cannot cover its bill sheds its least qualified employees, unpaid,
+    until the remainder is affordable. Wages are paid, and their taxes
+    booked to the firm's municipality, in firm then employee-id order.
+    Returns each firm's wage bill, 0.0 for a firm that paid none.
     """
-    bills: dict[int, float] = {}
-    for firm in world.firms.values():
-        employee_ids = sorted(firm.employee_ids)
-        bill = sum(world.citizens[cid].wage for cid in employee_ids)
-        while employee_ids and firm.cash < bill:
-            fire_employee(world, firm, lowest_qualified_employee(world, firm))
-            employee_ids = sorted(firm.employee_ids)
-            bill = sum(world.citizens[cid].wage for cid in employee_ids)
-        if not employee_ids:
-            continue
-        for citizen_id in employee_ids:
-            citizen = world.citizens[citizen_id]
-            tax = citizen.wage * labor_tax_rate
-            world.families[citizen.family_id].monthly_cash += citizen.wage - tax
-            world.ledger.add(firm.municipality_id, "labor", tax)
-        firm.cash -= bill
-        bills[firm.id] = bill
+    firms = world.firms
+    employed, employers = staff(world)
+    wages = np.array([citizen.wage for citizen in employed], dtype=float)
+    bills = np.zeros(len(firms))
+    np.add.at(bills, employers, wages)
+    short = (firms.cash < bills) & (np.bincount(employers, minlength=len(firms)) > 0)
+    for firm_id in np.flatnonzero(short).tolist():
+        bills[firm_id] = _shed_until_affordable(world, firm_id, float(bills[firm_id]))
+
+    kept = np.fromiter(
+        (citizen.employer is not None for citizen in employed), dtype=bool, count=len(employed)
+    )
+    payroll = np.flatnonzero(kept)[np.argsort(employers[kept], kind="stable")]
+    tax = wages[payroll] * labor_tax_rate
+    for index, net in zip(payroll.tolist(), (wages[payroll] - tax).tolist()):
+        world.families[employed[index].family_id].monthly_cash += net
+    world.ledger.book("labor", firms.municipality_ids, firms.municipality[employers[payroll]], tax)
+    firms.cash -= bills
     return bills
+
+
+def _shed_until_affordable(world: World, firm_id: int, bill: float) -> float:
+    """Fire the least qualified employee until the firm's cash covers the
+    bill of the rest; returns that bill, 0.0 if nobody is left."""
+    cash = world.firms.cash[firm_id]
+    employees = world.firms.employees[firm_id]
+    while employees and cash < bill:
+        fire_employee(world, firm_id, lowest_qualified_employee(world, firm_id))
+        bill = 0.0
+        for citizen_id in sorted(employees):
+            bill += world.citizens[citizen_id].wage
+    return bill
 
 
 def calibrate_initial_unemployment(
@@ -130,22 +148,18 @@ def calibrate_initial_unemployment(
     )
     if not working_age:
         return
-    firm_list = list(world.firms.values())
-    if not firm_list:
+    firms = world.firms
+    if not len(firms):
         return
-    populations = world.population_by_municipality()
-    firms_per_muni: dict[str, int] = {}
-    for firm in firm_list:
-        firms_per_muni[firm.municipality_id] = firms_per_muni.get(firm.municipality_id, 0) + 1
-    weights = [
-        populations.get(firm.municipality_id, 0) / firms_per_muni[firm.municipality_id]
-        for firm in firm_list
-    ]
+    populations = world.population_by_municipality(world.active_families())
+    residents = np.array([populations.get(muni, 0) for muni in firms.municipality_ids])
+    firms_per_muni = np.bincount(firms.municipality, minlength=len(firms.municipality_ids))
+    weights = (residents[firms.municipality] / firms_per_muni[firms.municipality]).tolist()
 
     employed = sum(citizen.employer is not None for citizen in working_age)
     needed = round((1.0 - target_rate) * len(working_age)) - employed
     if needed <= 0:
         return
-    openings = dict(zip(world.firms, allocate_proportionally(needed, weights)))
+    openings = dict(enumerate(allocate_proportionally(needed, weights)))
     pool = build_pool(world, params, openings)
     match(world, pool, params.pct_distance_hiring, params.size_market, rng)

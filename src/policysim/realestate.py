@@ -51,9 +51,9 @@ def reprice_houses(world: World, base_coefficient: float) -> None:
         hedonic_offer_price(house, qli, base_coefficient)
 
 
-def build_listings(world: World) -> list[int]:
+def build_listings(world: World, active: list[Family]) -> list[int]:
     """Every vacant house is on the market at its current hedonic price."""
-    residents = world.residents_by_house()
+    residents = world.residents_by_house(active)
     return [house_id for house_id in world.houses if house_id not in residents]
 
 
@@ -112,7 +112,6 @@ def match_market(
         tax = price * transaction_tax_rate
         buyer.savings -= price
         seller.savings += price - tax
-        world.ledger.add(best_house.municipality_id, "transaction", tax)
         seller.owned_houses.discard(best_house.id)
         buyer.owned_houses.add(best_house.id)
         owners[best_house.id] = buyer
@@ -138,12 +137,17 @@ def match_market(
         if new_score > old_score:
             insort(open_listings, (residence.current_price, -residence.id))
             buyer.residence = best_house.id
+    _book(world, "transaction", [world.houses[sale.house_id] for sale in sales],
+          [sale.tax for sale in sales])
     return sales
 
 
-def collect_property_tax(world: World, property_tax_rate: float) -> None:
+def collect_property_tax(
+    world: World, active: list[Family], property_tax_rate: float
+) -> None:
     """Monthly levy on each occupied house, clamped at the resident's cash."""
-    residents = world.residents_by_house()
+    residents = world.residents_by_house(active)
+    occupied, charges = [], []
     for house in world.houses.values():
         family = residents.get(house.id)
         if family is None:
@@ -151,4 +155,14 @@ def collect_property_tax(world: World, property_tax_rate: float) -> None:
         owed = property_tax_rate * house.current_price
         paid = min(owed, family.monthly_cash)
         family.monthly_cash -= paid
-        world.ledger.add(house.municipality_id, "property", paid)
+        occupied.append(house)
+        charges.append(paid)
+    _book(world, "property", occupied, charges)
+
+
+def _book(world: World, kind: str, houses: list[House], charges: list[float]) -> None:
+    """Book charge i to the municipality of houses[i], in order."""
+    municipality_ids = world.municipality_ids()
+    code = {muni: index for index, muni in enumerate(municipality_ids)}
+    codes = np.array([code[house.municipality_id] for house in houses], dtype=np.int64)
+    world.ledger.book(kind, municipality_ids, codes, charges)

@@ -16,7 +16,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import InitVar, dataclass, field, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -42,6 +42,10 @@ class Dump(NamedTuple):
 
 def _attributes(*names: str) -> tuple[tuple[str, Callable], ...]:
     return tuple((name, attrgetter(name)) for name in names)
+
+
+def _items(*keys: str) -> tuple[tuple[str, Callable], ...]:
+    return tuple((key, itemgetter(key)) for key in keys)
 
 
 def _sorted(world_attribute: str) -> Callable[[RunResult], list]:
@@ -72,12 +76,12 @@ DUMPS = {
         ("owned_houses", _size("owned_houses")),
         *_attributes("monthly_cash", "savings"),
     )),
-    "firms": Dump("firms.csv", _sorted("firms"), (
-        *_attributes("id"),
-        ("municipality", attrgetter("municipality_id")),
-        *_attributes("price", "cash", "wage_offer"),
-        ("employees", _size("employee_ids")),
-        *_attributes("stock", "last_profit"),
+    "firms": Dump("firms.csv", lambda result: result.world.firms.records(), (
+        *_items("id"),
+        ("municipality", itemgetter("municipality_id")),
+        *_items("price", "cash", "wage_offer"),
+        ("employees", lambda record: len(record["employee_ids"])),
+        *_items("stock", "last_profit"),
     )),
 }
 

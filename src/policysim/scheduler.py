@@ -7,9 +7,11 @@ quality-of-life investment, and finally indicator recording. Agents are
 iterated in id order inside every substep; all randomness comes from the
 world's single seeded stream.
 
-Substeps communicate through the world, except for one hand-off: firm
-decisions return the vacancies they open, and ``step`` passes them to the
-labor market.
+Substeps communicate through the world, except for two hand-offs:
+demographics, the last substep that changes who lives in a family, returns
+the month's active families, which ``step`` passes to the substeps after
+it; and firm decisions return the vacancies they open, which ``step``
+passes to the labor market.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .params import MAX_MONTHS, TAX_KINDS, SimParams
 from .stats import gini
 from .world.generate import generate_world
 from .world.regions import RegionData
-from .world.types import World
+from .world.types import Family, World
 
 
 class RunError(ValueError):
@@ -92,19 +94,25 @@ class RunResult:
 
 
 def step_production(world: World, params: SimParams) -> None:
-    for firm in world.firms.values():
-        firms.produce(world, firm, params.alpha)
+    firms.produce(world, params.alpha)
 
 
-def step_demographics(world: World, params: SimParams, rng: np.random.Generator) -> None:
+def step_demographics(
+    world: World, params: SimParams, rng: np.random.Generator
+) -> list[Family]:
+    """Age, mortality and births; returns the families left with members."""
     demographics.age_step(world)
     demographics.mortality_step(world, rng)
     demographics.fertility_step(world, rng)
+    return world.active_families()
 
 
-def step_goods_market(world: World, params: SimParams, rng: np.random.Generator) -> None:
+def step_goods_market(
+    world: World, params: SimParams, rng: np.random.Generator, active: list[Family]
+) -> None:
     goods.goods_market_step(
         world,
+        active,
         beta=params.beta,
         size_market=params.size_market,
         consumption_tax_rate=params.taxes.consumption,
@@ -121,28 +129,27 @@ def step_firm_decisions(
     One uniform per firm, in id order, decides whether it reprices; they
     are the substep's only draws.
     """
-    openings: dict[int, int] = {}
     unemployment = world.unemployment_rate(
         params.working_age_min, params.working_age_max
     )
-    reprice_draws = rng.random(len(world.firms)).tolist()
-    for firm, u in zip(world.firms.values(), reprice_draws):
-        firms.update_price(
-            firm, params.markup, params.sticky_prices, u, params.price_floor
-        )
-        firms.update_wage(
-            firm, unemployment, params.wage_ignore_unemployment, params.price_floor
-        )
-        decision = firms.hire_fire_decision(
-            firm, world.clock, params.labor_market_frequency
-        )
-        if decision == firms.OPEN_VACANCY:
-            openings[firm.id] = 1
-        elif decision == firms.FIRE_ONE:
-            firms.fire_employee(
-                world, firm, firms.lowest_qualified_employee(world, firm)
-            )
-    return openings
+    reprice_draws = rng.random(len(world.firms))
+    headcount = world.firms.headcount()
+    firms.update_prices(
+        world.firms, params.markup, params.sticky_prices, reprice_draws, params.price_floor
+    )
+    firms.update_wage_offers(
+        world.firms,
+        headcount,
+        unemployment,
+        params.wage_ignore_unemployment,
+        params.price_floor,
+    )
+    decisions = firms.hire_fire_decisions(
+        world.firms, headcount, world.clock, params.labor_market_frequency
+    )
+    for firm_id in np.flatnonzero(decisions == firms.FIRE_ONE).tolist():
+        firms.fire_employee(world, firm_id, firms.lowest_qualified_employee(world, firm_id))
+    return dict.fromkeys(np.flatnonzero(decisions == firms.OPEN_VACANCY).tolist(), 1)
 
 
 def step_labor_market(
@@ -154,25 +161,27 @@ def step_labor_market(
     firms.close_books(world, bills, params.taxes.firms)
 
 
-def step_real_estate(world: World, params: SimParams, rng: np.random.Generator) -> None:
+def step_real_estate(
+    world: World, params: SimParams, rng: np.random.Generator, active: list[Family]
+) -> None:
     realestate.reprice_houses(world, params.hedonic_base_coefficient)
-    listings = realestate.build_listings(world)
+    listings = realestate.build_listings(world, active)
     entrants = realestate.select_entrants(
-        world.active_families(), params.percentage_check_new_location, rng
+        active, params.percentage_check_new_location, rng
     )
     world.sales_log += realestate.match_market(
         world, entrants, listings, params.taxes.transaction
     )
-    realestate.collect_property_tax(world, params.taxes.property)
+    realestate.collect_property_tax(world, active, params.taxes.property)
 
 
-def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
+def step_fiscal(world: World, params: SimParams, active: list[Family]) -> dict[str, float]:
     """Distribute the ledger, invest everything, and zero the ledger.
 
     Returns the month's collection totals by kind (captured before reset).
     """
     totals = world.ledger.total_by_kind()
-    populations = world.population_by_municipality()
+    populations = world.population_by_municipality(active)
     regime = DistributionRegime(params.alternative0, params.fpm_distribution)
     receipts = distribute(
         world.ledger,
@@ -190,12 +199,11 @@ def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
     return totals
 
 
-def record_month(world: World, params: SimParams, taxes: dict[str, float]) -> MonthRecord:
-    firms_list = list(world.firms.values())
+def record_month(
+    world: World, params: SimParams, taxes: dict[str, float], active: list[Family]
+) -> MonthRecord:
     houses_list = list(world.houses.values())
-    price_index = (
-        float(np.mean([firm.price for firm in firms_list])) if firms_list else 0.0
-    )
+    price_index = float(np.mean(world.firms.price)) if len(world.firms) else 0.0
     if world.price_index_prev and world.price_index_prev > 0.0 and price_index > 0.0:
         inflation = (price_index - world.price_index_prev) / world.price_index_prev * 100.0
     else:
@@ -206,7 +214,6 @@ def record_month(world: World, params: SimParams, taxes: dict[str, float]) -> Mo
         if houses_list
         else 0.0
     )
-    active = world.active_families()
     wealth = [world.family_wealth(family) for family in active]
     return MonthRecord(
         month=world.clock,
@@ -228,13 +235,13 @@ def step(world: World, params: SimParams) -> MonthRecord:
     rng = world.rng
     try:
         step_production(world, params)
-        step_demographics(world, params, rng)
-        step_goods_market(world, params, rng)
+        active = step_demographics(world, params, rng)
+        step_goods_market(world, params, rng, active)
         openings = step_firm_decisions(world, params, rng)
         step_labor_market(world, params, rng, openings)
-        step_real_estate(world, params, rng)
-        taxes = step_fiscal(world, params)
-        record = record_month(world, params, taxes)
+        step_real_estate(world, params, rng, active)
+        taxes = step_fiscal(world, params, active)
+        record = record_month(world, params, taxes, active)
     except Exception as exc:
         raise RunError(f"month {world.clock}: {exc}") from exc
     world.clock += 1

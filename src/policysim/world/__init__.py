@@ -13,7 +13,7 @@ from .types import (
     MALE,
     Citizen,
     Family,
-    Firm,
+    Firms,
     House,
     Location,
     Municipality,
@@ -26,7 +26,7 @@ __all__ = [
     "MALE",
     "Citizen",
     "Family",
-    "Firm",
+    "Firms",
     "GenerationError",
     "House",
     "Location",

@@ -38,7 +38,7 @@ from ..params import SimParams
 from ..realestate import hedonic_offer_price
 from ..sampling import COIN_BOUND, unit_doubles
 from .regions import MunicipalitySpec, RegionData
-from .types import FEMALE, MALE, Citizen, Family, Firm, House, Location, Municipality, World
+from .types import FEMALE, MALE, Citizen, Family, Firms, House, Location, Municipality, World
 
 HOUSE_SIZE_RANGE = (30.0, 120.0)  # m2
 HOUSE_QUALITY_LEVELS = 4
@@ -209,7 +209,11 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     citizens: dict[int, Citizen] = {}
     families: dict[int, Family] = {}
     houses: dict[int, House] = {}
-    firms: dict[int, Firm] = {}
+    # firm columns, in id order
+    firm_municipality: list[int] = []
+    firm_x: list[float] = []
+    firm_y: list[float] = []
+    firm_cash: list[float] = []
 
     families_per_muni = [
         max(1, _round_half_up(count / params.members_per_family))
@@ -232,7 +236,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     next_citizen = 0
     next_family = 0
     next_house = 0
-    next_firm = 0
     surplus_house_ids: list[int] = []
 
     for muni_index, spec in enumerate(specs):
@@ -298,16 +301,11 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         next_house += n_surplus
 
         expected_employees = sum(working_age) / n_firms
-        for location in _points(spec, _draw_rows(rng, FIRM_DRAW_BOUNDS, n_firms)):
-            firms[next_firm] = Firm(
-                id=next_firm,
-                municipality_id=spec.id,
-                location=location,
-                price=INITIAL_GOODS_PRICE,
-                wage_offer=INITIAL_WAGE_OFFER,
-                cash=INITIAL_WAGE_OFFER * expected_employees,
-            )
-            next_firm += 1
+        for x, y in _points(spec, _draw_rows(rng, FIRM_DRAW_BOUNDS, n_firms)):
+            firm_municipality.append(muni_index)
+            firm_x.append(x)
+            firm_y.append(y)
+            firm_cash.append(INITIAL_WAGE_OFFER * expected_employees)
 
     # assign surplus houses to randomly drawn existing families
     family_id_list = list(families.keys())
@@ -321,7 +319,15 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         citizens=citizens,
         families=families,
         houses=houses,
-        firms=firms,
+        firms=Firms.open(
+            [spec.id for spec in specs],
+            firm_municipality,
+            firm_x,
+            firm_y,
+            firm_cash,
+            price=INITIAL_GOODS_PRICE,
+            wage_offer=INITIAL_WAGE_OFFER,
+        ),
         municipalities=municipalities,
         rng=rng,
         next_citizen_id=next_citizen,

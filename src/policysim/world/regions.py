@@ -20,6 +20,7 @@ import os
 from dataclasses import dataclass
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
+MAX_SCHOOLING_YEARS = 21
 
 REGION_FILES = (
     "municipalities.csv",
@@ -200,9 +201,9 @@ def _load_qualification(directory: str) -> dict[tuple[int, int], list[tuple[int,
     for lineno, row in _rows(os.path.join(directory, filename), filename, columns):
         band = _parse_age_band(row["age_band"], filename, lineno)
         years = _parse_int(row["years_schooling"], filename, lineno, "years_schooling")
-        if not 0 <= years <= 21:
+        if not 0 <= years <= MAX_SCHOOLING_YEARS:
             raise RegionDataError(
-                filename, lineno, f"years_schooling {years} not in [0, 21]"
+                filename, lineno, f"years_schooling {years} not in [0, {MAX_SCHOOLING_YEARS}]"
             )
         probability = _parse_probability(row["probability"], filename, lineno, "probability")
         bands.setdefault(band, []).append((years, probability))

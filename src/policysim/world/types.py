@@ -1,7 +1,8 @@
 """Agent and world-state types, plus the planar distance helper.
 
-Every agent collection on the world is a dict keyed by id; insertion order
-is creation order and is the canonical deterministic iteration order.
+Citizens, families and houses are dicts keyed by id; insertion order is
+creation order, which is id order, and is the canonical deterministic
+iteration order. Firms are one column store whose rows are the firm ids.
 """
 
 from __future__ import annotations
@@ -79,18 +80,86 @@ class House:
 
 
 @dataclass(slots=True)
-class Firm:
-    id: int
-    municipality_id: str
-    location: Location
-    stock: float = 0.0
-    price: float = 1.0
-    cash: float = 0.0
-    wage_offer: float = 1.0
-    employee_ids: set[int] = field(default_factory=set)
-    last_profit: float = 0.0
-    revenue_this_month: float = 0.0
-    last_output: float = 0.0
+class Firms:
+    """Every firm as one row of columns; a firm's id is its row.
+
+    Generation numbers the firms 0..n-1 and no firm is created or removed
+    later. ``municipality`` indexes ``municipality_ids``; ``employees``
+    holds each firm's set of employed citizen ids.
+    """
+
+    municipality_ids: list[str]
+    municipality: np.ndarray  # int64
+    x: np.ndarray
+    y: np.ndarray
+    stock: np.ndarray
+    price: np.ndarray
+    cash: np.ndarray
+    wage_offer: np.ndarray
+    revenue: np.ndarray  # this month's, net of the consumption tax
+    last_profit: np.ndarray
+    last_output: np.ndarray
+    employees: list[set[int]]
+
+    @classmethod
+    def open(
+        cls,
+        municipality_ids: list[str],
+        municipality: list[int],
+        x: list[float],
+        y: list[float],
+        cash: list[float],
+        price: float = 1.0,
+        wage_offer: float = 1.0,
+    ) -> Firms:
+        """New firms with empty stock, books and staff."""
+        count = len(municipality)
+        return cls(
+            municipality_ids=list(municipality_ids),
+            municipality=np.asarray(municipality, dtype=np.int64),
+            x=np.asarray(x, dtype=float),
+            y=np.asarray(y, dtype=float),
+            stock=np.zeros(count),
+            price=np.full(count, price),
+            cash=np.asarray(cash, dtype=float),
+            wage_offer=np.full(count, wage_offer),
+            revenue=np.zeros(count),
+            last_profit=np.zeros(count),
+            last_output=np.zeros(count),
+            employees=[set() for _ in range(count)],
+        )
+
+    def __len__(self) -> int:
+        return len(self.employees)
+
+    def headcount(self) -> np.ndarray:
+        return np.fromiter(map(len, self.employees), dtype=np.int64, count=len(self))
+
+    def records(self) -> list[dict]:
+        """One dict per firm, in id order, holding Python values."""
+        rows = zip(
+            self.municipality.tolist(), self.x.tolist(), self.y.tolist(),
+            self.stock.tolist(), self.price.tolist(), self.cash.tolist(),
+            self.wage_offer.tolist(), self.employees, self.last_profit.tolist(),
+            self.revenue.tolist(), self.last_output.tolist(),
+        )
+        return [
+            {
+                "id": firm_id,
+                "municipality_id": self.municipality_ids[code],
+                "location": (x, y),
+                "stock": stock,
+                "price": price,
+                "cash": cash,
+                "wage_offer": offer,
+                "employee_ids": set(staff),
+                "last_profit": profit,
+                "revenue_this_month": revenue,
+                "last_output": output,
+            }
+            for firm_id, (code, x, y, stock, price, cash, offer, staff, profit, revenue, output)
+            in enumerate(rows)
+        ]
 
 
 @dataclass(slots=True)
@@ -108,7 +177,7 @@ class World:
     citizens: dict[int, Citizen]
     families: dict[int, Family]
     houses: dict[int, House]
-    firms: dict[int, Firm]
+    firms: Firms
     municipalities: dict[str, Municipality]
     rng: np.random.Generator
     ledger: TaxLedger = field(default_factory=TaxLedger)
@@ -121,18 +190,20 @@ class World:
         return list(self.municipalities.keys())
 
     def active_families(self) -> list[Family]:
+        """The families with members. Only births and deaths change the list,
+        so a month builds it once, after demographics."""
         return [family for family in self.families.values() if family.member_ids]
 
     def residence_location(self, family: Family) -> Location:
         return self.houses[family.residence].location
 
-    def residents_by_house(self) -> dict[int, Family]:
+    def residents_by_house(self, active: list[Family]) -> dict[int, Family]:
         """The occupied houses: each active family's residence, in family order."""
-        return {family.residence: family for family in self.active_families()}
+        return {family.residence: family for family in active}
 
-    def population_by_municipality(self) -> dict[str, int]:
+    def population_by_municipality(self, active: list[Family]) -> dict[str, int]:
         counts = {muni: 0 for muni in self.municipalities}
-        for family in self.active_families():
+        for family in active:
             muni = self.houses[family.residence].municipality_id
             counts[muni] += len(family.member_ids)
         return counts
@@ -157,8 +228,8 @@ class World:
         total = 0.0
         for family in self.families.values():
             total += family.monthly_cash + family.savings
-        for firm in self.firms.values():
-            total += firm.cash
+        for cash in self.firms.cash.tolist():
+            total += cash
         return total + self.ledger.total()
 
     def family_wealth(self, family: Family) -> float:
@@ -169,9 +240,11 @@ class World:
         """Full-state snapshot of agents, clock and random stream, for determinism checks."""
         state = {
             name: [asdict(entity) for entity in getattr(self, name).values()]
-            for name in ("citizens", "families", "houses", "firms", "municipalities")
+            for name in ("citizens", "families", "houses")
         }
         state.update(
+            firms=self.firms.records(),
+            municipalities=[asdict(muni) for muni in self.municipalities.values()],
             clock=self.clock,
             next_citizen_id=self.next_citizen_id,
             rng_state=self.rng.bit_generator.state,

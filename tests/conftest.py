@@ -4,7 +4,7 @@ import pytest
 from policysim.fiscal import TaxLedger
 from policysim.params import SimParams
 from policysim.world.regions import MunicipalitySpec, RegionData
-from policysim.world.types import Citizen, Family, Firm, House, Municipality, World
+from policysim.world.types import Citizen, Family, Firms, House, Municipality, World
 
 from policysim.cli import default_data_dir
 import os
@@ -62,8 +62,24 @@ def make_region(
     )
 
 
+def make_firms(municipality_ids, firms):
+    """The column store of simple_firm specs, which must hold ids 0..n-1 in order."""
+    assert [firm["id"] for firm in firms] == list(range(len(firms)))
+    store = Firms.open(
+        municipality_ids,
+        [municipality_ids.index(firm["muni"]) for firm in firms],
+        [firm["location"][0] for firm in firms],
+        [firm["location"][1] for firm in firms],
+        [firm["cash"] for firm in firms],
+    )
+    for column in ("stock", "price", "wage_offer", "last_profit", "revenue", "last_output"):
+        getattr(store, column)[:] = [firm[column] for firm in firms]
+    store.employees = [set(firm["employees"]) for firm in firms]
+    return store
+
+
 def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=0):
-    """Assemble a world from prebuilt agents for unit tests."""
+    """Assemble a world from prebuilt agents and simple_firm specs for unit tests."""
     if region is None:
         region = make_region()
     municipalities = {
@@ -76,7 +92,7 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
         citizens={c.id: c for c in citizens},
         families={f.id: f for f in families},
         houses={h.id: h for h in houses},
-        firms={fm.id: fm for fm in firms},
+        firms=make_firms(list(municipalities), list(firms)),
         municipalities=municipalities,
         rng=np.random.default_rng(seed),
         ledger=TaxLedger(),
@@ -131,14 +147,19 @@ def simple_house(house_id=0, muni="m0", location=(0.0, 0.0), size=50.0, quality=
 
 
 def simple_firm(firm_id=0, muni="m0", location=(0.0, 0.0), price=1.0, cash=0.0,
-                wage_offer=1.0, employees=(), stock=0.0):
-    return Firm(
-        id=firm_id,
-        municipality_id=muni,
-        location=location,
-        stock=stock,
-        price=price,
-        cash=cash,
-        wage_offer=wage_offer,
-        employee_ids=set(employees),
-    )
+                wage_offer=1.0, employees=(), stock=0.0, last_profit=0.0, revenue=0.0,
+                last_output=0.0):
+    """One firm's row, for make_world."""
+    return {
+        "id": firm_id,
+        "muni": muni,
+        "location": location,
+        "stock": stock,
+        "price": price,
+        "cash": cash,
+        "wage_offer": wage_offer,
+        "employees": set(employees),
+        "last_profit": last_profit,
+        "revenue": revenue,
+        "last_output": last_output,
+    }

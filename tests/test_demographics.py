@@ -85,11 +85,10 @@ def test_mortality_binomial_rate():
 
 
 def test_dead_are_fully_removed():
-    from conftest import simple_firm
+    from conftest import make_firms, simple_firm
 
     world = build_population(30, mortality=None, seed=9)
-    firm = simple_firm(firm_id=0, employees=range(10))
-    world.firms[0] = firm
+    world.firms = make_firms(["m0"], [simple_firm(firm_id=0, employees=range(10))])
     for cid in range(10):
         world.citizens[cid].employer = 0
         world.citizens[cid].wage = 1.0
@@ -98,7 +97,7 @@ def test_dead_are_fully_removed():
             world.region.mortality[gender][age] = 1.0
     deceased = mortality_step(world, world.rng)
     assert len(deceased) == 30
-    assert firm.employee_ids == set()
+    assert world.firms.employees[0] == set()
     for family in world.families.values():
         assert not family.member_ids
 
@@ -124,7 +123,7 @@ def test_inheritance_moves_estate_to_surviving_family():
     assert heir.monthly_cash == 7.0
     assert heir.savings == 3.0
     assert 0 in world.families[1].owned_houses
-    assert 0 not in world.residents_by_house()
+    assert 0 not in world.residents_by_house(world.active_families())
 
 
 def test_zero_fertility_no_births():

@@ -7,15 +7,22 @@ from policysim.firms import (
     OPEN_VACANCY,
     close_books,
     fire_employee,
-    hire_fire_decision,
+    hire_fire_decisions,
     lowest_qualified_employee,
     produce,
-    update_price,
-    update_wage,
+    update_prices,
+    update_wage_offers,
 )
 from policysim.params import SimParams
 
-from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
+from conftest import (
+    make_firms,
+    make_world,
+    simple_citizen,
+    simple_family,
+    simple_firm,
+    simple_house,
+)
 
 PRICE_FLOOR = SimParams().price_floor
 
@@ -28,8 +35,29 @@ def world_with_employees(quals, firm_id=0):
     family = simple_family(family_id=0, member_ids=tuple(range(len(quals))))
     house = simple_house(house_id=0)
     firm = simple_firm(firm_id=firm_id, employees=range(len(quals)))
-    world = make_world(citizens, [family], [house], [firm])
-    return world, firm
+    return make_world(citizens, [family], [house], [firm])
+
+
+def lone_firm(**columns):
+    return make_firms(["m0"], [simple_firm(**columns)])
+
+
+def reprice(firms, markup, sticky_prices, u, price_floor):
+    update_prices(firms, markup, sticky_prices, np.array([u]), price_floor)
+    return float(firms.price[0])
+
+
+def offer(firms, unemployment_rate, ignore_unemployment, price_floor):
+    update_wage_offers(
+        firms, firms.headcount(), unemployment_rate, ignore_unemployment, price_floor
+    )
+    return float(firms.wage_offer[0])
+
+
+def decide(firms, clock, labor_market_frequency):
+    return hire_fire_decisions(
+        firms, firms.headcount(), clock, labor_market_frequency
+    ).tolist()
 
 
 @pytest.mark.parametrize(
@@ -41,182 +69,163 @@ def world_with_employees(quals, firm_id=0):
     ],
 )
 def test_produce_examples(quals, alpha, expected):
-    world, firm = world_with_employees(quals)
-    output = produce(world, firm, alpha)
-    assert output == expected
-    assert firm.stock == expected
-    assert firm.last_output == expected
+    world = world_with_employees(quals)
+    output = produce(world, alpha)
+    assert output.tolist() == [expected]
+    assert world.firms.stock[0] == expected
+    assert world.firms.last_output[0] == expected
 
 
 def test_produce_zero_qualification_convention():
-    world, firm = world_with_employees([0, 4])
-    assert produce(world, firm, 0.5) == 2.0  # 0**0.5 + sqrt(4)
-    world2, firm2 = world_with_employees([0, 0])
-    assert produce(world2, firm2, 0.0) == 2.0  # 0**0 counts as 1
+    world = world_with_employees([0, 4])
+    assert produce(world, 0.5).tolist() == [2.0]  # 0**0.5 + sqrt(4)
+    world2 = world_with_employees([0, 0])
+    assert produce(world2, 0.0).tolist() == [2.0]  # 0**0 counts as 1
 
 
 def test_produce_insensitive_to_insertion_order():
-    world_a, firm_a = world_with_employees([2, 11, 5, 7])
-    world_b, firm_b = world_with_employees([2, 11, 5, 7])
-    firm_b.employee_ids = set(reversed(sorted(firm_b.employee_ids)))
-    assert produce(world_a, firm_a, 0.37) == produce(world_b, firm_b, 0.37)
+    world_a = world_with_employees([2, 11, 5, 7])
+    world_b = world_with_employees([2, 11, 5, 7])
+    world_b.firms.employees[0] = set(reversed(sorted(world_b.firms.employees[0])))
+    assert produce(world_a, 0.37).tolist() == produce(world_b, 0.37).tolist()
 
 
 def test_produce_monotone_in_workforce():
-    world, firm = world_with_employees([3, 4])
-    base = produce(world, firm, 0.5)
-    world2, firm2 = world_with_employees([3, 4, 6])
-    assert produce(world2, firm2, 0.5) > base
+    base = produce(world_with_employees([3, 4]), 0.5)[0]
+    assert produce(world_with_employees([3, 4, 6]), 0.5)[0] > base
 
 
 def test_update_price_never_evaluates_at_zero_probability():
-    firm = simple_firm(price=1.0, stock=0.0)
-    firm.last_output = 10.0
+    firms = lone_firm(price=1.0, stock=0.0, last_output=10.0)
     for u in [0.0] + np.random.default_rng(0).random(50).tolist():
-        assert update_price(firm, 0.5, 0.0, u, PRICE_FLOOR) == 1.0
+        assert reprice(firms, 0.5, 0.0, u, PRICE_FLOOR) == 1.0
 
 
 def test_update_price_raises_on_scarce_stock():
-    firm = simple_firm(price=1.0, stock=0.0)
-    firm.last_output = 10.0
-    price = update_price(firm, 0.1, 1.0, 0.5, PRICE_FLOOR)
+    firms = lone_firm(price=1.0, stock=0.0, last_output=10.0)
+    price = reprice(firms, 0.1, 1.0, 0.5, PRICE_FLOOR)
     assert abs(price - 1.1) <= 1e-12
 
 
 def test_update_price_cuts_on_glut():
-    firm = simple_firm(price=1.0, stock=25.0)
-    firm.last_output = 10.0
-    price = update_price(firm, 0.1, 1.0, 0.5, PRICE_FLOOR)
+    firms = lone_firm(price=1.0, stock=25.0, last_output=10.0)
+    price = reprice(firms, 0.1, 1.0, 0.5, PRICE_FLOOR)
     assert abs(price - 0.9) <= 1e-12
 
 
 def test_update_price_zero_markup_is_inert():
-    firm = simple_firm(price=2.0, stock=0.0)
-    firm.last_output = 10.0
-    assert update_price(firm, 0.0, 1.0, 0.5, PRICE_FLOOR) == 2.0
+    firms = lone_firm(price=2.0, stock=0.0, last_output=10.0)
+    assert reprice(firms, 0.0, 1.0, 0.5, PRICE_FLOOR) == 2.0
 
 
 def test_update_price_floor():
-    firm = simple_firm(price=1.0, stock=25.0)
-    firm.last_output = 10.0
-    price = update_price(firm, markup=0.999999, sticky_prices=1.0, u=0.5,
-                         price_floor=1e-6)
+    firms = lone_firm(price=1.0, stock=25.0, last_output=10.0)
+    price = reprice(firms, markup=0.999999, sticky_prices=1.0, u=0.5, price_floor=1e-6)
     assert price >= 1e-6
 
 
 def test_update_wage_ignores_unemployment_when_told():
-    firm = simple_firm(employees=range(10))
-    firm.revenue_this_month = 1000.0
-    wage = update_wage(firm, 0.5, ignore_unemployment=True, price_floor=PRICE_FLOOR)
+    firms = lone_firm(employees=range(10), revenue=1000.0)
+    wage = offer(firms, 0.5, ignore_unemployment=True, price_floor=PRICE_FLOOR)
     assert wage == 100.0
 
 
 def test_update_wage_damped_by_unemployment():
-    firm = simple_firm(employees=range(10))
-    firm.revenue_this_month = 1000.0
-    wage = update_wage(firm, 0.2, ignore_unemployment=False, price_floor=PRICE_FLOOR)
+    firms = lone_firm(employees=range(10), revenue=1000.0)
+    wage = offer(firms, 0.2, ignore_unemployment=False, price_floor=PRICE_FLOOR)
     assert abs(wage - 80.0) <= 1e-12
 
 
 def test_update_wage_flag_inert_at_full_employment():
     for flag in (True, False):
-        firm = simple_firm(employees=range(10))
-        firm.revenue_this_month = 1000.0
-        wage = update_wage(firm, 0.0, ignore_unemployment=flag, price_floor=PRICE_FLOOR)
+        firms = lone_firm(employees=range(10), revenue=1000.0)
+        wage = offer(firms, 0.0, ignore_unemployment=flag, price_floor=PRICE_FLOOR)
         assert wage == 100.0
 
 
 def test_update_wage_empty_firm_uses_unit_divisor():
-    firm = simple_firm()
-    firm.revenue_this_month = 7.0
-    assert update_wage(firm, 0.0, ignore_unemployment=True, price_floor=PRICE_FLOOR) == 7.0
+    firms = lone_firm(revenue=7.0)
+    assert offer(firms, 0.0, ignore_unemployment=True, price_floor=PRICE_FLOOR) == 7.0
 
 
 def test_hire_fire_positive_profit_opens_vacancy():
-    firm = simple_firm(firm_id=0)
-    firm.last_profit = 50.0
-    assert hire_fire_decision(firm, clock=0, labor_market_frequency=1) == OPEN_VACANCY
+    firms = lone_firm(firm_id=0, last_profit=50.0)
+    assert decide(firms, clock=0, labor_market_frequency=1) == [OPEN_VACANCY]
 
 
 def test_hire_fire_fires_lowest_qualified():
-    world, firm = world_with_employees([2, 5])
-    firm.last_profit = -50.0
-    assert hire_fire_decision(firm, clock=0, labor_market_frequency=1) == FIRE_ONE
-    victim = lowest_qualified_employee(world, firm)
+    world = world_with_employees([2, 5])
+    world.firms.last_profit[0] = -50.0
+    assert decide(world.firms, clock=0, labor_market_frequency=1) == [FIRE_ONE]
+    victim = lowest_qualified_employee(world, 0)
     assert world.citizens[victim].qualification == 2
-    fire_employee(world, firm, victim)
-    assert victim not in firm.employee_ids
+    fire_employee(world, 0, victim)
+    assert victim not in world.firms.employees[0]
     assert world.citizens[victim].employer is None
     assert world.citizens[victim].wage == 0.0
 
 
 def test_fire_tie_breaks_by_id():
-    world, firm = world_with_employees([5, 5, 7])
-    assert lowest_qualified_employee(world, firm) == 0
+    world = world_with_employees([5, 5, 7])
+    assert lowest_qualified_employee(world, 0) == 0
 
 
 def test_hire_fire_off_cycle_holds():
-    firm = simple_firm(firm_id=0)
-    firm.last_profit = 50.0
-    assert hire_fire_decision(firm, clock=1, labor_market_frequency=2) == HOLD
-    firm.last_profit = -50.0
-    assert hire_fire_decision(firm, clock=1, labor_market_frequency=2) == HOLD
+    firms = lone_firm(firm_id=0, last_profit=50.0)
+    assert decide(firms, clock=1, labor_market_frequency=2) == [HOLD]
+    firms.last_profit[0] = -50.0
+    assert decide(firms, clock=1, labor_market_frequency=2) == [HOLD]
 
 
 def test_hire_fire_cycle_is_per_firm():
     # firms decide on their own phase within the frequency window
-    early = simple_firm(firm_id=0)
-    late = simple_firm(firm_id=1)
-    early.last_profit = late.last_profit = 50.0
-    assert hire_fire_decision(early, clock=2, labor_market_frequency=2) == OPEN_VACANCY
-    assert hire_fire_decision(late, clock=2, labor_market_frequency=2) == HOLD
-    assert hire_fire_decision(late, clock=3, labor_market_frequency=2) == OPEN_VACANCY
+    firms = make_firms(
+        ["m0"], [simple_firm(firm_id=fid, last_profit=50.0) for fid in (0, 1)]
+    )
+    assert decide(firms, clock=2, labor_market_frequency=2) == [OPEN_VACANCY, HOLD]
+    assert decide(firms, clock=3, labor_market_frequency=2)[1] == OPEN_VACANCY
 
 
 def test_idle_firm_with_even_books_reopens():
-    firm = simple_firm(firm_id=0)
-    firm.last_profit = 0.0
-    assert hire_fire_decision(firm, clock=0, labor_market_frequency=1) == OPEN_VACANCY
+    firms = lone_firm(firm_id=0, last_profit=0.0)
+    assert decide(firms, clock=0, labor_market_frequency=1) == [OPEN_VACANCY]
 
 
 def test_fire_requires_employees():
-    firm = simple_firm(firm_id=0)
-    firm.last_profit = -10.0
-    assert hire_fire_decision(firm, clock=0, labor_market_frequency=1) == HOLD
+    firms = lone_firm(firm_id=0, last_profit=-10.0)
+    assert decide(firms, clock=0, labor_market_frequency=1) == [HOLD]
 
 
 @pytest.mark.parametrize(
     "last_profit,rate,revenue,bills,tax,profit",
     [
-        (100.0, 0.1, 100.0, {0: 60.0}, 10.0, 30.0),
-        (0.0, 0.1, 0.0, {}, 0.0, 0.0),
-        (-40.0, 0.1, 0.0, {0: 60.0}, 0.0, -60.0),
-        (100.0, 0.0, 0.0, {}, 0.0, 0.0),
+        (100.0, 0.1, 100.0, 60.0, 10.0, 30.0),
+        (0.0, 0.1, 0.0, 0.0, 0.0, 0.0),
+        (-40.0, 0.1, 0.0, 60.0, 0.0, -60.0),
+        (100.0, 0.0, 0.0, 0.0, 0.0, 0.0),
     ],
     ids=["taxed-profit", "idle", "untaxed-loss", "zero-rate"],
 )
 def test_close_books_examples(last_profit, rate, revenue, bills, tax, profit):
-    world = make_world(firms=[simple_firm(cash=50.0)])
-    firm = world.firms[0]
-    firm.last_profit = last_profit
-    firm.revenue_this_month = revenue
-    close_books(world, bills, rate)
-    assert firm.cash == 50.0 - tax
+    world = make_world(
+        firms=[simple_firm(cash=50.0, last_profit=last_profit, revenue=revenue)]
+    )
+    close_books(world, np.array([bills]), rate)
+    firms = world.firms
+    assert firms.cash[0] == 50.0 - tax
     assert world.ledger.get("m0", "firms") == tax
-    assert firm.last_profit == profit
-    assert firm.revenue_this_month == 0.0
+    assert firms.last_profit[0] == profit
+    assert firms.revenue[0] == 0.0
 
 
 def test_close_books_taxes_last_months_profit():
     # month 1 stores 100 - 60 - 25 = 15; month 2 taxes those 15, not its revenue
-    world = make_world(firms=[simple_firm(cash=50.0)])
-    firm = world.firms[0]
-    firm.last_profit = 100.0
-    firm.revenue_this_month = 100.0
-    close_books(world, {0: 60.0}, 0.25)
-    assert firm.last_profit == 15.0
-    firm.revenue_this_month = 50.0
-    close_books(world, {}, 0.25)
-    assert firm.last_profit == 50.0 - 3.75
-    assert firm.cash == 50.0 - 25.0 - 3.75
+    world = make_world(firms=[simple_firm(cash=50.0, last_profit=100.0, revenue=100.0)])
+    firms = world.firms
+    close_books(world, np.array([60.0]), 0.25)
+    assert firms.last_profit[0] == 15.0
+    firms.revenue[0] = 50.0
+    close_books(world, np.array([0.0]), 0.25)
+    assert firms.last_profit[0] == 50.0 - 3.75
+    assert firms.cash[0] == 50.0 - 25.0 - 3.75
     assert world.ledger.get("m0", "firms") == 25.0 + 3.75

@@ -218,3 +218,78 @@ def test_invest_qli_never_decreases():
         invest_qli(muni, float(rng.uniform(0, 100)), 50, 1.0)
         assert muni.qli >= before
 
+
+
+# TaxLedger.book must equal booking its charges one by one, in order.
+# Canary for the numpy property it relies on: np.add.at adds repeated
+# indices in index order, left to right, while np.sum adds in pairs.
+TINY_AFTER_ONE = [1.0] + [1e-16] * 1000  # 1.0 + 1e-16 rounds back to 1.0
+
+
+def left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_add_at_adds_repeated_indices_left_to_right():
+    # three owners' charges interleaved; right to left or in pairs, the
+    # tiny charges would add up before meeting the 1.0
+    owners = np.tile([0, 1, 2], len(TINY_AFTER_ONE))
+    values = np.repeat(TINY_AFTER_ONE, 3)
+    totals = np.zeros(3)
+    np.add.at(totals, owners, values)
+    assert left_to_right(TINY_AFTER_ONE) == 1.0
+    assert float(np.sum(TINY_AFTER_ONE)) != 1.0
+    assert left_to_right(TINY_AFTER_ONE[::-1]) != 1.0
+    assert totals.tolist() == [1.0, 1.0, 1.0]
+
+
+def test_book_sums_each_key_left_to_right():
+    ledger = TaxLedger()
+    codes = np.tile([0, 1], len(TINY_AFTER_ONE))
+    amounts = np.repeat(TINY_AFTER_ONE, 2)
+    ledger.book("labor", ["a", "b"], codes, amounts)
+    expected = left_to_right(TINY_AFTER_ONE)
+    assert expected != float(np.sum(TINY_AFTER_ONE))
+    assert ledger.get("a", "labor") == ledger.get("b", "labor") == expected
+    # a second batch continues each key's running sum
+    ledger.book("labor", ["a", "b"], np.array([1, 1]), [1e-16, 1.0])
+    assert ledger.get("b", "labor") == (expected + 1e-16) + 1.0
+
+
+def test_book_enters_keys_in_first_charge_order():
+    # total() adds the keys in ledger order: 1 + 1 + 1e16 keeps both ones,
+    # 1e16 + 1 + 1 loses them
+    ledger = TaxLedger()
+    ledger.book("consumption", ["a", "b", "c"], np.array([2, 1, 2, 0, 1]), [1.0, 1.0, 0.0, 1e16, 0.0])
+    assert list(ledger._amounts) == [("c", "consumption"), ("b", "consumption"), ("a", "consumption")]
+    assert ledger.total() == (1.0 + 1.0) + 1e16
+    ledger.book("labor", ["a", "b", "c"], np.array([0]), [5.0])
+    assert list(ledger._amounts)[-1] == ("a", "labor")
+
+
+@pytest.mark.parametrize("position", [0, 3, 6])
+def test_book_rejects_a_negative_charge_anywhere(position):
+    amounts = [1.0] * 7
+    amounts[position] = -0.5
+    ledger = TaxLedger()
+    with pytest.raises(FiscalError, match="negative tax amount -0.5 for property"):
+        ledger.book("property", ["a", "b"], np.array([0, 1] * 3 + [0]), amounts)
+    # the charges before the negative one are booked, as one by one
+    assert ledger.total() == float(position)
+
+
+def test_population_split_gives_an_empty_municipality_nothing():
+    # the last municipality is empty; the residual goes to the last
+    # populated one, so no share is negative
+    ids = [f"m{index}" for index in range(6)]
+    populations = dict(zip(ids, [393, 39, 297, 80, 312, 0]))
+    ledger = TaxLedger()
+    ledger.add("m0", "consumption", 981.2478859778818)
+    regime = DistributionRegime(False, True)
+    receipts = distribute(ledger, regime, DistributionMatrix(), ids, populations, ONE_BRACKET)
+    assert receipts["m5"] == 0.0
+    assert all(share > 0.0 for muni, share in receipts.items() if muni != "m5")
+    assert sum(receipts.values()) == 981.2478859778818

@@ -4,7 +4,7 @@ import pytest
 from policysim.goods import goods_market_step, set_budget, transact
 from policysim.params import SimParams
 
-from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
+from conftest import make_firms, make_world, simple_citizen, simple_family, simple_firm, simple_house
 
 PRICE_CRITERION = SimParams().price_criterion_probability
 
@@ -46,7 +46,7 @@ def shop_once(prices, locations=None, size_market=10, price_criterion_probabilit
         [simple_citizen()], [simple_family(member_ids=(0,), cash=10.0)], [simple_house()],
         firms, seed=seed,
     )
-    chosen = goods_market_step(world, beta=1.0, size_market=size_market,
+    chosen = goods_market_step(world, world.active_families(), beta=1.0, size_market=size_market,
                                consumption_tax_rate=0.0, rng=world.rng,
                                price_criterion_probability=price_criterion_probability)
     assert len(chosen) == 1
@@ -74,49 +74,51 @@ def test_choose_firm_sample_caps_at_population():
 
 
 def test_choose_firm_distance_tie_breaks_by_id():
-    # firms listed out of id order: equidistant firms 7 and 3 tie, 3 wins
+    # equidistant firms 2 and 1 tie, 1 wins
     firms = [
         simple_firm(firm_id=fid, location=location, stock=1000.0)
-        for fid, location in ((7, (0.0, 4.0)), (5, (9.0, 0.0)), (3, (4.0, 0.0)))
+        for fid, location in enumerate(((9.0, 0.0), (0.0, 4.0), (4.0, 0.0)))
     ]
     world = make_world(
         [simple_citizen()], [simple_family(member_ids=(0,), cash=10.0)], [simple_house()],
         firms,
     )
-    chosen = goods_market_step(world, beta=1.0, size_market=10, consumption_tax_rate=0.0,
-                               rng=world.rng, price_criterion_probability=0.0)
-    assert chosen.tolist() == [3]
+    chosen = goods_market_step(world, world.active_families(), beta=1.0, size_market=10,
+                               consumption_tax_rate=0.0, rng=world.rng,
+                               price_criterion_probability=0.0)
+    assert chosen.tolist() == [1]
+
+
+def buy_once(budget, consumption_tax_rate, **firm):
+    """One purchase at a lone firm; returns its columns, the tax and the change."""
+    firms = make_firms(["m0"], [simple_firm(**firm)])
+    taxes, change = transact(firms, np.array([0]), np.array([budget]), consumption_tax_rate)
+    return firms, float(taxes[0]), float(change[0])
 
 
 def test_transact_budget_limited():
-    family = simple_family()
-    firm = simple_firm(price=2.0, stock=500.0)
-    tax = transact(family, firm, budget=100.0, consumption_tax_rate=0.1)
-    assert firm.stock == 450.0
+    firms, tax, change = buy_once(100.0, 0.1, price=2.0, stock=500.0)
+    assert firms.stock[0] == 450.0
     assert abs(tax - 10.0) <= 1e-12
-    assert abs(firm.cash - 90.0) <= 1e-12
-    assert abs(firm.revenue_this_month - 90.0) <= 1e-12
-    assert family.monthly_cash == 0.0
+    assert abs(firms.cash[0] - 90.0) <= 1e-12
+    assert abs(firms.revenue[0] - 90.0) <= 1e-12
+    assert change == 0.0
 
 
 def test_transact_stock_limited_returns_change():
-    family = simple_family()
-    firm = simple_firm(price=2.0, stock=10.0)
-    tax = transact(family, firm, budget=100.0, consumption_tax_rate=0.0)
+    firms, tax, change = buy_once(100.0, 0.0, price=2.0, stock=10.0)
     assert tax == 0.0
-    assert firm.stock == 0.0
-    assert firm.cash == 20.0
-    assert family.monthly_cash == 80.0
+    assert firms.stock[0] == 0.0
+    assert firms.cash[0] == 20.0
+    assert change == 80.0
 
 
 def test_transact_empty_stock_returns_everything():
-    family = simple_family()
-    firm = simple_firm(price=2.0, stock=0.0)
-    tax = transact(family, firm, budget=100.0, consumption_tax_rate=0.1)
+    firms, tax, change = buy_once(100.0, 0.1, price=2.0, stock=0.0)
     assert tax == 0.0
-    assert firm.stock == 0.0
-    assert firm.cash == 0.0
-    assert family.monthly_cash == 100.0
+    assert firms.stock[0] == 0.0
+    assert firms.cash[0] == 0.0
+    assert change == 100.0
 
 
 def test_transact_conserves_money():
@@ -126,13 +128,11 @@ def test_transact_conserves_money():
         price = float(rng.uniform(0.1, 10))
         stock = float(rng.uniform(0, 50))
         rate = float(rng.uniform(0, 1))
-        family = simple_family()
-        firm = simple_firm(price=price, stock=stock)
-        tax = transact(family, firm, budget, rate)
-        outflow = budget - family.monthly_cash
-        inflow = firm.cash + tax
+        firms, tax, change = buy_once(budget, rate, price=price, stock=stock)
+        outflow = budget - change
+        inflow = firms.cash[0] + tax
         assert abs(outflow - inflow) <= 1e-9 * max(1.0, budget)
-        assert 0.0 <= firm.stock <= stock
+        assert 0.0 <= firms.stock[0] <= stock
 
 
 def market_world(num_families=6, num_firms=3, stock=100.0, cash=10.0):
@@ -148,21 +148,22 @@ def market_world(num_families=6, num_firms=3, stock=100.0, cash=10.0):
 
 def test_goods_market_zero_beta_means_zero_revenue():
     world = market_world()
-    goods_market_step(world, beta=0.0, size_market=2, consumption_tax_rate=0.1,
-                      rng=world.rng, price_criterion_probability=PRICE_CRITERION)
-    assert all(firm.revenue_this_month == 0.0 for firm in world.firms.values())
+    goods_market_step(world, world.active_families(), beta=0.0, size_market=2,
+                      consumption_tax_rate=0.1, rng=world.rng,
+                      price_criterion_probability=PRICE_CRITERION)
+    assert all(revenue == 0.0 for revenue in world.firms.revenue)
     assert all(family.monthly_cash == 0.0 for family in world.families.values())
     assert all(family.savings == 10.0 for family in world.families.values())
 
 
 def test_goods_market_stock_never_negative_and_fcfs():
     world = market_world(num_families=10, num_firms=1, stock=3.0, cash=10.0)
-    total_before = world.firms[0].stock
-    goods_market_step(world, beta=1.0, size_market=1, consumption_tax_rate=0.0,
-                      rng=world.rng, price_criterion_probability=PRICE_CRITERION)
-    firm = world.firms[0]
-    assert firm.stock >= 0.0
-    sold = total_before - firm.stock
+    total_before = world.firms.stock[0]
+    goods_market_step(world, world.active_families(), beta=1.0, size_market=1,
+                      consumption_tax_rate=0.0, rng=world.rng,
+                      price_criterion_probability=PRICE_CRITERION)
+    assert world.firms.stock[0] >= 0.0
+    sold = total_before - world.firms.stock[0]
     assert abs(sold - 3.0) <= 1e-12
     # late families in the permutation got nothing: money returned
     returned = sum(f.monthly_cash for f in world.families.values())
@@ -171,10 +172,11 @@ def test_goods_market_stock_never_negative_and_fcfs():
 
 def test_goods_market_consumption_tax_to_firm_municipality():
     world = market_world(num_families=4, num_firms=2)
-    goods_market_step(world, beta=1.0, size_market=2, consumption_tax_rate=0.25,
-                      rng=world.rng, price_criterion_probability=PRICE_CRITERION)
+    goods_market_step(world, world.active_families(), beta=1.0, size_market=2,
+                      consumption_tax_rate=0.25, rng=world.rng,
+                      price_criterion_probability=PRICE_CRITERION)
     collected = world.ledger.get("m0", "consumption")
-    spent = sum(firm.revenue_this_month for firm in world.firms.values())
+    spent = sum(world.firms.revenue.tolist())
     # collected tax is a third of net revenue at a 25% rate
     assert collected > 0.0
     assert abs(collected / (spent + collected) - 0.25) <= 1e-9

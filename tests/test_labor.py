@@ -91,7 +91,7 @@ def test_higher_wage_firm_picks_first():
     pool = build_pool(world, SimParams(), openings)
     hires = match(world, pool, pct_distance_hiring=0.0, sample_size=10, rng=world.rng)
     assert hires == [(0, 0)]
-    assert not world.firms[1].employee_ids
+    assert not world.firms.employees[1]
 
 
 def test_no_candidate_hired_twice():
@@ -103,29 +103,27 @@ def test_no_candidate_hired_twice():
     hires = match(world, pool, pct_distance_hiring=0.3, sample_size=2, rng=world.rng)
     hired = [cid for _, cid in hires]
     assert len(hired) == len(set(hired))
-    employed = {cid for f in world.firms.values() for cid in f.employee_ids}
+    employed = set().union(*world.firms.employees)
     assert set(pool.candidates).isdisjoint(employed)
 
 
 def test_pay_wages_arithmetic():
     world, _ = staffed_world([(0, 30, 5, 0.0)], [(0, 100.0, 0, 0.0)])
-    firm = world.firms[0]
-    firm.employee_ids = {0}
+    world.firms.employees[0] = {0}
     world.citizens[0].employer = 0
     world.citizens[0].wage = 100.0
-    firm.cash = 150.0
+    world.firms.cash[0] = 150.0
     bills = pay_wages(world, labor_tax_rate=0.2)
-    assert bills == {0: 100.0}
+    assert bills.tolist() == [100.0]
     assert world.families[0].monthly_cash == 80.0
     assert world.ledger.get("m0", "labor") == 20.0
     assert world.ledger.total() == 20.0
-    assert firm.cash == 50.0
+    assert world.firms.cash[0] == 50.0
 
 
 def test_pay_wages_zero_rate_pays_full():
     world, _ = staffed_world([(0, 30, 5, 0.0)], [(0, 100.0, 0, 0.0)])
-    firm = world.firms[0]
-    firm.employee_ids = {0}
+    world.firms.employees[0] = {0}
     world.citizens[0].employer = 0
     world.citizens[0].wage = 100.0
     pay_wages(world, labor_tax_rate=0.0)
@@ -137,19 +135,18 @@ def test_pay_wages_solvency_fires_lowest_qualified():
         [(0, 30, 2, 0.0), (1, 30, 9, 1.0)],
         [(0, 100.0, 0, 0.0)],
     )
-    firm = world.firms[0]
-    firm.employee_ids = {0, 1}
-    firm.cash = 150.0
+    world.firms.employees[0] = {0, 1}
+    world.firms.cash[0] = 150.0
     for cid in (0, 1):
         world.citizens[cid].employer = 0
         world.citizens[cid].wage = 100.0
     bills = pay_wages(world, labor_tax_rate=0.0)
-    assert bills == {0: 100.0}
-    assert firm.employee_ids == {1}
+    assert bills.tolist() == [100.0]
+    assert world.firms.employees[0] == {1}
     assert world.citizens[0].employer is None
     assert world.families[1].monthly_cash == 100.0
     assert world.families[0].monthly_cash == 0.0
-    assert firm.cash == 50.0
+    assert world.firms.cash[0] == 50.0
 
 
 def test_pay_wages_bills_only_the_firms_that_paid():
@@ -160,14 +157,15 @@ def test_pay_wages_bills_only_the_firms_that_paid():
         [(0, 10.0, 0, 0.0), (1, 10.0, 0, 1.0), (2, 10.0, 0, 2.0)],
     )
     for cid, fid in ((0, 0), (1, 1), (2, 1)):
-        world.firms[fid].employee_ids.add(cid)
+        world.firms.employees[fid].add(cid)
         world.citizens[cid].employer = fid
         world.citizens[cid].wage = 60.0
-    world.firms[1].cash = 50.0
+    world.firms.cash[1] = 50.0
     bills = pay_wages(world, labor_tax_rate=0.1)
-    assert bills == {0: 60.0}
-    assert not world.firms[1].employee_ids
-    assert world.firms[1].cash == 50.0
+    assert bills.tolist() == [60.0, 0.0, 0.0]
+    assert not world.firms.employees[1]
+    assert world.firms.cash[1] == 50.0
+    assert world.firms.cash[2] == 100.0
 
 
 def test_pay_wages_rejects_a_negative_charge_in_a_positive_total():
@@ -177,7 +175,7 @@ def test_pay_wages_rejects_a_negative_charge_in_a_positive_total():
         [(0, 1.0, 0, 0.0), (1, 1.0, 0, 1.0)],
     )
     for cid, wage in ((0, 100.0), (1, -1.0)):
-        world.firms[cid].employee_ids.add(cid)
+        world.firms.employees[cid].add(cid)
         world.citizens[cid].employer = cid
         world.citizens[cid].wage = wage
     with pytest.raises(FiscalError, match="negative tax amount"):
@@ -187,11 +185,10 @@ def test_pay_wages_rejects_a_negative_charge_in_a_positive_total():
 
 def test_wages_are_sticky_per_contract():
     world, _ = staffed_world([(0, 30, 5, 0.0)], [(0, 40.0, 0, 0.0)])
-    firm = world.firms[0]
-    firm.employee_ids = {0}
+    world.firms.employees[0] = {0}
     world.citizens[0].employer = 0
     world.citizens[0].wage = 100.0
-    firm.wage_offer = 40.0  # newer, lower offer does not reprice the contract
+    world.firms.wage_offer[0] = 40.0  # newer, lower offer does not reprice the contract
     pay_wages(world, labor_tax_rate=0.0)
     assert world.families[0].monthly_cash == 100.0
 
@@ -270,7 +267,7 @@ def test_match_replay_respects_wage_order():
     offers = [wage for _, wage in pool.vacancies]
     assert offers == sorted(offers, reverse=True)
     hires = match(world, pool, pct_distance_hiring=0.5, sample_size=3, rng=world.rng)
-    hire_wages = [world.firms[fid].wage_offer for fid, _ in hires]
+    hire_wages = [world.firms.wage_offer[fid] for fid, _ in hires]
     assert hire_wages == sorted(hire_wages, reverse=True)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import reference_markets
-from policysim import SimParams, generate_world
+from policysim import SimParams, generate_world, labor
 from policysim.labor import build_pool, calibrate_initial_unemployment, match
 from policysim.sampling import BLOCK_CELLS, sample_blocks, sample_positions
 from policysim.scheduler import step
@@ -94,6 +94,19 @@ def test_fixture3_x10_matches_per_agent_markets(
         pct_distance_hiring=price_criterion_probability,
     )
     assert_same_run(regions[10], params, seed, monkeypatch)
+
+
+def test_fixture3_x10_payroll_shortfalls_match_per_agent_payroll(regions, monkeypatch):
+    # families spend 30% of their cash, so from month 2 on hundreds of firms
+    # a month cannot cover their wage bill and shed staff before paying
+    params = SimParams(percentage_actual_pop=1.0, months=3, beta=0.3)
+    short = []
+    shed = labor._shed_until_affordable
+    with monkeypatch.context() as patch:
+        patch.setattr(labor, "_shed_until_affordable", lambda *args: short.append(args[1]) or shed(*args))
+        state, records = simulate(regions[10], params, seed=1)
+    assert len(short) >= 1000
+    assert simulate_reference(regions[10], params, 1, monkeypatch) == (state, records)
 
 
 def tail_shuffle_world():

@@ -129,7 +129,7 @@ def test_relocation_into_better_house():
     assert len(sales) == 1
     buyer = world.families[0]
     assert buyer.residence == 2
-    residents = world.residents_by_house()
+    residents = world.residents_by_house(world.active_families())
     assert residents[2] is buyer
     assert 0 not in residents
 
@@ -176,7 +176,7 @@ def test_buyers_ordered_by_starting_savings():
         houses.append(simple_house(house_id=4 + j, price=float(20 + j)))
     families[0].owned_houses.update({4, 5, 6})
     world = make_world(citizens, families, houses)
-    listings = build_listings(world)
+    listings = build_listings(world, world.active_families())
     sales = match_market(world, [0, 1, 2, 3], listings, 0.0)
     buyer_starting_savings = [100.0 + 50 * s.buyer_id for s in sales]
     assert buyer_starting_savings == sorted(buyer_starting_savings, reverse=True)
@@ -222,7 +222,7 @@ def test_property_tax_examples():
     world = sale_world()
     world.houses[0].current_price = 100.0
     world.families[0].monthly_cash = 5.0
-    collect_property_tax(world, 0.005)
+    collect_property_tax(world, world.active_families(), 0.005)
     assert abs(world.families[0].monthly_cash - 4.5) <= 1e-12
     assert world.ledger.get("m0", "property") >= 0.5
 
@@ -231,7 +231,7 @@ def test_property_tax_zero_rate():
     world = sale_world()
     world.families[0].monthly_cash = 5.0
     world.families[1].monthly_cash = 5.0
-    collect_property_tax(world, 0.0)
+    collect_property_tax(world, world.active_families(), 0.0)
     assert world.ledger.total() == 0.0
     assert world.families[0].monthly_cash == 5.0
 
@@ -241,7 +241,7 @@ def test_property_tax_clamped_at_cash():
     world.houses[0].current_price = 100.0
     world.families[0].monthly_cash = 0.2
     world.families[1].monthly_cash = 1.0
-    collect_property_tax(world, 0.005)  # family 0 owes 0.5, has 0.2
+    collect_property_tax(world, world.active_families(), 0.005)  # family 0 owes 0.5, has 0.2
     assert world.families[0].monthly_cash == 0.0
     assert abs(world.ledger.get("m0", "property") - (0.2 + 0.05)) <= 1e-12  # family 1 pays 0.05
 
@@ -251,7 +251,7 @@ def test_vacant_houses_pay_no_property_tax():
     world.families[0].monthly_cash = 10.0
     world.families[1].monthly_cash = 10.0
     total_price = world.houses[0].current_price + world.houses[1].current_price
-    collect_property_tax(world, 0.01)
+    collect_property_tax(world, world.active_families(), 0.01)
     assert abs(world.ledger.get("m0", "property") - 0.01 * total_price) <= 1e-12
 
 
@@ -260,8 +260,8 @@ def test_home_of_an_extinct_family_is_vacant():
     world = sale_world()
     world.families[1].member_ids.clear()
     world.families[0].monthly_cash = world.families[1].monthly_cash = 10.0
-    assert build_listings(world) == [1, 2]
-    collect_property_tax(world, 0.01)
+    assert build_listings(world, world.active_families()) == [1, 2]
+    collect_property_tax(world, world.active_families(), 0.01)
     assert world.ledger.get("m0", "property") == 0.01 * world.houses[0].current_price
     assert world.families[1].monthly_cash == 10.0
 

@@ -81,17 +81,17 @@ def test_ledger_writes_only_in_market_steps(fixture3):
         totals = []
         step_production(world, params)
         totals.append(world.ledger.total())
-        step_demographics(world, params, rng)
+        active = step_demographics(world, params, rng)
         totals.append(world.ledger.total())
-        step_goods_market(world, params, rng)
+        step_goods_market(world, params, rng, active)
         totals.append(world.ledger.total())
         openings = step_firm_decisions(world, params, rng)
         totals.append(world.ledger.total())
         step_labor_market(world, params, rng, openings)
         totals.append(world.ledger.total())
-        step_real_estate(world, params, rng)
+        step_real_estate(world, params, rng, active)
         totals.append(world.ledger.total())
-        step_fiscal(world, params)
+        step_fiscal(world, params, active)
         totals.append(world.ledger.total())
         world.clock += 1
         production, demo, goods, decisions, labor, estate, fiscal = totals
@@ -109,18 +109,20 @@ def test_firm_decisions_return_the_openings_of_deciding_firms():
     params = SimParams()
     params.labor_market_frequency = 2
     profits = {0: 5.0, 1: 5.0, 2: -1.0, 3: -1.0, 4: 0.0}
-    firms = [simple_firm(firm_id=fid, employees=(fid,)) for fid in profits]
+    firms = [
+        simple_firm(firm_id=fid, employees=(fid,), last_profit=profit)
+        for fid, profit in profits.items()
+    ]
     citizens = [simple_citizen(cid=fid, family_id=fid) for fid in profits]
     families = [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in profits]
     houses = [simple_house(house_id=fid) for fid in profits]
-    for fid, profit in profits.items():
-        firms[fid].last_profit = profit
+    for fid in profits:
         citizens[fid].employer = fid
     world = make_world(citizens, families, houses, firms)
     openings = step_firm_decisions(world, params, world.rng)
     assert list(openings.items()) == [(0, 1), (4, 1)]
-    assert not world.firms[2].employee_ids  # fired its one employee, opened nothing
-    assert world.firms[3].employee_ids == {3}  # holds: not its decision month
+    assert not world.firms.employees[2]  # fired its one employee, opened nothing
+    assert world.firms.employees[3] == {3}  # holds: not its decision month
 
 
 def test_records_carry_per_municipality_qli(fixture3):
@@ -173,7 +175,7 @@ def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
         ledger.reset()
         for muni_id, amount in collected.items():
             ledger.add(muni_id, "consumption", amount)
-    populations = world.population_by_municipality()
+    populations = world.population_by_municipality(world.active_families())
     receipts = distribute(
         expected_ledger,
         DistributionRegime(override.alternative0, override.fpm_distribution),
@@ -185,9 +187,20 @@ def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
     assert receipts == pytest.approx(collected)  # all of it stays local
     before = {muni_id: muni.qli for muni_id, muni in world.municipalities.items()}
 
-    step_fiscal(world, override)
+    step_fiscal(world, override, world.active_families())
 
     for muni_id, muni in world.municipalities.items():
         gain = receipts[muni_id] / max(1, populations[muni_id])
         gain /= override.reference_cost_per_capita
         assert muni.qli - before[muni_id] == pytest.approx(gain, rel=1e-9)
+
+
+def test_merged_run_survives_an_emptied_municipality(fixture3):
+    # at 5% of fixture3, seed 22, "east" loses its last resident in month
+    # 42; its population share of the merged pot must be 0.0, never the
+    # negative rounding residual that stopped the run
+    params = SimParams(percentage_actual_pop=0.05, alternative0=False, months=240)
+    result = run(fixture3, params, seed=22)
+    assert len(result.records) == 240
+    qli = [record.qli["east"] for record in result.records]
+    assert qli[-1] == qli[42] and all(b >= a for a, b in zip(qli, qli[1:]))

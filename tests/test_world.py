@@ -155,7 +155,9 @@ def test_generate_counts_match_formulas(fixture3):
     assert len(world.citizens) == 100
     assert len(world.families) == 40
     assert len(world.houses) == 44
-    assert world.population_by_municipality() == {"core": 60, "north": 30, "east": 10}
+    assert world.population_by_municipality(world.active_families()) == {
+        "core": 60, "north": 30, "east": 10
+    }
 
 
 def test_generate_one_member_per_family_at_the_lower_bound(fixture3):
@@ -199,7 +201,7 @@ def test_occupancy_bijection_and_surplus(fixture3):
     world = generate_world(fixture3, params, seed=3)
     residences = [family.residence for family in world.families.values()]
     assert len(residences) == len(set(residences))
-    assert set(world.residents_by_house()) == set(residences)
+    assert set(world.residents_by_house(world.active_families())) == set(residences)
     vacant = [h for h in world.houses.values() if h.id not in residences]
     assert len(vacant) == len(world.houses) - len(world.families)
     assert len(vacant) >= 0
@@ -220,10 +222,9 @@ def test_every_municipality_gets_a_firm(fixture3):
     params = SimParams()
     params.percentage_actual_pop = 0.1
     world = generate_world(fixture3, params, seed=2)
-    by_muni = {m: 0 for m in world.municipalities}
-    for firm in world.firms.values():
-        by_muni[firm.municipality_id] += 1
-    assert all(count >= 1 for count in by_muni.values())
+    firms = world.firms
+    assert firms.municipality_ids == list(world.municipalities)
+    assert np.bincount(firms.municipality, minlength=3).min() >= 1
 
 
 def test_generate_zero_share_municipality_rejected(fixture3):
