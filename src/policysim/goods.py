@@ -18,7 +18,7 @@ def set_budget(family: Family, beta: float) -> tuple[float, float]:
     """Split liquid cash into a consumption budget and illiquid savings.
 
     Returns (consume_budget, saved_amount); the family's liquid cash is
-    emptied and any unspent budget flows back in transact().
+    emptied and the change of its purchase flows back.
     """
     budget = beta * family.monthly_cash
     saved = family.monthly_cash - budget

@@ -79,6 +79,13 @@ class House:
         return self.size * self.quality * qli
 
 
+# the fields of a firm's record in World.to_dict() and the firms dump
+FIRM_RECORD_KEYS = (
+    "id", "municipality_id", "location", "stock", "price", "cash", "wage_offer",
+    "employee_ids", "last_profit", "revenue_this_month", "last_output",
+)
+
+
 @dataclass(slots=True)
 class Firms:
     """Every firm as one row of columns; a firm's id is its row.
@@ -136,29 +143,17 @@ class Firms:
         return np.fromiter(map(len, self.employees), dtype=np.int64, count=len(self))
 
     def records(self) -> list[dict]:
-        """One dict per firm, in id order, holding Python values."""
-        rows = zip(
-            self.municipality.tolist(), self.x.tolist(), self.y.tolist(),
+        """One dict of Python values per firm, in id order, keyed by FIRM_RECORD_KEYS."""
+        columns = (
+            [self.municipality_ids[code] for code in self.municipality.tolist()],
+            zip(self.x.tolist(), self.y.tolist()),
             self.stock.tolist(), self.price.tolist(), self.cash.tolist(),
-            self.wage_offer.tolist(), self.employees, self.last_profit.tolist(),
+            self.wage_offer.tolist(), map(set, self.employees), self.last_profit.tolist(),
             self.revenue.tolist(), self.last_output.tolist(),
         )
         return [
-            {
-                "id": firm_id,
-                "municipality_id": self.municipality_ids[code],
-                "location": (x, y),
-                "stock": stock,
-                "price": price,
-                "cash": cash,
-                "wage_offer": offer,
-                "employee_ids": set(staff),
-                "last_profit": profit,
-                "revenue_this_month": revenue,
-                "last_output": output,
-            }
-            for firm_id, (code, x, y, stock, price, cash, offer, staff, profit, revenue, output)
-            in enumerate(rows)
+            dict(zip(FIRM_RECORD_KEYS, (firm_id, *row)))
+            for firm_id, row in enumerate(zip(*columns))
         ]
 
 
