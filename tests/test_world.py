@@ -16,6 +16,7 @@ from policysim import (
 )
 from policysim.cli import default_data_dir
 from policysim.labor import calibrate_initial_unemployment
+from policysim.scheduler import run
 from policysim.world.generate import (
     HOUSE_DRAW_BOUNDS,
     HOUSE_SIZE_RANGE,
@@ -415,3 +416,37 @@ def test_sized_random_replays_scalar_calls(buffered):
     ours, theirs = generators(buffered)
     assert ours.random(501).tolist() == [float(theirs.random()) for _ in range(501)]
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+# World.to_dict() after stepping months: per-citizen ages, employers and
+# wages, house prices and family money mid-run. The property rate defaults
+# to 0.0, so the fixture3 cases set it and the levy and its clamp at the
+# family's cash run every month. The hashes were taken before citizens and
+# houses became column stores.
+STEPPED_WORLD_SHA256 = {
+    ("fixture3-property", 1): (
+        "9121c3893c406409a4086b6d4e73b5d4098e7f7d0004e59bf4d476f3fd14f403"
+    ),
+    ("fixture3-property", 2): (
+        "56f30a1c569a01189efb904818dbb620c4468389450f56c8ec8cfd4f672bd2fe"
+    ),
+    ("fixture3x10", 1): (
+        "c7e69206b803ddaebf00bf601b4b6b1c82ad617718d467304def9b34599e1daf"
+    ),
+}
+STEPPED_WORLD_CASES = {
+    "fixture3-property": (1, 24, 0.002),
+    "fixture3x10": (10, 3, 0.0),
+}
+
+
+@pytest.mark.parametrize("case, seed", sorted(STEPPED_WORLD_SHA256))
+def test_stepped_world_pinned(tmp_path, case, seed):
+    scale, months, property_rate = STEPPED_WORLD_CASES[case]
+    source = os.path.join(default_data_dir(), "fixture3")
+    if scale != 1:
+        source = str(scaled_region(source, tmp_path / f"fixture3x{scale}", scale))
+    params = SimParams(percentage_actual_pop=1.0, months=months)
+    params.taxes.property = property_rate
+    result = run(load_region_data(source), params, seed)
+    assert world_sha256(result.world) == STEPPED_WORLD_SHA256[case, seed]
