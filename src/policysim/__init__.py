@@ -29,11 +29,11 @@ from .sweeps import (
     parse_sweep_spec,
 )
 from .world import (
-    Citizen,
+    Citizens,
     Family,
     Firms,
     GenerationError,
-    House,
+    Houses,
     Municipality,
     RegionData,
     RegionDataError,
@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_REGIMES",
-    "Citizen",
+    "Citizens",
     "DistributionMatrix",
     "DistributionRegime",
     "ExperimentPlan",
@@ -56,7 +56,7 @@ __all__ = [
     "Firms",
     "FiscalError",
     "GenerationError",
-    "House",
+    "Houses",
     "Job",
     "MonthRecord",
     "Municipality",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .world.regions import MAX_SCHOOLING_YEARS
-from .world.types import Citizen, Firms, World
+from .world.types import Firms, World
 
 # stock thresholds for the price rule, as fractions of the last output
 LOW_STOCK_FRACTION = 0.1
@@ -21,15 +21,6 @@ HIGH_STOCK_FRACTION = 1.0
 HOLD = 0
 OPEN_VACANCY = 1
 FIRE_ONE = 2
-
-
-def staff(world: World) -> tuple[list[Citizen], np.ndarray]:
-    """The employed citizens in id order, and the firm id of each."""
-    employed = [citizen for citizen in world.citizens.values() if citizen.employer is not None]
-    employers = np.fromiter(
-        (citizen.employer for citizen in employed), dtype=np.int64, count=len(employed)
-    )
-    return employed, employers
 
 
 def produce(world: World, alpha: float) -> np.ndarray:
@@ -41,13 +32,11 @@ def produce(world: World, alpha: float) -> np.ndarray:
     outputs.
     """
     power = np.array([float(q) ** alpha for q in range(MAX_SCHOOLING_YEARS + 1)])
-    employed, employers = staff(world)
-    qualifications = np.fromiter(
-        (citizen.qualification for citizen in employed), dtype=np.int64, count=len(employed)
-    )
+    citizens = world.citizens
+    employed = citizens.employed()
     firms = world.firms
     output = np.zeros(len(firms))
-    np.add.at(output, employers, power[qualifications])
+    np.add.at(output, citizens.employer[employed], power[citizens.qualification[employed]])
     firms.stock += output
     firms.last_output = output
     return output
@@ -107,19 +96,14 @@ def hire_fire_decisions(
     return decisions
 
 
-def lowest_qualified_employee(world: World, firm_id: int) -> int:
-    """Employee id with the lowest qualification, ties broken by id."""
-    return min(
-        world.firms.employees[firm_id],
-        key=lambda cid: (world.citizens[cid].qualification, cid),
-    )
-
-
-def fire_employee(world: World, firm_id: int, citizen_id: int) -> None:
-    world.firms.employees[firm_id].discard(citizen_id)
-    citizen = world.citizens[citizen_id]
-    citizen.employer = None
-    citizen.wage = 0.0
+def fire_lowest_qualified(world: World, firm_ids: np.ndarray) -> np.ndarray:
+    """Fire each listed firm's least qualified employee, ties going to the
+    lower id; every listed firm must have one. Returns the fired ids."""
+    citizens = world.citizens
+    order = citizens.firing_order()
+    fired = order[np.searchsorted(citizens.employer[order], firm_ids)]
+    citizens.fire(fired)
+    return fired
 
 
 def close_books(world: World, wage_bills: np.ndarray, firm_tax_rate: float) -> None:

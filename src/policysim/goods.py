@@ -109,8 +109,7 @@ def choose_firms(
     firms = world.firms
     price_rank = np.empty(len(firms), dtype=np.int64)
     price_rank[np.argsort(firms.price, kind="stable")] = np.arange(len(firms))
-    houses = world.houses
-    homes = np.array([houses[family.residence].location for family in shoppers])
+    homes = world.residences(shoppers)
 
     chosen: list[np.ndarray] = []
     start = 0
@@ -121,9 +120,11 @@ def choose_firms(
         best = picks[np.arange(len(picks)), np.argmin(price_rank[picks], axis=1)]
         near = np.flatnonzero(coins >= price_criterion_probability)
         if len(near):
-            home_x, home_y = homes[start + near].T
+            home = homes[start + near, None]
             sampled = picks[near]
-            km = distances(home_x[:, None], home_y[:, None], firms.x[sampled], firms.y[sampled])
+            km = distances(
+                world.houses.x[home], world.houses.y[home], firms.x[sampled], firms.y[sampled]
+            )
             best[near] = sampled[np.arange(len(near)), np.argmin(km, axis=1)]
         chosen.append(best)
         start += len(picks)

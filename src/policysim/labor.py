@@ -6,15 +6,15 @@ of the remaining candidates either the closest one or the best qualified.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .firms import fire_employee, lowest_qualified_employee, staff
 from .params import SimParams
 from .sampling import sample_blocks
 from .world.generate import allocate_proportionally
-from .world.types import World, distance
+from .world.types import UNEMPLOYED, World
 
 
 @dataclass
@@ -25,17 +25,16 @@ class LaborPool:
 
 def build_pool(world: World, params: SimParams, openings: dict[int, int]) -> LaborPool:
     """Unemployed working-age citizens, and the openings' vacancies sorted by wage."""
-    candidates = [
-        citizen.id
-        for citizen in world.citizens.values()
-        if citizen.employer is None
-        and params.working_age_min <= citizen.age <= params.working_age_max
-    ]
-    offers = world.firms.wage_offer.tolist()
-    vacancies: list[tuple[int, float]] = []
-    for firm_id, count in openings.items():
-        vacancies.extend([(firm_id, offers[firm_id])] * count)
-    vacancies.sort(key=lambda entry: (-entry[1], entry[0]))
+    citizens = world.citizens
+    looking = citizens.working_age(params.working_age_min, params.working_age_max)
+    candidates = np.flatnonzero(looking & (citizens.employer == UNEMPLOYED)).tolist()
+    firm_ids = np.repeat(
+        np.array(list(openings), dtype=np.int64), np.array(list(openings.values()), dtype=np.int64)
+    )
+    offers = world.firms.wage_offer[firm_ids]
+    # the highest offer first, ties going to the lower firm id
+    order = np.lexsort((firm_ids, -offers))
+    vacancies = list(zip(firm_ids[order].tolist(), offers[order].tolist()))
     return LaborPool(candidates=candidates, vacancies=vacancies)
 
 
@@ -55,37 +54,43 @@ def match(
 
     Every vacancy up to the number of candidates hires exactly one, so the
     pool shrinks by one per vacancy and every sample size is known before
-    the first hire; the samples come from batched draws.
+    the first hire; the samples come from batched draws. The candidates'
+    qualifications and home coordinates are gathered once, in pool order.
     """
-    firms = world.firms
+    citizens, firms = world.citizens, world.firms
+    ids = np.asarray(pool.candidates, dtype=np.int64)
+    count = len(ids)
+    id_list = ids.tolist()
+    # one key per candidate: the best qualified first, then the lower id
+    by_qualification = (ids - citizens.qualification[ids] * citizens.rows).tolist()
+    homes = World.residences([world.families[family] for family in citizens.family[ids].tolist()])
+    home_x, home_y = world.houses.x[homes].tolist(), world.houses.y[homes].tolist()
     firm_x, firm_y = firms.x.tolist(), firms.y.tolist()
-    remaining = list(pool.candidates)
-    vacancies = iter(pool.vacancies[: len(remaining)])
-    pool_sizes = np.arange(len(remaining), 0, -1)[: len(pool.vacancies)]
-    hires: list[tuple[int, int]] = []
-    for picks, coins in sample_blocks(rng, pool_sizes, sample_size):
+    remaining = list(range(count))
+    filled = pool.vacancies[:count]
+    vacancies = iter(filled)
+    hired: list[int] = []
+    for picks, coins in sample_blocks(rng, np.arange(count, 0, -1)[: len(filled)], sample_size):
         by_distance_rows = (coins < pct_distance_hiring).tolist()
-        for sample, by_distance, (firm_id, wage) in zip(picks, by_distance_rows, vacancies):
-            location = firm_x[firm_id], firm_y[firm_id]
-            positions = sample[: min(sample_size, len(remaining))].tolist()
+        for sample, by_distance, (firm_id, _) in zip(picks.tolist(), by_distance_rows, vacancies):
+            positions = sample[: min(sample_size, len(remaining))]
+            if by_distance:
+                x, y = firm_x[firm_id], firm_y[firm_id]
 
-            def rank(index: int) -> tuple[float, int]:
-                cid = remaining[index]
-                if by_distance:
-                    family = world.families[world.citizens[cid].family_id]
-                    return distance(world.residence_location(family), location), cid
-                return -world.citizens[cid].qualification, cid
+                def km(position: int) -> tuple[float, int]:
+                    # math.hypot of the differences, as types.distance(s) measures
+                    index = remaining[position]
+                    return math.hypot(home_x[index] - x, home_y[index] - y), id_list[index]
 
-            position = min(positions, key=rank)
-            chosen = remaining[position]
-            del remaining[position]
-            citizen = world.citizens[chosen]
-            citizen.employer = firm_id
-            citizen.wage = wage
-            firms.employees[firm_id].add(chosen)
-            hires.append((firm_id, chosen))
-    pool.candidates = remaining
-    return hires
+                position = min(positions, key=km)
+            else:
+                position = min(positions, key=lambda position: by_qualification[remaining[position]])
+            hired.append(remaining.pop(position))
+    hired_ids = ids[hired]
+    citizens.employer[hired_ids] = [firm_id for firm_id, _ in filled]
+    citizens.wage[hired_ids] = [wage for _, wage in filled]
+    pool.candidates = ids[remaining].tolist()
+    return [(firm_id, citizen_id) for (firm_id, _), citizen_id in zip(filled, hired_ids.tolist())]
 
 
 def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
@@ -99,37 +104,49 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     booked to the firm's municipality, in firm then employee-id order.
     Returns each firm's wage bill, 0.0 for a firm that paid none.
     """
-    firms = world.firms
-    employed, employers = staff(world)
-    wages = np.array([citizen.wage for citizen in employed], dtype=float)
+    firms, citizens = world.firms, world.citizens
+    employed = citizens.employed()
+    employers = citizens.employer[employed]
     bills = np.zeros(len(firms))
-    np.add.at(bills, employers, wages)
-    short = (firms.cash < bills) & (np.bincount(employers, minlength=len(firms)) > 0)
-    for firm_id in np.flatnonzero(short).tolist():
-        bills[firm_id] = _shed_until_affordable(world, firm_id, float(bills[firm_id]))
+    np.add.at(bills, employers, citizens.wage[employed])
+    short = np.flatnonzero((firms.cash < bills) & (np.bincount(employers, minlength=len(firms)) > 0))
+    if len(short):
+        order = citizens.firing_order()
+        firm_of = citizens.employer[order]
+        starts = np.searchsorted(firm_of, short).tolist()
+        ends = np.searchsorted(firm_of, short, side="right").tolist()
+        for firm_id, start, end in zip(short.tolist(), starts, ends):
+            staff = order[start:end].tolist()
+            bills[firm_id] = _shed_until_affordable(world, firm_id, float(bills[firm_id]), staff)
+        employed = citizens.employed()
+        employers = citizens.employer[employed]
 
-    kept = np.fromiter(
-        (citizen.employer is not None for citizen in employed), dtype=bool, count=len(employed)
+    payroll = employed[np.argsort(employers, kind="stable")]
+    wages = citizens.wage[payroll]
+    tax = wages * labor_tax_rate
+    families = world.families
+    for family_id, net in zip(citizens.family[payroll].tolist(), (wages - tax).tolist()):
+        families[family_id].monthly_cash += net
+    world.ledger.book(
+        "labor", firms.municipality_ids, firms.municipality[citizens.employer[payroll]], tax
     )
-    payroll = np.flatnonzero(kept)[np.argsort(employers[kept], kind="stable")]
-    tax = wages[payroll] * labor_tax_rate
-    for index, net in zip(payroll.tolist(), (wages[payroll] - tax).tolist()):
-        world.families[employed[index].family_id].monthly_cash += net
-    world.ledger.book("labor", firms.municipality_ids, firms.municipality[employers[payroll]], tax)
     firms.cash -= bills
     return bills
 
 
-def _shed_until_affordable(world: World, firm_id: int, bill: float) -> float:
-    """Fire the least qualified employee until the firm's cash covers the
-    bill of the rest; returns that bill, 0.0 if nobody is left."""
+def _shed_until_affordable(world: World, firm_id: int, bill: float, staff: list[int]) -> float:
+    """Fire the firm's staff, listed least qualified first, one by one until
+    its cash covers the bill of the rest; returns that bill, 0.0 if nobody
+    is left. A bill sums its wages in id order."""
     cash = world.firms.cash[firm_id]
-    employees = world.firms.employees[firm_id]
-    while employees and cash < bill:
-        fire_employee(world, firm_id, lowest_qualified_employee(world, firm_id))
+    wages = world.citizens.wage
+    shed = 0
+    while shed < len(staff) and cash < bill:
+        shed += 1
         bill = 0.0
-        for citizen_id in sorted(employees):
-            bill += world.citizens[citizen_id].wage
+        for wage in wages[sorted(staff[shed:])].tolist():
+            bill += wage
+    world.citizens.fire(staff[:shed])
     return bill
 
 
@@ -143,10 +160,10 @@ def calibrate_initial_unemployment(
     unemployed working-age candidate in the pool, so ``match`` fills each
     vacancy and the employed count lands on the rounded target exactly.
     """
-    working_age = world.working_age_citizens(
-        params.working_age_min, params.working_age_max
-    )
-    if not working_age:
+    citizens = world.citizens
+    working_age = citizens.working_age(params.working_age_min, params.working_age_max)
+    candidates = int(np.count_nonzero(working_age))
+    if not candidates:
         return
     firms = world.firms
     if not len(firms):
@@ -156,8 +173,8 @@ def calibrate_initial_unemployment(
     firms_per_muni = np.bincount(firms.municipality, minlength=len(firms.municipality_ids))
     weights = (residents[firms.municipality] / firms_per_muni[firms.municipality]).tolist()
 
-    employed = sum(citizen.employer is not None for citizen in working_age)
-    needed = round((1.0 - target_rate) * len(working_age)) - employed
+    employed = int(np.count_nonzero(working_age & (citizens.employer != UNEMPLOYED)))
+    needed = round((1.0 - target_rate) * candidates) - employed
     if needed <= 0:
         return
     openings = dict(enumerate(allocate_proportionally(needed, weights)))

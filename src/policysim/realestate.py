@@ -1,7 +1,7 @@
 """Real-estate market: hedonic offers, savings-ordered bidding, relocation.
 
 Vacant houses are always for sale. A listing is a vacant house's id; its
-offer is the house's current_price. Ownership lives only in
+offer is the house's current price. Ownership lives only in
 Family.owned_houses. Entering families bid their full savings, richest
 first; each takes the best-priced listing it can afford at a transaction
 price halfway between bid and offer.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world.types import Family, House, World
+from .world.types import Family, Houses, World
 
 
 @dataclass(frozen=True)
@@ -32,29 +32,25 @@ class SaleRecord:
     tax: float
 
 
-def hedonic_offer_price(
-    house: House, municipality_qli: float, base_coefficient: float
-) -> float:
-    """Offer price from size, quality, and the town's quality of life.
+def hedonic_offer_prices(houses: Houses, qli: np.ndarray, base_coefficient: float) -> np.ndarray:
+    """Each house's offer price from its size, quality, and its town's quality
+    of life (``qli`` is per municipality).
 
-    Multiplicative, so it is strictly increasing in every factor. Updates
-    the house's current price.
+    base * size * quality * qli, left to right. Multiplicative, so it is
+    strictly increasing in every factor.
     """
-    offer = base_coefficient * house.size * house.quality * municipality_qli
-    house.current_price = offer
-    return offer
+    return base_coefficient * houses.size * houses.quality * qli[houses.municipality]
 
 
 def reprice_houses(world: World, base_coefficient: float) -> None:
-    for house in world.houses.values():
-        qli = world.municipalities[house.municipality_id].qli
-        hedonic_offer_price(house, qli, base_coefficient)
+    world.houses.price = hedonic_offer_prices(world.houses, world.qli(), base_coefficient)
 
 
 def build_listings(world: World, active: list[Family]) -> list[int]:
     """Every vacant house is on the market at its current hedonic price."""
-    residents = world.residents_by_house(active)
-    return [house_id for house_id in world.houses if house_id not in residents]
+    vacant = np.ones(len(world.houses), dtype=bool)
+    vacant[world.residences(active)] = False
+    return np.flatnonzero(vacant).tolist()
 
 
 def select_entrants(
@@ -87,7 +83,8 @@ def match_market(
     """
     # ascending by (offer, -house id): the best affordable listing is the
     # last one at or below the bid, ties going to the lower house id
-    open_listings = sorted((world.houses[h].current_price, -h) for h in listings)
+    prices = world.houses.price.tolist()
+    open_listings = sorted((prices[h], -h) for h in listings)
     owners = {
         house_id: family
         for family in world.families.values()
@@ -97,6 +94,7 @@ def match_market(
         (world.families[fid] for fid in entrant_ids),
         key=lambda family: (-family.savings, family.id),
     )
+    scores = world.houses.amenity_scores(world.qli()).tolist()
     sales: list[SaleRecord] = []
     for buyer in order:
         bid = buyer.savings
@@ -106,19 +104,19 @@ def match_market(
         if not index:
             continue
         offer, negative_id = open_listings.pop(index - 1)
-        best_house = world.houses[-negative_id]
-        seller = owners[best_house.id]
+        house_id = -negative_id
+        seller = owners[house_id]
         price = (bid + offer) / 2.0
         tax = price * transaction_tax_rate
         buyer.savings -= price
         seller.savings += price - tax
-        seller.owned_houses.discard(best_house.id)
-        buyer.owned_houses.add(best_house.id)
-        owners[best_house.id] = buyer
+        seller.owned_houses.discard(house_id)
+        buyer.owned_houses.add(house_id)
+        owners[house_id] = buyer
         sales.append(
             SaleRecord(
                 month=world.clock,
-                house_id=best_house.id,
+                house_id=house_id,
                 seller_id=seller.id,
                 buyer_id=buyer.id,
                 bid=bid,
@@ -127,42 +125,34 @@ def match_market(
                 tax=tax,
             )
         )
-        residence = world.houses[buyer.residence]
-        new_score = best_house.amenity_score(
-            world.municipalities[best_house.municipality_id].qli
-        )
-        old_score = residence.amenity_score(
-            world.municipalities[residence.municipality_id].qli
-        )
-        if new_score > old_score:
-            insort(open_listings, (residence.current_price, -residence.id))
-            buyer.residence = best_house.id
-    _book(world, "transaction", [world.houses[sale.house_id] for sale in sales],
-          [sale.tax for sale in sales])
+        if scores[house_id] > scores[buyer.residence]:
+            insort(open_listings, (prices[buyer.residence], -buyer.residence))
+            buyer.residence = house_id
+    houses = world.houses
+    codes = houses.municipality[[sale.house_id for sale in sales]]
+    world.ledger.book("transaction", houses.municipality_ids, codes, [sale.tax for sale in sales])
     return sales
 
 
 def collect_property_tax(
     world: World, active: list[Family], property_tax_rate: float
 ) -> None:
-    """Monthly levy on each occupied house, clamped at the resident's cash."""
-    residents = world.residents_by_house(active)
-    occupied, charges = [], []
-    for house in world.houses.values():
-        family = residents.get(house.id)
-        if family is None:
-            continue
-        owed = property_tax_rate * house.current_price
-        paid = min(owed, family.monthly_cash)
-        family.monthly_cash -= paid
-        occupied.append(house)
-        charges.append(paid)
-    _book(world, "property", occupied, charges)
+    """Monthly levy on each occupied house, clamped at the resident's cash.
 
-
-def _book(world: World, kind: str, houses: list[House], charges: list[float]) -> None:
-    """Book charge i to the municipality of houses[i], in order."""
-    municipality_ids = world.municipality_ids()
-    code = {muni: index for index, muni in enumerate(municipality_ids)}
-    codes = np.array([code[house.municipality_id] for house in houses], dtype=np.int64)
-    world.ledger.book(kind, municipality_ids, codes, charges)
+    Charged and booked in house id order.
+    """
+    houses = world.houses
+    residences = world.residences(active)
+    by_house = np.argsort(residences)
+    occupied = residences[by_house]
+    owed = property_tax_rate * houses.price[occupied]
+    cash = np.fromiter(
+        (family.monthly_cash for family in active), dtype=float, count=len(active)
+    )[by_house]
+    # min(owed, cash): the owed amount unless the cash is strictly smaller
+    paid = np.where(cash < owed, cash, owed)
+    # cash is never -0.0, so a zero charge leaves it as it is
+    families, charges = by_house.tolist(), paid.tolist()
+    for index in np.flatnonzero(paid).tolist():
+        active[families[index]].monthly_cash -= charges[index]
+    world.ledger.book("property", houses.municipality_ids, houses.municipality[occupied], paid)

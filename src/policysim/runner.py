@@ -60,7 +60,7 @@ def _size(attribute: str) -> Callable:
 
 # --save-data flag -> the file it adds to each run directory
 DUMPS = {
-    "agents": Dump("agents.csv", _sorted("citizens"), _attributes(
+    "agents": Dump("agents.csv", lambda result: result.world.citizens.records(), _items(
         "id", "family_id", "age", "gender", "qualification", "employer", "wage"
     )),
     "grave": Dump("grave.csv", attrgetter("grave"), _attributes(
@@ -76,7 +76,7 @@ DUMPS = {
         ("owned_houses", _size("owned_houses")),
         *_attributes("monthly_cash", "savings"),
     )),
-    "firms": Dump("firms.csv", lambda result: result.world.firms.records(), (
+    "firms": Dump("firms.csv", lambda result: result.world.firm_records(), (
         *_items("id"),
         ("municipality", itemgetter("municipality_id")),
         *_items("price", "cash", "wage_offer"),

@@ -133,7 +133,7 @@ def step_firm_decisions(
         params.working_age_min, params.working_age_max
     )
     reprice_draws = rng.random(len(world.firms))
-    headcount = world.firms.headcount()
+    headcount = world.citizens.headcount(len(world.firms))
     firms.update_prices(
         world.firms, params.markup, params.sticky_prices, reprice_draws, params.price_floor
     )
@@ -147,8 +147,7 @@ def step_firm_decisions(
     decisions = firms.hire_fire_decisions(
         world.firms, headcount, world.clock, params.labor_market_frequency
     )
-    for firm_id in np.flatnonzero(decisions == firms.FIRE_ONE).tolist():
-        firms.fire_employee(world, firm_id, firms.lowest_qualified_employee(world, firm_id))
+    firms.fire_lowest_qualified(world, np.flatnonzero(decisions == firms.FIRE_ONE))
     return dict.fromkeys(np.flatnonzero(decisions == firms.OPEN_VACANCY).tolist(), 1)
 
 
@@ -202,19 +201,14 @@ def step_fiscal(world: World, params: SimParams, active: list[Family]) -> dict[s
 def record_month(
     world: World, params: SimParams, taxes: dict[str, float], active: list[Family]
 ) -> MonthRecord:
-    houses_list = list(world.houses.values())
     price_index = float(np.mean(world.firms.price)) if len(world.firms) else 0.0
     if world.price_index_prev and world.price_index_prev > 0.0 and price_index > 0.0:
         inflation = (price_index - world.price_index_prev) / world.price_index_prev * 100.0
     else:
         inflation = 0.0
     world.price_index_prev = price_index
-    house_price_index = (
-        float(np.mean([house.current_price for house in houses_list]))
-        if houses_list
-        else 0.0
-    )
-    wealth = [world.family_wealth(family) for family in active]
+    house_price_index = float(np.mean(world.houses.price)) if len(world.houses) else 0.0
+    wealth = world.wealth(active)
     return MonthRecord(
         month=world.clock,
         population=len(world.citizens),

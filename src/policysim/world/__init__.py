@@ -11,10 +11,10 @@ from .regions import (
 from .types import (
     FEMALE,
     MALE,
-    Citizen,
+    Citizens,
     Family,
     Firms,
-    House,
+    Houses,
     Location,
     Municipality,
     World,
@@ -24,11 +24,11 @@ from .types import (
 __all__ = [
     "FEMALE",
     "MALE",
-    "Citizen",
+    "Citizens",
     "Family",
     "Firms",
     "GenerationError",
-    "House",
+    "Houses",
     "Location",
     "Municipality",
     "MunicipalitySpec",

@@ -35,10 +35,10 @@ from bisect import bisect_right
 import numpy as np
 
 from ..params import SimParams
-from ..realestate import hedonic_offer_price
+from ..realestate import hedonic_offer_prices
 from ..sampling import COIN_BOUND, unit_doubles
 from .regions import MunicipalitySpec, RegionData
-from .types import FEMALE, MALE, Citizen, Family, Firms, House, Location, Municipality, World
+from .types import FEMALE, MALE, Citizens, Family, Firms, Houses, Municipality, World
 
 HOUSE_SIZE_RANGE = (30.0, 120.0)  # m2
 HOUSE_QUALITY_LEVELS = 4
@@ -141,38 +141,27 @@ def _uniforms(low: float, high: float, words: np.ndarray) -> list[float]:
     return (low + (high - low) * unit_doubles(words)).tolist()
 
 
-def _points(spec: MunicipalitySpec, words: np.ndarray) -> list[Location]:
-    """Uniform points of the municipality's box from the first two columns, x then y."""
+def _points(spec: MunicipalitySpec, words: np.ndarray) -> tuple[list[float], list[float]]:
+    """Uniform points of the municipality's box from the first two columns: (xs, ys)."""
     xmin, ymin, xmax, ymax = spec.bounds
-    return list(zip(_uniforms(xmin, xmax, words[:, 0]), _uniforms(ymin, ymax, words[:, 1])))
+    return _uniforms(xmin, xmax, words[:, 0]), _uniforms(ymin, ymax, words[:, 1])
 
 
 def _build_houses(
-    first_id: int,
+    columns: dict[str, list],
+    muni_index: int,
     spec: MunicipalitySpec,
     count: int,
-    params: SimParams,
     rng: np.random.Generator,
-) -> list[House]:
-    """Houses at uniform points of the municipality, priced at the initial QLI."""
+) -> None:
+    """Append the columns of ``count`` houses at uniform points of the municipality."""
     words = _draw_rows(rng, HOUSE_DRAW_BOUNDS, count)
-    sizes = _uniforms(*HOUSE_SIZE_RANGE, words[:, 2])
-    qualities = (words[:, 3] + np.uint64(1)).tolist()
-    houses = []
-    for offset, (location, size, quality) in enumerate(
-        zip(_points(spec, words), sizes, qualities)
-    ):
-        house = House(
-            id=first_id + offset,
-            municipality_id=spec.id,
-            location=location,
-            size=size,
-            quality=quality,
-            current_price=0.0,
-        )
-        hedonic_offer_price(house, INITIAL_QLI, params.hedonic_base_coefficient)
-        houses.append(house)
-    return houses
+    xs, ys = _points(spec, words)
+    columns["municipality"] += [muni_index] * count
+    columns["x"] += xs
+    columns["y"] += ys
+    columns["size"] += _uniforms(*HOUSE_SIZE_RANGE, words[:, 2])
+    columns["quality"] += (words[:, 3] + np.uint64(1)).tolist()
 
 
 def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
@@ -206,10 +195,14 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     for spec in specs:
         municipalities[spec.id] = Municipality(id=spec.id, qli=INITIAL_QLI)
 
-    citizens: dict[int, Citizen] = {}
+    # citizen, house and firm columns, in id order
+    citizens: dict[str, list] = {
+        "family": [], "age": [], "female": [], "qualification": [], "birth_month": [],
+    }
+    houses: dict[str, list] = {
+        "municipality": [], "x": [], "y": [], "size": [], "quality": [],
+    }
     families: dict[int, Family] = {}
-    houses: dict[int, House] = {}
-    # firm columns, in id order
     firm_municipality: list[int] = []
     firm_x: list[float] = []
     firm_y: list[float] = []
@@ -235,7 +228,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     schooling = _schooling_tables(region)
     next_citizen = 0
     next_family = 0
-    next_house = 0
     surplus_house_ids: list[int] = []
 
     for muni_index, spec in enumerate(specs):
@@ -244,68 +236,59 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         n_firms = firms_per_muni[muni_index]
 
         drawn = _draw_ages_and_genders(region, n_citizens, rng)
-        birth_months = rng.integers(0, 12, size=n_citizens).tolist()
-        schooling_draws = rng.random(n_citizens).tolist()
-        muni_citizens = []
-        for (age, gender), birth_month, u in zip(drawn, birth_months, schooling_draws):
+        ages = [int(age) for age, _ in drawn]
+        citizens["age"] += ages
+        citizens["female"] += [gender == FEMALE for _, gender in drawn]
+        citizens["birth_month"] += rng.integers(0, 12, size=n_citizens).tolist()
+        for age, u in zip(ages, rng.random(n_citizens).tolist()):
             sums, years = schooling[age]
-            citizen = Citizen(
-                id=next_citizen,
-                family_id=-1,
-                age=int(age),
-                gender=gender,
-                qualification=years[min(bisect_right(sums, u), len(years) - 1)],
-                birth_month=birth_month,
-            )
-            citizens[citizen.id] = citizen
-            muni_citizens.append(citizen)
-            next_citizen += 1
+            citizens["qualification"].append(years[min(bisect_right(sums, u), len(years) - 1)])
         working_age = [
-            params.working_age_min <= citizen.age <= params.working_age_max
-            for citizen in muni_citizens
+            params.working_age_min <= age <= params.working_age_max for age in ages
         ]
 
         # family homes, one per family
+        first_house = len(houses["x"])
+        _build_houses(houses, muni_index, spec, n_families, rng)
         muni_families = []
-        for house in _build_houses(next_house, spec, n_families, params, rng):
-            houses[house.id] = house
+        for house_id in range(first_house, first_house + n_families):
             family = Family(
                 id=next_family,
                 member_ids=set(),
-                residence=house.id,
-                owned_houses={house.id},
+                residence=house_id,
+                owned_houses={house_id},
             )
             families[family.id] = family
             muni_families.append(family)
             next_family += 1
-        next_house += n_families
 
         # deal citizens to families round-robin over a seeded shuffle; each
         # family starts with one month of the average wage per working-age
         # member, and savings start empty
+        family_of = [0] * n_citizens
         adults = [0] * n_families
         for position, index in enumerate(rng.permutation(n_citizens).tolist()):
-            citizen = muni_citizens[index]
             family = muni_families[position % n_families]
-            citizen.family_id = family.id
-            family.member_ids.add(citizen.id)
+            family_of[index] = family.id
+            family.member_ids.add(next_citizen + index)
             adults[position % n_families] += working_age[index]
+        citizens["family"] += family_of
+        next_citizen += n_citizens
         for family, count in zip(muni_families, adults):
             family.monthly_cash = float(count) * INITIAL_WAGE_OFFER
 
         # vacant surplus houses, owners drawn later over all families
         n_surplus = surplus_per_muni[muni_index]
-        for house in _build_houses(next_house, spec, n_surplus, params, rng):
-            houses[house.id] = house
-            surplus_house_ids.append(house.id)
-        next_house += n_surplus
+        first_house = len(houses["x"])
+        _build_houses(houses, muni_index, spec, n_surplus, rng)
+        surplus_house_ids += range(first_house, first_house + n_surplus)
 
         expected_employees = sum(working_age) / n_firms
-        for x, y in _points(spec, _draw_rows(rng, FIRM_DRAW_BOUNDS, n_firms)):
-            firm_municipality.append(muni_index)
-            firm_x.append(x)
-            firm_y.append(y)
-            firm_cash.append(INITIAL_WAGE_OFFER * expected_employees)
+        xs, ys = _points(spec, _draw_rows(rng, FIRM_DRAW_BOUNDS, n_firms))
+        firm_municipality += [muni_index] * n_firms
+        firm_x += xs
+        firm_y += ys
+        firm_cash += [INITIAL_WAGE_OFFER * expected_employees] * n_firms
 
     # assign surplus houses to randomly drawn existing families
     family_id_list = list(families.keys())
@@ -313,14 +296,19 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     for house_id, owner_index in zip(surplus_house_ids, owners):
         families[family_id_list[owner_index]].owned_houses.add(house_id)
 
+    municipality_ids = [spec.id for spec in specs]
+    house_store = Houses.open(municipality_ids, **houses)
+    house_store.price = hedonic_offer_prices(
+        house_store, np.full(len(specs), INITIAL_QLI), params.hedonic_base_coefficient
+    )
     return World(
         clock=0,
         region=region,
-        citizens=citizens,
+        citizens=Citizens.born(**citizens),
         families=families,
-        houses=houses,
+        houses=house_store,
         firms=Firms.open(
-            [spec.id for spec in specs],
+            municipality_ids,
             firm_municipality,
             firm_x,
             firm_y,
@@ -330,5 +318,4 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         ),
         municipalities=municipalities,
         rng=rng,
-        next_citizen_id=next_citizen,
     )

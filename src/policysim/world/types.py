@@ -1,15 +1,16 @@
 """Agent and world-state types, plus the planar distance helper.
 
-Citizens, families and houses are dicts keyed by id; insertion order is
-creation order, which is id order, and is the canonical deterministic
-iteration order. Firms are one column store whose rows are the firm ids.
+Citizens, houses and firms are column stores whose rows are their ids, so
+id order is row order. Families are objects in a dict keyed by id, whose
+insertion order is creation order, which is id order. Id order is the
+canonical deterministic iteration order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -44,16 +45,117 @@ def distances(
     return np.fromiter(values, dtype=float, count=dx.size).reshape(dx.shape)
 
 
+# the fields of a citizen's record in World.to_dict() and the agents dump
+CITIZEN_RECORD_KEYS = (
+    "id", "family_id", "age", "gender", "qualification", "birth_month", "employer", "wage",
+)
+UNEMPLOYED = -1  # the employer of a citizen without a job
+
+
 @dataclass(slots=True)
-class Citizen:
-    id: int
-    family_id: int
-    age: int
-    gender: str
-    qualification: int  # years of schooling, 0..21
-    birth_month: int  # 0..11, anniversary month for aging
-    employer: int | None = None
-    wage: float = 0.0
+class Citizens:
+    """Every citizen ever born as one row of columns; a citizen's id is its row.
+
+    A birth appends a row and a death clears ``alive``; a dead row keeps
+    its last values, unemployed. ``employer`` is the only record of
+    employment: a firm id, or UNEMPLOYED. ``len`` counts the living, and
+    iteration yields their ids.
+    """
+
+    family: np.ndarray  # int64
+    age: np.ndarray  # int64
+    female: np.ndarray  # bool
+    qualification: np.ndarray  # int64, years of schooling 0..21
+    birth_month: np.ndarray  # int64, 0..11, anniversary month for aging
+    employer: np.ndarray  # int64
+    wage: np.ndarray
+    alive: np.ndarray  # bool
+
+    @classmethod
+    def born(
+        cls,
+        family: Sequence[int],
+        age: Sequence[int],
+        female: Sequence[bool],
+        qualification: Sequence[int],
+        birth_month: Sequence[int],
+    ) -> Citizens:
+        """Living, unemployed citizens numbered 0..n-1."""
+        count = len(family)
+        return cls(
+            family=np.asarray(family, dtype=np.int64),
+            age=np.asarray(age, dtype=np.int64),
+            female=np.asarray(female, dtype=bool),
+            qualification=np.asarray(qualification, dtype=np.int64),
+            birth_month=np.asarray(birth_month, dtype=np.int64),
+            employer=np.full(count, UNEMPLOYED, dtype=np.int64),
+            wage=np.zeros(count),
+            alive=np.ones(count, dtype=bool),
+        )
+
+    def append(self, newcomers: Citizens) -> None:
+        """Add the newcomers' rows after the last row, numbered on from it."""
+        for name in self.__slots__:
+            setattr(self, name, np.concatenate((getattr(self, name), getattr(newcomers, name))))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.alive))
+
+    def __iter__(self) -> Iterator[int]:
+        """The ids of the living, in id order."""
+        return iter(np.flatnonzero(self.alive).tolist())
+
+    @property
+    def rows(self) -> int:
+        """Every citizen ever born, so the id of the next newborn."""
+        return len(self.alive)
+
+    def working_age(self, age_min: int, age_max: int) -> np.ndarray:
+        """Mask of the living citizens aged age_min..age_max."""
+        return self.alive & (self.age >= age_min) & (self.age <= age_max)
+
+    def employed(self) -> np.ndarray:
+        """The ids of the employed, in id order."""
+        return np.flatnonzero(self.employer != UNEMPLOYED)
+
+    def headcount(self, firms: int) -> np.ndarray:
+        employers = self.employer[self.employer != UNEMPLOYED]
+        return np.bincount(employers, minlength=firms)
+
+    def firing_order(self) -> np.ndarray:
+        """The employed ids by (employer, qualification, id): each firm's
+        least qualified employee first, ties going to the lower id."""
+        employed = self.employed()
+        # lexsort is stable, and the ids are already ascending
+        return employed[np.lexsort((self.qualification[employed], self.employer[employed]))]
+
+    def fire(self, ids: np.ndarray | list[int]) -> None:
+        self.employer[ids] = UNEMPLOYED
+        self.wage[ids] = 0.0
+
+    def employee_sets(self, firms: int) -> list[set[int]]:
+        """Each firm's set of employee ids, in firm id order."""
+        staff: list[set[int]] = [set() for _ in range(firms)]
+        employed = self.employed()
+        for citizen_id, firm_id in zip(employed.tolist(), self.employer[employed].tolist()):
+            staff[firm_id].add(citizen_id)
+        return staff
+
+    def records(self) -> list[dict]:
+        """One dict of Python values per living citizen, in id order, keyed by
+        CITIZEN_RECORD_KEYS; the unemployed have employer None."""
+        living = np.flatnonzero(self.alive)
+        columns = (
+            living.tolist(),
+            self.family[living].tolist(),
+            self.age[living].tolist(),
+            [FEMALE if female else MALE for female in self.female[living].tolist()],
+            self.qualification[living].tolist(),
+            self.birth_month[living].tolist(),
+            [None if firm == UNEMPLOYED else firm for firm in self.employer[living].tolist()],
+            self.wage[living].tolist(),
+        )
+        return [dict(zip(CITIZEN_RECORD_KEYS, row)) for row in zip(*columns)]
 
 
 @dataclass(slots=True)
@@ -66,17 +168,69 @@ class Family:
     savings: float = 0.0  # illiquid, real-estate only
 
 
-@dataclass(slots=True)
-class House:
-    id: int
-    municipality_id: str
-    location: Location
-    size: float  # m2, fixed
-    quality: int  # ordinal 1..4, fixed
-    current_price: float
+# the fields of a house's record in World.to_dict()
+HOUSE_RECORD_KEYS = ("id", "municipality_id", "location", "size", "quality", "current_price")
 
-    def amenity_score(self, qli: float) -> float:
-        return self.size * self.quality * qli
+
+@dataclass(slots=True)
+class Houses:
+    """Every house as one row of columns; a house's id is its row.
+
+    Generation builds every house, numbered 0..n-1, and none is added or
+    removed later. ``municipality`` indexes ``municipality_ids``, which is
+    the world's municipality order; ``price`` is the current hedonic offer.
+    """
+
+    municipality_ids: list[str]
+    municipality: np.ndarray  # int64
+    x: np.ndarray
+    y: np.ndarray
+    size: np.ndarray  # m2, fixed
+    quality: np.ndarray  # int64, ordinal 1..4, fixed
+    price: np.ndarray
+
+    @classmethod
+    def open(
+        cls,
+        municipality_ids: list[str],
+        municipality: Sequence[int],
+        x: Sequence[float],
+        y: Sequence[float],
+        size: Sequence[float],
+        quality: Sequence[int],
+    ) -> Houses:
+        """Houses not yet priced."""
+        return cls(
+            municipality_ids=list(municipality_ids),
+            municipality=np.asarray(municipality, dtype=np.int64),
+            x=np.asarray(x, dtype=float),
+            y=np.asarray(y, dtype=float),
+            size=np.asarray(size, dtype=float),
+            quality=np.asarray(quality, dtype=np.int64),
+            price=np.zeros(len(municipality)),
+        )
+
+    def __len__(self) -> int:
+        return len(self.price)
+
+    def location(self, house_id: int) -> Location:
+        return float(self.x[house_id]), float(self.y[house_id])
+
+    def amenity_scores(self, qli: np.ndarray) -> np.ndarray:
+        """size * quality * the town's qli, per house; ``qli`` is per municipality."""
+        return self.size * self.quality * qli[self.municipality]
+
+    def records(self) -> list[dict]:
+        """One dict of Python values per house, in id order, keyed by HOUSE_RECORD_KEYS."""
+        columns = (
+            [self.municipality_ids[code] for code in self.municipality.tolist()],
+            zip(self.x.tolist(), self.y.tolist()),
+            self.size.tolist(), self.quality.tolist(), self.price.tolist(),
+        )
+        return [
+            dict(zip(HOUSE_RECORD_KEYS, (house_id, *row)))
+            for house_id, row in enumerate(zip(*columns))
+        ]
 
 
 # the fields of a firm's record in World.to_dict() and the firms dump
@@ -91,8 +245,9 @@ class Firms:
     """Every firm as one row of columns; a firm's id is its row.
 
     Generation numbers the firms 0..n-1 and no firm is created or removed
-    later. ``municipality`` indexes ``municipality_ids``; ``employees``
-    holds each firm's set of employed citizen ids.
+    later. ``municipality`` indexes ``municipality_ids``, which is the
+    world's municipality order. Who works where is the citizens' column
+    ``employer``.
     """
 
     municipality_ids: list[str]
@@ -106,7 +261,6 @@ class Firms:
     revenue: np.ndarray  # this month's, net of the consumption tax
     last_profit: np.ndarray
     last_output: np.ndarray
-    employees: list[set[int]]
 
     @classmethod
     def open(
@@ -119,7 +273,7 @@ class Firms:
         price: float = 1.0,
         wage_offer: float = 1.0,
     ) -> Firms:
-        """New firms with empty stock, books and staff."""
+        """New firms with empty stock and books."""
         count = len(municipality)
         return cls(
             municipality_ids=list(municipality_ids),
@@ -133,22 +287,19 @@ class Firms:
             revenue=np.zeros(count),
             last_profit=np.zeros(count),
             last_output=np.zeros(count),
-            employees=[set() for _ in range(count)],
         )
 
     def __len__(self) -> int:
-        return len(self.employees)
+        return len(self.price)
 
-    def headcount(self) -> np.ndarray:
-        return np.fromiter(map(len, self.employees), dtype=np.int64, count=len(self))
-
-    def records(self) -> list[dict]:
-        """One dict of Python values per firm, in id order, keyed by FIRM_RECORD_KEYS."""
+    def records(self, staff: list[set[int]]) -> list[dict]:
+        """One dict of Python values per firm, in id order, keyed by
+        FIRM_RECORD_KEYS; ``staff`` holds each firm's employee ids."""
         columns = (
             [self.municipality_ids[code] for code in self.municipality.tolist()],
             zip(self.x.tolist(), self.y.tolist()),
             self.stock.tolist(), self.price.tolist(), self.cash.tolist(),
-            self.wage_offer.tolist(), map(set, self.employees), self.last_profit.tolist(),
+            self.wage_offer.tolist(), staff, self.last_profit.tolist(),
             self.revenue.tolist(), self.last_output.tolist(),
         )
         return [
@@ -169,53 +320,49 @@ class World:
 
     clock: int
     region: RegionData
-    citizens: dict[int, Citizen]
+    citizens: Citizens
     families: dict[int, Family]
-    houses: dict[int, House]
+    houses: Houses
     firms: Firms
     municipalities: dict[str, Municipality]
     rng: np.random.Generator
     ledger: TaxLedger = field(default_factory=TaxLedger)
-    next_citizen_id: int = 0
     price_index_prev: float | None = None
     grave: list[GraveRecord] = field(default_factory=list)
     sales_log: list[SaleRecord] = field(default_factory=list)
 
+    @property
+    def next_citizen_id(self) -> int:
+        return self.citizens.rows
+
     def municipality_ids(self) -> list[str]:
         return list(self.municipalities.keys())
+
+    def qli(self) -> np.ndarray:
+        """Each municipality's quality of life, in municipality order."""
+        return np.array([muni.qli for muni in self.municipalities.values()])
 
     def active_families(self) -> list[Family]:
         """The families with members. Only births and deaths change the list,
         so a month builds it once, after demographics."""
         return [family for family in self.families.values() if family.member_ids]
 
-    def residence_location(self, family: Family) -> Location:
-        return self.houses[family.residence].location
-
-    def residents_by_house(self, active: list[Family]) -> dict[int, Family]:
-        """The occupied houses: each active family's residence, in family order."""
-        return {family.residence: family for family in active}
+    @staticmethod
+    def residences(families: list[Family]) -> np.ndarray:
+        """Each family's residence house id, in list order."""
+        return np.array([family.residence for family in families], dtype=np.int64)
 
     def population_by_municipality(self, active: list[Family]) -> dict[str, int]:
-        counts = {muni: 0 for muni in self.municipalities}
-        for family in active:
-            muni = self.houses[family.residence].municipality_id
-            counts[muni] += len(family.member_ids)
-        return counts
-
-    def working_age_citizens(self, age_min: int, age_max: int) -> list[Citizen]:
-        return [
-            citizen
-            for citizen in self.citizens.values()
-            if age_min <= citizen.age <= age_max
-        ]
+        members = np.array([len(family.member_ids) for family in active], dtype=np.int64)
+        counts = np.zeros(len(self.municipalities), dtype=np.int64)
+        np.add.at(counts, self.houses.municipality[self.residences(active)], members)
+        return dict(zip(self.municipalities, counts.tolist()))
 
     def unemployment_rate(self, age_min: int, age_max: int) -> float:
-        pool = unemployed = 0
-        for citizen in self.citizens.values():
-            if age_min <= citizen.age <= age_max:
-                pool += 1
-                unemployed += citizen.employer is None
+        citizens = self.citizens
+        working = citizens.working_age(age_min, age_max)
+        pool = int(np.count_nonzero(working))
+        unemployed = int(np.count_nonzero(working & (citizens.employer == UNEMPLOYED)))
         return unemployed / pool if pool else 0.0
 
     def total_money(self) -> float:
@@ -227,21 +374,27 @@ class World:
             total += cash
         return total + self.ledger.total()
 
-    def family_wealth(self, family: Family) -> float:
-        housing = sum(self.houses[hid].current_price for hid in family.owned_houses)
-        return family.monthly_cash + family.savings + housing
+    def wealth(self, families: list[Family]) -> list[float]:
+        """Each family's cash, savings and house prices; the prices are summed
+        in the iteration order of its owned_houses set."""
+        prices = self.houses.price.tolist()
+        return [
+            family.monthly_cash + family.savings + sum(map(prices.__getitem__, family.owned_houses))
+            for family in families
+        ]
+
+    def firm_records(self) -> list[dict]:
+        return self.firms.records(self.citizens.employee_sets(len(self.firms)))
 
     def to_dict(self) -> dict:
         """Full-state snapshot of agents, clock and random stream, for determinism checks."""
-        state = {
-            name: [asdict(entity) for entity in getattr(self, name).values()]
-            for name in ("citizens", "families", "houses")
+        return {
+            "citizens": self.citizens.records(),
+            "families": [asdict(family) for family in self.families.values()],
+            "houses": self.houses.records(),
+            "firms": self.firm_records(),
+            "municipalities": [asdict(muni) for muni in self.municipalities.values()],
+            "clock": self.clock,
+            "next_citizen_id": self.next_citizen_id,
+            "rng_state": self.rng.bit_generator.state,
         }
-        state.update(
-            firms=self.firms.records(),
-            municipalities=[asdict(muni) for muni in self.municipalities.values()],
-            clock=self.clock,
-            next_citizen_id=self.next_citizen_id,
-            rng_state=self.rng.bit_generator.state,
-        )
-        return state

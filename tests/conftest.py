@@ -4,7 +4,7 @@ import pytest
 from policysim.fiscal import TaxLedger
 from policysim.params import SimParams
 from policysim.world.regions import MunicipalitySpec, RegionData
-from policysim.world.types import Citizen, Family, Firms, House, Municipality, World
+from policysim.world.types import UNEMPLOYED, Citizens, Family, Firms, Houses, Municipality, World
 
 from policysim.cli import default_data_dir
 import os
@@ -74,12 +74,46 @@ def make_firms(municipality_ids, firms):
     )
     for column in ("stock", "price", "wage_offer", "last_profit", "revenue", "last_output"):
         getattr(store, column)[:] = [firm[column] for firm in firms]
-    store.employees = [set(firm["employees"]) for firm in firms]
+    return store
+
+
+def make_citizens(citizens):
+    """The column store of simple_citizen specs; each spec's id is its row,
+    and the rows below the largest id that no spec names are dead."""
+    rows = max((citizen["id"] for citizen in citizens), default=-1) + 1
+    store = Citizens.born(*([0] * rows for _ in range(5)))
+    store.alive[:] = False
+    for citizen in citizens:
+        row = citizen["id"]
+        store.alive[row] = True
+        store.family[row] = citizen["family_id"]
+        store.age[row] = citizen["age"]
+        store.female[row] = citizen["gender"] == "female"
+        store.qualification[row] = citizen["qualification"]
+        store.birth_month[row] = citizen["birth_month"]
+        store.employer[row] = UNEMPLOYED if citizen["employer"] is None else citizen["employer"]
+        store.wage[row] = citizen["wage"]
+    return store
+
+
+def make_houses(municipality_ids, houses):
+    """The column store of simple_house specs, which must hold ids 0..n-1 in order."""
+    assert [house["id"] for house in houses] == list(range(len(houses)))
+    store = Houses.open(
+        municipality_ids,
+        [municipality_ids.index(house["muni"]) for house in houses],
+        [house["location"][0] for house in houses],
+        [house["location"][1] for house in houses],
+        [house["size"] for house in houses],
+        [house["quality"] for house in houses],
+    )
+    store.price[:] = [house["price"] for house in houses]
     return store
 
 
 def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=0):
-    """Assemble a world from prebuilt agents and simple_firm specs for unit tests."""
+    """Assemble a world from simple_citizen, simple_family, simple_house and
+    simple_firm specs, for unit tests."""
     if region is None:
         region = make_region()
     municipalities = {
@@ -89,22 +123,32 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
     world = World(
         clock=0,
         region=region,
-        citizens={c.id: c for c in citizens},
+        citizens=make_citizens(list(citizens)),
         families={f.id: f for f in families},
-        houses={h.id: h for h in houses},
+        houses=make_houses(list(municipalities), list(houses)),
         firms=make_firms(list(municipalities), list(firms)),
         municipalities=municipalities,
         rng=np.random.default_rng(seed),
         ledger=TaxLedger(),
-        next_citizen_id=max((c.id for c in citizens), default=-1) + 1,
     )
     return world
+
+
+def employees(world, firm_id):
+    """The ids of the firm's employees."""
+    return set(np.flatnonzero(world.citizens.employer == firm_id).tolist())
+
+
+
+def citizen(world, cid):
+    """A living citizen's record, as World.to_dict() lists it."""
+    return next(record for record in world.citizens.records() if record["id"] == cid)
 
 
 def assert_ownership_partition(world):
     """Every house has exactly one owning family; active families own their home."""
     owned = [house_id for family in world.families.values() for house_id in family.owned_houses]
-    assert sorted(owned) == sorted(world.houses)
+    assert sorted(owned) == list(range(len(world.houses)))
     for family in world.active_families():
         assert family.residence in family.owned_houses
 
@@ -122,32 +166,34 @@ def simple_family(family_id=0, member_ids=(), residence=0, cash=0.0, savings=0.0
 
 def simple_citizen(cid=0, family_id=0, age=30, gender="female", qualification=9,
                    birth_month=0, employer=None, wage=0.0):
-    return Citizen(
-        id=cid,
-        family_id=family_id,
-        age=age,
-        gender=gender,
-        qualification=qualification,
-        birth_month=birth_month,
-        employer=employer,
-        wage=wage,
-    )
+    """One citizen's row, for make_world."""
+    return {
+        "id": cid,
+        "family_id": family_id,
+        "age": age,
+        "gender": gender,
+        "qualification": qualification,
+        "birth_month": birth_month,
+        "employer": employer,
+        "wage": wage,
+    }
 
 
 def simple_house(house_id=0, muni="m0", location=(0.0, 0.0), size=50.0, quality=2,
                  price=10.0):
-    return House(
-        id=house_id,
-        municipality_id=muni,
-        location=location,
-        size=size,
-        quality=quality,
-        current_price=price,
-    )
+    """One house's row, for make_world."""
+    return {
+        "id": house_id,
+        "muni": muni,
+        "location": location,
+        "size": size,
+        "quality": quality,
+        "price": price,
+    }
 
 
 def simple_firm(firm_id=0, muni="m0", location=(0.0, 0.0), price=1.0, cash=0.0,
-                wage_offer=1.0, employees=(), stock=0.0, last_profit=0.0, revenue=0.0,
+                wage_offer=1.0, stock=0.0, last_profit=0.0, revenue=0.0,
                 last_output=0.0):
     """One firm's row, for make_world."""
     return {
@@ -158,7 +204,6 @@ def simple_firm(firm_id=0, muni="m0", location=(0.0, 0.0), price=1.0, cash=0.0,
         "price": price,
         "cash": cash,
         "wage_offer": wage_offer,
-        "employees": set(employees),
         "last_profit": last_profit,
         "revenue": revenue,
         "last_output": last_output,

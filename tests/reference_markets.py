@@ -2,20 +2,21 @@
 
 These are the goods loop, ``labor.match`` and ``labor.pay_wages`` as they
 were written before the markets drew their samples in one batched call and
-the firm side ran as array passes: each shopper and each vacancy calls
-``Generator.choice`` and then ``Generator.random``, each purchase and each
-wage reads and writes one firm's cells of ``world.firms``, and every
-purchase and every wage books its tax on its own. ``tests/test_market_equivalence.py`` runs them against the engine
-on the same worlds and requires identical states, random stream included.
+the firm, citizen and house sides ran as array passes: each shopper and
+each vacancy calls ``Generator.choice`` and then ``Generator.random``, each
+purchase, hire and wage reads and writes one row of ``world.firms``,
+``world.citizens`` and ``world.houses`` at a time, and every purchase and
+every wage books its tax on its own. ``tests/test_market_equivalence.py``
+runs them against the engine on the same worlds and requires identical
+states, random stream included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from policysim.firms import fire_employee, lowest_qualified_employee
 from policysim.goods import set_budget
-from policysim.world.types import distance
+from policysim.world.types import UNEMPLOYED, distance
 
 
 def choose_firm(residence, firms, size_market, rng, price_criterion_probability):
@@ -77,7 +78,7 @@ def goods_market_step(
         if budget <= 0.0:
             continue
         firm_id = choose_firm(
-            world.residence_location(family),
+            world.houses.location(family.residence),
             firms,
             size_market,
             rng,
@@ -106,38 +107,48 @@ def match(world, pool, pct_distance_hiring, sample_size, rng):
         def rank(index):
             cid = remaining[index]
             if by_distance:
-                family = world.families[world.citizens[cid].family_id]
-                return distance(world.residence_location(family), firm_location), cid
-            return -world.citizens[cid].qualification, cid
+                family = world.families[int(world.citizens.family[cid])]
+                return distance(world.houses.location(family.residence), firm_location), cid
+            return -int(world.citizens.qualification[cid]), cid
 
         position = min(positions, key=rank)
         chosen = remaining[position]
         del remaining[position]
-        citizen = world.citizens[chosen]
-        citizen.employer = firm_id
-        citizen.wage = wage
-        world.firms.employees[firm_id].add(chosen)
+        world.citizens.employer[chosen] = firm_id
+        world.citizens.wage[chosen] = wage
         hires.append((firm_id, chosen))
     pool.candidates = remaining
     return hires
 
 
+def staff(citizens, firm_count):
+    """Each firm's set of employee ids, read one citizen row at a time."""
+    employees = [set() for _ in range(firm_count)]
+    for cid in range(len(citizens.alive)):
+        employer = int(citizens.employer[cid])
+        if employer != UNEMPLOYED:
+            employees[employer].add(cid)
+    return employees
+
+
 def pay_wages(world, labor_tax_rate):
-    firms = world.firms
+    firms, citizens = world.firms, world.citizens
     bills = np.zeros(len(firms))
-    for firm_id, employees in enumerate(firms.employees):
+    for firm_id, employees in enumerate(staff(citizens, len(firms))):
         while employees and float(firms.cash[firm_id]) < sum(
-            world.citizens[cid].wage for cid in employees
+            float(citizens.wage[cid]) for cid in employees
         ):
-            fire_employee(world, firm_id, lowest_qualified_employee(world, firm_id))
+            lowest = min(employees, key=lambda cid: (int(citizens.qualification[cid]), cid))
+            employees.discard(lowest)
+            citizens.employer[lowest] = UNEMPLOYED
+            citizens.wage[lowest] = 0.0
         if not employees:
             continue
         bill = 0.0
         for citizen_id in sorted(employees):
-            citizen = world.citizens[citizen_id]
-            wage = citizen.wage
+            wage = float(citizens.wage[citizen_id])
             tax = wage * labor_tax_rate
-            family = world.families[citizen.family_id]
+            family = world.families[int(citizens.family[citizen_id])]
             family.monthly_cash += wage - tax
             world.ledger.add(municipality(firms, firm_id), "labor", tax)
             bill += wage

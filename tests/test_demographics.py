@@ -9,7 +9,15 @@ from policysim.demographics import (
 )
 from policysim.world.regions import RegionDataError
 
-from conftest import make_region, make_world, simple_citizen, simple_family, simple_house
+from conftest import (
+    citizen,
+    employees,
+    make_region,
+    make_world,
+    simple_citizen,
+    simple_family,
+    simple_house,
+)
 
 
 def build_population(count, age=30, mortality=None, fertility=None, seed=0,
@@ -30,14 +38,14 @@ def test_age_step_on_anniversary():
     world = build_population(1)
     world.clock = 0  # anniversary month for birth_month 0
     age_step(world)
-    assert world.citizens[0].age == 31
+    assert world.citizens.age.tolist() == [31]
 
 
 def test_age_step_off_anniversary():
     world = build_population(1)
     world.clock = 5
     age_step(world)
-    assert world.citizens[0].age == 30
+    assert world.citizens.age.tolist() == [30]
 
 
 def test_ten_years_of_aging():
@@ -45,7 +53,7 @@ def test_ten_years_of_aging():
     for month in range(120):
         world.clock = month
         age_step(world)
-    assert all(citizen.age == 40 for citizen in world.citizens.values())
+    assert world.citizens.age.tolist() == [40] * 5
 
 
 def test_monthly_probability_bounds():
@@ -88,16 +96,19 @@ def test_dead_are_fully_removed():
     from conftest import make_firms, simple_firm
 
     world = build_population(30, mortality=None, seed=9)
-    world.firms = make_firms(["m0"], [simple_firm(firm_id=0, employees=range(10))])
-    for cid in range(10):
-        world.citizens[cid].employer = 0
-        world.citizens[cid].wage = 1.0
+    world.firms = make_firms(["m0"], [simple_firm(firm_id=0)])
+    world.citizens.employer[:10] = 0
+    world.citizens.wage[:10] = 1.0
     for gender in world.region.mortality:
         for age in world.region.mortality[gender]:
             world.region.mortality[gender][age] = 1.0
     deceased = mortality_step(world, world.rng)
     assert len(deceased) == 30
-    assert world.firms.employees[0] == set()
+    assert len(world.citizens) == 0
+    assert world.to_dict()["citizens"] == []
+    assert employees(world, 0) == set()
+    assert world.citizens.headcount(1).tolist() == [0]
+    assert world.citizens.wage.tolist() == [0.0] * 30
     for family in world.families.values():
         assert not family.member_ids
 
@@ -123,7 +134,7 @@ def test_inheritance_moves_estate_to_surviving_family():
     assert heir.monthly_cash == 7.0
     assert heir.savings == 3.0
     assert 0 in world.families[1].owned_houses
-    assert 0 not in world.residents_by_house(world.active_families())
+    assert world.residences(world.active_families()).tolist() == [1]
 
 
 def test_zero_fertility_no_births():
@@ -135,12 +146,14 @@ def test_certain_fertility_every_eligible_female():
     world = build_population(40, fertility=12.0)
     newborns = fertility_step(world, world.rng)
     assert len(newborns) == 40
+    assert newborns == list(range(40, 80))
     for baby_id in newborns:
-        baby = world.citizens[baby_id]
-        assert baby.age == 0
-        assert baby.qualification == 0
-        assert baby.employer is None
-        assert baby.id in world.families[baby.family_id].member_ids
+        baby = citizen(world, baby_id)
+        assert baby["age"] == 0
+        assert baby["qualification"] == 0
+        assert baby["employer"] is None
+        assert baby["wage"] == 0.0
+        assert baby_id in world.families[baby["family_id"]].member_ids
 
 
 def test_fertility_binomial_rate():
@@ -234,11 +247,11 @@ def test_missing_mortality_row_raises_region_data_error(missing):
 
 def test_woman_outside_the_fertility_table_takes_no_draw():
     world = build_population(2, fertility=12.0)
-    world.citizens[0].age = 60  # the table covers ages 15..49 only
+    world.citizens.age[0] = 60  # the table covers ages 15..49 only
     replay = np.random.default_rng(0)
     replay.random(1)  # the one mother's birth draw
     replay.random()  # the newborn's gender
 
     newborns = fertility_step(world, world.rng)
-    assert [world.citizens[baby].family_id for baby in newborns] == [1]
+    assert [citizen(world, baby)["family_id"] for baby in newborns] == [1]
     assert world.rng.bit_generator.state == replay.bit_generator.state

@@ -6,9 +6,8 @@ from policysim.firms import (
     HOLD,
     OPEN_VACANCY,
     close_books,
-    fire_employee,
+    fire_lowest_qualified,
     hire_fire_decisions,
-    lowest_qualified_employee,
     produce,
     update_prices,
     update_wage_offers,
@@ -16,6 +15,7 @@ from policysim.firms import (
 from policysim.params import SimParams
 
 from conftest import (
+    employees,
     make_firms,
     make_world,
     simple_citizen,
@@ -34,7 +34,7 @@ def world_with_employees(quals, firm_id=0):
     ]
     family = simple_family(family_id=0, member_ids=tuple(range(len(quals))))
     house = simple_house(house_id=0)
-    firm = simple_firm(firm_id=firm_id, employees=range(len(quals)))
+    firm = simple_firm(firm_id=firm_id)
     return make_world(citizens, [family], [house], [firm])
 
 
@@ -47,16 +47,17 @@ def reprice(firms, markup, sticky_prices, u, price_floor):
     return float(firms.price[0])
 
 
-def offer(firms, unemployment_rate, ignore_unemployment, price_floor):
+def offer(firms, unemployment_rate, ignore_unemployment, price_floor, headcount=0):
     update_wage_offers(
-        firms, firms.headcount(), unemployment_rate, ignore_unemployment, price_floor
+        firms, np.full(len(firms), headcount), unemployment_rate, ignore_unemployment,
+        price_floor,
     )
     return float(firms.wage_offer[0])
 
 
-def decide(firms, clock, labor_market_frequency):
+def decide(firms, clock, labor_market_frequency, headcount=0):
     return hire_fire_decisions(
-        firms, firms.headcount(), clock, labor_market_frequency
+        firms, np.full(len(firms), headcount), clock, labor_market_frequency
     ).tolist()
 
 
@@ -83,11 +84,12 @@ def test_produce_zero_qualification_convention():
     assert produce(world2, 0.0).tolist() == [2.0]  # 0**0 counts as 1
 
 
-def test_produce_insensitive_to_insertion_order():
-    world_a = world_with_employees([2, 11, 5, 7])
-    world_b = world_with_employees([2, 11, 5, 7])
-    world_b.firms.employees[0] = set(reversed(sorted(world_b.firms.employees[0])))
-    assert produce(world_a, 0.37).tolist() == produce(world_b, 0.37).tolist()
+def test_produce_sums_employees_in_id_order():
+    world = world_with_employees([2, 11, 5, 7])
+    total = 0.0
+    for qualification in (2, 11, 5, 7):
+        total += float(qualification) ** 0.37
+    assert produce(world, 0.37).tolist() == [total]
 
 
 def test_produce_monotone_in_workforce():
@@ -125,21 +127,21 @@ def test_update_price_floor():
 
 
 def test_update_wage_ignores_unemployment_when_told():
-    firms = lone_firm(employees=range(10), revenue=1000.0)
-    wage = offer(firms, 0.5, ignore_unemployment=True, price_floor=PRICE_FLOOR)
+    firms = lone_firm(revenue=1000.0)
+    wage = offer(firms, 0.5, ignore_unemployment=True, price_floor=PRICE_FLOOR, headcount=10)
     assert wage == 100.0
 
 
 def test_update_wage_damped_by_unemployment():
-    firms = lone_firm(employees=range(10), revenue=1000.0)
-    wage = offer(firms, 0.2, ignore_unemployment=False, price_floor=PRICE_FLOOR)
+    firms = lone_firm(revenue=1000.0)
+    wage = offer(firms, 0.2, ignore_unemployment=False, price_floor=PRICE_FLOOR, headcount=10)
     assert abs(wage - 80.0) <= 1e-12
 
 
 def test_update_wage_flag_inert_at_full_employment():
     for flag in (True, False):
-        firms = lone_firm(employees=range(10), revenue=1000.0)
-        wage = offer(firms, 0.0, ignore_unemployment=flag, price_floor=PRICE_FLOOR)
+        firms = lone_firm(revenue=1000.0)
+        wage = offer(firms, 0.0, ignore_unemployment=flag, price_floor=PRICE_FLOOR, headcount=10)
         assert wage == 100.0
 
 
@@ -154,20 +156,35 @@ def test_hire_fire_positive_profit_opens_vacancy():
 
 
 def test_hire_fire_fires_lowest_qualified():
-    world = world_with_employees([2, 5])
+    world = world_with_employees([5, 2])
     world.firms.last_profit[0] = -50.0
-    assert decide(world.firms, clock=0, labor_market_frequency=1) == [FIRE_ONE]
-    victim = lowest_qualified_employee(world, 0)
-    assert world.citizens[victim].qualification == 2
-    fire_employee(world, 0, victim)
-    assert victim not in world.firms.employees[0]
-    assert world.citizens[victim].employer is None
-    assert world.citizens[victim].wage == 0.0
+    headcount = world.citizens.headcount(1)
+    assert headcount.tolist() == [2]
+    assert decide(world.firms, clock=0, labor_market_frequency=1, headcount=2) == [FIRE_ONE]
+    victim = fire_lowest_qualified(world, np.array([0])).tolist()
+    assert victim == [1]
+    assert employees(world, 0) == {0}
+    assert world.citizens.records()[1]["employer"] is None
+    assert world.citizens.wage[1] == 0.0
 
 
 def test_fire_tie_breaks_by_id():
     world = world_with_employees([5, 5, 7])
-    assert lowest_qualified_employee(world, 0) == 0
+    assert fire_lowest_qualified(world, np.array([0])).tolist() == [0]
+
+
+def test_fire_lowest_qualified_picks_per_firm():
+    # firm 1's staff sort before firm 0's in id order; each firm fires its own
+    qualifications = {0: (0, 9), 1: (0, 4), 2: (1, 3), 3: (1, 3), 4: (0, 4)}
+    citizens = [
+        simple_citizen(cid=cid, qualification=q, employer=firm, wage=1.0)
+        for cid, (firm, q) in qualifications.items()
+    ]
+    family = simple_family(member_ids=tuple(qualifications))
+    firms = [simple_firm(firm_id=0), simple_firm(firm_id=1)]
+    world = make_world(citizens, [family], [simple_house()], firms)
+    assert fire_lowest_qualified(world, np.array([0, 1])).tolist() == [1, 2]
+    assert (employees(world, 0), employees(world, 1)) == ({0, 4}, {3})
 
 
 def test_hire_fire_off_cycle_holds():

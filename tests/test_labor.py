@@ -5,7 +5,15 @@ from policysim import SimParams, generate_world
 from policysim.fiscal import FiscalError
 from policysim.labor import build_pool, calibrate_initial_unemployment, match, pay_wages
 
-from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
+from conftest import (
+    citizen,
+    employees,
+    make_world,
+    simple_citizen,
+    simple_family,
+    simple_firm,
+    simple_house,
+)
 
 
 def staffed_world(candidate_specs, firm_specs):
@@ -27,7 +35,7 @@ def staffed_world(candidate_specs, firm_specs):
 
 def test_build_pool_empty_without_unemployed():
     world, openings = staffed_world([(0, 30, 5, 0.0)], [(0, 1.0, 1, 0.0)])
-    world.citizens[0].employer = 0
+    world.citizens.employer[0] = 0
     pool = build_pool(world, SimParams(), openings)
     assert pool.candidates == []
 
@@ -59,8 +67,8 @@ def test_match_picks_best_qualified():
     pool = build_pool(world, SimParams(), openings)
     hires = match(world, pool, pct_distance_hiring=0.0, sample_size=10, rng=world.rng)
     assert hires == [(0, 1)]
-    assert world.citizens[1].employer == 0
-    assert world.citizens[1].wage == 2.0
+    assert citizen(world, 1)["employer"] == 0
+    assert citizen(world, 1)["wage"] == 2.0
 
 
 def test_match_picks_closest_with_distance_criterion():
@@ -91,7 +99,7 @@ def test_higher_wage_firm_picks_first():
     pool = build_pool(world, SimParams(), openings)
     hires = match(world, pool, pct_distance_hiring=0.0, sample_size=10, rng=world.rng)
     assert hires == [(0, 0)]
-    assert not world.firms.employees[1]
+    assert employees(world, 1) == set()
 
 
 def test_no_candidate_hired_twice():
@@ -103,15 +111,15 @@ def test_no_candidate_hired_twice():
     hires = match(world, pool, pct_distance_hiring=0.3, sample_size=2, rng=world.rng)
     hired = [cid for _, cid in hires]
     assert len(hired) == len(set(hired))
-    employed = set().union(*world.firms.employees)
+    employed = employees(world, 0) | employees(world, 1)
+    assert employed == set(hired)
     assert set(pool.candidates).isdisjoint(employed)
 
 
 def test_pay_wages_arithmetic():
     world, _ = staffed_world([(0, 30, 5, 0.0)], [(0, 100.0, 0, 0.0)])
-    world.firms.employees[0] = {0}
-    world.citizens[0].employer = 0
-    world.citizens[0].wage = 100.0
+    world.citizens.employer[0] = 0
+    world.citizens.wage[0] = 100.0
     world.firms.cash[0] = 150.0
     bills = pay_wages(world, labor_tax_rate=0.2)
     assert bills.tolist() == [100.0]
@@ -123,9 +131,8 @@ def test_pay_wages_arithmetic():
 
 def test_pay_wages_zero_rate_pays_full():
     world, _ = staffed_world([(0, 30, 5, 0.0)], [(0, 100.0, 0, 0.0)])
-    world.firms.employees[0] = {0}
-    world.citizens[0].employer = 0
-    world.citizens[0].wage = 100.0
+    world.citizens.employer[0] = 0
+    world.citizens.wage[0] = 100.0
     pay_wages(world, labor_tax_rate=0.0)
     assert world.families[0].monthly_cash == 100.0
 
@@ -135,15 +142,13 @@ def test_pay_wages_solvency_fires_lowest_qualified():
         [(0, 30, 2, 0.0), (1, 30, 9, 1.0)],
         [(0, 100.0, 0, 0.0)],
     )
-    world.firms.employees[0] = {0, 1}
     world.firms.cash[0] = 150.0
-    for cid in (0, 1):
-        world.citizens[cid].employer = 0
-        world.citizens[cid].wage = 100.0
+    world.citizens.employer[:] = 0
+    world.citizens.wage[:] = 100.0
     bills = pay_wages(world, labor_tax_rate=0.0)
     assert bills.tolist() == [100.0]
-    assert world.firms.employees[0] == {1}
-    assert world.citizens[0].employer is None
+    assert employees(world, 0) == {1}
+    assert citizen(world, 0)["employer"] is None
     assert world.families[1].monthly_cash == 100.0
     assert world.families[0].monthly_cash == 0.0
     assert world.firms.cash[0] == 50.0
@@ -156,14 +161,12 @@ def test_pay_wages_bills_only_the_firms_that_paid():
         [(0, 30, 5, 0.0), (1, 30, 5, 1.0), (2, 30, 7, 2.0)],
         [(0, 10.0, 0, 0.0), (1, 10.0, 0, 1.0), (2, 10.0, 0, 2.0)],
     )
-    for cid, fid in ((0, 0), (1, 1), (2, 1)):
-        world.firms.employees[fid].add(cid)
-        world.citizens[cid].employer = fid
-        world.citizens[cid].wage = 60.0
+    world.citizens.employer[:] = [0, 1, 1]
+    world.citizens.wage[:] = 60.0
     world.firms.cash[1] = 50.0
     bills = pay_wages(world, labor_tax_rate=0.1)
     assert bills.tolist() == [60.0, 0.0, 0.0]
-    assert not world.firms.employees[1]
+    assert employees(world, 1) == set()
     assert world.firms.cash[1] == 50.0
     assert world.firms.cash[2] == 100.0
 
@@ -174,10 +177,8 @@ def test_pay_wages_rejects_a_negative_charge_in_a_positive_total():
         [(0, 30, 5, 0.0), (1, 30, 5, 1.0)],
         [(0, 1.0, 0, 0.0), (1, 1.0, 0, 1.0)],
     )
-    for cid, wage in ((0, 100.0), (1, -1.0)):
-        world.firms.employees[cid].add(cid)
-        world.citizens[cid].employer = cid
-        world.citizens[cid].wage = wage
+    world.citizens.employer[:] = [0, 1]
+    world.citizens.wage[:] = [100.0, -1.0]
     with pytest.raises(FiscalError, match="negative tax amount"):
         pay_wages(world, labor_tax_rate=0.2)
     assert world.ledger.get("m0", "labor") == 20.0  # the first wage's charge
@@ -185,9 +186,8 @@ def test_pay_wages_rejects_a_negative_charge_in_a_positive_total():
 
 def test_wages_are_sticky_per_contract():
     world, _ = staffed_world([(0, 30, 5, 0.0)], [(0, 40.0, 0, 0.0)])
-    world.firms.employees[0] = {0}
-    world.citizens[0].employer = 0
-    world.citizens[0].wage = 100.0
+    world.citizens.employer[0] = 0
+    world.citizens.wage[0] = 100.0
     world.firms.wage_offer[0] = 40.0  # newer, lower offer does not reprice the contract
     pay_wages(world, labor_tax_rate=0.0)
     assert world.families[0].monthly_cash == 100.0
@@ -219,16 +219,16 @@ def test_calibration_hits_ten_percent_window(fixture3):
 def test_calibration_employs_the_rounded_target_exactly(fixture3, rate):
     params = SimParams()
     world = generate_world(fixture3, params, seed=6)
-    working_age = world.working_age_citizens(params.working_age_min, params.working_age_max)
+    working_age = world.citizens.working_age(params.working_age_min, params.working_age_max)
     calibrate_initial_unemployment(world, rate, params, world.rng)
-    employed = sum(citizen.employer is not None for citizen in working_age)
-    assert employed == round((1.0 - rate) * len(working_age))
+    employed = np.count_nonzero(working_age & (world.citizens.employer >= 0))
+    assert employed == round((1.0 - rate) * np.count_nonzero(working_age))
 
 
 def test_calibration_tops_up_an_employed_world_in_one_match(fixture3, monkeypatch):
     params = SimParams()
     world = generate_world(fixture3, params, seed=6)
-    working_age = world.working_age_citizens(params.working_age_min, params.working_age_max)
+    working_age = world.citizens.working_age(params.working_age_min, params.working_age_max)
     calibrate_initial_unemployment(world, 0.5, params, world.rng)
     calls = []
 
@@ -239,8 +239,8 @@ def test_calibration_tops_up_an_employed_world_in_one_match(fixture3, monkeypatc
     monkeypatch.setattr("policysim.labor.match", counting_match)
     calibrate_initial_unemployment(world, 0.2, params, world.rng)
     assert len(calls) == 1
-    employed = sum(citizen.employer is not None for citizen in working_age)
-    assert employed == round(0.8 * len(working_age))
+    employed = np.count_nonzero(working_age & (world.citizens.employer >= 0))
+    assert employed == round(0.8 * np.count_nonzero(working_age))
 
 
 def test_zero_distance_hiring_ignores_geography():

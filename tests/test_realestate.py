@@ -8,7 +8,7 @@ from policysim.realestate import (
     SaleRecord,
     build_listings,
     collect_property_tax,
-    hedonic_offer_price,
+    hedonic_offer_prices,
     match_market,
     reprice_houses,
     select_entrants,
@@ -16,6 +16,7 @@ from policysim.realestate import (
 
 from conftest import (
     assert_ownership_partition,
+    make_houses,
     make_world,
     simple_citizen,
     simple_family,
@@ -23,25 +24,43 @@ from conftest import (
 )
 
 
+def offers(houses, qli, base_coefficient):
+    """The hedonic offers of simple_house specs, all in municipality m0."""
+    return hedonic_offer_prices(
+        make_houses(["m0"], houses), np.array([qli]), base_coefficient
+    ).tolist()
+
+
 def test_hedonic_formula():
-    house = simple_house(size=50.0, quality=2)
-    assert hedonic_offer_price(house, municipality_qli=1.0, base_coefficient=1.0) == 100.0
-    assert house.current_price == 100.0
+    assert offers([simple_house(size=50.0, quality=2)], 1.0, 1.0) == [100.0]
 
 
 def test_hedonic_linear_in_qli():
     house = simple_house(size=50.0, quality=2)
-    single = hedonic_offer_price(house, 1.0, 1.0)
-    double = hedonic_offer_price(house, 2.0, 1.0)
+    [single] = offers([house], 1.0, 1.0)
+    [double] = offers([house], 2.0, 1.0)
     assert double == 2 * single
 
 
 def test_hedonic_quality_ratio():
     low = simple_house(house_id=0, size=80.0, quality=1)
     high = simple_house(house_id=1, size=80.0, quality=4)
-    p_low = hedonic_offer_price(low, 1.3, 0.7)
-    p_high = hedonic_offer_price(high, 1.3, 0.7)
+    p_low, p_high = offers([low, high], 1.3, 0.7)
     assert abs(p_high / p_low - 4.0) <= 1e-12
+
+
+def test_hedonic_multiplies_left_to_right():
+    rng = np.random.default_rng(3)
+    qli = rng.uniform(0.5, 3.0, size=2)
+    sizes = rng.uniform(30.0, 120.0, size=200).tolist()
+    houses = make_houses(["m0", "m1"], [
+        simple_house(house_id=i, muni=f"m{i % 2}", size=size, quality=1 + i % 4)
+        for i, size in enumerate(sizes)
+    ])
+    expected = [
+        0.37 * size * (1 + i % 4) * float(qli[i % 2]) for i, size in enumerate(sizes)
+    ]
+    assert hedonic_offer_prices(houses, qli, 0.37).tolist() == expected
 
 
 def test_select_entrants_edges():
@@ -105,7 +124,7 @@ def test_richest_entrant_bids_first():
     world.families[0].savings = 500.0
     world.families[1].savings = 300.0
     # one affordable listing; the poorer family owns it, so both could bid
-    world.houses[2].current_price = 250.0
+    world.houses.price[2] = 250.0
     sales = match_market(world, [0, 1], [2], 0.0)
     assert len(sales) == 1
     assert sales[0].buyer_id == 0
@@ -122,23 +141,21 @@ def test_no_self_purchase():
 def test_relocation_into_better_house():
     world = sale_world()
     # vacant house dominates the buyer's residence
-    world.houses[2].size = 90.0
-    world.houses[2].quality = 4
-    world.houses[2].current_price = 80.0
+    world.houses.size[2] = 90.0
+    world.houses.quality[2] = 4
+    world.houses.price[2] = 80.0
     sales = match_market(world, [0], [2], 0.0)
     assert len(sales) == 1
     buyer = world.families[0]
     assert buyer.residence == 2
-    residents = world.residents_by_house(world.active_families())
-    assert residents[2] is buyer
-    assert 0 not in residents
+    assert world.residences(world.active_families()).tolist() == [2, 1]
 
 
 def test_vacated_house_enters_market_same_step():
     world = sale_world()
-    world.houses[2].size = 90.0
-    world.houses[2].quality = 4
-    world.houses[2].current_price = 80.0
+    world.houses.size[2] = 90.0
+    world.houses.quality[2] = 4
+    world.houses.price[2] = 80.0
     # second entrant can afford the vacated house (priced at 10)
     world.families[1].savings = 20.0
     sales = match_market(world, [0, 1], [2], 0.0)
@@ -152,7 +169,7 @@ def test_sale_conserves_money():
     for _ in range(200):
         world = sale_world()
         world.families[0].savings = float(rng.uniform(50, 400))
-        world.houses[2].current_price = float(rng.uniform(1, world.families[0].savings))
+        world.houses.price[2] = float(rng.uniform(1, world.families[0].savings))
         rate = float(rng.uniform(0, 0.5))
         before = world.families[0].savings + world.families[1].savings
         sales = match_market(world, [0], [2], rate)
@@ -212,15 +229,15 @@ def test_reprice_houses_applies_qli(fixture3):
     world = generate_world(fixture3, params, seed=6)
     world.municipalities["core"].qli = 2.0
     reprice_houses(world, params.hedonic_base_coefficient)
-    for house in world.houses.values():
-        qli = world.municipalities[house.municipality_id].qli
-        expected = params.hedonic_base_coefficient * house.size * house.quality * qli
-        assert abs(house.current_price - expected) <= 1e-12
+    for house in world.houses.records():
+        qli = world.municipalities[house["municipality_id"]].qli
+        expected = params.hedonic_base_coefficient * house["size"] * house["quality"] * qli
+        assert abs(house["current_price"] - expected) <= 1e-12
 
 
 def test_property_tax_examples():
     world = sale_world()
-    world.houses[0].current_price = 100.0
+    world.houses.price[0] = 100.0
     world.families[0].monthly_cash = 5.0
     collect_property_tax(world, world.active_families(), 0.005)
     assert abs(world.families[0].monthly_cash - 4.5) <= 1e-12
@@ -238,7 +255,7 @@ def test_property_tax_zero_rate():
 
 def test_property_tax_clamped_at_cash():
     world = sale_world()
-    world.houses[0].current_price = 100.0
+    world.houses.price[0] = 100.0
     world.families[0].monthly_cash = 0.2
     world.families[1].monthly_cash = 1.0
     collect_property_tax(world, world.active_families(), 0.005)  # family 0 owes 0.5, has 0.2
@@ -250,7 +267,7 @@ def test_vacant_houses_pay_no_property_tax():
     world = sale_world()
     world.families[0].monthly_cash = 10.0
     world.families[1].monthly_cash = 10.0
-    total_price = world.houses[0].current_price + world.houses[1].current_price
+    total_price = world.houses.price[0] + world.houses.price[1]
     collect_property_tax(world, world.active_families(), 0.01)
     assert abs(world.ledger.get("m0", "property") - 0.01 * total_price) <= 1e-12
 
@@ -262,7 +279,7 @@ def test_home_of_an_extinct_family_is_vacant():
     world.families[0].monthly_cash = world.families[1].monthly_cash = 10.0
     assert build_listings(world, world.active_families()) == [1, 2]
     collect_property_tax(world, world.active_families(), 0.01)
-    assert world.ledger.get("m0", "property") == 0.01 * world.houses[0].current_price
+    assert world.ledger.get("m0", "property") == 0.01 * world.houses.price[0]
     assert world.families[1].monthly_cash == 10.0
 
 
@@ -275,7 +292,16 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
     The seller is found by scanning every family's owned houses.
     seen collects which edge cases the scan met.
     """
-    open_listings = {hid: world.houses[hid].current_price for hid in listings}
+    houses = world.houses
+    open_listings = {hid: float(houses.price[hid]) for hid in listings}
+
+    def municipality(house_id):
+        return houses.municipality_ids[int(houses.municipality[house_id])]
+
+    def amenity_score(house_id):
+        qli = world.municipalities[municipality(house_id)].qli
+        return float(houses.size[house_id]) * int(houses.quality[house_id]) * qli
+
     vacated = set()
     order = sorted(
         (world.families[fid] for fid in entrant_ids),
@@ -288,14 +314,13 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
         for house_id, offer in open_listings.items():
             if offer > bid:
                 continue
-            house = world.houses[house_id]
             if house_id in buyer.owned_houses:
                 continue
             if best_house is None or (offer, -house_id) > (
-                open_listings[best_house.id],
-                -best_house.id,
+                open_listings[best_house],
+                -best_house,
             ):
-                best_house = house
+                best_house = house_id
         affordable = [
             (offer, -hid) for hid, offer in open_listings.items() if offer <= bid
         ]
@@ -305,7 +330,7 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
             seen.add("buyer owns the best affordable listing")
         if best_house is None:
             continue
-        offer = open_listings.pop(best_house.id)
+        offer = open_listings.pop(best_house)
         if any(
             other_offer == offer and hid not in buyer.owned_houses
             for hid, other_offer in open_listings.items()
@@ -313,23 +338,23 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
             seen.add("equal offers")
         if offer == bid:
             seen.add("bid == offer")
-        if best_house.id in vacated:
+        if best_house in vacated:
             seen.add("vacated residence resold")
         seller = next(
             family for family in world.families.values()
-            if best_house.id in family.owned_houses
+            if best_house in family.owned_houses
         )
         price = (bid + offer) / 2.0
         tax = price * transaction_tax_rate
         buyer.savings -= price
         seller.savings += price - tax
-        ledger.add(best_house.municipality_id, "transaction", tax)
-        seller.owned_houses.discard(best_house.id)
-        buyer.owned_houses.add(best_house.id)
+        ledger.add(municipality(best_house), "transaction", tax)
+        seller.owned_houses.discard(best_house)
+        buyer.owned_houses.add(best_house)
         sales.append(
             SaleRecord(
                 month=world.clock,
-                house_id=best_house.id,
+                house_id=best_house,
                 seller_id=seller.id,
                 buyer_id=buyer.id,
                 bid=bid,
@@ -338,17 +363,11 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
                 tax=tax,
             )
         )
-        residence = world.houses[buyer.residence]
-        new_score = best_house.amenity_score(
-            world.municipalities[best_house.municipality_id].qli
-        )
-        old_score = residence.amenity_score(
-            world.municipalities[residence.municipality_id].qli
-        )
-        if new_score > old_score:
-            open_listings[residence.id] = residence.current_price
-            vacated.add(residence.id)
-            buyer.residence = best_house.id
+        residence = buyer.residence
+        if amenity_score(best_house) > amenity_score(residence):
+            open_listings[residence] = float(houses.price[residence])
+            vacated.add(residence)
+            buyer.residence = best_house
     return sales
 
 
@@ -380,7 +399,7 @@ def random_market(seed):
     entrants = [fid for fid in range(n_families) if rng.random() < 0.7]
     order = rng.permutation(len(houses))
     residences = {family.residence for family in families}
-    listings = [houses[i].id for i in order if houses[i].id not in residences]
+    listings = [houses[i]["id"] for i in order if houses[i]["id"] not in residences]
     return world, entrants, listings
 
 

@@ -13,7 +13,14 @@ from policysim.scheduler import (
     step_real_estate,
 )
 
-from conftest import make_world, simple_citizen, simple_family, simple_firm, simple_house
+from conftest import (
+    employees,
+    make_world,
+    simple_citizen,
+    simple_family,
+    simple_firm,
+    simple_house,
+)
 
 
 def test_empty_world_steps_without_error():
@@ -109,20 +116,15 @@ def test_firm_decisions_return_the_openings_of_deciding_firms():
     params = SimParams()
     params.labor_market_frequency = 2
     profits = {0: 5.0, 1: 5.0, 2: -1.0, 3: -1.0, 4: 0.0}
-    firms = [
-        simple_firm(firm_id=fid, employees=(fid,), last_profit=profit)
-        for fid, profit in profits.items()
-    ]
-    citizens = [simple_citizen(cid=fid, family_id=fid) for fid in profits]
+    firms = [simple_firm(firm_id=fid, last_profit=profit) for fid, profit in profits.items()]
+    citizens = [simple_citizen(cid=fid, family_id=fid, employer=fid) for fid in profits]
     families = [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in profits]
     houses = [simple_house(house_id=fid) for fid in profits]
-    for fid in profits:
-        citizens[fid].employer = fid
     world = make_world(citizens, families, houses, firms)
     openings = step_firm_decisions(world, params, world.rng)
     assert list(openings.items()) == [(0, 1), (4, 1)]
-    assert not world.firms.employees[2]  # fired its one employee, opened nothing
-    assert world.firms.employees[3] == {3}  # holds: not its decision month
+    assert not employees(world, 2)  # fired its one employee, opened nothing
+    assert employees(world, 3) == {3}  # holds: not its decision month
 
 
 def test_records_carry_per_municipality_qli(fixture3):

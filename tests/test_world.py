@@ -202,8 +202,8 @@ def test_occupancy_bijection_and_surplus(fixture3):
     world = generate_world(fixture3, params, seed=3)
     residences = [family.residence for family in world.families.values()]
     assert len(residences) == len(set(residences))
-    assert set(world.residents_by_house(world.active_families())) == set(residences)
-    vacant = [h for h in world.houses.values() if h.id not in residences]
+    assert set(world.residences(world.active_families()).tolist()) == set(residences)
+    vacant = [h for h in range(len(world.houses)) if h not in residences]
     assert len(vacant) == len(world.houses) - len(world.families)
     assert len(vacant) >= 0
     assert_ownership_partition(world)
@@ -213,10 +213,10 @@ def test_generated_citizens_within_table_support(fixture3):
     params = SimParams()
     world = generate_world(fixture3, params, seed=5)
     supported_ages = {age for age, _, _ in fixture3.age_gender}
-    for citizen in world.citizens.values():
-        assert 0 <= citizen.qualification <= 21
-        assert citizen.age in supported_ages
-        assert 0 <= citizen.birth_month < 12
+    for citizen in world.citizens.records():
+        assert 0 <= citizen["qualification"] <= 21
+        assert citizen["age"] in supported_ages
+        assert 0 <= citizen["birth_month"] < 12
 
 
 def test_every_municipality_gets_a_firm(fixture3):
