@@ -109,7 +109,7 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     employers = citizens.employer[employed]
     bills = np.zeros(len(firms))
     np.add.at(bills, employers, citizens.wage[employed])
-    short = np.flatnonzero((firms.cash < bills) & (np.bincount(employers, minlength=len(firms)) > 0))
+    short = np.flatnonzero((firms.cash < bills) & (citizens.headcount(len(firms)) > 0))
     if len(short):
         order = citizens.firing_order()
         firm_of = citizens.employer[order]

@@ -213,9 +213,6 @@ class Houses:
     def __len__(self) -> int:
         return len(self.price)
 
-    def location(self, house_id: int) -> Location:
-        return float(self.x[house_id]), float(self.y[house_id])
-
     def amenity_scores(self, qli: np.ndarray) -> np.ndarray:
         """size * quality * the town's qli, per house; ``qli`` is per municipality."""
         return self.size * self.quality * qli[self.municipality]

@@ -32,8 +32,9 @@ def choose_firm(residence, firms, size_market, rng, price_criterion_probability)
     return min(sample, key=lambda firm_id: (distance(residence, location(firms, firm_id)), firm_id))
 
 
-def location(firms, firm_id):
-    return float(firms.x[firm_id]), float(firms.y[firm_id])
+def location(store, row):
+    """A firm's or a house's location."""
+    return float(store.x[row]), float(store.y[row])
 
 
 def municipality(firms, firm_id):
@@ -78,7 +79,7 @@ def goods_market_step(
         if budget <= 0.0:
             continue
         firm_id = choose_firm(
-            world.houses.location(family.residence),
+            location(world.houses, family.residence),
             firms,
             size_market,
             rng,
@@ -108,7 +109,7 @@ def match(world, pool, pct_distance_hiring, sample_size, rng):
             cid = remaining[index]
             if by_distance:
                 family = world.families[int(world.citizens.family[cid])]
-                return distance(world.houses.location(family.residence), firm_location), cid
+                return distance(location(world.houses, family.residence), firm_location), cid
             return -int(world.citizens.qualification[cid]), cid
 
         position = min(positions, key=rank)
