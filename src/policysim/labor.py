@@ -84,7 +84,7 @@ def match(
 
                 position = min(positions, key=km)
             else:
-                position = min(positions, key=lambda position: by_qualification[remaining[position]])
+                position = min(positions, key=lambda at: by_qualification[remaining[at]])
             hired.append(remaining.pop(position))
     hired_ids = ids[hired]
     citizens.employer[hired_ids] = [firm_id for firm_id, _ in filled]

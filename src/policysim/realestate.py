@@ -83,8 +83,8 @@ def match_market(
     """
     # ascending by (offer, -house id): the best affordable listing is the
     # last one at or below the bid, ties going to the lower house id
-    prices = world.houses.price.tolist()
-    open_listings = sorted((prices[h], -h) for h in listings)
+    houses = world.houses
+    open_listings = sorted(zip(houses.price[listings].tolist(), [-h for h in listings]))
     owners = {
         house_id: family
         for family in world.families.values()
@@ -94,7 +94,12 @@ def match_market(
         (world.families[fid] for fid in entrant_ids),
         key=lambda family: (-family.savings, family.id),
     )
-    scores = world.houses.amenity_scores(world.qli()).tolist()
+    qli = world.qli()
+
+    def amenity_score(house_id: int) -> float:
+        town_qli = qli[houses.municipality[house_id]]
+        return float(houses.size[house_id] * houses.quality[house_id] * town_qli)
+
     sales: list[SaleRecord] = []
     for buyer in order:
         bid = buyer.savings
@@ -125,10 +130,9 @@ def match_market(
                 tax=tax,
             )
         )
-        if scores[house_id] > scores[buyer.residence]:
-            insort(open_listings, (prices[buyer.residence], -buyer.residence))
+        if amenity_score(house_id) > amenity_score(buyer.residence):
+            insort(open_listings, (float(houses.price[buyer.residence]), -buyer.residence))
             buyer.residence = house_id
-    houses = world.houses
     codes = houses.municipality[[sale.house_id for sale in sales]]
     world.ledger.book("transaction", houses.municipality_ids, codes, [sale.tax for sale in sales])
     return sales

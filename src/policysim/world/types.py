@@ -213,10 +213,6 @@ class Houses:
     def __len__(self) -> int:
         return len(self.price)
 
-    def amenity_scores(self, qli: np.ndarray) -> np.ndarray:
-        """size * quality * the town's qli, per house; ``qli`` is per municipality."""
-        return self.size * self.quality * qli[self.municipality]
-
     def records(self) -> list[dict]:
         """One dict of Python values per house, in id order, keyed by HOUSE_RECORD_KEYS."""
         columns = (

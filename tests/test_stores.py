@@ -153,4 +153,5 @@ def test_records_hold_python_values(stepped):
     for record in state["citizens"]:
         if record["employer"] is not None:
             staff.setdefault(record["employer"], set()).add(record["id"])
-    assert {firm["id"]: firm["employee_ids"] for firm in state["firms"] if firm["employee_ids"]} == staff
+    listed = {firm["id"]: firm["employee_ids"] for firm in state["firms"] if firm["employee_ids"]}
+    assert listed == staff
