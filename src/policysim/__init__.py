@@ -30,7 +30,7 @@ from .sweeps import (
 )
 from .world import (
     Citizens,
-    Family,
+    Families,
     Firms,
     GenerationError,
     Houses,
@@ -52,7 +52,7 @@ __all__ = [
     "DistributionMatrix",
     "DistributionRegime",
     "ExperimentPlan",
-    "Family",
+    "Families",
     "Firms",
     "FiscalError",
     "GenerationError",

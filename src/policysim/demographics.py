@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .world.regions import RegionDataError
-from .world.types import FEMALE, MALE, Citizens, Family, World
+from .world.types import FEMALE, MALE, Citizens, World
 
 
 @dataclass(frozen=True)
@@ -32,13 +32,21 @@ def age_step(world: World) -> None:
     citizens.age[citizens.alive & (citizens.birth_month == world.clock % 12)] += 1
 
 
-def _transfer_estate(world: World, extinct: Family, heir: Family) -> None:
-    """Move an extinct family's houses and money to its heir."""
-    for house_id in sorted(extinct.owned_houses):
-        heir.owned_houses.add(house_id)
-    heir.monthly_cash += extinct.monthly_cash
-    heir.savings += extinct.savings
-    del world.families[extinct.id]
+def _transfer_estates(world: World, extinct: np.ndarray, heirs: np.ndarray) -> None:
+    """Move each extinct family's houses and money to its heir, in list order.
+
+    An heir can inherit more than once; its money adds up in list order, and
+    each estate's houses join its set in house id order.
+    """
+    families = world.families
+    owned = families.owned_houses
+    for family_id, heir_id in zip(extinct.tolist(), heirs.tolist()):
+        owned[heir_id].update(sorted(owned[family_id]))
+        owned[family_id] = set()
+    for column in (families.monthly_cash, families.savings):
+        np.add.at(column, heirs, column[extinct])
+        column[extinct] = 0.0
+    families.present[extinct] = False
 
 
 def _by_age(table: dict[int, float], missing: float) -> np.ndarray:
@@ -87,26 +95,26 @@ def mortality_step(world: World, rng: np.random.Generator) -> list[int]:
 
     citizens.fire(deceased)
     citizens.alive[deceased] = False
-    emptied_families: list[Family] = []
-    for citizen_id, family_id, age, female in zip(
-        deceased,
-        citizens.family[deceased].tolist(),
-        citizens.age[deceased].tolist(),
-        citizens.female[deceased].tolist(),
-    ):
-        family = world.families[family_id]
-        family.member_ids.discard(citizen_id)
-        if not family.member_ids:
-            emptied_families.append(family)
-        world.grave.append(
-            GraveRecord(citizen_id, world.clock, age, FEMALE if female else MALE, family_id)
+    family_ids = citizens.family[deceased]
+    world.grave += [
+        GraveRecord(citizen_id, world.clock, age, FEMALE if female else MALE, family_id)
+        for citizen_id, family_id, age, female in zip(
+            deceased,
+            family_ids.tolist(),
+            citizens.age[deceased].tolist(),
+            citizens.female[deceased].tolist(),
         )
+    ]
 
-    if emptied_families:
-        heirs = [family for family in world.families.values() if family.member_ids]
-        if heirs:
-            for extinct in emptied_families:
-                _transfer_estate(world, extinct, heirs[int(rng.integers(0, len(heirs)))])
+    members = world.families.members(citizens)
+    # each emptied family once, in the order its last member appears among the deceased
+    last = len(family_ids) - 1 - np.unique(family_ids[::-1], return_index=True)[1]
+    emptied = family_ids[np.sort(last[members[family_ids[last]] == 0])]
+    if len(emptied):
+        heirs = np.flatnonzero(world.families.present & (members > 0))
+        if len(heirs):
+            draws = rng.integers(0, len(heirs), size=len(emptied))
+            _transfer_estates(world, emptied, heirs[draws])
     return deceased
 
 
@@ -129,18 +137,14 @@ def fertility_step(world: World, rng: np.random.Generator) -> list[int]:
         return []
     draws = rng.random(len(mothers))
     mothers = mothers[draws < birth_chances[citizens.age[mothers]]]
-    families = citizens.family[mothers].tolist()
-    female = [rng.random() < 0.5 for _ in families]
+    count = len(mothers)
+    female = rng.random(count) < 0.5
     first = world.next_citizen_id
-    newborn_ids = list(range(first, first + len(families)))
-    for family_id, baby_id in zip(families, newborn_ids):
-        world.families[family_id].member_ids.add(baby_id)
-    count = len(families)
     citizens.append(Citizens.born(
-        family=families,
+        family=citizens.family[mothers],
         age=[0] * count,
         female=female,
         qualification=[0] * count,
         birth_month=[world.clock % 12] * count,
     ))
-    return newborn_ids
+    return list(range(first, first + count))

@@ -11,19 +11,23 @@ from __future__ import annotations
 import numpy as np
 
 from .sampling import sample_blocks
-from .world.types import Family, Firms, World, distances
+from .world.types import Families, Firms, World, distances
 
 
-def set_budget(family: Family, beta: float) -> tuple[float, float]:
-    """Split liquid cash into a consumption budget and illiquid savings.
+def set_budget(
+    families: Families, ids: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split the liquid cash of the families ``ids`` into a consumption budget
+    and illiquid savings.
 
-    Returns (consume_budget, saved_amount); the family's liquid cash is
-    emptied and the change of its purchase flows back.
+    Returns (consume_budget, saved_amount) per family; their liquid cash is
+    emptied and the change of their purchases flows back.
     """
-    budget = beta * family.monthly_cash
-    saved = family.monthly_cash - budget
-    family.savings += saved
-    family.monthly_cash = 0.0
+    cash = families.monthly_cash[ids]
+    budget = beta * cash
+    saved = cash - budget
+    families.savings[ids] += saved
+    families.monthly_cash[ids] = 0.0
     return budget, saved
 
 
@@ -94,26 +98,25 @@ def transact(
 
 def choose_firms(
     world: World,
-    shoppers: list[Family],
+    homes: np.ndarray,
     size_market: int,
     rng: np.random.Generator,
     price_criterion_probability: float,
 ) -> np.ndarray:
     """Each shopper's firm id, from batched draws.
 
-    Per shopper, a uniform sample of min(size_market, firms) firms and a
-    coin that lands on price with probability price_criterion_probability:
-    the cheapest sampled firm wins, or else the closest. Ties go to the
-    lower firm id.
+    ``homes`` holds each shopper's residence. Per shopper, a uniform sample
+    of min(size_market, firms) firms and a coin that lands on price with
+    probability price_criterion_probability: the cheapest sampled firm
+    wins, or else the closest. Ties go to the lower firm id.
     """
     firms = world.firms
     price_rank = np.empty(len(firms), dtype=np.int64)
     price_rank[np.argsort(firms.price, kind="stable")] = np.arange(len(firms))
-    homes = world.residences(shoppers)
 
     chosen: list[np.ndarray] = []
     start = 0
-    pool_sizes = np.full(len(shoppers), len(firms))
+    pool_sizes = np.full(len(homes), len(firms))
     for picks, coins in sample_blocks(rng, pool_sizes, size_market):
         # sample columns in firm id order, so the first minimum is the lower id
         picks = np.sort(picks, axis=1)
@@ -133,7 +136,7 @@ def choose_firms(
 
 def goods_market_step(
     world: World,
-    active: list[Family],
+    active: np.ndarray,
     beta: float,
     size_market: int,
     consumption_tax_rate: float,
@@ -146,20 +149,20 @@ def goods_market_step(
     Returns the chosen firm id of each purchase, in shopping order. Each
     purchase books its consumption tax to the firm's municipality.
     """
-    budgets = [set_budget(family, beta)[0] for family in active]
-    firms = world.firms
-    if not len(firms) or not active:
+    families, firms = world.families, world.firms
+    budgets = set_budget(families, active, beta)[0]
+    if not len(firms) or not len(active):
         # nowhere to shop; planned budgets return to liquid cash
-        for family, budget in zip(active, budgets):
-            family.monthly_cash += budget
+        families.monthly_cash[active] += budgets
         return np.empty(0, dtype=np.int64)
-    order = [i for i in rng.permutation(len(active)).tolist() if budgets[i] > 0.0]
-    shoppers = [active[i] for i in order]
-    chosen = choose_firms(world, shoppers, size_market, rng, price_criterion_probability)
-    taxes, change = transact(
-        firms, chosen, np.array([budgets[i] for i in order], dtype=float), consumption_tax_rate
+    order = rng.permutation(len(active))
+    order = order[budgets[order] > 0.0]
+    shoppers = active[order]
+    chosen = choose_firms(
+        world, families.residence[shoppers], size_market, rng, price_criterion_probability
     )
-    for family, amount in zip(shoppers, change.tolist()):
-        family.monthly_cash += amount
+    taxes, change = transact(firms, chosen, budgets[order], consumption_tax_rate)
+    # each shopper appears once, so its change adds to its own cash
+    families.monthly_cash[shoppers] += change
     world.ledger.book("consumption", firms.municipality_ids, firms.municipality[chosen], taxes)
     return chosen

@@ -63,7 +63,7 @@ def match(
     id_list = ids.tolist()
     # one key per candidate: the best qualified first, then the lower id
     by_qualification = (ids - citizens.qualification[ids] * citizens.rows).tolist()
-    homes = World.residences([world.families[family] for family in citizens.family[ids].tolist()])
+    homes = world.families.residence[citizens.family[ids]]
     home_x, home_y = world.houses.x[homes].tolist(), world.houses.y[homes].tolist()
     firm_x, firm_y = firms.x.tolist(), firms.y.tolist()
     remaining = list(range(count))
@@ -124,9 +124,8 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     payroll = employed[np.argsort(employers, kind="stable")]
     wages = citizens.wage[payroll]
     tax = wages * labor_tax_rate
-    families = world.families
-    for family_id, net in zip(citizens.family[payroll].tolist(), (wages - tax).tolist()):
-        families[family_id].monthly_cash += net
+    # in payroll order, so a family's wages add up as a loop over it would
+    np.add.at(world.families.monthly_cash, citizens.family[payroll], wages - tax)
     world.ledger.book(
         "labor", firms.municipality_ids, firms.municipality[citizens.employer[payroll]], tax
     )
@@ -168,7 +167,7 @@ def calibrate_initial_unemployment(
     firms = world.firms
     if not len(firms):
         return
-    populations = world.population_by_municipality(world.active_families())
+    populations = world.population_by_municipality()
     residents = np.array([populations.get(muni, 0) for muni in firms.municipality_ids])
     firms_per_muni = np.bincount(firms.municipality, minlength=len(firms.municipality_ids))
     weights = (residents[firms.municipality] / firms_per_muni[firms.municipality]).tolist()

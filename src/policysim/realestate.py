@@ -1,10 +1,9 @@
 """Real-estate market: hedonic offers, savings-ordered bidding, relocation.
 
 Vacant houses are always for sale. A listing is a vacant house's id; its
-offer is the house's current price. Ownership lives only in
-Family.owned_houses. Entering families bid their full savings, richest
-first; each takes the best-priced listing it can afford at a transaction
-price halfway between bid and offer.
+offer is the house's current price. Entering families bid their full
+savings, richest first; each takes the best-priced listing it can afford at
+a transaction price halfway between bid and offer.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world.types import Family, Houses, World
+from .world.types import Houses, World
 
 
 @dataclass(frozen=True)
@@ -46,25 +45,19 @@ def reprice_houses(world: World, base_coefficient: float) -> None:
     world.houses.price = hedonic_offer_prices(world.houses, world.qli(), base_coefficient)
 
 
-def build_listings(world: World, active: list[Family]) -> list[int]:
+def build_listings(world: World, active: np.ndarray) -> list[int]:
     """Every vacant house is on the market at its current hedonic price."""
     vacant = np.ones(len(world.houses), dtype=bool)
-    vacant[world.residences(active)] = False
+    vacant[world.families.residence[active]] = False
     return np.flatnonzero(vacant).tolist()
 
 
 def select_entrants(
-    families: list[Family], pct_check_new_location: float, rng: np.random.Generator
-) -> list[int]:
-    """Each family independently enters the market with a fixed chance."""
-    if not families:
-        return []
-    draws = rng.random(len(families))
-    return [
-        family.id
-        for family, draw in zip(families, draws)
-        if draw < pct_check_new_location
-    ]
+    families: np.ndarray, pct_check_new_location: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Each of the families ``families`` independently enters the market with
+    a fixed chance; returns the entrants' ids, in list order."""
+    return families[rng.random(len(families)) < pct_check_new_location]
 
 
 def match_market(
@@ -83,17 +76,16 @@ def match_market(
     """
     # ascending by (offer, -house id): the best affordable listing is the
     # last one at or below the bid, ties going to the lower house id
-    houses = world.houses
+    houses, families = world.houses, world.families
     open_listings = sorted(zip(houses.price[listings].tolist(), [-h for h in listings]))
-    owners = {
-        house_id: family
-        for family in world.families.values()
-        for house_id in family.owned_houses
-    }
-    order = sorted(
-        (world.families[fid] for fid in entrant_ids),
-        key=lambda family: (-family.savings, family.id),
-    )
+    savings, owned, residence = families.savings, families.owned_houses, families.residence
+    # a listed house is vacant: its owner owns another house, the one it
+    # lives in, or has no members left to live in it
+    members = families.members(world.citizens)
+    sellers = np.flatnonzero(families.present & ((families.owned_counts() > 1) | (members == 0)))
+    owners = {house_id: family for family in sellers.tolist() for house_id in owned[family]}
+    entrant_ids = np.asarray(entrant_ids, dtype=np.int64)
+    order = sorted(zip((-savings[entrant_ids]).tolist(), entrant_ids.tolist()))
     qli = world.qli()
 
     def amenity_score(house_id: int) -> float:
@@ -101,10 +93,10 @@ def match_market(
         return float(houses.size[house_id] * houses.quality[house_id] * town_qli)
 
     sales: list[SaleRecord] = []
-    for buyer in order:
-        bid = buyer.savings
+    for _, buyer in order:
+        bid = float(savings[buyer])
         index = bisect_right(open_listings, (bid, math.inf))
-        while index and -open_listings[index - 1][1] in buyer.owned_houses:
+        while index and -open_listings[index - 1][1] in owned[buyer]:
             index -= 1
         if not index:
             continue
@@ -113,50 +105,46 @@ def match_market(
         seller = owners[house_id]
         price = (bid + offer) / 2.0
         tax = price * transaction_tax_rate
-        buyer.savings -= price
-        seller.savings += price - tax
-        seller.owned_houses.discard(house_id)
-        buyer.owned_houses.add(house_id)
+        savings[buyer] -= price
+        savings[seller] += price - tax
+        owned[seller].discard(house_id)
+        owned[buyer].add(house_id)
         owners[house_id] = buyer
         sales.append(
             SaleRecord(
                 month=world.clock,
                 house_id=house_id,
-                seller_id=seller.id,
-                buyer_id=buyer.id,
+                seller_id=seller,
+                buyer_id=buyer,
                 bid=bid,
                 offer=offer,
                 transaction_price=price,
                 tax=tax,
             )
         )
-        if amenity_score(house_id) > amenity_score(buyer.residence):
-            insort(open_listings, (float(houses.price[buyer.residence]), -buyer.residence))
-            buyer.residence = house_id
+        home = int(residence[buyer])
+        if amenity_score(house_id) > amenity_score(home):
+            insort(open_listings, (float(houses.price[home]), -home))
+            owners[home] = buyer
+            residence[buyer] = house_id
     codes = houses.municipality[[sale.house_id for sale in sales]]
     world.ledger.book("transaction", houses.municipality_ids, codes, [sale.tax for sale in sales])
     return sales
 
 
-def collect_property_tax(
-    world: World, active: list[Family], property_tax_rate: float
-) -> None:
+def collect_property_tax(world: World, active: np.ndarray, property_tax_rate: float) -> None:
     """Monthly levy on each occupied house, clamped at the resident's cash.
 
     Charged and booked in house id order.
     """
-    houses = world.houses
-    residences = world.residences(active)
+    houses, families = world.houses, world.families
+    residences = families.residence[active]
     by_house = np.argsort(residences)
-    occupied = residences[by_house]
+    occupied, payers = residences[by_house], active[by_house]
     owed = property_tax_rate * houses.price[occupied]
-    cash = np.fromiter(
-        (family.monthly_cash for family in active), dtype=float, count=len(active)
-    )[by_house]
+    cash = families.monthly_cash[payers]
     # min(owed, cash): the owed amount unless the cash is strictly smaller
     paid = np.where(cash < owed, cash, owed)
-    # cash is never -0.0, so a zero charge leaves it as it is
-    families, charges = by_house.tolist(), paid.tolist()
-    for index in np.flatnonzero(paid).tolist():
-        active[families[index]].monthly_cash -= charges[index]
+    # each family lives in one house; x - 0.0 is x, so no charge leaves cash as it is
+    families.monthly_cash[payers] = cash - paid
     world.ledger.book("property", houses.municipality_ids, houses.municipality[occupied], paid)

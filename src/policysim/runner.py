@@ -48,16 +48,6 @@ def _items(*keys: str) -> tuple[tuple[str, Callable], ...]:
     return tuple((key, itemgetter(key)) for key in keys)
 
 
-def _sorted(world_attribute: str) -> Callable[[RunResult], list]:
-    return lambda result: sorted(
-        getattr(result.world, world_attribute).values(), key=attrgetter("id")
-    )
-
-
-def _size(attribute: str) -> Callable:
-    return lambda entity: len(getattr(entity, attribute))
-
-
 # --save-data flag -> the file it adds to each run directory
 DUMPS = {
     "agents": Dump("agents.csv", lambda result: result.world.citizens.records(), _items(
@@ -69,12 +59,12 @@ DUMPS = {
     "house": Dump("sales.csv", attrgetter("sales"), _attributes(
         *(spec.name for spec in fields(SaleRecord))
     )),
-    "family": Dump("families.csv", _sorted("families"), (
-        *_attributes("id"),
-        ("members", _size("member_ids")),
-        *_attributes("residence"),
-        ("owned_houses", _size("owned_houses")),
-        *_attributes("monthly_cash", "savings"),
+    "family": Dump("families.csv", lambda result: result.world.family_records(), (
+        *_items("id"),
+        ("members", lambda record: len(record["member_ids"])),
+        *_items("residence"),
+        ("owned_houses", lambda record: len(record["owned_houses"])),
+        *_items("monthly_cash", "savings"),
     )),
     "firms": Dump("firms.csv", lambda result: result.world.firm_records(), (
         *_items("id"),

@@ -26,7 +26,7 @@ from .params import MAX_MONTHS, TAX_KINDS, SimParams
 from .stats import gini
 from .world.generate import generate_world
 from .world.regions import RegionData
-from .world.types import Family, World
+from .world.types import World
 
 
 class RunError(ValueError):
@@ -99,8 +99,8 @@ def step_production(world: World, params: SimParams) -> None:
 
 def step_demographics(
     world: World, params: SimParams, rng: np.random.Generator
-) -> list[Family]:
-    """Age, mortality and births; returns the families left with members."""
+) -> np.ndarray:
+    """Age, mortality and births; returns the ids of the families left with members."""
     demographics.age_step(world)
     demographics.mortality_step(world, rng)
     demographics.fertility_step(world, rng)
@@ -108,7 +108,7 @@ def step_demographics(
 
 
 def step_goods_market(
-    world: World, params: SimParams, rng: np.random.Generator, active: list[Family]
+    world: World, params: SimParams, rng: np.random.Generator, active: np.ndarray
 ) -> None:
     goods.goods_market_step(
         world,
@@ -161,7 +161,7 @@ def step_labor_market(
 
 
 def step_real_estate(
-    world: World, params: SimParams, rng: np.random.Generator, active: list[Family]
+    world: World, params: SimParams, rng: np.random.Generator, active: np.ndarray
 ) -> None:
     realestate.reprice_houses(world, params.hedonic_base_coefficient)
     listings = realestate.build_listings(world, active)
@@ -174,13 +174,13 @@ def step_real_estate(
     realestate.collect_property_tax(world, active, params.taxes.property)
 
 
-def step_fiscal(world: World, params: SimParams, active: list[Family]) -> dict[str, float]:
+def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
     """Distribute the ledger, invest everything, and zero the ledger.
 
     Returns the month's collection totals by kind (captured before reset).
     """
     totals = world.ledger.total_by_kind()
-    populations = world.population_by_municipality(active)
+    populations = world.population_by_municipality()
     regime = DistributionRegime(params.alternative0, params.fpm_distribution)
     receipts = distribute(
         world.ledger,
@@ -199,7 +199,7 @@ def step_fiscal(world: World, params: SimParams, active: list[Family]) -> dict[s
 
 
 def record_month(
-    world: World, params: SimParams, taxes: dict[str, float], active: list[Family]
+    world: World, params: SimParams, taxes: dict[str, float], active: np.ndarray
 ) -> MonthRecord:
     price_index = float(np.mean(world.firms.price)) if len(world.firms) else 0.0
     if world.price_index_prev and world.price_index_prev > 0.0 and price_index > 0.0:
@@ -218,7 +218,7 @@ def record_month(
         price_index=price_index,
         inflation=inflation,
         house_price_index=house_price_index,
-        gini_wealth=gini(wealth) if wealth else 0.0,
+        gini_wealth=gini(wealth) if len(wealth) else 0.0,
         taxes=dict(taxes),
         qli={muni_id: muni.qli for muni_id, muni in world.municipalities.items()},
     )
@@ -234,7 +234,7 @@ def step(world: World, params: SimParams) -> MonthRecord:
         openings = step_firm_decisions(world, params, rng)
         step_labor_market(world, params, rng, openings)
         step_real_estate(world, params, rng, active)
-        taxes = step_fiscal(world, params, active)
+        taxes = step_fiscal(world, params)
         record = record_month(world, params, taxes, active)
     except Exception as exc:
         raise RunError(f"month {world.clock}: {exc}") from exc

@@ -12,7 +12,7 @@ from .types import (
     FEMALE,
     MALE,
     Citizens,
-    Family,
+    Families,
     Firms,
     Houses,
     Location,
@@ -25,7 +25,7 @@ __all__ = [
     "FEMALE",
     "MALE",
     "Citizens",
-    "Family",
+    "Families",
     "Firms",
     "GenerationError",
     "Houses",

@@ -38,7 +38,7 @@ from ..params import SimParams
 from ..realestate import hedonic_offer_prices
 from ..sampling import COIN_BOUND, unit_doubles
 from .regions import MunicipalitySpec, RegionData
-from .types import FEMALE, MALE, Citizens, Family, Firms, Houses, Municipality, World
+from .types import FEMALE, MALE, Citizens, Families, Firms, Houses, Municipality, World
 
 HOUSE_SIZE_RANGE = (30.0, 120.0)  # m2
 HOUSE_QUALITY_LEVELS = 4
@@ -202,7 +202,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     houses: dict[str, list] = {
         "municipality": [], "x": [], "y": [], "size": [], "quality": [],
     }
-    families: dict[int, Family] = {}
+    family_cash: list[float] = []
     firm_municipality: list[int] = []
     firm_x: list[float] = []
     firm_y: list[float] = []
@@ -226,8 +226,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     )
 
     schooling = _schooling_tables(region)
-    next_citizen = 0
-    next_family = 0
+    homes: list[int] = []  # each family's residence, in family id order
     surplus_house_ids: list[int] = []
 
     for muni_index, spec in enumerate(specs):
@@ -250,17 +249,8 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         # family homes, one per family
         first_house = len(houses["x"])
         _build_houses(houses, muni_index, spec, n_families, rng)
-        muni_families = []
-        for house_id in range(first_house, first_house + n_families):
-            family = Family(
-                id=next_family,
-                member_ids=set(),
-                residence=house_id,
-                owned_houses={house_id},
-            )
-            families[family.id] = family
-            muni_families.append(family)
-            next_family += 1
+        first_family = len(homes)
+        homes += range(first_house, first_house + n_families)
 
         # deal citizens to families round-robin over a seeded shuffle; each
         # family starts with one month of the average wage per working-age
@@ -268,14 +258,10 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         family_of = [0] * n_citizens
         adults = [0] * n_families
         for position, index in enumerate(rng.permutation(n_citizens).tolist()):
-            family = muni_families[position % n_families]
-            family_of[index] = family.id
-            family.member_ids.add(next_citizen + index)
+            family_of[index] = first_family + position % n_families
             adults[position % n_families] += working_age[index]
         citizens["family"] += family_of
-        next_citizen += n_citizens
-        for family, count in zip(muni_families, adults):
-            family.monthly_cash = float(count) * INITIAL_WAGE_OFFER
+        family_cash += [float(count) * INITIAL_WAGE_OFFER for count in adults]
 
         # vacant surplus houses, owners drawn later over all families
         n_surplus = surplus_per_muni[muni_index]
@@ -291,10 +277,10 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         firm_cash += [INITIAL_WAGE_OFFER * expected_employees] * n_firms
 
     # assign surplus houses to randomly drawn existing families
-    family_id_list = list(families.keys())
-    owners = rng.integers(0, len(family_id_list), size=len(surplus_house_ids)).tolist()
-    for house_id, owner_index in zip(surplus_house_ids, owners):
-        families[family_id_list[owner_index]].owned_houses.add(house_id)
+    families = Families.open(homes, family_cash)
+    owners = rng.integers(0, len(homes), size=len(surplus_house_ids)).tolist()
+    for house_id, owner in zip(surplus_house_ids, owners):
+        families.owned_houses[owner].add(house_id)
 
     municipality_ids = [spec.id for spec in specs]
     house_store = Houses.open(municipality_ids, **houses)

@@ -1,15 +1,15 @@
 """Agent and world-state types, plus the planar distance helper.
 
-Citizens, houses and firms are column stores whose rows are their ids, so
-id order is row order. Families are objects in a dict keyed by id, whose
-insertion order is creation order, which is id order. Id order is the
-canonical deterministic iteration order.
+Citizens, families, houses and firms are column stores whose rows are
+their ids, so id order is row order. Id order is the canonical
+deterministic iteration order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -158,14 +158,77 @@ class Citizens:
         return [dict(zip(CITIZEN_RECORD_KEYS, row)) for row in zip(*columns)]
 
 
+# the fields of a family's record in World.to_dict() and the families dump
+FAMILY_RECORD_KEYS = (
+    "id", "member_ids", "residence", "owned_houses", "monthly_cash", "savings",
+)
+
+
 @dataclass(slots=True)
-class Family:
-    id: int
-    member_ids: set[int]
-    residence: int
-    owned_houses: set[int]
-    monthly_cash: float = 0.0  # liquid, funds consumption
-    savings: float = 0.0  # illiquid, real-estate only
+class Families:
+    """Every family as one row of columns; a family's id is its row.
+
+    Generation numbers the families 0..n-1 and none is created later. Who
+    belongs to a family is the citizens' column ``family``. A family whose
+    last member dies keeps its assets until an heir takes them, which
+    clears ``present``. ``owned_houses`` holds each family's house ids; a
+    set's iteration order is the order its prices are summed in. ``len``
+    counts the present families, and iteration yields their ids.
+    """
+
+    residence: np.ndarray  # int64, the house the members live in
+    owned_houses: list[set[int]]
+    monthly_cash: np.ndarray  # liquid, funds consumption
+    savings: np.ndarray  # illiquid, real-estate only
+    present: np.ndarray  # bool
+
+    @classmethod
+    def open(cls, residence: Sequence[int], monthly_cash: Sequence[float]) -> Families:
+        """Present families numbered 0..n-1, each owning its residence, with no savings."""
+        return cls(
+            residence=np.asarray(residence, dtype=np.int64),
+            owned_houses=[{house_id} for house_id in residence],
+            monthly_cash=np.asarray(monthly_cash, dtype=float),
+            savings=np.zeros(len(residence)),
+            present=np.ones(len(residence), dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.present))
+
+    def __iter__(self) -> Iterator[int]:
+        """The ids of the present families, in id order."""
+        return iter(np.flatnonzero(self.present).tolist())
+
+    def members(self, citizens: Citizens) -> np.ndarray:
+        """Each family's count of living members."""
+        return np.bincount(citizens.family[citizens.alive], minlength=len(self.present))
+
+    def active(self, citizens: Citizens) -> np.ndarray:
+        """The ids of the present families with members, in id order."""
+        return np.flatnonzero(self.present & (self.members(citizens) > 0))
+
+    def owned_counts(self) -> np.ndarray:
+        """How many houses each family owns."""
+        return np.fromiter(map(len, self.owned_houses), dtype=np.int64, count=len(self.owned_houses))
+
+    def records(self, citizens: Citizens) -> list[dict]:
+        """One dict of Python values per present family, in id order, keyed by
+        FAMILY_RECORD_KEYS; ``member_ids`` are the living citizens of the family."""
+        ids = np.flatnonzero(self.present)
+        members: list[set[int]] = [set() for _ in range(len(self.present))]
+        living = np.flatnonzero(citizens.alive)
+        for citizen_id, family_id in zip(living.tolist(), citizens.family[living].tolist()):
+            members[family_id].add(citizen_id)
+        columns = (
+            ids.tolist(),
+            [members[family_id] for family_id in ids.tolist()],
+            self.residence[ids].tolist(),
+            [set(self.owned_houses[family_id]) for family_id in ids.tolist()],
+            self.monthly_cash[ids].tolist(),
+            self.savings[ids].tolist(),
+        )
+        return [dict(zip(FAMILY_RECORD_KEYS, row)) for row in zip(*columns)]
 
 
 # the fields of a house's record in World.to_dict()
@@ -314,7 +377,7 @@ class World:
     clock: int
     region: RegionData
     citizens: Citizens
-    families: dict[int, Family]
+    families: Families
     houses: Houses
     firms: Firms
     municipalities: dict[str, Municipality]
@@ -335,20 +398,16 @@ class World:
         """Each municipality's quality of life, in municipality order."""
         return np.array([muni.qli for muni in self.municipalities.values()])
 
-    def active_families(self) -> list[Family]:
-        """The families with members. Only births and deaths change the list,
-        so a month builds it once, after demographics."""
-        return [family for family in self.families.values() if family.member_ids]
+    def active_families(self) -> np.ndarray:
+        """The ids of the families with members. Only births and deaths change
+        them, so a month finds them once, after demographics."""
+        return self.families.active(self.citizens)
 
-    @staticmethod
-    def residences(families: list[Family]) -> np.ndarray:
-        """Each family's residence house id, in list order."""
-        return np.array([family.residence for family in families], dtype=np.int64)
-
-    def population_by_municipality(self, active: list[Family]) -> dict[str, int]:
-        members = np.array([len(family.member_ids) for family in active], dtype=np.int64)
-        counts = np.zeros(len(self.municipalities), dtype=np.int64)
-        np.add.at(counts, self.houses.municipality[self.residences(active)], members)
+    def population_by_municipality(self) -> dict[str, int]:
+        """Living citizens per municipality of their family's residence."""
+        citizens = self.citizens
+        homes = self.families.residence[citizens.family[citizens.alive]]
+        counts = np.bincount(self.houses.municipality[homes], minlength=len(self.municipalities))
         return dict(zip(self.municipalities, counts.tolist()))
 
     def unemployment_rate(self, age_min: int, age_max: int) -> float:
@@ -359,22 +418,45 @@ class World:
         return unemployed / pool if pool else 0.0
 
     def total_money(self) -> float:
-        """Family cash and savings, firm cash, and the taxes not yet distributed."""
-        total = 0.0
-        for family in self.families.values():
-            total += family.monthly_cash + family.savings
-        for cash in self.firms.cash.tolist():
-            total += cash
+        """Family cash and savings, firm cash, and the taxes not yet distributed.
+
+        Summed left to right: each present family's cash plus savings, then
+        each firm's cash, in id order.
+        """
+        families = self.families
+        present = families.present
+        terms = np.concatenate(
+            (families.monthly_cash[present] + families.savings[present], self.firms.cash)
+        )
+        total = float(np.cumsum(terms)[-1]) if len(terms) else 0.0
         return total + self.ledger.total()
 
-    def wealth(self, families: list[Family]) -> list[float]:
-        """Each family's cash, savings and house prices; the prices are summed
-        in the iteration order of its owned_houses set."""
-        prices = self.houses.price.tolist()
-        return [
-            family.monthly_cash + family.savings + sum(map(prices.__getitem__, family.owned_houses))
-            for family in families
-        ]
+    def wealth(self, active: np.ndarray) -> np.ndarray:
+        """Each active family's cash, savings and house prices; the prices are
+        summed in the iteration order of its owned_houses set.
+
+        An active family owns the house it lives in, so the only house of a
+        family that owns one is its residence. Two prices add to the same
+        bits in either order, so only a family with three or more houses
+        needs its set's order.
+        """
+        families, price = self.families, self.houses.price
+        counts = families.owned_counts()[active]
+        wealth = families.monthly_cash[active] + families.savings[active]
+        single = counts == 1
+        wealth[single] += price[families.residence[active[single]]]
+        several = np.flatnonzero(counts > 1)
+        owned = [families.owned_houses[family_id] for family_id in active[several].tolist()]
+        houses = np.fromiter(chain.from_iterable(owned), dtype=np.int64)
+        first = np.cumsum(counts[several]) - counts[several]
+        two = counts[several] == 2
+        wealth[several[two]] += price[houses[first[two]]] + price[houses[first[two] + 1]]
+        for row, family_houses in zip(several[~two].tolist(), compress(owned, ~two)):
+            wealth[row] += sum(price[list(family_houses)].tolist())
+        return wealth
+
+    def family_records(self) -> list[dict]:
+        return self.families.records(self.citizens)
 
     def firm_records(self) -> list[dict]:
         return self.firms.records(self.citizens.employee_sets(len(self.firms)))
@@ -383,7 +465,7 @@ class World:
         """Full-state snapshot of agents, clock and random stream, for determinism checks."""
         return {
             "citizens": self.citizens.records(),
-            "families": [asdict(family) for family in self.families.values()],
+            "families": self.family_records(),
             "houses": self.houses.records(),
             "firms": self.firm_records(),
             "municipalities": [asdict(muni) for muni in self.municipalities.values()],

@@ -1,10 +1,12 @@
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from policysim.fiscal import TaxLedger
 from policysim.params import SimParams
 from policysim.world.regions import MunicipalitySpec, RegionData
-from policysim.world.types import UNEMPLOYED, Citizens, Family, Firms, Houses, Municipality, World
+from policysim.world.types import UNEMPLOYED, Citizens, Families, Firms, Houses, Municipality, World
 
 from policysim.cli import default_data_dir
 import os
@@ -111,9 +113,32 @@ def make_houses(municipality_ids, houses):
     return store
 
 
+def make_families(families):
+    """The column store of simple_family specs; each spec's id is its row,
+    and the rows below the largest id that no spec names are not present."""
+    rows = max((family.id for family in families), default=-1) + 1
+    store = Families.open([0] * rows, [0.0] * rows)
+    store.present[:] = False
+    store.owned_houses = [set() for _ in range(rows)]
+    for family in families:
+        row = family.id
+        store.present[row] = True
+        store.residence[row] = family.residence
+        store.owned_houses[row] = set(family.owned_houses)
+        store.monthly_cash[row] = family.monthly_cash
+        store.savings[row] = family.savings
+    return store
+
+
 def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=0):
     """Assemble a world from simple_citizen, simple_family, simple_house and
-    simple_firm specs, for unit tests."""
+    simple_firm specs, for unit tests. A family's members are the citizens
+    that name it, and must be the spec's member_ids."""
+    named = {}
+    for citizen in citizens:
+        named.setdefault(citizen["family_id"], set()).add(citizen["id"])
+    for family in families:
+        assert named.get(family.id, set()) == family.member_ids, family.id
     if region is None:
         region = make_region()
     municipalities = {
@@ -124,7 +149,7 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
         clock=0,
         region=region,
         citizens=make_citizens(list(citizens)),
-        families={f.id: f for f in families},
+        families=make_families(list(families)),
         houses=make_houses(list(municipalities), list(houses)),
         firms=make_firms(list(municipalities), list(firms)),
         municipalities=municipalities,
@@ -146,15 +171,29 @@ def citizen(world, cid):
 
 
 def assert_ownership_partition(world):
-    """Every house has exactly one owning family; active families own their home."""
-    owned = [house_id for family in world.families.values() for house_id in family.owned_houses]
+    """Every house has exactly one owning family, a present one; active
+    families own their home."""
+    families = world.families
+    owned = [house_id for family_id in families for house_id in families.owned_houses[family_id]]
     assert sorted(owned) == list(range(len(world.houses)))
-    for family in world.active_families():
-        assert family.residence in family.owned_houses
+    for family_id in world.active_families().tolist():
+        assert families.residence[family_id] in families.owned_houses[family_id]
+
+
+@dataclass
+class FamilySpec:
+    """One family's row, for make_world."""
+
+    id: int
+    member_ids: set[int]
+    residence: int
+    owned_houses: set[int] = field(default_factory=set)
+    monthly_cash: float = 0.0
+    savings: float = 0.0
 
 
 def simple_family(family_id=0, member_ids=(), residence=0, cash=0.0, savings=0.0):
-    return Family(
+    return FamilySpec(
         id=family_id,
         member_ids=set(member_ids),
         residence=residence,

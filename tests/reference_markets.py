@@ -2,11 +2,12 @@
 
 These are the goods loop, ``labor.match`` and ``labor.pay_wages`` as they
 were written before the markets drew their samples in one batched call and
-the firm, citizen and house sides ran as array passes: each shopper and
-each vacancy calls ``Generator.choice`` and then ``Generator.random``, each
-purchase, hire and wage reads and writes one row of ``world.firms``,
-``world.citizens`` and ``world.houses`` at a time, and every purchase and
-every wage books its tax on its own. ``tests/test_market_equivalence.py``
+the firm, citizen, family and house sides ran as array passes: each shopper
+and each vacancy calls ``Generator.choice`` and then ``Generator.random``,
+each budget, purchase, hire and wage reads and writes one row of
+``world.firms``, ``world.citizens``, ``world.families`` and
+``world.houses`` at a time, and every purchase and every wage books its tax
+on its own. ``tests/test_market_equivalence.py``
 runs them against the engine on the same worlds and requires identical
 states, random stream included.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from policysim.goods import set_budget
 from policysim.world.types import UNEMPLOYED, distance
 
 
@@ -41,7 +41,20 @@ def municipality(firms, firm_id):
     return firms.municipality_ids[int(firms.municipality[firm_id])]
 
 
-def transact(family, firms, firm_id, budget, consumption_tax_rate, ledger):
+def set_budget(families, family_id, beta):
+    """Split one family's liquid cash into a consumption budget and savings."""
+    cash = float(families.monthly_cash[family_id])
+    budget = beta * cash
+    families.savings[family_id] = float(families.savings[family_id]) + (cash - budget)
+    families.monthly_cash[family_id] = 0.0
+    return budget
+
+
+def add_cash(families, family_id, amount):
+    families.monthly_cash[family_id] = float(families.monthly_cash[family_id]) + amount
+
+
+def transact(families, family_id, firms, firm_id, budget, consumption_tax_rate, ledger):
     price, stock = float(firms.price[firm_id]), float(firms.stock[firm_id])
     demanded = budget / price if budget > 0.0 else 0.0
     if stock >= demanded:
@@ -55,38 +68,40 @@ def transact(family, firms, firm_id, budget, consumption_tax_rate, ledger):
     firms.cash[firm_id] = float(firms.cash[firm_id]) + (gross - tax)
     firms.revenue[firm_id] = float(firms.revenue[firm_id]) + (gross - tax)
     ledger.add(municipality(firms, firm_id), "consumption", tax)
-    family.monthly_cash += budget - gross
+    add_cash(families, family_id, budget - gross)
     return firm_id
 
 
 def goods_market_step(
     world, active, beta, size_market, consumption_tax_rate, rng, price_criterion_probability
 ):
+    families = world.families
+    active = active.tolist()
     budgets = {}
-    for family in active:
-        consume_budget, _ = set_budget(family, beta)
-        budgets[family.id] = consume_budget
+    for family_id in active:
+        budgets[family_id] = set_budget(families, family_id, beta)
     firms = world.firms
     purchases = []
     if not len(firms) or not active:
-        for family in active:
-            family.monthly_cash += budgets[family.id]
+        for family_id in active:
+            add_cash(families, family_id, budgets[family_id])
         return purchases
     order = rng.permutation(len(active))
     for index in order:
-        family = active[int(index)]
-        budget = budgets[family.id]
+        family_id = active[int(index)]
+        budget = budgets[family_id]
         if budget <= 0.0:
             continue
         firm_id = choose_firm(
-            location(world.houses, family.residence),
+            location(world.houses, int(families.residence[family_id])),
             firms,
             size_market,
             rng,
             price_criterion_probability,
         )
         purchases.append(
-            transact(family, firms, firm_id, budget, consumption_tax_rate, ledger=world.ledger)
+            transact(families, family_id, firms, firm_id, budget, consumption_tax_rate,
+                     ledger=world.ledger)
         )
     return purchases
 
@@ -108,8 +123,8 @@ def match(world, pool, pct_distance_hiring, sample_size, rng):
         def rank(index):
             cid = remaining[index]
             if by_distance:
-                family = world.families[int(world.citizens.family[cid])]
-                return distance(location(world.houses, family.residence), firm_location), cid
+                home = int(world.families.residence[int(world.citizens.family[cid])])
+                return distance(location(world.houses, home), firm_location), cid
             return -int(world.citizens.qualification[cid]), cid
 
         position = min(positions, key=rank)
@@ -149,8 +164,7 @@ def pay_wages(world, labor_tax_rate):
         for citizen_id in sorted(employees):
             wage = float(citizens.wage[citizen_id])
             tax = wage * labor_tax_rate
-            family = world.families[int(citizens.family[citizen_id])]
-            family.monthly_cash += wage - tax
+            add_cash(world.families, int(citizens.family[citizen_id]), wage - tax)
             world.ledger.add(municipality(firms, firm_id), "labor", tax)
             bill += wage
         firms.cash[firm_id] = float(firms.cash[firm_id]) - bill

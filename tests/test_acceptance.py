@@ -49,7 +49,7 @@ def fiscal_experiment_params():
 
 def final_qli_population_weighted(result):
     record = result.records[-1]
-    populations = result.world.population_by_municipality(result.world.active_families())
+    populations = result.world.population_by_municipality()
     total = sum(populations.values())
     return sum(record.qli[m] * populations[m] for m in record.qli) / max(1, total)
 

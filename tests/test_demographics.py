@@ -109,8 +109,7 @@ def test_dead_are_fully_removed():
     assert employees(world, 0) == set()
     assert world.citizens.headcount(1).tolist() == [0]
     assert world.citizens.wage.tolist() == [0.0] * 30
-    for family in world.families.values():
-        assert not family.member_ids
+    assert world.families.members(world.citizens).tolist() == [0] * 30
 
 
 def test_inheritance_moves_estate_to_surviving_family():
@@ -129,12 +128,11 @@ def test_inheritance_moves_estate_to_surviving_family():
             world.region.mortality[gender][age] = 1.0 if age >= 80 else 0.0
     mortality_step(world, world.rng)
     assert 0 not in world.families
-    heir = world.families[1]
-    assert heir.owned_houses == {0, 1}
-    assert heir.monthly_cash == 7.0
-    assert heir.savings == 3.0
-    assert 0 in world.families[1].owned_houses
-    assert world.residences(world.active_families()).tolist() == [1]
+    assert world.families.owned_houses[1] == {0, 1}
+    assert world.families.monthly_cash[1] == 7.0
+    assert world.families.savings[1] == 3.0
+    assert 0 in world.families.owned_houses[1]
+    assert world.families.residence[world.active_families()].tolist() == [1]
 
 
 def test_zero_fertility_no_births():
@@ -147,13 +145,14 @@ def test_certain_fertility_every_eligible_female():
     newborns = fertility_step(world, world.rng)
     assert len(newborns) == 40
     assert newborns == list(range(40, 80))
+    members = {family["id"]: family["member_ids"] for family in world.family_records()}
     for baby_id in newborns:
         baby = citizen(world, baby_id)
         assert baby["age"] == 0
         assert baby["qualification"] == 0
         assert baby["employer"] is None
         assert baby["wage"] == 0.0
-        assert baby_id in world.families[baby["family_id"]].member_ids
+        assert baby_id in members[baby["family_id"]]
 
 
 def test_fertility_binomial_rate():
@@ -225,9 +224,9 @@ def test_families_dying_out_together_draw_heirs_from_one_survivor_list():
     expected_cash = {fid: 0.0 for fid in survivors}
     expected_cash[heir_of_family_1] += 100.0
     expected_cash[heir_of_family_0] += 1.0
-    assert {fid: family.monthly_cash for fid, family in world.families.items()} == expected_cash
-    assert 1 in world.families[heir_of_family_1].owned_houses
-    assert 0 in world.families[heir_of_family_0].owned_houses
+    assert {fid: world.families.monthly_cash[fid] for fid in world.families} == expected_cash
+    assert 1 in world.families.owned_houses[heir_of_family_1]
+    assert 0 in world.families.owned_houses[heir_of_family_0]
 
 
 @pytest.mark.parametrize("missing", ["age row", "gender table"])

@@ -4,7 +4,15 @@ import pytest
 from policysim.goods import goods_market_step, set_budget, transact
 from policysim.params import SimParams
 
-from conftest import make_firms, make_world, simple_citizen, simple_family, simple_firm, simple_house
+from conftest import (
+    make_families,
+    make_firms,
+    make_world,
+    simple_citizen,
+    simple_family,
+    simple_firm,
+    simple_house,
+)
 
 PRICE_CRITERION = SimParams().price_criterion_probability
 
@@ -14,12 +22,12 @@ PRICE_CRITERION = SimParams().price_criterion_probability
     [(200.0, 0.5, 100.0, 100.0), (200.0, 0.0, 0.0, 200.0), (200.0, 1.0, 200.0, 0.0)],
 )
 def test_set_budget_examples(cash, beta, budget, saved):
-    family = simple_family(cash=cash)
-    got_budget, got_saved = set_budget(family, beta)
-    assert got_budget == budget
-    assert got_saved == saved
-    assert family.savings == saved
-    assert family.monthly_cash == 0.0
+    families = make_families([simple_family(cash=cash)])
+    got_budget, got_saved = set_budget(families, np.array([0]), beta)
+    assert got_budget.tolist() == [budget]
+    assert got_saved.tolist() == [saved]
+    assert families.savings.tolist() == [saved]
+    assert families.monthly_cash.tolist() == [0.0]
 
 
 def test_set_budget_conserves_cash():
@@ -27,11 +35,11 @@ def test_set_budget_conserves_cash():
     for _ in range(100):
         cash = float(rng.uniform(0, 1000))
         beta = float(rng.uniform(0, 1))
-        family = simple_family(cash=cash)
-        budget, saved = set_budget(family, beta)
+        families = make_families([simple_family(cash=cash)])
+        [budget], [saved] = set_budget(families, np.array([0]), beta)
         assert abs(budget + saved - cash) <= 1e-9 * max(1.0, cash)
-        assert family.savings == saved
-        assert family.monthly_cash == 0.0
+        assert families.savings[0] == saved
+        assert families.monthly_cash[0] == 0.0
 
 
 def shop_once(prices, locations=None, size_market=10, price_criterion_probability=1.0,
@@ -152,8 +160,8 @@ def test_goods_market_zero_beta_means_zero_revenue():
                       consumption_tax_rate=0.1, rng=world.rng,
                       price_criterion_probability=PRICE_CRITERION)
     assert all(revenue == 0.0 for revenue in world.firms.revenue)
-    assert all(family.monthly_cash == 0.0 for family in world.families.values())
-    assert all(family.savings == 10.0 for family in world.families.values())
+    assert all(cash == 0.0 for cash in world.families.monthly_cash)
+    assert all(savings == 10.0 for savings in world.families.savings)
 
 
 def test_goods_market_stock_never_negative_and_fcfs():
@@ -166,7 +174,7 @@ def test_goods_market_stock_never_negative_and_fcfs():
     sold = total_before - world.firms.stock[0]
     assert abs(sold - 3.0) <= 1e-12
     # late families in the permutation got nothing: money returned
-    returned = sum(f.monthly_cash for f in world.families.values())
+    returned = sum(world.families.monthly_cash.tolist())
     assert abs(returned - (10.0 * 10 - 3.0)) <= 1e-9
 
 

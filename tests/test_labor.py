@@ -123,7 +123,7 @@ def test_pay_wages_arithmetic():
     world.firms.cash[0] = 150.0
     bills = pay_wages(world, labor_tax_rate=0.2)
     assert bills.tolist() == [100.0]
-    assert world.families[0].monthly_cash == 80.0
+    assert world.families.monthly_cash[0] == 80.0
     assert world.ledger.get("m0", "labor") == 20.0
     assert world.ledger.total() == 20.0
     assert world.firms.cash[0] == 50.0
@@ -134,7 +134,7 @@ def test_pay_wages_zero_rate_pays_full():
     world.citizens.employer[0] = 0
     world.citizens.wage[0] = 100.0
     pay_wages(world, labor_tax_rate=0.0)
-    assert world.families[0].monthly_cash == 100.0
+    assert world.families.monthly_cash[0] == 100.0
 
 
 def test_pay_wages_solvency_fires_lowest_qualified():
@@ -149,8 +149,8 @@ def test_pay_wages_solvency_fires_lowest_qualified():
     assert bills.tolist() == [100.0]
     assert employees(world, 0) == {1}
     assert citizen(world, 0)["employer"] is None
-    assert world.families[1].monthly_cash == 100.0
-    assert world.families[0].monthly_cash == 0.0
+    assert world.families.monthly_cash[1] == 100.0
+    assert world.families.monthly_cash[0] == 0.0
     assert world.firms.cash[0] == 50.0
 
 
@@ -190,7 +190,7 @@ def test_wages_are_sticky_per_contract():
     world.citizens.wage[0] = 100.0
     world.firms.wage_offer[0] = 40.0  # newer, lower offer does not reprice the contract
     pay_wages(world, labor_tax_rate=0.0)
-    assert world.families[0].monthly_cash == 100.0
+    assert world.families.monthly_cash[0] == 100.0
 
 
 def test_calibration_target_one_needs_no_round(fixture3):

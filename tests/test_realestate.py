@@ -64,14 +64,14 @@ def test_hedonic_multiplies_left_to_right():
 
 
 def test_select_entrants_edges():
-    families = [simple_family(family_id=i) for i in range(25)]
+    families = np.arange(25)
     rng = np.random.default_rng(0)
-    assert select_entrants(families, 0.0, rng) == []
-    assert select_entrants(families, 1.0, rng) == [f.id for f in families]
+    assert select_entrants(families, 0.0, rng).tolist() == []
+    assert select_entrants(families, 1.0, rng).tolist() == families.tolist()
 
 
 def test_select_entrants_binomial():
-    families = [simple_family(family_id=i) for i in range(10_000)]
+    families = np.arange(10_000)
     rng = np.random.default_rng(11)
     chosen = select_entrants(families, 0.1, rng)
     mean = 1000.0
@@ -104,25 +104,25 @@ def test_sale_worked_example():
     assert sale.offer == 80.0
     assert sale.transaction_price == 90.0
     assert abs(sale.tax - 9.0) <= 1e-9
-    buyer, seller = world.families[0], world.families[1]
-    assert abs(buyer.savings - 10.0) <= 1e-9
-    assert abs(seller.savings - (30.0 + 81.0)) <= 1e-9
+    savings, owned = world.families.savings, world.families.owned_houses
+    assert abs(savings[0] - 10.0) <= 1e-9
+    assert abs(savings[1] - (30.0 + 81.0)) <= 1e-9
     assert abs(world.ledger.get("m0", "transaction") - 9.0) <= 1e-9
-    assert 2 in buyer.owned_houses
-    assert 2 not in seller.owned_houses
+    assert 2 in owned[0]
+    assert 2 not in owned[1]
 
 
 def test_buyer_without_budget_buys_nothing():
     world = sale_world()
-    world.families[0].savings = 5.0
+    world.families.savings[0] = 5.0
     sales = match_market(world, [0], [2], 0.1)
     assert sales == []
 
 
 def test_richest_entrant_bids_first():
     world = sale_world()
-    world.families[0].savings = 500.0
-    world.families[1].savings = 300.0
+    world.families.savings[0] = 500.0
+    world.families.savings[1] = 300.0
     # one affordable listing; the poorer family owns it, so both could bid
     world.houses.price[2] = 250.0
     sales = match_market(world, [0, 1], [2], 0.0)
@@ -133,7 +133,7 @@ def test_richest_entrant_bids_first():
 def test_no_self_purchase():
     world = sale_world()
     # family 1 owns the vacant house and enters alone with deep savings
-    world.families[1].savings = 500.0
+    world.families.savings[1] = 500.0
     sales = match_market(world, [1], [2], 0.1)
     assert sales == []
 
@@ -146,9 +146,8 @@ def test_relocation_into_better_house():
     world.houses.price[2] = 80.0
     sales = match_market(world, [0], [2], 0.0)
     assert len(sales) == 1
-    buyer = world.families[0]
-    assert buyer.residence == 2
-    assert world.residences(world.active_families()).tolist() == [2, 1]
+    assert world.families.residence[0] == 2
+    assert world.families.residence[world.active_families()].tolist() == [2, 1]
 
 
 def test_vacated_house_enters_market_same_step():
@@ -157,7 +156,7 @@ def test_vacated_house_enters_market_same_step():
     world.houses.quality[2] = 4
     world.houses.price[2] = 80.0
     # second entrant can afford the vacated house (priced at 10)
-    world.families[1].savings = 20.0
+    world.families.savings[1] = 20.0
     sales = match_market(world, [0, 1], [2], 0.0)
     assert len(sales) == 2
     assert sales[1].house_id == 0
@@ -168,12 +167,12 @@ def test_sale_conserves_money():
     rng = np.random.default_rng(2)
     for _ in range(200):
         world = sale_world()
-        world.families[0].savings = float(rng.uniform(50, 400))
-        world.houses.price[2] = float(rng.uniform(1, world.families[0].savings))
+        world.families.savings[0] = float(rng.uniform(50, 400))
+        world.houses.price[2] = float(rng.uniform(1, world.families.savings[0]))
         rate = float(rng.uniform(0, 0.5))
-        before = world.families[0].savings + world.families[1].savings
+        before = world.families.savings[0] + world.families.savings[1]
         sales = match_market(world, [0], [2], rate)
-        after = world.families[0].savings + world.families[1].savings
+        after = world.families.savings[0] + world.families.savings[1]
         assert len(sales) == 1
         leak = before - after - world.ledger.get("m0", "transaction")
         assert abs(leak) <= 1e-9 * max(1.0, before)
@@ -238,35 +237,35 @@ def test_reprice_houses_applies_qli(fixture3):
 def test_property_tax_examples():
     world = sale_world()
     world.houses.price[0] = 100.0
-    world.families[0].monthly_cash = 5.0
+    world.families.monthly_cash[0] = 5.0
     collect_property_tax(world, world.active_families(), 0.005)
-    assert abs(world.families[0].monthly_cash - 4.5) <= 1e-12
+    assert abs(world.families.monthly_cash[0] - 4.5) <= 1e-12
     assert world.ledger.get("m0", "property") >= 0.5
 
 
 def test_property_tax_zero_rate():
     world = sale_world()
-    world.families[0].monthly_cash = 5.0
-    world.families[1].monthly_cash = 5.0
+    world.families.monthly_cash[0] = 5.0
+    world.families.monthly_cash[1] = 5.0
     collect_property_tax(world, world.active_families(), 0.0)
     assert world.ledger.total() == 0.0
-    assert world.families[0].monthly_cash == 5.0
+    assert world.families.monthly_cash[0] == 5.0
 
 
 def test_property_tax_clamped_at_cash():
     world = sale_world()
     world.houses.price[0] = 100.0
-    world.families[0].monthly_cash = 0.2
-    world.families[1].monthly_cash = 1.0
+    world.families.monthly_cash[0] = 0.2
+    world.families.monthly_cash[1] = 1.0
     collect_property_tax(world, world.active_families(), 0.005)  # family 0 owes 0.5, has 0.2
-    assert world.families[0].monthly_cash == 0.0
+    assert world.families.monthly_cash[0] == 0.0
     assert abs(world.ledger.get("m0", "property") - (0.2 + 0.05)) <= 1e-12  # family 1 pays 0.05
 
 
 def test_vacant_houses_pay_no_property_tax():
     world = sale_world()
-    world.families[0].monthly_cash = 10.0
-    world.families[1].monthly_cash = 10.0
+    world.families.monthly_cash[0] = 10.0
+    world.families.monthly_cash[1] = 10.0
     total_price = world.houses.price[0] + world.houses.price[1]
     collect_property_tax(world, world.active_families(), 0.01)
     assert abs(world.ledger.get("m0", "property") - 0.01 * total_price) <= 1e-12
@@ -275,12 +274,27 @@ def test_vacant_houses_pay_no_property_tax():
 def test_home_of_an_extinct_family_is_vacant():
     # family 1 died out with no heir: it keeps its houses, but lives nowhere
     world = sale_world()
-    world.families[1].member_ids.clear()
-    world.families[0].monthly_cash = world.families[1].monthly_cash = 10.0
+    world.citizens.alive[1] = False
+    world.families.monthly_cash[0] = world.families.monthly_cash[1] = 10.0
     assert build_listings(world, world.active_families()) == [1, 2]
     collect_property_tax(world, world.active_families(), 0.01)
     assert world.ledger.get("m0", "property") == 0.01 * world.houses.price[0]
-    assert world.families[1].monthly_cash == 10.0
+    assert world.families.monthly_cash[1] == 10.0
+
+
+def test_extinct_family_without_heir_sells_its_only_house():
+    # family 1 died out with no heir and owns one house, its old home
+    world = sale_world()
+    world.families.owned_houses[1].discard(2)
+    world.families.owned_houses[0].add(2)
+    world.citizens.alive[1] = False
+    listings = build_listings(world, world.active_families())
+    assert listings == [1, 2]
+    [sale] = match_market(world, [0], listings, 0.0)
+    assert (sale.house_id, sale.seller_id, sale.buyer_id) == (1, 1, 0)
+    assert world.families.savings[1] == 30.0 + 55.0
+    assert world.families.owned_houses[1] == set()
+    assert_ownership_partition(world)
 
 
 def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, ledger,
@@ -303,18 +317,17 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
         return float(houses.size[house_id]) * int(houses.quality[house_id]) * qli
 
     vacated = set()
-    order = sorted(
-        (world.families[fid] for fid in entrant_ids),
-        key=lambda family: (-family.savings, family.id),
-    )
+    families = world.families
+    savings, owned_houses = families.savings, families.owned_houses
+    order = sorted(entrant_ids, key=lambda fid: (-float(savings[fid]), fid))
     sales = []
     for buyer in order:
-        bid = buyer.savings
+        bid = float(savings[buyer])
         best_house = None
         for house_id, offer in open_listings.items():
             if offer > bid:
                 continue
-            if house_id in buyer.owned_houses:
+            if house_id in owned_houses[buyer]:
                 continue
             if best_house is None or (offer, -house_id) > (
                 open_listings[best_house],
@@ -326,13 +339,13 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
         ]
         if not affordable:
             seen.add("no affordable listing")
-        elif -max(affordable)[1] in buyer.owned_houses:
+        elif -max(affordable)[1] in owned_houses[buyer]:
             seen.add("buyer owns the best affordable listing")
         if best_house is None:
             continue
         offer = open_listings.pop(best_house)
         if any(
-            other_offer == offer and hid not in buyer.owned_houses
+            other_offer == offer and hid not in owned_houses[buyer]
             for hid, other_offer in open_listings.items()
         ):
             seen.add("equal offers")
@@ -341,33 +354,32 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
         if best_house in vacated:
             seen.add("vacated residence resold")
         seller = next(
-            family for family in world.families.values()
-            if best_house in family.owned_houses
+            fid for fid in families if best_house in owned_houses[fid]
         )
         price = (bid + offer) / 2.0
         tax = price * transaction_tax_rate
-        buyer.savings -= price
-        seller.savings += price - tax
+        savings[buyer] = float(savings[buyer]) - price
+        savings[seller] = float(savings[seller]) + (price - tax)
         ledger.add(municipality(best_house), "transaction", tax)
-        seller.owned_houses.discard(best_house)
-        buyer.owned_houses.add(best_house)
+        owned_houses[seller].discard(best_house)
+        owned_houses[buyer].add(best_house)
         sales.append(
             SaleRecord(
                 month=world.clock,
                 house_id=best_house,
-                seller_id=seller.id,
-                buyer_id=buyer.id,
+                seller_id=seller,
+                buyer_id=buyer,
                 bid=bid,
                 offer=offer,
                 transaction_price=price,
                 tax=tax,
             )
         )
-        residence = buyer.residence
+        residence = int(families.residence[buyer])
         if amenity_score(best_house) > amenity_score(residence):
             open_listings[residence] = float(houses.price[residence])
             vacated.add(residence)
-            buyer.residence = best_house
+            families.residence[buyer] = best_house
     return sales
 
 
@@ -405,8 +417,9 @@ def random_market(seed):
 
 def market_state(world, ledger):
     return (
-        [(f.id, f.residence, sorted(f.owned_houses), f.savings)
-         for f in world.families.values()],
+        [(fid, int(families.residence[fid]), sorted(families.owned_houses[fid]),
+          float(families.savings[fid]))
+         for families in [world.families] for fid in families],
         ledger.get("m0", "transaction"),
     )
 

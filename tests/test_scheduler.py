@@ -98,7 +98,7 @@ def test_ledger_writes_only_in_market_steps(fixture3):
         totals.append(world.ledger.total())
         step_real_estate(world, params, rng, active)
         totals.append(world.ledger.total())
-        step_fiscal(world, params, active)
+        step_fiscal(world, params)
         totals.append(world.ledger.total())
         world.clock += 1
         production, demo, goods, decisions, labor, estate, fiscal = totals
@@ -177,7 +177,7 @@ def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
         ledger.reset()
         for muni_id, amount in collected.items():
             ledger.add(muni_id, "consumption", amount)
-    populations = world.population_by_municipality(world.active_families())
+    populations = world.population_by_municipality()
     receipts = distribute(
         expected_ledger,
         DistributionRegime(override.alternative0, override.fpm_distribution),
@@ -189,7 +189,7 @@ def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
     assert receipts == pytest.approx(collected)  # all of it stays local
     before = {muni_id: muni.qli for muni_id, muni in world.municipalities.items()}
 
-    step_fiscal(world, override, world.active_families())
+    step_fiscal(world, override)
 
     for muni_id, muni in world.municipalities.items():
         gain = receipts[muni_id] / max(1, populations[muni_id])

@@ -156,7 +156,7 @@ def test_generate_counts_match_formulas(fixture3):
     assert len(world.citizens) == 100
     assert len(world.families) == 40
     assert len(world.houses) == 44
-    assert world.population_by_municipality(world.active_families()) == {
+    assert world.population_by_municipality() == {
         "core": 60, "north": 30, "east": 10
     }
 
@@ -166,7 +166,7 @@ def test_generate_one_member_per_family_at_the_lower_bound(fixture3):
     params.members_per_family = 1.0
     world = generate_world(fixture3, params, seed=42)
     assert len(world.families) == len(world.citizens)
-    assert all(len(family.member_ids) == 1 for family in world.families.values())
+    assert all(len(family["member_ids"]) == 1 for family in world.family_records())
 
 
 def test_generate_single_citizen_floor(tmp_path):
@@ -200,9 +200,9 @@ def test_generate_seed_changes_world(fixture3):
 def test_occupancy_bijection_and_surplus(fixture3):
     params = SimParams()
     world = generate_world(fixture3, params, seed=3)
-    residences = [family.residence for family in world.families.values()]
+    residences = world.families.residence[list(world.families)].tolist()
     assert len(residences) == len(set(residences))
-    assert set(world.residences(world.active_families()).tolist()) == set(residences)
+    assert set(world.families.residence[world.active_families()].tolist()) == set(residences)
     vacant = [h for h in range(len(world.houses)) if h not in residences]
     assert len(vacant) == len(world.houses) - len(world.families)
     assert len(vacant) >= 0
