@@ -62,7 +62,7 @@ def select_entrants(
 
 def match_market(
     world: World,
-    entrant_ids: list[int],
+    entrant_ids: np.ndarray | list[int],
     listings: list[int],
     transaction_tax_rate: float,
 ) -> list[SaleRecord]:

@@ -210,7 +210,8 @@ class Families:
 
     def owned_counts(self) -> np.ndarray:
         """How many houses each family owns."""
-        return np.fromiter(map(len, self.owned_houses), dtype=np.int64, count=len(self.owned_houses))
+        owned = self.owned_houses
+        return np.fromiter(map(len, owned), dtype=np.int64, count=len(owned))
 
     def records(self, citizens: Citizens) -> list[dict]:
         """One dict of Python values per present family, in id order, keyed by
