@@ -43,9 +43,9 @@ def _transfer_estates(world: World, extinct: np.ndarray, heirs: np.ndarray) -> N
     for family_id, heir_id in zip(extinct.tolist(), heirs.tolist()):
         owned[heir_id].update(sorted(owned[family_id]))
         owned[family_id] = set()
-    for column in (families.monthly_cash, families.savings):
+    for column in (families.owned, families.monthly_cash, families.savings):
         np.add.at(column, heirs, column[extinct])
-        column[extinct] = 0.0
+        column[extinct] = 0
     families.present[extinct] = False
 
 

@@ -68,29 +68,31 @@ def match(
     firm_x, firm_y = firms.x.tolist(), firms.y.tolist()
     remaining = list(range(count))
     filled = pool.vacancies[:count]
-    vacancies = iter(filled)
+    hiring_firms = [firm_id for firm_id, _ in filled]
     hired: list[int] = []
     for picks, coins in sample_blocks(rng, np.arange(count, 0, -1)[: len(filled)], sample_size):
-        by_distance_rows = (coins < pct_distance_hiring).tolist()
-        for sample, by_distance, (firm_id, _) in zip(picks.tolist(), by_distance_rows, vacancies):
+        for sample, by_distance in zip(picks.tolist(), (coins < pct_distance_hiring).tolist()):
             positions = sample[: min(sample_size, len(remaining))]
             if by_distance:
+                firm_id = hiring_firms[len(hired)]
                 x, y = firm_x[firm_id], firm_y[firm_id]
-
-                def km(position: int) -> tuple[float, int]:
+                best = None
+                for at in positions:
                     # math.hypot of the differences, as types.distance(s) measures
-                    index = remaining[position]
-                    return math.hypot(home_x[index] - x, home_y[index] - y), id_list[index]
-
-                position = min(positions, key=km)
+                    index = remaining[at]
+                    key = (math.hypot(home_x[index] - x, home_y[index] - y), id_list[index])
+                    if best is None or key < best:
+                        best, position = key, at
             else:
-                position = min(positions, key=lambda at: by_qualification[remaining[at]])
+                # the keys are unique, so the first minimum is the only one
+                keys = [by_qualification[remaining[at]] for at in positions]
+                position = positions[keys.index(min(keys))]
             hired.append(remaining.pop(position))
     hired_ids = ids[hired]
-    citizens.employer[hired_ids] = [firm_id for firm_id, _ in filled]
+    citizens.employer[hired_ids] = hiring_firms
     citizens.wage[hired_ids] = [wage for _, wage in filled]
     pool.candidates = ids[remaining].tolist()
-    return [(firm_id, citizen_id) for (firm_id, _), citizen_id in zip(filled, hired_ids.tolist())]
+    return list(zip(hiring_firms, hired_ids.tolist()))
 
 
 def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
@@ -111,13 +113,7 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     np.add.at(bills, employers, citizens.wage[employed])
     short = np.flatnonzero((firms.cash < bills) & (citizens.headcount(len(firms)) > 0))
     if len(short):
-        order = citizens.firing_order()
-        firm_of = citizens.employer[order]
-        starts = np.searchsorted(firm_of, short).tolist()
-        ends = np.searchsorted(firm_of, short, side="right").tolist()
-        for firm_id, start, end in zip(short.tolist(), starts, ends):
-            staff = order[start:end].tolist()
-            bills[firm_id] = _shed_until_affordable(world, firm_id, float(bills[firm_id]), staff)
+        _shed_until_affordable(world, short, bills)
         employed = citizens.employed()
         employers = citizens.employer[employed]
 
@@ -133,20 +129,39 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     return bills
 
 
-def _shed_until_affordable(world: World, firm_id: int, bill: float, staff: list[int]) -> float:
-    """Fire the firm's staff, listed least qualified first, one by one until
-    its cash covers the bill of the rest; returns that bill, 0.0 if nobody
-    is left. A bill sums its wages in id order."""
-    cash = world.firms.cash[firm_id]
-    wages = world.citizens.wage
-    shed = 0
-    while shed < len(staff) and cash < bill:
-        shed += 1
-        bill = 0.0
-        for wage in wages[sorted(staff[shed:])].tolist():
-            bill += wage
-    world.citizens.fire(staff[:shed])
-    return bill
+def _shed_until_affordable(world: World, short: np.ndarray, bills: np.ndarray) -> None:
+    """Each short firm fires its staff in firing order until its cash covers
+    the bill of the rest, which goes to ``bills``: 0.0 if nobody is left.
+
+    A bill sums its wages in id order, and x + 0.0 is x, so the bill of the
+    staff kept is the sum over all of them with each fired wage as 0.0.
+    Wages are >= 0 and rounding is monotone, so firing more never raises
+    the bill, and one bisection over the count fired serves every short
+    firm at once.
+    """
+    citizens = world.citizens
+    order = citizens.firing_order()
+    is_short = np.zeros(len(bills), dtype=bool)
+    is_short[short] = True
+    staff = order[is_short[citizens.employer[order]]]
+    firm = np.searchsorted(short, citizens.employer[staff])  # a short firm's row
+    size = np.bincount(firm, minlength=len(short))
+    rank = np.arange(len(staff)) - (np.cumsum(size) - size)[firm]
+    by_id = np.lexsort((staff, firm))
+    firm_by_id, rank_by_id, wage_by_id = firm[by_id], rank[by_id], citizens.wage[staff[by_id]]
+    cash = world.firms.cash[short]
+    # firing `low` leaves the bill uncovered; firing `high` covers it or fires everyone
+    low, high = np.zeros_like(size), size
+    high_bill = np.zeros(len(short))
+    while (high - low > 1).any():
+        mid = (low + high) // 2
+        bill = np.zeros(len(short))
+        np.add.at(bill, firm_by_id, np.where(rank_by_id >= mid[firm_by_id], wage_by_id, 0.0))
+        covered = (mid == size) | (cash >= bill)
+        low, high = np.where(covered, low, mid), np.where(covered, mid, high)
+        high_bill = np.where(covered, bill, high_bill)
+    citizens.fire(staff[rank < high[firm]])
+    bills[short] = high_bill
 
 
 def calibrate_initial_unemployment(
@@ -170,7 +185,7 @@ def calibrate_initial_unemployment(
     populations = world.population_by_municipality()
     residents = np.array([populations.get(muni, 0) for muni in firms.municipality_ids])
     firms_per_muni = np.bincount(firms.municipality, minlength=len(firms.municipality_ids))
-    weights = (residents[firms.municipality] / firms_per_muni[firms.municipality]).tolist()
+    weights = residents[firms.municipality] / firms_per_muni[firms.municipality]
 
     employed = int(np.count_nonzero(working_age & (citizens.employer != UNEMPLOYED)))
     needed = round((1.0 - target_rate) * candidates) - employed

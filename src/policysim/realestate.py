@@ -82,7 +82,7 @@ def match_market(
     # a listed house is vacant: its owner owns another house, the one it
     # lives in, or has no members left to live in it
     members = families.members(world.citizens)
-    sellers = np.flatnonzero(families.present & ((families.owned_counts() > 1) | (members == 0)))
+    sellers = np.flatnonzero(families.present & ((families.owned > 1) | (members == 0)))
     owners = {house_id: family for family in sellers.tolist() for house_id in owned[family]}
     entrant_ids = np.asarray(entrant_ids, dtype=np.int64)
     order = sorted(zip((-savings[entrant_ids]).tolist(), entrant_ids.tolist()))
@@ -109,6 +109,8 @@ def match_market(
         savings[seller] += price - tax
         owned[seller].discard(house_id)
         owned[buyer].add(house_id)
+        families.owned[seller] -= 1
+        families.owned[buyer] += 1
         owners[house_id] = buyer
         sales.append(
             SaleRecord(

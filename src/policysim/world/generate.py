@@ -14,7 +14,8 @@ whatever its population:
 7. uniform x and y per firm.
 
 Then one ``integers(0, families)`` call draws an owner per surplus house,
-in house order.
+in house order. Everything between these calls is array passes over the
+draws; only the owners are added to the families' house sets one by one.
 
 Steps 4, 6 and 7 each make one ``Generator.integers`` call over mixed
 inclusive bounds, which returns the values of one scalar ``uniform`` or
@@ -30,7 +31,7 @@ drawn in the same call as the words around them; a fixed count of raw
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from ..params import SimParams
 from ..realestate import hedonic_offer_prices
 from ..sampling import COIN_BOUND, unit_doubles
 from .regions import MunicipalitySpec, RegionData
-from .types import FEMALE, MALE, Citizens, Families, Firms, Houses, Municipality, World
+from .types import Citizens, Families, Firms, Houses, Municipality, World
 
 HOUSE_SIZE_RANGE = (30.0, 120.0)  # m2
 HOUSE_QUALITY_LEVELS = 4
@@ -60,65 +61,84 @@ def _round_half_up(value: float) -> int:
 
 
 def allocate_proportionally(
-    total: int, weights: list[float], minimum: int = 0
+    total: int, weights: Sequence[float] | np.ndarray, minimum: int = 0
 ) -> list[int]:
     """Integer allocation proportional to weights, largest-remainder exact.
 
-    Every slot receives at least ``minimum``; ties break by index.
+    Every slot receives at least ``minimum``; ties break by index. The
+    weights are summed left to right, as ``np.cumsum`` adds them.
     """
+    weights = np.asarray(weights, dtype=float)
     count = len(weights)
     if total < minimum * count:
         raise GenerationError(
             f"cannot allocate {total} items with minimum {minimum} over {count} slots"
         )
     remaining = total - minimum * count
-    weight_sum = sum(weights)
+    weight_sum = float(np.cumsum(weights)[-1])
     if weight_sum <= 0:
-        quotas = [remaining / count] * count
+        quotas = np.full(count, remaining / count)
     else:
-        quotas = [remaining * weight / weight_sum for weight in weights]
-    floors = [int(quota) for quota in quotas]
-    leftover = remaining - sum(floors)
-    order = sorted(range(count), key=lambda i: (-(quotas[i] - floors[i]), i))
-    for index in order[:leftover]:
-        floors[index] += 1
-    return [minimum + allocated for allocated in floors]
+        quotas = remaining * weights / weight_sum
+    floors = quotas.astype(np.int64)
+    leftover = remaining - int(floors.sum())
+    # the largest remainders first; a stable sort breaks ties by index
+    order = np.argsort(-(quotas - floors), kind="stable")
+    floors[order[:leftover]] += 1
+    return (minimum + floors).tolist()
 
 
-def _draw_ages_and_genders(
-    region: RegionData, count: int, rng: np.random.Generator
-) -> list[tuple[int, str]]:
-    categories: list[tuple[int, str]] = []
-    probabilities: list[float] = []
-    for age, p_female, p_male in region.age_gender:
-        if p_female > 0.0:
-            categories.append((age, FEMALE))
-            probabilities.append(p_female)
-        if p_male > 0.0:
-            categories.append((age, MALE))
-            probabilities.append(p_male)
-    weights = np.asarray(probabilities, dtype=float)
-    weights = weights / weights.sum()
-    picks = rng.choice(len(categories), size=count, p=weights)
-    return [categories[int(index)] for index in picks]
+def _age_gender_categories(region: RegionData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (age, female) categories of positive probability, female first
+    within an age, and their normalised probabilities: (ages, female, p)."""
+    table = np.array(region.age_gender, dtype=float)  # rows of (age, p_female, p_male)
+    probabilities = table[:, 1:].ravel()
+    drawn = probabilities > 0.0
+    ages = np.repeat(table[:, 0].astype(np.int64), 2)[drawn]
+    female = np.tile([True, False], len(table))[drawn]
+    weights = probabilities[drawn]
+    return ages, female, weights / weights.sum()
 
 
-def _schooling_tables(region: RegionData) -> dict[int, tuple[list[float], list[int]]]:
-    """Per age: the running sums of its band's probabilities, and their years.
+def _schooling_tables(region: RegionData) -> tuple[np.ndarray, np.ndarray]:
+    """Per age, a row of the running sums of its band's probabilities and a
+    row of their years: (sums, years), indexed by age.
 
-    The sums are made left to right, so the first row whose running sum
-    exceeds a uniform u is ``bisect_right(sums, u)``; past the last row the
-    draw falls back on the last row's years.
+    The sums are made left to right and padded with +inf, the years padded
+    with the last row's years, and every row has at least one pad. An age
+    takes the first band that covers it, as qualification_rows_for_age does.
     """
-    tables = {}
-    for age, _, _ in region.age_gender:
-        rows = region.qualification_rows_for_age(age)
-        sums, cumulative = [], 0.0
+    ages = [age for age, _, _ in region.age_gender]
+    width = max(map(len, region.qualification.values())) + 1
+    sums = np.full((max(ages) + 1, width), np.nan)
+    years = np.zeros(sums.shape, dtype=np.int64)
+    # the first band that covers an age is written last
+    for (low, high), rows in reversed(region.qualification.items()):
+        band_sums, cumulative = [], 0.0
         for _, probability in rows:
             cumulative += probability
-            sums.append(cumulative)
-        tables[age] = (sums, [years for years, _ in rows])
-    return tables
+            band_sums.append(cumulative)
+        pad = width - len(rows)
+        sums[low : high + 1] = band_sums + [np.inf] * pad
+        years[low : high + 1] = [row_years for row_years, _ in rows] + [rows[-1][0]] * pad
+    # an age that no band covers keeps NaN, and qualification_rows_for_age raises for it
+    for age in np.array(ages)[np.isnan(sums[ages, 0])].tolist():
+        region.qualification_rows_for_age(age)
+    return sums, years
+
+
+def _schooling(
+    tables: tuple[np.ndarray, np.ndarray], ages: np.ndarray, draws: np.ndarray
+) -> np.ndarray:
+    """Each citizen's years of schooling: those of the first row of its age
+    whose running sum exceeds its uniform, else those of the last row.
+
+    The probabilities are in [0, 1], so the sums never decrease and the
+    count of sums at or below u is ``bisect_right(sums, u)``; the padded
+    years make a count past the last row read the last row's years.
+    """
+    sums, years = tables
+    return years[ages, np.count_nonzero(sums[ages] <= draws[:, None], axis=1)]
 
 
 def _draw_rows(
@@ -136,19 +156,19 @@ def _draw_rows(
     return words.reshape(count, len(bounds))
 
 
-def _uniforms(low: float, high: float, words: np.ndarray) -> list[float]:
+def _uniforms(low: float, high: float, words: np.ndarray) -> np.ndarray:
     """``Generator.uniform(low, high)`` of each word: low + (high - low) * random()."""
-    return (low + (high - low) * unit_doubles(words)).tolist()
+    return low + (high - low) * unit_doubles(words)
 
 
-def _points(spec: MunicipalitySpec, words: np.ndarray) -> tuple[list[float], list[float]]:
+def _points(spec: MunicipalitySpec, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Uniform points of the municipality's box from the first two columns: (xs, ys)."""
     xmin, ymin, xmax, ymax = spec.bounds
     return _uniforms(xmin, xmax, words[:, 0]), _uniforms(ymin, ymax, words[:, 1])
 
 
 def _build_houses(
-    columns: dict[str, list],
+    columns: dict[str, list[np.ndarray]],
     muni_index: int,
     spec: MunicipalitySpec,
     count: int,
@@ -157,11 +177,15 @@ def _build_houses(
     """Append the columns of ``count`` houses at uniform points of the municipality."""
     words = _draw_rows(rng, HOUSE_DRAW_BOUNDS, count)
     xs, ys = _points(spec, words)
-    columns["municipality"] += [muni_index] * count
-    columns["x"] += xs
-    columns["y"] += ys
-    columns["size"] += _uniforms(*HOUSE_SIZE_RANGE, words[:, 2])
-    columns["quality"] += (words[:, 3] + np.uint64(1)).tolist()
+    columns["municipality"].append(np.full(count, muni_index))
+    columns["x"].append(xs)
+    columns["y"].append(ys)
+    columns["size"].append(_uniforms(*HOUSE_SIZE_RANGE, words[:, 2]))
+    columns["quality"].append(words[:, 3].astype(np.int64) + 1)
+
+
+def _joined(columns: dict[str, list[np.ndarray]]) -> dict[str, np.ndarray]:
+    return {name: np.concatenate(parts) for name, parts in columns.items()}
 
 
 def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
@@ -195,18 +219,15 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     for spec in specs:
         municipalities[spec.id] = Municipality(id=spec.id, qli=INITIAL_QLI)
 
-    # citizen, house and firm columns, in id order
-    citizens: dict[str, list] = {
+    # citizen, family, house and firm columns, each municipality's part in id order
+    citizens: dict[str, list[np.ndarray]] = {
         "family": [], "age": [], "female": [], "qualification": [], "birth_month": [],
     }
-    houses: dict[str, list] = {
+    houses: dict[str, list[np.ndarray]] = {
         "municipality": [], "x": [], "y": [], "size": [], "quality": [],
     }
-    family_cash: list[float] = []
-    firm_municipality: list[int] = []
-    firm_x: list[float] = []
-    firm_y: list[float] = []
-    firm_cash: list[float] = []
+    family_cash: list[np.ndarray] = []
+    firms: dict[str, list[np.ndarray]] = {"municipality": [], "x": [], "y": [], "cash": []}
 
     families_per_muni = [
         max(1, _round_half_up(count / params.members_per_family))
@@ -225,80 +246,77 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         total_firms, [float(count) for count in citizens_per_muni], minimum=1
     )
 
+    categories, female_categories, category_p = _age_gender_categories(region)
     schooling = _schooling_tables(region)
     homes: list[int] = []  # each family's residence, in family id order
     surplus_house_ids: list[int] = []
+    house_count = 0
 
     for muni_index, spec in enumerate(specs):
         n_citizens = citizens_per_muni[muni_index]
         n_families = families_per_muni[muni_index]
         n_firms = firms_per_muni[muni_index]
 
-        drawn = _draw_ages_and_genders(region, n_citizens, rng)
-        ages = [int(age) for age, _ in drawn]
-        citizens["age"] += ages
-        citizens["female"] += [gender == FEMALE for _, gender in drawn]
-        citizens["birth_month"] += rng.integers(0, 12, size=n_citizens).tolist()
-        for age, u in zip(ages, rng.random(n_citizens).tolist()):
-            sums, years = schooling[age]
-            citizens["qualification"].append(years[min(bisect_right(sums, u), len(years) - 1)])
-        working_age = [
-            params.working_age_min <= age <= params.working_age_max for age in ages
-        ]
+        picks = rng.choice(len(categories), size=n_citizens, p=category_p)
+        ages = categories[picks]
+        citizens["age"].append(ages)
+        citizens["female"].append(female_categories[picks])
+        citizens["birth_month"].append(rng.integers(0, 12, size=n_citizens))
+        citizens["qualification"].append(_schooling(schooling, ages, rng.random(n_citizens)))
+        working_age = (ages >= params.working_age_min) & (ages <= params.working_age_max)
 
         # family homes, one per family
-        first_house = len(houses["x"])
         _build_houses(houses, muni_index, spec, n_families, rng)
         first_family = len(homes)
-        homes += range(first_house, first_house + n_families)
+        homes += range(house_count, house_count + n_families)
+        house_count += n_families
 
         # deal citizens to families round-robin over a seeded shuffle; each
         # family starts with one month of the average wage per working-age
         # member, and savings start empty
-        family_of = [0] * n_citizens
-        adults = [0] * n_families
-        for position, index in enumerate(rng.permutation(n_citizens).tolist()):
-            family_of[index] = first_family + position % n_families
-            adults[position % n_families] += working_age[index]
-        citizens["family"] += family_of
-        family_cash += [float(count) * INITIAL_WAGE_OFFER for count in adults]
+        perm = rng.permutation(n_citizens)
+        seat = np.arange(n_citizens) % n_families
+        family_of = np.empty(n_citizens, dtype=np.int64)
+        family_of[perm] = first_family + seat
+        citizens["family"].append(family_of)
+        # an integer count in float64 is exact
+        adults = np.bincount(seat, weights=working_age[perm], minlength=n_families)
+        family_cash.append(adults * INITIAL_WAGE_OFFER)
 
         # vacant surplus houses, owners drawn later over all families
         n_surplus = surplus_per_muni[muni_index]
-        first_house = len(houses["x"])
         _build_houses(houses, muni_index, spec, n_surplus, rng)
-        surplus_house_ids += range(first_house, first_house + n_surplus)
+        surplus_house_ids += range(house_count, house_count + n_surplus)
+        house_count += n_surplus
 
-        expected_employees = sum(working_age) / n_firms
+        expected_employees = int(np.count_nonzero(working_age)) / n_firms
         xs, ys = _points(spec, _draw_rows(rng, FIRM_DRAW_BOUNDS, n_firms))
-        firm_municipality += [muni_index] * n_firms
-        firm_x += xs
-        firm_y += ys
-        firm_cash += [INITIAL_WAGE_OFFER * expected_employees] * n_firms
+        firms["municipality"].append(np.full(n_firms, muni_index))
+        firms["x"].append(xs)
+        firms["y"].append(ys)
+        firms["cash"].append(np.full(n_firms, INITIAL_WAGE_OFFER * expected_employees))
 
     # assign surplus houses to randomly drawn existing families
-    families = Families.open(homes, family_cash)
-    owners = rng.integers(0, len(homes), size=len(surplus_house_ids)).tolist()
-    for house_id, owner in zip(surplus_house_ids, owners):
+    families = Families.open(homes, np.concatenate(family_cash))
+    owners = rng.integers(0, len(homes), size=len(surplus_house_ids))
+    for house_id, owner in zip(surplus_house_ids, owners.tolist()):
         families.owned_houses[owner].add(house_id)
+    families.owned += np.bincount(owners, minlength=len(homes))
 
     municipality_ids = [spec.id for spec in specs]
-    house_store = Houses.open(municipality_ids, **houses)
+    house_store = Houses.open(municipality_ids, **_joined(houses))
     house_store.price = hedonic_offer_prices(
         house_store, np.full(len(specs), INITIAL_QLI), params.hedonic_base_coefficient
     )
     return World(
         clock=0,
         region=region,
-        citizens=Citizens.born(**citizens),
+        citizens=Citizens.born(**_joined(citizens)),
         families=families,
         houses=house_store,
         firms=Firms.open(
             municipality_ids,
-            firm_municipality,
-            firm_x,
-            firm_y,
-            firm_cash,
+            **_joined(firms),
             price=INITIAL_GOODS_PRICE,
             wage_offer=INITIAL_WAGE_OFFER,
         ),

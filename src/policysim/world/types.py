@@ -172,12 +172,15 @@ class Families:
     belongs to a family is the citizens' column ``family``. A family whose
     last member dies keeps its assets until an heir takes them, which
     clears ``present``. ``owned_houses`` holds each family's house ids; a
-    set's iteration order is the order its prices are summed in. ``len``
-    counts the present families, and iteration yields their ids.
+    set's iteration order is the order its prices are summed in. Only sales
+    and estate transfers change a set's size, and both keep ``owned`` equal
+    to it. ``len`` counts the present families, and iteration yields their
+    ids.
     """
 
     residence: np.ndarray  # int64, the house the members live in
     owned_houses: list[set[int]]
+    owned: np.ndarray  # int64, len(owned_houses[family])
     monthly_cash: np.ndarray  # liquid, funds consumption
     savings: np.ndarray  # illiquid, real-estate only
     present: np.ndarray  # bool
@@ -188,6 +191,7 @@ class Families:
         return cls(
             residence=np.asarray(residence, dtype=np.int64),
             owned_houses=[{house_id} for house_id in residence],
+            owned=np.ones(len(residence), dtype=np.int64),
             monthly_cash=np.asarray(monthly_cash, dtype=float),
             savings=np.zeros(len(residence)),
             present=np.ones(len(residence), dtype=bool),
@@ -207,11 +211,6 @@ class Families:
     def active(self, citizens: Citizens) -> np.ndarray:
         """The ids of the present families with members, in id order."""
         return np.flatnonzero(self.present & (self.members(citizens) > 0))
-
-    def owned_counts(self) -> np.ndarray:
-        """How many houses each family owns."""
-        owned = self.owned_houses
-        return np.fromiter(map(len, owned), dtype=np.int64, count=len(owned))
 
     def records(self, citizens: Citizens) -> list[dict]:
         """One dict of Python values per present family, in id order, keyed by
@@ -323,10 +322,10 @@ class Firms:
     def open(
         cls,
         municipality_ids: list[str],
-        municipality: list[int],
-        x: list[float],
-        y: list[float],
-        cash: list[float],
+        municipality: Sequence[int],
+        x: Sequence[float],
+        y: Sequence[float],
+        cash: Sequence[float],
         price: float = 1.0,
         wage_offer: float = 1.0,
     ) -> Firms:
@@ -442,7 +441,7 @@ class World:
         needs its set's order.
         """
         families, price = self.families, self.houses.price
-        counts = families.owned_counts()[active]
+        counts = families.owned[active]
         wealth = families.monthly_cash[active] + families.savings[active]
         single = counts == 1
         wealth[single] += price[families.residence[active[single]]]

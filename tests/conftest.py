@@ -120,11 +120,13 @@ def make_families(families):
     store = Families.open([0] * rows, [0.0] * rows)
     store.present[:] = False
     store.owned_houses = [set() for _ in range(rows)]
+    store.owned[:] = 0
     for family in families:
         row = family.id
         store.present[row] = True
         store.residence[row] = family.residence
         store.owned_houses[row] = set(family.owned_houses)
+        store.owned[row] = len(family.owned_houses)
         store.monthly_cash[row] = family.monthly_cash
         store.savings[row] = family.savings
     return store

@@ -103,7 +103,8 @@ def test_fixture3_x10_payroll_shortfalls_match_per_agent_payroll(regions, monkey
     short = []
     shed = labor._shed_until_affordable
     with monkeypatch.context() as patch:
-        patch.setattr(labor, "_shed_until_affordable", lambda *args: short.append(args[1]) or shed(*args))
+        # the short firms of each payroll
+        patch.setattr(labor, "_shed_until_affordable", lambda *args: short.extend(args[1]) or shed(*args))
         state, records = simulate(regions[10], params, seed=1)
     assert len(short) >= 1000
     assert simulate_reference(regions[10], params, 1, monkeypatch) == (state, records)

@@ -70,6 +70,12 @@ def check_listing(world):
     assert world.active_families().tolist() == sorted(members)
 
 
+def check_house_counts(world):
+    """The count column against the size of each family's house set."""
+    families = world.families
+    assert families.owned.tolist() == [len(houses) for houses in families.owned_houses]
+
+
 def check_wealth(world, active):
     """World.wealth against each family's cash + savings + sum(prices in set order)."""
     families, prices = world.families, world.houses.price.tolist()
@@ -119,6 +125,7 @@ def step_months(world, params, months):
         check_employment(world)
         check_listing(world)
         assert_ownership_partition(world)
+        check_house_counts(world)
         # one uniform per living citizen, then one heir draw per extinct family
         replay.random(living)
         heirs = len(world.active_families())
@@ -140,6 +147,7 @@ def step_months(world, params, months):
         check_employment(world)
         step_real_estate(world, params, rng, active)
         assert_ownership_partition(world)
+        check_house_counts(world)
         taxes = step_fiscal(world, params)
         check_wealth(world, active)
         record = record_month(world, params, taxes, active)
@@ -272,5 +280,6 @@ def test_wealth_sums_prices_in_set_order():
     family = simple_family(family_id=0, member_ids=(0,), residence=16)
     world = make_world([simple_citizen()], [family], houses)
     world.families.owned_houses[0] = owned
+    world.families.owned[0] = len(owned)
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert world.wealth(world.active_families()).tolist() == [(0.3 + 0.2) + 0.1]

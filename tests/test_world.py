@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -20,13 +21,16 @@ from policysim.scheduler import run
 from policysim.world.generate import (
     HOUSE_DRAW_BOUNDS,
     HOUSE_SIZE_RANGE,
+    INITIAL_WAGE_OFFER,
     _draw_rows,
+    _schooling,
+    _schooling_tables,
     _uniforms,
     allocate_proportionally,
 )
 from policysim.world.types import distances
 
-from conftest import assert_ownership_partition
+from conftest import assert_ownership_partition, make_region
 from test_golden import scaled_region
 
 
@@ -219,6 +223,66 @@ def test_generated_citizens_within_table_support(fixture3):
         assert 0 <= citizen["birth_month"] < 12
 
 
+def test_dealing_fills_each_municipality_s_families_evenly(fixture3):
+    params = SimParams(percentage_actual_pop=1.0)
+    world = generate_world(fixture3, params, seed=1)
+    citizens, families = world.citizens, world.families
+    # citizens are generated municipality by municipality, in id order
+    counts = allocate_proportionally(
+        1000, [float(spec.target_population) for spec in fixture3.municipalities]
+    )
+    own_municipality = np.repeat(np.arange(len(counts)), counts)
+    family_municipality = world.houses.municipality[families.residence]
+    assert (family_municipality[citizens.family] == own_municipality).all()
+    sizes = families.members(citizens)
+    adults = np.bincount(
+        citizens.family,
+        weights=citizens.working_age(params.working_age_min, params.working_age_max),
+        minlength=len(sizes),
+    )
+    assert families.monthly_cash.tolist() == (adults * INITIAL_WAGE_OFFER).tolist()
+    assert (families.monthly_cash > 0).any()
+    for municipality in range(len(counts)):
+        in_municipality = sizes[family_municipality == municipality]
+        assert in_municipality.sum() == counts[municipality]
+        assert in_municipality.max() - in_municipality.min() <= 1
+
+
+def test_schooling_lookup_is_bisect_over_running_sums():
+    region = make_region(ages=(5, 20, 40))
+    region.qualification = {
+        (0, 15): [(0, 1.0)],
+        # a zero-probability row repeats the running sum before it
+        (16, 29): [(6, 0.25), (9, 0.0), (12, 0.25), (16, 0.5)],
+        # summed left to right these end at 0.9999999999999998, below 1.0
+        (30, 120): [(6, 0.186), (9, 0.694), (12, 0.059), (16, 0.061)],
+    }
+    tables = _schooling_tables(region)
+    ages, draws, expected = [], [], []
+    for age in (5, 20, 40):
+        rows = region.qualification_rows_for_age(age)
+        sums, cumulative = [], 0.0
+        for _, probability in rows:
+            cumulative += probability
+            sums.append(cumulative)
+        years = [row_years for row_years, _ in rows]
+        # 0.0, each running sum exactly, the next double above each, and
+        # the largest double below 1.0
+        points = [0.0, *sums, *(math.nextafter(s, 1.0) for s in sums), math.nextafter(1.0, 0.0)]
+        for u in (u for u in points if u < 1.0):
+            ages.append(age)
+            draws.append(u)
+            expected.append(years[min(bisect_right(sums, u), len(years) - 1)])
+    assert sums[-1] < math.nextafter(1.0, 0.0)
+    assert region.qualification[16, 29][1][1] == 0.0
+    looked_up = _schooling(tables, np.array(ages), np.array(draws))
+    assert looked_up.tolist() == expected
+    assert expected[-1] == 16  # past the last sum, the last row's years
+    del region.qualification[16, 29]
+    with pytest.raises(RegionDataError, match="no age band covers age 20"):
+        _schooling_tables(region)
+
+
 def test_every_municipality_gets_a_firm(fixture3):
     params = SimParams()
     params.percentage_actual_pop = 0.1
@@ -269,6 +333,39 @@ def test_allocate_proportionally_exact():
         allocation = allocate_proportionally(total, weights)
         assert sum(allocation) == total
         assert all(v >= 0 for v in allocation)
+
+
+def reference_allocation(total, weights, minimum=0):
+    """Largest remainders over a Python left-to-right sum, one slot at a time."""
+    count = len(weights)
+    remaining = total - minimum * count
+    weight_sum = 0.0
+    for weight in weights:
+        weight_sum += weight
+    if weight_sum <= 0:
+        quotas = [remaining / count] * count
+    else:
+        quotas = [remaining * weight / weight_sum for weight in weights]
+    floors = [int(quota) for quota in quotas]
+    order = sorted(range(count), key=lambda i: (-(quotas[i] - floors[i]), i))
+    for index in order[: remaining - sum(floors)]:
+        floors[index] += 1
+    return [minimum + allocated for allocated in floors]
+
+
+def test_allocate_proportionally_equals_the_slot_by_slot_allocation():
+    rng = np.random.default_rng(2)
+    for _ in range(300):
+        n = int(rng.integers(1, 60))
+        # repeated and zero weights tie on their remainders
+        weights = rng.choice([0.0, 0.5, 1.0, 1.0 / 3.0, 2.7, 5.0], size=n).tolist()
+        if rng.random() < 0.3:
+            weights = rng.uniform(0.0, 40.0, size=n).tolist()
+        minimum = int(rng.integers(0, 3))
+        total = minimum * n + int(rng.integers(0, 5 * n))
+        expected = reference_allocation(total, weights, minimum)
+        assert allocate_proportionally(total, weights, minimum) == expected
+        assert allocate_proportionally(total, np.array(weights), minimum) == expected
 
 
 def test_allocate_proportionally_minimum():
