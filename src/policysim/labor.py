@@ -68,13 +68,12 @@ def match(
     firm_x, firm_y = firms.x.tolist(), firms.y.tolist()
     remaining = list(range(count))
     filled = pool.vacancies[:count]
-    hiring_firms = [firm_id for firm_id, _ in filled]
     hired: list[int] = []
     for picks, coins in sample_blocks(rng, np.arange(count, 0, -1)[: len(filled)], sample_size):
         for sample, by_distance in zip(picks.tolist(), (coins < pct_distance_hiring).tolist()):
             positions = sample[: min(sample_size, len(remaining))]
             if by_distance:
-                firm_id = hiring_firms[len(hired)]
+                firm_id = filled[len(hired)][0]
                 x, y = firm_x[firm_id], firm_y[firm_id]
                 best = None
                 for at in positions:
@@ -89,10 +88,10 @@ def match(
                 position = positions[keys.index(min(keys))]
             hired.append(remaining.pop(position))
     hired_ids = ids[hired]
-    citizens.employer[hired_ids] = hiring_firms
+    citizens.employer[hired_ids] = [firm_id for firm_id, _ in filled]
     citizens.wage[hired_ids] = [wage for _, wage in filled]
     pool.candidates = ids[remaining].tolist()
-    return list(zip(hiring_firms, hired_ids.tolist()))
+    return [(firm_id, citizen_id) for (firm_id, _), citizen_id in zip(filled, hired_ids.tolist())]
 
 
 def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:

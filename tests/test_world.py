@@ -223,7 +223,7 @@ def test_generated_citizens_within_table_support(fixture3):
         assert 0 <= citizen["birth_month"] < 12
 
 
-def test_dealing_fills_each_municipality_s_families_evenly(fixture3):
+def test_dealing_keeps_families_even_within_each_municipality(fixture3):
     params = SimParams(percentage_actual_pop=1.0)
     world = generate_world(fixture3, params, seed=1)
     citizens, families = world.citizens, world.families
