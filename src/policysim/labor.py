@@ -87,6 +87,9 @@ def match(
                 keys = [by_qualification[remaining[at]] for at in positions]
                 position = positions[keys.index(min(keys))]
             hired.append(remaining.pop(position))
+    # free the per-candidate lists before building the outputs: holding
+    # both at once is calibration's peak memory
+    del id_list, by_qualification, home_x, home_y
     hired_ids = ids[hired]
     citizens.employer[hired_ids] = [firm_id for firm_id, _ in filled]
     citizens.wage[hired_ids] = [wage for _, wage in filled]
