@@ -75,17 +75,17 @@ def match(
             if by_distance:
                 firm_id = filled[len(hired)][0]
                 x, y = firm_x[firm_id], firm_y[firm_id]
-                best = None
-                for at in positions:
+            # the smallest key; keys end in the citizen id, so none ties
+            best = None
+            for at in positions:
+                index = remaining[at]
+                if by_distance:
                     # math.hypot of the differences, as types.distance(s) measures
-                    index = remaining[at]
                     key = (math.hypot(home_x[index] - x, home_y[index] - y), id_list[index])
-                    if best is None or key < best:
-                        best, position = key, at
-            else:
-                # the keys are unique, so the first minimum is the only one
-                keys = [by_qualification[remaining[at]] for at in positions]
-                position = positions[keys.index(min(keys))]
+                else:
+                    key = by_qualification[index]
+                if best is None or key < best:
+                    best, position = key, at
             hired.append(remaining.pop(position))
     # free the per-candidate lists before building the outputs: holding
     # both at once is calibration's peak memory
