@@ -75,7 +75,7 @@ def match(
             if by_distance:
                 firm_id = filled[len(hired)][0]
                 x, y = firm_x[firm_id], firm_y[firm_id]
-            # the smallest key; keys end in the citizen id, so none ties
+            # the smallest key; each key is unique to its citizen, so none ties
             best = None
             for at in positions:
                 index = remaining[at]
