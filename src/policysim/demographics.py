@@ -21,11 +21,6 @@ class GraveRecord:
     family_id: int
 
 
-def monthly_probability(annual_probability: float) -> float:
-    """Compounding-correct annual-to-monthly conversion."""
-    return 1.0 - (1.0 - annual_probability) ** (1.0 / 12.0)
-
-
 def age_step(world: World) -> None:
     """Add a year to every living citizen whose anniversary month matches the clock."""
     citizens = world.citizens
@@ -49,16 +44,11 @@ def _transfer_estates(world: World, extinct: np.ndarray, heirs: np.ndarray) -> N
     families.present[extinct] = False
 
 
-def _by_age(table: dict[int, float], missing: float) -> np.ndarray:
-    """The table's values indexed by age, ``missing`` where it has no row."""
-    values = np.full(max(table, default=-1) + 1, missing)
-    values[list(table)] = list(table.values())
-    return values
-
-
 def mortality_step(world: World, rng: np.random.Generator) -> list[int]:
     """Kill citizens at the monthly hazard implied by their annual rate.
 
+    The hazards come from the region's ``monthly_hazard`` table; a citizen
+    whose (gender, age) has no row raises RegionDataError before any draw.
     One uniform per living citizen, in id order. Deceased citizens leave
     their firm and family. Each family whose last member dies passes its
     estate to a uniformly drawn surviving family; membership changes only
@@ -67,24 +57,13 @@ def mortality_step(world: World, rng: np.random.Generator) -> list[int]:
     money and houses stay accounted for. Returns the ids of the deceased.
     """
     citizens = world.citizens
-    living = np.flatnonzero(citizens.alive)
+    living = citizens.alive.nonzero()[0]
     if not len(living):
         return []
-    hazard = {
-        female: _by_age(
-            {age: monthly_probability(annual) for age, annual in by_age.items()}, np.nan
-        )
-        for female, by_age in (
-            (True, world.region.mortality.get(FEMALE, {})),
-            (False, world.region.mortality.get(MALE, {})),
-        )
-    }
+    table = world.region.monthly_hazard
     ages, female = citizens.age[living], citizens.female[living]
-    hazards = np.full(len(living), np.nan)
-    for is_female, table in hazard.items():
-        rows = (female == is_female) & (ages < len(table))
-        hazards[rows] = table[ages[rows]]
-    missing = np.flatnonzero(np.isnan(hazards))
+    hazards = table[female.view(np.int8), np.minimum(ages, table.shape[1] - 1)]
+    missing = np.isnan(hazards).nonzero()[0]
     if len(missing):
         first = missing[0]
         gender = FEMALE if female[first] else MALE
@@ -111,7 +90,7 @@ def mortality_step(world: World, rng: np.random.Generator) -> list[int]:
     last = len(family_ids) - 1 - np.unique(family_ids[::-1], return_index=True)[1]
     emptied = family_ids[np.sort(last[members[family_ids[last]] == 0])]
     if len(emptied):
-        heirs = np.flatnonzero(world.families.present & (members > 0))
+        heirs = (world.families.present & (members > 0)).nonzero()[0]
         if len(heirs):
             draws = rng.integers(0, len(heirs), size=len(emptied))
             _transfer_estates(world, emptied, heirs[draws])
@@ -122,21 +101,21 @@ def fertility_step(world: World, rng: np.random.Generator) -> list[int]:
     """Give each living female of a fertile age a birth draw at one twelfth
     the annual rate, one uniform per mother in id order.
 
+    The chances come from the region's ``birth_chance`` table; a woman whose
+    age has no positive rate takes no draw.
+
     Newborns start at age zero with no schooling, a gender from one coin
     per birth, and join the mother's family unemployed.
     """
-    birth_chances = _by_age(
-        {age: min(1.0, rate / 12.0) for age, rate in world.region.fertility.items() if rate > 0.0},
-        np.nan,
-    )
+    table = world.region.birth_chance
     citizens = world.citizens
-    fertile = citizens.alive & citizens.female & (citizens.age < len(birth_chances))
-    fertile[fertile] = ~np.isnan(birth_chances[citizens.age[fertile]])
-    mothers = np.flatnonzero(fertile)
+    women = (citizens.alive & citizens.female).nonzero()[0]
+    chances = table[np.minimum(citizens.age[women], len(table) - 1)]
+    fertile = ~np.isnan(chances)
+    mothers, chances = women[fertile], chances[fertile]
     if not len(mothers):
         return []
-    draws = rng.random(len(mothers))
-    mothers = mothers[draws < birth_chances[citizens.age[mothers]]]
+    mothers = mothers[rng.random(len(mothers)) < chances]
     count = len(mothers)
     female = rng.random(count) < 0.5
     first = world.next_citizen_id

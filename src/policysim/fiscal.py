@@ -53,16 +53,20 @@ class TaxLedger:
         if kind not in TAX_KINDS:
             raise FiscalError(f"unknown tax kind {kind!r}")
         amounts = np.asarray(amounts, dtype=float)
-        negative = np.flatnonzero(amounts < 0.0)
+        negative = (amounts < 0.0).nonzero()[0]
         end = int(negative[0]) if len(negative) else len(amounts)
         codes = np.asarray(codes, dtype=np.int64)[:end]
+        # the charged municipalities, in the order of their first charges
         first = np.full(len(municipality_ids), end)
         np.minimum.at(first, codes, np.arange(end))
-        keys = [(muni, kind) for muni in municipality_ids]
-        totals = np.array([self._amounts.get(key, 0.0) for key in keys])
+        order = first.argsort()
+        charged = order[first[order] < end].tolist()
+        totals = np.zeros(len(municipality_ids))
+        for code in charged:
+            totals[code] = self._amounts.get((municipality_ids[code], kind), 0.0)
         np.add.at(totals, codes, amounts[:end])
-        for code in np.argsort(first)[: np.count_nonzero(first < end)].tolist():
-            self._amounts[keys[code]] = float(totals[code])
+        for code, total in zip(charged, totals[charged].tolist()):
+            self._amounts[municipality_ids[code], kind] = total
         if end < len(amounts):
             raise FiscalError(f"negative tax amount {float(amounts[end])!r} for {kind}")
 

@@ -121,7 +121,7 @@ def choose_firms(
         # sample columns in firm id order, so the first minimum is the lower id
         picks = np.sort(picks, axis=1)
         best = picks[np.arange(len(picks)), np.argmin(price_rank[picks], axis=1)]
-        near = np.flatnonzero(coins >= price_criterion_probability)
+        near = (coins >= price_criterion_probability).nonzero()[0]
         if len(near):
             home = homes[start + near, None]
             sampled = picks[near]

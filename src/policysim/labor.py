@@ -27,7 +27,7 @@ def build_pool(world: World, params: SimParams, openings: dict[int, int]) -> Lab
     """Unemployed working-age citizens, and the openings' vacancies sorted by wage."""
     citizens = world.citizens
     looking = citizens.working_age(params.working_age_min, params.working_age_max)
-    candidates = np.flatnonzero(looking & (citizens.employer == UNEMPLOYED)).tolist()
+    candidates = (looking & (citizens.employer == UNEMPLOYED)).nonzero()[0].tolist()
     firm_ids = np.repeat(
         np.array(list(openings), dtype=np.int64), np.array(list(openings.values()), dtype=np.int64)
     )
@@ -113,7 +113,7 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     employers = citizens.employer[employed]
     bills = np.zeros(len(firms))
     np.add.at(bills, employers, citizens.wage[employed])
-    short = np.flatnonzero((firms.cash < bills) & (citizens.headcount(len(firms)) > 0))
+    short = ((firms.cash < bills) & (citizens.headcount(len(firms)) > 0)).nonzero()[0]
     if len(short):
         _shed_until_affordable(world, short, bills)
         employed = citizens.employed()

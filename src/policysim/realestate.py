@@ -49,7 +49,7 @@ def build_listings(world: World, active: np.ndarray) -> list[int]:
     """Every vacant house is on the market at its current hedonic price."""
     vacant = np.ones(len(world.houses), dtype=bool)
     vacant[world.families.residence[active]] = False
-    return np.flatnonzero(vacant).tolist()
+    return vacant.nonzero()[0].tolist()
 
 
 def select_entrants(
@@ -82,7 +82,7 @@ def match_market(
     # a listed house is vacant: its owner owns another house, the one it
     # lives in, or has no members left to live in it
     members = families.members(world.citizens)
-    sellers = np.flatnonzero(families.present & ((families.owned > 1) | (members == 0)))
+    sellers = (families.present & ((families.owned > 1) | (members == 0))).nonzero()[0]
     owners = {house_id: family for family in sellers.tolist() for house_id in owned[family]}
     entrant_ids = np.asarray(entrant_ids, dtype=np.int64)
     order = sorted(zip((-savings[entrant_ids]).tolist(), entrant_ids.tolist()))

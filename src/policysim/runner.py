@@ -1,7 +1,8 @@
 """Job execution across worker processes, aggregation, and file outputs.
 
-Jobs are fully independent; workers receive (job, data_dir) pairs and load
-their region from disk, so results are identical for any worker count.
+Jobs are fully independent. The coordinator loads each distinct region
+once and sends it with every job that runs there, so workers read no region
+files, and results are identical for any worker count.
 A job sends back the tables it will write, not its world: a JobResult
 holds the monthly matrix and the entity dumps its Job.save_data asks for.
 Every output column is named once: the monthly.csv, mean.csv and std.csv
@@ -26,7 +27,7 @@ from .params import TAX_KINDS, params_as_flat_dict
 from .realestate import SaleRecord
 from .scheduler import TAX_COLUMNS, RunResult, monthly_table, run
 from .stats import compare_tax_distributions, write_ks_report
-from .world.regions import load_region_data
+from .world.regions import RegionData, load_region_data
 
 if TYPE_CHECKING:
     from .sweeps import ExperimentPlan, Job
@@ -111,21 +112,42 @@ class JobResult:
         return self.error is None
 
 
-def _execute_job(payload: tuple[Job, str]) -> JobResult:
-    job, data_dir = payload
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _load_region(path: str) -> RegionData | str:
+    """The region at path, or the error that loading it raised, as text."""
     try:
-        region = load_region_data(os.path.join(data_dir, job.region_name))
-        result = run(region, job.params, job.seed)
-        return JobResult(job=job, result=result)
+        return load_region_data(path)
+    except Exception as exc:  # noqa: BLE001 - the error belongs to the region's jobs
+        return _error(exc)
+
+
+def _execute_job(payload: tuple[Job, RegionData | str]) -> JobResult:
+    """Run one job on its region; a region that failed to load is the job's error."""
+    job, region = payload
+    if isinstance(region, str):
+        return JobResult(job=job, error=region)
+    try:
+        return JobResult(job=job, result=run(region, job.params, job.seed))
     except Exception as exc:  # noqa: BLE001 - isolate failures per job
-        return JobResult(job=job, error=f"{type(exc).__name__}: {exc}")
+        return JobResult(job=job, error=_error(exc))
 
 
 def execute(jobs: list[Job], cores: int, data_dir: str) -> list[JobResult]:
-    """Run all jobs on a pool of workers; results come back in job order."""
+    """Run all jobs on a pool of workers; results come back in job order.
+
+    Each distinct region under data_dir is loaded once, here, and travels
+    with its jobs.
+    """
     if not jobs:
         raise ValueError("no jobs to execute")
-    payloads = [(job, data_dir) for job in jobs]
+    regions = {
+        name: _load_region(os.path.join(data_dir, name))
+        for name in dict.fromkeys(job.region_name for job in jobs)
+    }
+    payloads = [(job, regions[job.region_name]) for job in jobs]
     if cores == 1 or len(jobs) == 1:
         return [_execute_job(payload) for payload in payloads]
     processes = os.cpu_count() if cores == -1 else cores

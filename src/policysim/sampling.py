@@ -66,34 +66,38 @@ def sample_positions(
     hold at least one position.
     """
     n = np.asarray(pool_sizes, dtype=np.int64)
-    rows = len(n)
     k = np.minimum(n, sample_size)
     whole = k == n
-    tail = ~whole & (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
-    counts = np.where(whole, 0, np.where(tail, k, 2 * k - 1)) + 1
-    ends = np.cumsum(counts)
-    starts = ends - counts
+    largest = int(n.max())
+    # every pool not taken whole samples k == width positions
+    width = min(sample_size, largest)
+    steps = np.arange(width)
+    # one row of bounds per pool, drawn where ``drawn`` holds: Floyd's picks
+    # n-k ... n-1 and shuffle k-1 ... 1, or the tail shuffle's n-1 ... n-k,
+    # or nothing for a whole pool (its other cells are never drawn); then the coin
+    bounds = np.empty((len(n), 2 * width), dtype=np.uint64)
+    bounds[:, :width] = (n - width)[:, None] + steps
+    bounds[:, width:] = steps[::-1]
+    bounds[:, -1] = COIN_BOUND
+    drawn = np.ones(bounds.shape, dtype=bool)
+    drawn[whole, :-1] = False
+    floyd = ~whole
+    tail = None
+    if largest > TAIL_SHUFFLE_MIN_POOL:
+        tail = floyd & (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
+        bounds[tail, :width] = (n[tail] - 1)[:, None] - steps
+        drawn[tail, width:-1] = False
+        floyd &= ~tail
+    draws = np.zeros_like(bounds)
+    draws[drawn] = rng.integers(0, bounds[drawn], dtype=np.uint64, endpoint=True)
 
-    row = np.repeat(np.arange(rows), counts)
-    step = np.arange(ends[-1]) - starts[row]
-    n_at, k_at = n[row], k[row]
-    floyd_bounds = np.where(step < k_at, n_at - k_at + step, 2 * k_at - 1 - step)
-    bounds = np.where(tail[row], n_at - 1 - step, floyd_bounds).astype(np.uint64)
-    bounds[ends - 1] = COIN_BOUND
-    draws = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)
-    coins = unit_doubles(draws[ends - 1])
-
-    width = int(min(sample_size, n.max()))
-    picks = np.full((rows, width), -1, dtype=np.int64)
-    if whole.any():
-        positions = np.arange(width)
-        picks[whole] = np.where(positions < n[whole, None], positions, -1)
-    floyd = ~whole & ~tail
+    picks = np.where(steps < k[:, None], steps, -1)  # a whole pool's positions
     if floyd.any():
-        picks[floyd] = _floyd_picks(draws, starts[floyd], n[floyd], width)
-    for r in np.flatnonzero(tail).tolist():
-        picks[r] = _tail_picks(draws[starts[r] : starts[r] + width], int(n[r]))
-    return picks, coins
+        picks[floyd] = _floyd_picks(draws[floyd, :width].astype(np.int64), n[floyd])
+    if tail is not None:
+        for r in tail.nonzero()[0].tolist():
+            picks[r] = _tail_picks(draws[r, :width], int(n[r]))
+    return picks, unit_doubles(draws[:, -1])
 
 
 def unit_doubles(words: np.ndarray) -> np.ndarray:
@@ -101,13 +105,16 @@ def unit_doubles(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _WORD_SCALE
 
 
-def _floyd_picks(draws: np.ndarray, starts: np.ndarray, n: np.ndarray, k: int) -> np.ndarray:
-    """Floyd's algorithm over many rows: a repeat of an earlier pick takes j = n-k+t."""
-    values = draws[starts[:, None] + np.arange(k)].astype(np.int64)
-    picks = np.empty_like(values)
-    for t in range(k):
-        value = values[:, t]
-        repeat = (picks[:, :t] == value[:, None]).any(axis=1)
+def _floyd_picks(picks: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Floyd's algorithm over many rows, in place on each row's k draws:
+    a repeat of an earlier pick takes j = n-k+t.
+
+    The first pick has nothing to repeat, so the loop starts at the second.
+    """
+    k = picks.shape[1]
+    for t in range(1, k):
+        value = picks[:, t]
+        repeat = np.logical_or.reduce(picks[:, :t] == value[:, None], axis=1)
         picks[:, t] = np.where(repeat, n - k + t, value)
     return picks
 

@@ -147,8 +147,8 @@ def step_firm_decisions(
     decisions = firms.hire_fire_decisions(
         world.firms, headcount, world.clock, params.labor_market_frequency
     )
-    firms.fire_lowest_qualified(world, np.flatnonzero(decisions == firms.FIRE_ONE))
-    return dict.fromkeys(np.flatnonzero(decisions == firms.OPEN_VACANCY).tolist(), 1)
+    firms.fire_lowest_qualified(world, (decisions == firms.FIRE_ONE).nonzero()[0])
+    return dict.fromkeys((decisions == firms.OPEN_VACANCY).nonzero()[0].tolist(), 1)
 
 
 def step_labor_market(

@@ -10,14 +10,21 @@ separator):
     fertility.csv         age, annual_rate
     fpm_coefficients.csv  population_min, population_max, coefficient
 
-Validation failures name the offending file and line.
+Validation failures name the offending file and line. Every number must
+be finite.
+
+A RegionData also holds the month tables that demographics reads, built
+once from its mortality and fertility tables when it is constructed.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
 MAX_SCHOOLING_YEARS = 21
@@ -49,9 +56,33 @@ class MunicipalitySpec:
     bounds: tuple[float, float, float, float]  # xmin, ymin, xmax, ymax
 
 
+def monthly_probability(annual_probability: float) -> float:
+    """Compounding-correct annual-to-monthly conversion."""
+    return 1.0 - (1.0 - annual_probability) ** (1.0 / 12.0)
+
+
+def _by_age(table: dict[int, float], length: int) -> np.ndarray:
+    """The table's values indexed by age over 0 .. length - 1, NaN where it has no row."""
+    values = np.full(length, np.nan)
+    values[list(table)] = list(table.values())
+    return values
+
+
 @dataclass
 class RegionData:
-    """Validated demographic and geographic tables for one region (ACP)."""
+    """Validated demographic and geographic tables for one region (ACP).
+
+    The month tables are derived from ``mortality`` and ``fertility`` at
+    construction, so a region with other vital rates is a new RegionData.
+    Both are indexed by age, hold NaN where the source table has no row, and
+    end with a NaN entry that every age past the table reads:
+
+    - ``monthly_hazard[female, age]``: ``monthly_probability`` of the annual
+      mortality, row 0 for men and row 1 for women (a missing gender table
+      is all NaN);
+    - ``birth_chance[age]``: ``min(1, rate / 12)`` over the positive
+      fertility rates.
+    """
 
     name: str
     municipalities: list[MunicipalitySpec]
@@ -60,6 +91,20 @@ class RegionData:
     mortality: dict[str, dict[int, float]]  # gender -> age -> annual p
     fertility: dict[int, float]  # age -> annual births per woman
     fpm_brackets: list[tuple[int, int, float]]
+    monthly_hazard: np.ndarray = field(init=False, repr=False, compare=False)
+    birth_chance: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        hazards = [
+            {age: monthly_probability(annual) for age, annual in by_age.items()}
+            for by_age in (self.mortality.get("male", {}), self.mortality.get("female", {}))
+        ]
+        length = max(max(table, default=-1) for table in hazards) + 2
+        self.monthly_hazard = np.stack([_by_age(table, length) for table in hazards])
+        chances = {
+            age: min(1.0, rate / 12.0) for age, rate in self.fertility.items() if rate > 0.0
+        }
+        self.birth_chance = _by_age(chances, max(chances, default=-1) + 2)
 
     @property
     def total_target_population(self) -> int:
@@ -99,11 +144,16 @@ def _rows(path: str, filename: str, required: tuple[str, ...]):
 
 def _parse_float(raw, filename: str, lineno: int, column: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError) as exc:
         raise RegionDataError(
             filename, lineno, f"column {column!r}: not a number: {raw!r}"
         ) from exc
+    if not math.isfinite(value):
+        raise RegionDataError(
+            filename, lineno, f"column {column!r}: not a finite number: {raw!r}"
+        )
+    return value
 
 
 def _parse_int(raw, filename: str, lineno: int, column: str) -> int:
@@ -265,6 +315,8 @@ def _load_fertility(directory: str) -> dict[int, float]:
     table: dict[int, float] = {}
     for lineno, row in _rows(os.path.join(directory, filename), filename, ("age", "annual_rate")):
         age = _parse_int(row["age"], filename, lineno, "age")
+        if age < 0:
+            raise RegionDataError(filename, lineno, f"negative age {age}")
         rate = _parse_float(row["annual_rate"], filename, lineno, "annual_rate")
         if rate < 0.0:
             raise RegionDataError(filename, lineno, f"negative annual_rate {rate}")

@@ -103,7 +103,7 @@ class Citizens:
 
     def __iter__(self) -> Iterator[int]:
         """The ids of the living, in id order."""
-        return iter(np.flatnonzero(self.alive).tolist())
+        return iter(self.alive.nonzero()[0].tolist())
 
     @property
     def rows(self) -> int:
@@ -116,7 +116,7 @@ class Citizens:
 
     def employed(self) -> np.ndarray:
         """The ids of the employed, in id order."""
-        return np.flatnonzero(self.employer != UNEMPLOYED)
+        return (self.employer != UNEMPLOYED).nonzero()[0]
 
     def headcount(self, firms: int) -> np.ndarray:
         employers = self.employer[self.employer != UNEMPLOYED]
@@ -144,7 +144,7 @@ class Citizens:
     def records(self) -> list[dict]:
         """One dict of Python values per living citizen, in id order, keyed by
         CITIZEN_RECORD_KEYS; the unemployed have employer None."""
-        living = np.flatnonzero(self.alive)
+        living = self.alive.nonzero()[0]
         columns = (
             living.tolist(),
             self.family[living].tolist(),
@@ -202,7 +202,7 @@ class Families:
 
     def __iter__(self) -> Iterator[int]:
         """The ids of the present families, in id order."""
-        return iter(np.flatnonzero(self.present).tolist())
+        return iter(self.present.nonzero()[0].tolist())
 
     def members(self, citizens: Citizens) -> np.ndarray:
         """Each family's count of living members."""
@@ -210,14 +210,14 @@ class Families:
 
     def active(self, citizens: Citizens) -> np.ndarray:
         """The ids of the present families with members, in id order."""
-        return np.flatnonzero(self.present & (self.members(citizens) > 0))
+        return (self.present & (self.members(citizens) > 0)).nonzero()[0]
 
     def records(self, citizens: Citizens) -> list[dict]:
         """One dict of Python values per present family, in id order, keyed by
         FAMILY_RECORD_KEYS; ``member_ids`` are the living citizens of the family."""
-        ids = np.flatnonzero(self.present)
+        ids = self.present.nonzero()[0]
         members: list[set[int]] = [set() for _ in range(len(self.present))]
-        living = np.flatnonzero(citizens.alive)
+        living = citizens.alive.nonzero()[0]
         for citizen_id, family_id in zip(living.tolist(), citizens.family[living].tolist()):
             members[family_id].add(citizen_id)
         columns = (
@@ -445,7 +445,7 @@ class World:
         wealth = families.monthly_cash[active] + families.savings[active]
         single = counts == 1
         wealth[single] += price[families.residence[active[single]]]
-        several = np.flatnonzero(counts > 1)
+        several = (counts > 1).nonzero()[0]
         owned = [families.owned_houses[family_id] for family_id in active[several].tolist()]
         houses = np.fromiter(chain.from_iterable(owned), dtype=np.int64)
         first = np.cumsum(counts[several]) - counts[several]

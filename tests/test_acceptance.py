@@ -251,12 +251,8 @@ def test_c08_merged_with_transfers_is_best(regime_outcomes):
 
 
 def test_c09_demographic_oracles():
-    from policysim.demographics import (
-        age_step,
-        fertility_step,
-        monthly_probability,
-        mortality_step,
-    )
+    from policysim.demographics import age_step, fertility_step, mortality_step
+    from policysim.world.regions import monthly_probability
     from conftest import make_region, make_world, simple_citizen, simple_family, simple_house
 
     def population(count, mortality, fertility, seed):

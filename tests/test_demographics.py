@@ -1,13 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from policysim.demographics import (
-    age_step,
-    fertility_step,
-    monthly_probability,
-    mortality_step,
-)
-from policysim.world.regions import RegionDataError
+from policysim.demographics import age_step, fertility_step, mortality_step
+from policysim.world.regions import RegionDataError, monthly_probability
 
 from conftest import (
     citizen,
@@ -21,8 +18,9 @@ from conftest import (
 
 
 def build_population(count, age=30, mortality=None, fertility=None, seed=0,
-                     gender="female"):
-    region = make_region(ages=(age,), mortality=mortality, fertility=fertility)
+                     gender="female", region=None):
+    if region is None:
+        region = make_region(ages=(age,), mortality=mortality, fertility=fertility)
     citizens = []
     families = []
     houses = []
@@ -32,6 +30,12 @@ def build_population(count, age=30, mortality=None, fertility=None, seed=0,
         families.append(simple_family(family_id=i, member_ids=(i,), residence=i))
         houses.append(simple_house(house_id=i))
     return make_world(citizens, families, houses, region=region, seed=seed)
+
+
+def dying_from(region, age_of_death):
+    """The region with annual mortality 1 from age_of_death on and 0 below it."""
+    table = {age: 1.0 if age >= age_of_death else 0.0 for age in region.mortality["female"]}
+    return replace(region, mortality={"female": table, "male": dict(table)})
 
 
 def test_age_step_on_anniversary():
@@ -71,11 +75,7 @@ def test_zero_mortality_no_deaths():
 
 
 def test_certain_mortality_kills_everyone():
-    world = build_population(50, mortality=None)
-    # override: annual probability 1 for every age
-    for gender in world.region.mortality:
-        for age in world.region.mortality[gender]:
-            world.region.mortality[gender][age] = 1.0
+    world = build_population(50, mortality=1.0)
     deceased = mortality_step(world, world.rng)
     assert len(deceased) == 50
     assert len(world.citizens) == 0
@@ -95,13 +95,10 @@ def test_mortality_binomial_rate():
 def test_dead_are_fully_removed():
     from conftest import make_firms, simple_firm
 
-    world = build_population(30, mortality=None, seed=9)
+    world = build_population(30, mortality=1.0, seed=9)
     world.firms = make_firms(["m0"], [simple_firm(firm_id=0)])
     world.citizens.employer[:10] = 0
     world.citizens.wage[:10] = 1.0
-    for gender in world.region.mortality:
-        for age in world.region.mortality[gender]:
-            world.region.mortality[gender][age] = 1.0
     deceased = mortality_step(world, world.rng)
     assert len(deceased) == 30
     assert len(world.citizens) == 0
@@ -113,7 +110,8 @@ def test_dead_are_fully_removed():
 
 
 def test_inheritance_moves_estate_to_surviving_family():
-    region = make_region(ages=(30, 80))
+    # only the 80-year-old dies
+    region = dying_from(make_region(ages=(30, 80)), 80)
     rich = simple_citizen(cid=0, family_id=0, age=80)
     poor = simple_citizen(cid=1, family_id=1, age=30)
     families = [
@@ -122,10 +120,6 @@ def test_inheritance_moves_estate_to_surviving_family():
     ]
     houses = [simple_house(house_id=0), simple_house(house_id=1)]
     world = make_world([rich, poor], families, houses, region=region, seed=1)
-    # only the 80-year-old dies
-    for gender in world.region.mortality:
-        for age in world.region.mortality[gender]:
-            world.region.mortality[gender][age] = 1.0 if age >= 80 else 0.0
     mortality_step(world, world.rng)
     assert 0 not in world.families
     assert world.families.owned_houses[1] == {0, 1}
@@ -196,7 +190,7 @@ def test_constant_population_without_vital_events():
 
 
 def test_families_dying_out_together_draw_heirs_from_one_survivor_list():
-    region = make_region(ages=(30, 80))
+    region = dying_from(make_region(ages=(30, 80)), 80)
     # citizen 0 empties family 1 before citizen 1 empties family 0
     citizens = [
         simple_citizen(cid=0, family_id=1, age=80),
@@ -208,9 +202,6 @@ def test_families_dying_out_together_draw_heirs_from_one_survivor_list():
     ] + [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in (2, 3, 4)]
     houses = [simple_house(house_id=hid) for hid in range(5)]
     world = make_world(citizens, families, houses, region=region, seed=5)
-    for gender in world.region.mortality:
-        for age in world.region.mortality[gender]:
-            world.region.mortality[gender][age] = 1.0 if age >= 80 else 0.0
 
     replay = np.random.default_rng(5)
     replay.random(5)
@@ -231,11 +222,13 @@ def test_families_dying_out_together_draw_heirs_from_one_survivor_list():
 
 @pytest.mark.parametrize("missing", ["age row", "gender table"])
 def test_missing_mortality_row_raises_region_data_error(missing):
-    world = build_population(3, age=30)
+    region = make_region(ages=(30,))
+    mortality = {gender: dict(table) for gender, table in region.mortality.items()}
     if missing == "age row":
-        del world.region.mortality["female"][30]
+        del mortality["female"][30]
     else:
-        del world.region.mortality["female"]
+        del mortality["female"]
+    world = build_population(3, age=30, region=replace(region, mortality=mortality))
     state = world.rng.bit_generator.state
     with pytest.raises(RegionDataError) as err:
         mortality_step(world, world.rng)
@@ -254,3 +247,31 @@ def test_woman_outside_the_fertility_table_takes_no_draw():
     newborns = fertility_step(world, world.rng)
     assert [citizen(world, baby)["family_id"] for baby in newborns] == [1]
     assert world.rng.bit_generator.state == replay.bit_generator.state
+
+
+@pytest.mark.parametrize("genders", [("female", "male"), ("male",)], ids=["both", "no female"])
+def test_month_tables_match_the_annual_tables_row_for_row(fixture3, genders):
+    region = replace(
+        fixture3,
+        mortality={gender: fixture3.mortality[gender] for gender in genders},
+        fertility={**fixture3.fertility, 14: 0.0, 15: 13.0},
+    )
+    hazard, chance = region.monthly_hazard, region.birth_chance
+    for female, gender in enumerate(("male", "female")):
+        table = region.mortality.get(gender, {})
+        for age in range(hazard.shape[1]):
+            if age in table:
+                assert hazard[female, age] == monthly_probability(table[age])
+            else:
+                assert np.isnan(hazard[female, age])
+    positive = {age: rate for age, rate in region.fertility.items() if rate > 0.0}
+    assert positive[15] == 13.0 and 14 not in positive
+    for age in range(len(chance)):
+        if age in positive:
+            assert chance[age] == min(1.0, positive[age] / 12.0)
+        else:
+            assert np.isnan(chance[age])
+    # an age past either table reads its last entry, which is NaN
+    assert np.isnan(hazard[:, -1]).all() and np.isnan(chance[-1])
+    assert hazard.shape[1] == max(fixture3.mortality["male"]) + 2
+    assert len(chance) == max(positive) + 2

@@ -241,20 +241,55 @@ def test_execute_isolates_failures(tmp_path):
     assert summary["failures"][0]["config_id"] == "missing_region"
 
 
+def _tree(directory):
+    """Every file under directory, by its relative path, with its bytes."""
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
 def test_execute_core_count_invariance(tmp_path):
-    plan = small_plan(tmp_path, run_type="sensitivity", runs=2, sweeps=["ALPHA:0.3:0.7:2"])
-    jobs = expand_plan(plan, fast_params(), ["fixture3"])
-    serial = execute(jobs, cores=1, data_dir=default_data_dir())
-    parallel = execute(jobs, cores=2, data_dir=default_data_dir())
-    out_a = tmp_path / "serial"
-    out_b = tmp_path / "parallel"
-    write_outputs(small_plan(out_a, "sensitivity", 2, ["ALPHA:0.3:0.7:2"]), serial, str(out_a))
-    write_outputs(small_plan(out_b, "sensitivity", 2, ["ALPHA:0.3:0.7:2"]), parallel, str(out_b))
-    for config_dir in sorted(os.listdir(out_a)):
-        mean_a = out_a / config_dir / "mean.csv"
-        if mean_a.is_file():
-            mean_b = out_b / config_dir / "mean.csv"
-            assert mean_a.read_bytes() == mean_b.read_bytes()
+    trees = []
+    for cores in (1, 2):
+        out = tmp_path / f"cores{cores}"
+        plan = small_plan(out, "sensitivity", 2, ["ALPHA:0.3:0.7:2"], save=SAVE_DATA_FLAGS)
+        jobs = expand_plan(plan, fast_params(), ["fixture3"])
+        write_outputs(plan, execute(jobs, cores=cores, data_dir=default_data_dir()), str(out))
+        trees.append(_tree(out))
+    names = [name.rsplit("/", 1)[-1] for name in trees[0]]
+    # two configs of two runs, each run with its monthly.csv and every dump
+    for file_name in ["monthly.csv"] + [dump.file_name for dump in DUMPS.values()]:
+        assert names.count(file_name) == 4
+    assert names.count("mean.csv") == names.count("std.csv") == 2
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_execute_loads_each_region_once(tmp_path, monkeypatch, cores):
+    import policysim.runner
+
+    loads = []
+    load = policysim.runner.load_region_data
+
+    def counted_load(path):
+        loads.append(os.path.basename(path))
+        return load(path)
+
+    monkeypatch.setattr(policysim.runner, "load_region_data", counted_load)
+    plan = small_plan(tmp_path, run_type="acps", runs=2)
+    jobs = expand_plan(plan, fast_params(), ["fixture3", "missing_region"])
+    results = execute(jobs, cores=cores, data_dir=default_data_dir())
+    assert loads == ["fixture3", "missing_region"]
+    assert [result.job for result in results] == jobs
+    assert [result.ok for result in results] == [
+        job.region_name == "fixture3" for job in jobs
+    ]
+    missing = os.path.join(default_data_dir(), "missing_region")
+    assert [result.error for result in results if not result.ok] == [
+        f"RegionDataError: {missing}: region directory does not exist"
+    ] * 2
 
 
 def test_write_outputs_files(tmp_path):

@@ -151,6 +151,53 @@ def test_brackets_must_cover_every_target_population(tmp_path):
     assert "'m0'" in str(err.value)
 
 
+def _mortality_with(value):
+    rows = ["age,gender,annual_probability"]
+    for age in range(121):
+        p = "1.0" if age == 120 else "0.01"
+        rows.append(f"{age},female,{value if age == 1 else p}")
+        rows.append(f"{age},male,{p}")
+    return "\n".join(rows) + "\n"
+
+
+# file -> (its contents with one number replaced by {value}, that line, its column)
+NON_FINITE_CASES = {
+    "municipalities.csv": (
+        "id,target_population,xmin,ymin,xmax,ymax\nm0,50,0,0,{value},5\n", 2, "xmax"
+    ),
+    "age_gender.csv": ("age,p_female,p_male\n30,{value},0.5\n", 2, "p_female"),
+    "qualification.csv": (
+        "age_band,years_schooling,probability\n0-120,9,{value}\n", 2, "probability"
+    ),
+    "mortality.csv": (_mortality_with("{value}"), 4, "annual_probability"),
+    "fertility.csv": ("age,annual_rate\n25,{value}\n30,0.1\n", 2, "annual_rate"),
+    "fpm_coefficients.csv": (
+        "population_min,population_max,coefficient\n0,1000000,{value}\n", 2, "coefficient"
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("file", sorted(NON_FINITE_CASES))
+def test_non_finite_number_rejected_naming_file_line_and_column(tmp_path, file, value):
+    # fertility 25,inf would make every 25-year-old woman give birth each
+    # month, and a nan FPM coefficient would make every QLI nan
+    contents, line, column = NON_FINITE_CASES[file]
+    write_minimal_region(tmp_path, {file: contents.format(value=value)})
+    with pytest.raises(RegionDataError) as err:
+        load_region_data(str(tmp_path))
+    assert str(err.value) == (
+        f"{file}:{line}: column {column!r}: not a finite number: {value!r}"
+    )
+
+
+def test_negative_fertility_age_rejected(tmp_path):
+    write_minimal_region(tmp_path, {"fertility.csv": "age,annual_rate\n30,0.1\n-1,0.1\n"})
+    with pytest.raises(RegionDataError) as err:
+        load_region_data(str(tmp_path))
+    assert str(err.value) == "fertility.csv:3: negative age -1"
+
+
 def test_generate_counts_match_formulas(fixture3):
     params = SimParams()
     params.percentage_actual_pop = 0.1
