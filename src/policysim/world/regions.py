@@ -127,16 +127,19 @@ def _rows(path: str, filename: str, required: tuple[str, ...]):
     if not os.path.isfile(path):
         raise RegionDataError(filename, None, "file is missing")
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csv.reader(handle)
+        header = next(reader, [])
         missing = [column for column in required if column not in header]
         if missing:
             raise RegionDataError(
                 filename, 1, f"missing columns: {', '.join(missing)}"
             )
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            out.append((lineno, row))
+        # as csv.DictReader reads them: blank lines skipped, absent cells None
+        padding = [None] * len(header)
+        out = [
+            (lineno, dict(zip(header, fields + padding[len(fields) :])))
+            for lineno, fields in enumerate(filter(None, reader), start=2)
+        ]
     if not out:
         raise RegionDataError(filename, None, "no data rows")
     return out
