@@ -13,6 +13,7 @@ after every job has been joined.
 
 from __future__ import annotations
 
+import csv
 import json
 import multiprocessing
 import os
@@ -157,18 +158,13 @@ def execute(jobs: list[Job], cores: int, data_dir: str) -> list[JobResult]:
 
 
 def _write_csv(path, columns: list[str], rows: list[list]) -> None:
+    """A float cell is its repr, None an empty cell. No cell needs quotes:
+    the only free text, municipality ids, holds no comma, quote or line
+    break (the region loader rejects them)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_cell(value) for value in row) + "\n")
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def write_monthly_csv(result: RunResult, path) -> None:
