@@ -71,6 +71,8 @@ def mortality_step(world: World, rng: np.random.Generator) -> list[int]:
             "mortality.csv", None, f"no row for age {ages[first]}, gender {gender}"
         )
     deceased = living[rng.random(len(living)) < hazards].tolist()
+    if not deceased:
+        return deceased
 
     citizens.fire(deceased)
     citizens.alive[deceased] = False
@@ -117,6 +119,8 @@ def fertility_step(world: World, rng: np.random.Generator) -> list[int]:
         return []
     mothers = mothers[rng.random(len(mothers)) < chances]
     count = len(mothers)
+    if not count:
+        return []
     female = rng.random(count) < 0.5
     first = world.next_citizen_id
     citizens.append(Citizens.born(

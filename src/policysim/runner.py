@@ -154,7 +154,9 @@ def execute(jobs: list[Job], cores: int, data_dir: str) -> list[JobResult]:
     processes = os.cpu_count() if cores == -1 else cores
     processes = max(1, min(processes or 1, len(jobs)))
     with multiprocessing.Pool(processes=processes) as pool:
-        return pool.map(_execute_job, payloads)
+        # one job per task: jobs differ in length, and a chunk of them
+        # handed out last can keep one worker busy while the others idle
+        return pool.map(_execute_job, payloads, chunksize=1)
 
 
 def _write_csv(path, columns: list[str], rows: list[list]) -> None:
