@@ -90,7 +90,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     print(f"{plan.run_type}: {len(jobs)} job(s) on {args.cores} core(s)")
-    job_results = execute(jobs, args.cores, data_dir)
+    job_results = execute(jobs, args.cores, data_dir, args.output)
     summary = write_outputs(plan, job_results, args.output, reference)
     completed = sum(config["completed"] for config in summary["configs"])
     print(f"completed {completed}/{len(jobs)} runs -> {args.output}")

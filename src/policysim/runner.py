@@ -7,8 +7,10 @@ A job sends back the tables it will write, not its world: a JobResult
 holds the monthly matrix and the entity dumps its Job.save_data asks for.
 Every output column is named once: the monthly.csv, mean.csv and std.csv
 columns come from the MonthRecord fields (scheduler.monthly_table), and
-each entity file is one DUMPS entry. The coordinator writes all files
-after every job has been joined.
+each entity file is one DUMPS entry. Given an output directory, the
+process that runs a job writes its run_<k>/ as soon as the job ends and
+sends back only the monthly matrix; the coordinator writes mean.csv,
+std.csv, plot.gp and summary.json after every job has been joined.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import InitVar, dataclass, field, fields
+from functools import partial
 from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -84,7 +87,8 @@ class JobResult:
 
     Built as ``JobResult(job=job, result=run_result)``: the run becomes the
     monthly matrix plus the rows of each dump in ``job.save_data``, and the
-    world it carried is not kept.
+    world it carried is not kept. Once its run_<k>/ is on disk the result
+    is ``written`` and keeps no dump rows.
     """
 
     job: Job
@@ -93,6 +97,7 @@ class JobResult:
     columns: list[str] = field(init=False, default_factory=list)
     monthly: np.ndarray | None = field(init=False, default=None)
     dumps: dict[str, list[list]] = field(init=False, default_factory=dict)
+    written: bool = field(init=False, default=False)
 
     def __post_init__(self, result: RunResult | None) -> None:
         if result is not None:
@@ -125,22 +130,38 @@ def _load_region(path: str) -> RegionData | str:
         return _error(exc)
 
 
-def _execute_job(payload: tuple[Job, RegionData | str]) -> JobResult:
-    """Run one job on its region; a region that failed to load is the job's error."""
+def _execute_job(
+    payload: tuple[Job, RegionData | str], output_dir: str | None = None
+) -> JobResult:
+    """Run one job on its region; a region that failed to load is the job's error.
+
+    With output_dir, the job's run_<k>/ is written here and the result
+    comes back without its dump rows. A write error is not the job's: it
+    propagates and stops the sweep.
+    """
     job, region = payload
     if isinstance(region, str):
-        return JobResult(job=job, error=region)
-    try:
-        return JobResult(job=job, result=run(region, job.params, job.seed))
-    except Exception as exc:  # noqa: BLE001 - isolate failures per job
-        return JobResult(job=job, error=_error(exc))
+        job_result = JobResult(job=job, error=region)
+    else:
+        try:
+            job_result = JobResult(job=job, result=run(region, job.params, job.seed))
+        except Exception as exc:  # noqa: BLE001 - isolate failures per job
+            job_result = JobResult(job=job, error=_error(exc))
+    if output_dir is not None:
+        _write_run(output_dir, job_result)
+        job_result.dumps = {}
+        job_result.written = True
+    return job_result
 
 
-def execute(jobs: list[Job], cores: int, data_dir: str) -> list[JobResult]:
+def execute(
+    jobs: list[Job], cores: int, data_dir: str, output_dir: str | None = None
+) -> list[JobResult]:
     """Run all jobs on a pool of workers; results come back in job order.
 
     Each distinct region under data_dir is loaded once, here, and travels
-    with its jobs.
+    with its jobs. With output_dir, each job's run_<k>/ is on disk when the
+    job ends; without it, write_outputs writes the run files.
     """
     if not jobs:
         raise ValueError("no jobs to execute")
@@ -150,13 +171,13 @@ def execute(jobs: list[Job], cores: int, data_dir: str) -> list[JobResult]:
     }
     payloads = [(job, regions[job.region_name]) for job in jobs]
     if cores == 1 or len(jobs) == 1:
-        return [_execute_job(payload) for payload in payloads]
+        return [_execute_job(payload, output_dir) for payload in payloads]
     processes = os.cpu_count() if cores == -1 else cores
     processes = max(1, min(processes or 1, len(jobs)))
     with multiprocessing.Pool(processes=processes) as pool:
         # one job per task: jobs differ in length, and a chunk of them
         # handed out last can keep one worker busy while the others idle
-        return pool.map(_execute_job, payloads, chunksize=1)
+        return pool.map(partial(_execute_job, output_dir=output_dir), payloads, chunksize=1)
 
 
 def _write_csv(path, columns: list[str], rows: list[list]) -> None:
@@ -167,6 +188,23 @@ def _write_csv(path, columns: list[str], rows: list[list]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def _write_run(output_dir: str, job_result: JobResult) -> None:
+    """A job's run_<k>/: monthly.csv and each dump it holds, or, for a
+    failed job, the empty directory."""
+    job = job_result.job
+    run_dir = os.path.join(output_dir, config_dir_name(job.config_id), f"run_{job.replicate}")
+    os.makedirs(run_dir, exist_ok=True)
+    if not job_result.ok:
+        return
+    _write_csv(
+        os.path.join(run_dir, "monthly.csv"), job_result.columns, job_result.monthly.tolist()
+    )
+    for flag, rows in job_result.dumps.items():
+        dump = DUMPS[flag]
+        columns = [name for name, _ in dump.columns]
+        _write_csv(os.path.join(run_dir, dump.file_name), columns, rows)
 
 
 def write_monthly_csv(result: RunResult, path) -> None:
@@ -226,6 +264,7 @@ def write_outputs(
 ) -> dict:
     """Write per-run, per-config, and whole-experiment files.
 
+    Run files are written only for results that are not yet ``written``.
     reference is a loaded tax reference (stats.load_tax_reference); with
     it, ks_report.csv compares the simulated tax totals per region, or
     summary.json says why it could not. Returns the summary dict that also
@@ -248,18 +287,9 @@ def write_outputs(
         os.makedirs(config_dir, exist_ok=True)
         ok_results = []
         for job_result in bundle:
-            run_dir = os.path.join(config_dir, f"run_{job_result.job.replicate}")
-            os.makedirs(run_dir, exist_ok=True)
+            if not job_result.written:
+                _write_run(output_dir, job_result)
             if job_result.ok:
-                _write_csv(
-                    os.path.join(run_dir, "monthly.csv"),
-                    job_result.columns,
-                    job_result.monthly.tolist(),
-                )
-                for flag, rows in job_result.dumps.items():
-                    dump = DUMPS[flag]
-                    columns = [name for name, _ in dump.columns]
-                    _write_csv(os.path.join(run_dir, dump.file_name), columns, rows)
                 ok_results.append(job_result)
             else:
                 summary["failures"].append(

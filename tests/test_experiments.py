@@ -2,6 +2,7 @@ import json
 import os
 import pickle
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -250,20 +251,75 @@ def _tree(directory):
     }
 
 
+def _paths(directory):
+    """Every file and directory under directory, by its relative path."""
+    return {path.relative_to(directory).as_posix() for path in directory.rglob("*")}
+
+
 def test_execute_core_count_invariance(tmp_path):
-    trees = []
-    for cores in (1, 2):
-        out = tmp_path / f"cores{cores}"
-        plan = small_plan(out, "sensitivity", 2, ["ALPHA:0.3:0.7:2"], save=SAVE_DATA_FLAGS)
-        jobs = expand_plan(plan, fast_params(), ["fixture3"])
-        write_outputs(plan, execute(jobs, cores=cores, data_dir=default_data_dir()), str(out))
-        trees.append(_tree(out))
-    names = [name.rsplit("/", 1)[-1] for name in trees[0]]
+    """One output tree on 1 or 2 cores, whether each job writes its own
+    run_<k>/ or write_outputs writes every file after the sweep."""
+    plan = small_plan(tmp_path, "sensitivity", 2, ["ALPHA:0.3:0.7:2"], save=SAVE_DATA_FLAGS)
+    jobs = expand_plan(plan, fast_params(), ["fixture3"])
+    jobs.append(replace(jobs[0], config_id="missing_region", region_name="missing_region"))
+    reference = tmp_path / "cores1_after_sweep"
+    write_outputs(plan, execute(jobs, 1, default_data_dir()), str(reference))
+    names = [name.rsplit("/", 1)[-1] for name in _tree(reference)]
     # two configs of two runs, each run with its monthly.csv and every dump
     for file_name in ["monthly.csv"] + [dump.file_name for dump in DUMPS.values()]:
         assert names.count(file_name) == 4
     assert names.count("mean.csv") == names.count("std.csv") == 2
-    assert trees[0] == trees[1]
+    assert not list((reference / "missing_region" / "run_0").iterdir())
+
+    for cores, by_jobs in [(1, True), (2, False), (2, True)]:
+        out = tmp_path / f"cores{cores}_{'by_jobs' if by_jobs else 'after_sweep'}"
+        results = execute(jobs, cores, default_data_dir(), str(out) if by_jobs else None)
+        assert [result.job for result in results] == jobs
+        if by_jobs:
+            # every run_<k>/ is complete before the coordinator writes anything
+            assert not (out / "summary.json").exists()
+            assert len(list(out.glob("*/run_*/*.csv"))) == 4 * (1 + len(DUMPS))
+        write_outputs(plan, results, str(out))
+        assert _paths(out) == _paths(reference)
+        assert _tree(out) == _tree(reference)
+
+
+def test_interrupted_sweep_keeps_finished_runs(tmp_path, monkeypatch):
+    import policysim.runner
+
+    class Interrupted(BaseException):
+        pass
+
+    calls = []
+    original = policysim.runner.run
+
+    def run_until_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise Interrupted
+        return original(*args)
+
+    monkeypatch.setattr(policysim.runner, "run", run_until_third)
+    plan = small_plan(tmp_path, "sensitivity", 2, ["ALPHA:0.3:0.7:2"], save=SAVE_DATA_FLAGS)
+    jobs = expand_plan(plan, fast_params(), ["fixture3"])
+    out = tmp_path / "out"
+    with pytest.raises(Interrupted):
+        execute(jobs, 1, default_data_dir(), str(out))
+    finished = {"monthly.csv"} | {dump.file_name for dump in DUMPS.values()}
+    for job in jobs[:2]:
+        run_dir = out / job.config_id / f"run_{job.replicate}"
+        assert {path.name for path in run_dir.iterdir()} == finished
+    assert not (out / jobs[2].config_id).exists()
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_write_error_stops_the_sweep(tmp_path, cores):
+    plan = small_plan(tmp_path, runs=2)
+    jobs = expand_plan(plan, fast_params(), ["fixture3"])
+    blocked = tmp_path / "output"
+    blocked.write_text("a file, not a directory\n", encoding="utf-8")
+    with pytest.raises(OSError):
+        execute(jobs, cores, default_data_dir(), str(blocked))
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -311,12 +367,22 @@ def test_write_outputs_files(tmp_path):
 
 
 def test_no_world_leaves_the_job(tmp_path, fixture3):
-    plan = small_plan(tmp_path, save=SAVE_DATA_FLAGS)
+    plan = small_plan(tmp_path, runs=2, save=SAVE_DATA_FLAGS)
     jobs = expand_plan(plan, fast_params(), ["fixture3"])
     in_process = JobResult(job=jobs[0], result=run(fixture3, jobs[0].params, jobs[0].seed))
-    for job_result in execute(jobs, cores=1, data_dir=default_data_dir()) + [in_process]:
+    in_memory = execute(jobs, cores=1, data_dir=default_data_dir())
+    for job_result in in_memory + [in_process]:
         assert job_result.ok and set(job_result.dumps) == set(SAVE_DATA_FLAGS)
         assert b"policysim.world.types" not in pickle.dumps(job_result)
+    # a job that wrote its run_<k>/ sends back the monthly matrix alone
+    for cores in (1, 2):
+        written = execute(jobs, cores, default_data_dir(), str(tmp_path / f"cores{cores}"))
+        for job_result, kept in zip(written, in_memory):
+            assert job_result.ok and job_result.written and job_result.dumps == {}
+            assert np.array_equal(job_result.monthly, kept.monthly)
+            blob = pickle.dumps(job_result)
+            assert b"policysim.world.types" not in blob
+            assert len(blob) < len(pickle.dumps(kept))
 
 
 def _readme_outputs():
