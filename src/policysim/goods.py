@@ -13,6 +13,11 @@ import numpy as np
 from .sampling import sample_blocks
 from .world.types import Families, Firms, World, distances
 
+# squared sums round within ~1e-16 of the exact ones, far inside NEAR_TIE,
+# unless they fall below the smallest normal double (see choose_firms)
+NEAR_TIE = 1e-9
+SMALLEST_NORMAL = np.finfo(float).tiny
+
 
 def set_budget(
     families: Families, ids: np.ndarray, beta: float
@@ -108,9 +113,15 @@ def choose_firms(
     ``homes`` holds each shopper's residence. Per shopper, a uniform sample
     of min(size_market, firms) firms and a coin that lands on price with
     probability price_criterion_probability: the cheapest sampled firm
-    wins, or else the closest. Ties go to the lower firm id.
+    wins, or else the closest by ``distances``. Ties go to the lower firm id.
+
+    The closest firm has the smallest dx*dx + dy*dy, over the differences
+    that math.hypot would take. Where another sampled firm comes within a
+    relative NEAR_TIE of that minimum (an exact tie, or squares too small
+    to be normal doubles), rounding could order the two unlike math.hypot,
+    so those shoppers compare ``distances``, the lower firm id winning ties.
     """
-    firms = world.firms
+    firms, houses = world.firms, world.houses
     price_rank = np.empty(len(firms), dtype=np.int64)
     price_rank[np.argsort(firms.price, kind="stable")] = np.arange(len(firms))
 
@@ -118,17 +129,23 @@ def choose_firms(
     start = 0
     pool_sizes = np.full(len(homes), len(firms))
     for picks, coins in sample_blocks(rng, pool_sizes, size_market):
-        # sample columns in firm id order, so the first minimum is the lower id
-        picks = np.sort(picks, axis=1)
+        # the price ranks are unique, so the order of a sample cannot matter
         best = picks[np.arange(len(picks)), np.argmin(price_rank[picks], axis=1)]
         near = (coins >= price_criterion_probability).nonzero()[0]
         if len(near):
             home = homes[start + near, None]
             sampled = picks[near]
-            km = distances(
-                world.houses.x[home], world.houses.y[home], firms.x[sampled], firms.y[sampled]
-            )
-            best[near] = sampled[np.arange(len(near)), np.argmin(km, axis=1)]
+            dx = houses.x[home] - firms.x[sampled]
+            dy = houses.y[home] - firms.y[sampled]
+            squared = dx * dx + dy * dy
+            best[near] = sampled[np.arange(len(near)), np.argmin(squared, axis=1)]
+            bound = squared.min(axis=1, keepdims=True) * (1.0 + NEAR_TIE) + SMALLEST_NORMAL
+            tied = ((squared <= bound).sum(axis=1) > 1).nonzero()[0]
+            if len(tied):
+                home, sampled = home[tied], sampled[tied]
+                km = distances(houses.x[home], houses.y[home], firms.x[sampled], firms.y[sampled])
+                closest = km == km.min(axis=1, keepdims=True)
+                best[near[tied]] = np.where(closest, sampled, len(firms)).min(axis=1)
         chosen.append(best)
         start += len(picks)
     return np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)

@@ -119,7 +119,9 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
         employed = citizens.employed()
         employers = citizens.employer[employed]
 
-    payroll = employed[np.argsort(employers, kind="stable")]
+    # firm then id order, by one np.sort of unique keys (firms x rows < 2**63)
+    rows = citizens.rows
+    payroll = np.sort(employers * rows + employed) % rows
     wages = citizens.wage[payroll]
     tax = wages * labor_tax_rate
     # in payroll order, so a family's wages add up as a loop over it would
@@ -149,7 +151,8 @@ def _shed_until_affordable(world: World, short: np.ndarray, bills: np.ndarray) -
     firm = np.searchsorted(short, citizens.employer[staff])  # a short firm's row
     size = np.bincount(firm, minlength=len(short))
     rank = np.arange(len(staff)) - (np.cumsum(size) - size)[firm]
-    by_id = np.lexsort((staff, firm))
+    # the staff by (short firm, id); the keys are unique, so any sort is stable
+    by_id = np.argsort(firm * citizens.rows + staff)
     firm_by_id, rank_by_id, wage_by_id = firm[by_id], rank[by_id], citizens.wage[staff[by_id]]
     cash = world.firms.cash[short]
     # firing `low` leaves the bill uncovered; firing `high` covers it or fires everyone

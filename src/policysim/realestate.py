@@ -140,9 +140,11 @@ def collect_property_tax(world: World, active: np.ndarray, property_tax_rate: fl
     Charged and booked in house id order.
     """
     houses, families = world.houses, world.families
-    residences = families.residence[active]
-    by_house = np.argsort(residences)
-    occupied, payers = residences[by_house], active[by_house]
+    # each active family lives in its own house: a scatter orders payers by house
+    payer_of = np.full(len(houses), -1)
+    payer_of[families.residence[active]] = active
+    occupied = (payer_of >= 0).nonzero()[0]
+    payers = payer_of[occupied]
     owed = property_tax_rate * houses.price[occupied]
     cash = families.monthly_cash[payers]
     # min(owed, cash): the owed amount unless the cash is strictly smaller

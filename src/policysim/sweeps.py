@@ -102,6 +102,10 @@ class ExperimentPlan:
             raise SweepSpecError("sensitivity runs need at least one sweep spec")
         if self.run_type != "sensitivity" and self.sweeps:
             raise SweepSpecError(f"run type {self.run_type!r} takes no sweep specs")
+        names = [spec.name for spec in self.sweeps]
+        for name in names:
+            if names.count(name) > 1:
+                raise SweepSpecError(f"{name} is swept more than once; its last value would win")
         unknown = self.save_data - set(SAVE_DATA_FLAGS)
         if unknown:
             raise SweepSpecError(f"unknown save-data flags: {sorted(unknown)}")

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from ..fiscal import TaxLedger
+from .regions import MAX_SCHOOLING_YEARS
 
 if TYPE_CHECKING:
     from ..demographics import GraveRecord
@@ -37,8 +38,10 @@ def distances(
 ) -> np.ndarray:
     """``distance`` between broadcast coordinate arrays, bit for bit.
 
-    Each value comes from math.hypot: numpy's hypot rounds the last bit
-    differently for some points, which would reorder near ties.
+    Each value comes from math.hypot, one Python call per pair: numpy's
+    hypot rounds the last bit differently for some points, which would
+    reorder near ties. A choice that only ranks distances can compare
+    squared sums instead, and call this only for its near ties.
     """
     dx, dy = np.broadcast_arrays(ax - bx, ay - by)
     values = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
@@ -124,10 +127,13 @@ class Citizens:
 
     def firing_order(self) -> np.ndarray:
         """The employed ids by (employer, qualification, id): each firm's
-        least qualified employee first, ties going to the lower id."""
+        least qualified employee first, ties going to the lower id. One
+        np.sort of these keys packed into unique int64s, not a lexsort."""
         employed = self.employed()
-        # lexsort is stable, and the ids are already ascending
-        return employed[np.lexsort((self.qualification[employed], self.employer[employed]))]
+        rows = self.rows
+        # firms x 22 x rows < 2**63 for any world that fits in memory
+        group = self.employer[employed] * (MAX_SCHOOLING_YEARS + 1) + self.qualification[employed]
+        return np.sort(group * rows + employed) % rows
 
     def fire(self, ids: np.ndarray | list[int]) -> None:
         self.employer[ids] = UNEMPLOYED

@@ -170,6 +170,29 @@ def test_plan_validation():
         ExperimentPlan(run_type="run", save_data={"everything"}).validate()
 
 
+def test_plan_rejects_a_parameter_swept_twice():
+    # both configs would run ALPHA=0.2 under labels that name 0.1 and 0.9
+    plan = ExperimentPlan(
+        run_type="sensitivity",
+        sweeps=[parse_sweep_spec("ALPHA:.1:.9:2"), parse_sweep_spec("alpha:.2:.3:2")],
+    )
+    with pytest.raises(SweepSpecError, match="ALPHA is swept more than once"):
+        expand_plan(plan, SimParams(), ["fixture3"])
+
+
+def test_cli_rejects_a_parameter_swept_twice(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "sensitivity", "ALPHA:.1:.9:2", "BETA:.2:.4:2", "ALPHA:.2:.3:2",
+        "--months", "3", "--output", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "ALPHA is swept more than once" in captured.err
+    assert "job(s)" not in captured.out
+    assert not out.exists()
+
+
 def test_derive_seed_is_stable_and_distinct():
     assert derive_seed(0, "config", 0) == derive_seed(0, "config", 0)
     assert derive_seed(0, "config", 0) != derive_seed(0, "config", 1)

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from policysim.goods import goods_market_step, set_budget, transact
+from policysim import goods
+from policysim.goods import choose_firms, goods_market_step, set_budget, transact
 from policysim.params import SimParams
+from policysim.sampling import BLOCK_CELLS
+from policysim.world.types import distances
 
 from conftest import (
     make_families,
@@ -95,6 +100,91 @@ def test_choose_firm_distance_tie_breaks_by_id():
                                consumption_tax_rate=0.0, rng=world.rng,
                                price_criterion_probability=0.0)
     assert chosen.tolist() == [1]
+
+
+def squared(point):
+    return point[0] * point[0] + point[1] * point[1]
+
+
+def hypot_tie():
+    """Two firm offsets from a home at the origin whose squared sums order
+    them unlike math.hypot (equal distances with unequal squares, or the
+    opposite order), found by a seeded search. The one with the larger
+    squared sum comes first: math.hypot, ties going to the lower id, picks it."""
+    rng = np.random.default_rng(0)
+    while True:
+        first = tuple(rng.uniform(1.0, 10.0, size=2).tolist())
+        angle = float(rng.uniform(0.0, math.pi / 2))
+        radius = math.hypot(*first)
+        second = (radius * math.cos(angle), radius * math.sin(angle))
+        by_hypot = np.sign(math.hypot(*first) - math.hypot(*second))
+        if by_hypot != np.sign(squared(first) - squared(second)):
+            return (first, second) if squared(first) > squared(second) else (second, first)
+
+
+TIES = {
+    # mirrored through the home: the same squares and distances, bit for bit
+    "mirrored": ((-1.1, 2.3), (1.1, -2.3)),
+    "hypot": hypot_tie(),
+    # squares below the smallest normal double keep a few bits: 1e-323 and
+    # 5e-324, the opposite order of the distances 2.26e-162 and 2.5e-162
+    "subnormal": ((1.6e-162, 1.6e-162), (2.5e-162, 0.0)),
+}
+TIE_HOME, CLEAR_HOME = 0, 1
+TIE_SIZE_MARKET = 4  # every firm of tie_world, so every shopper samples the pair
+
+
+def tie_world(pair):
+    """Firms 0 and 1 at the pair, firm 2 far off and firm 3 1 km from the
+    clear home; the tie home is at the origin."""
+    firms = [
+        simple_firm(firm_id=fid, location=location)
+        for fid, location in enumerate((*pair, (50.0, 50.0), (100.0, 0.0)))
+    ]
+    houses = [simple_house(house_id=0), simple_house(house_id=1, location=(101.0, 0.0))]
+    return make_world(houses=houses, firms=firms)
+
+
+def nearest_by_hypot(world, house):
+    x, y = world.houses.x[house].item(), world.houses.y[house].item()
+    firms = zip(world.firms.x.tolist(), world.firms.y.tolist())
+    return min((math.hypot(x - fx, y - fy), fid) for fid, (fx, fy) in enumerate(firms))[1]
+
+
+@pytest.mark.parametrize("tie", sorted(TIES))
+def test_tie_cases_are_ties(tie):
+    world = tie_world(TIES[tie])
+    assert nearest_by_hypot(world, TIE_HOME) == 0
+    assert nearest_by_hypot(world, CLEAR_HOME) == 3
+    squares = [squared(point) for point in TIES[tie]]
+    if tie != "mirrored":
+        # the least squared sum alone would pick firm 1
+        assert squares[1] < squares[0]
+    else:
+        assert squares[0] == squares[1]
+
+
+@pytest.mark.parametrize(
+    "homes,shoppers",
+    [([TIE_HOME], 1), ([CLEAR_HOME], 1), ([TIE_HOME, CLEAR_HOME], BLOCK_CELLS // TIE_SIZE_MARKET + 1)],
+    ids=["one-tied-shopper", "one-clear-shopper", "two-blocks"],
+)
+@pytest.mark.parametrize("tie", sorted(TIES))
+def test_choose_firms_settles_near_ties_by_hypot(tie, homes, shoppers, monkeypatch):
+    """The nearest firm follows math.hypot, ties going to the lower id; only
+    shoppers with a near tie measure with ``distances``."""
+    world = tie_world(TIES[tie])
+    measured = []
+
+    def counted(*args):
+        measured.append(len(args[0]))
+        return distances(*args)
+
+    monkeypatch.setattr(goods, "distances", counted)
+    home_ids = np.resize(np.array(homes), shoppers)
+    chosen = choose_firms(world, home_ids, TIE_SIZE_MARKET, world.rng, 0.0)
+    assert chosen.tolist() == [nearest_by_hypot(world, house) for house in home_ids.tolist()]
+    assert sum(measured) == np.count_nonzero(home_ids == TIE_HOME)
 
 
 def buy_once(budget, consumption_tax_rate, **firm):

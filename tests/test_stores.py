@@ -76,6 +76,13 @@ def check_house_counts(world):
     assert families.owned.tolist() == [len(houses) for houses in families.owned_houses]
 
 
+def check_residences(world, active):
+    """No two active families share a residence: the property levy places
+    each payer at its own house."""
+    residences = world.families.residence[active]
+    assert len(np.unique(residences)) == len(residences)
+
+
 def check_wealth(world, active):
     """World.wealth against each family's cash + savings + sum(prices in set order)."""
     families, prices = world.families, world.houses.price.tolist()
@@ -138,6 +145,7 @@ def step_months(world, params, months):
         assert world.next_citizen_id == first_newborn + len(births)
         months.append((deaths, births, first_newborn, same_stream, deleted))
         active = world.active_families()
+        check_residences(world, active)
         step_goods_market(world, params, rng, active)
         openings = step_firm_decisions(world, params, rng)
         check_employment(world)
@@ -146,6 +154,7 @@ def step_months(world, params, months):
         step_labor_market(world, params, rng, openings)
         check_employment(world)
         step_real_estate(world, params, rng, active)
+        check_residences(world, active)
         assert_ownership_partition(world)
         check_house_counts(world)
         taxes = step_fiscal(world, params)
