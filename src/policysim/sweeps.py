@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .params import ParamError, SimParams, is_known_param, param_type, set_param
@@ -102,10 +103,9 @@ class ExperimentPlan:
             raise SweepSpecError("sensitivity runs need at least one sweep spec")
         if self.run_type != "sensitivity" and self.sweeps:
             raise SweepSpecError(f"run type {self.run_type!r} takes no sweep specs")
-        names = [spec.name for spec in self.sweeps]
-        for name in names:
-            if names.count(name) > 1:
-                raise SweepSpecError(f"{name} is swept more than once; its last value would win")
+        repeated = [name for name, n in Counter(spec.name for spec in self.sweeps).items() if n > 1]
+        if repeated:
+            raise SweepSpecError(f"{repeated[0]} is swept more than once; its last value would win")
         unknown = self.save_data - set(SAVE_DATA_FLAGS)
         if unknown:
             raise SweepSpecError(f"unknown save-data flags: {sorted(unknown)}")
