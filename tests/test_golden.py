@@ -10,6 +10,10 @@ Seed 1 is also pinned under the three other fiscal regimes
 in the regime it touches. The two merged regimes share one hash: merged
 municipalities pool every tax by population whatever FPM_DISTRIBUTION says.
 
+Two more seed-1 cases run the unmerged regimes under TAXES_STRUCTURE
+overrides, with all five taxes active, so the override path (a channel
+re-appended at the end of its row, a zero that drops one) is pinned too.
+
 The default population share gives about 220 citizens, so one more case
 runs fixture3 with ten times its target population at share 1.0: its
 labor and housing markets draw from pools of thousands.
@@ -37,6 +41,35 @@ REGIME_MONTHLY_SHA256 = {
     (False, False): "231e860fc9a644da92faf9890d058b90508df7bcc77214a8d6fcc6c6d82c8df8",
 }
 
+# each dict is built in this insertion order: it sets the order of the rows
+OVERRIDE_CASES = {
+    "true_true": (
+        True,
+        {
+            "TRUE_TRUE.CONSUMPTION.FPM_POOL": 0.2,
+            "TRUE_TRUE.CONSUMPTION.EQUAL_POOL": 0.6125,
+            "TRUE_TRUE.CONSUMPTION.LOCAL": 0.1875,
+            "TRUE_TRUE.LABOR.LOCAL": 0.5,
+            "TRUE_TRUE.LABOR.FPM_POOL": 0.25,
+            "TRUE_TRUE.LABOR.EQUAL_POOL": 0.25,
+        },
+        "8336616017944e0f36db1680feb97d258a8872f36b09f227b0e97230d4d64413",
+    ),
+    "true_false": (
+        False,
+        {
+            "TRUE_FALSE.CONSUMPTION.FPM_POOL": 0.2,
+            "TRUE_FALSE.CONSUMPTION.EQUAL_POOL": 0.0,
+            "TRUE_FALSE.CONSUMPTION.LOCAL": 0.8,
+            "TRUE_FALSE.LABOR.LOCAL": 0.5,
+            "TRUE_FALSE.LABOR.FPM_POOL": 0.25,
+            "TRUE_FALSE.LABOR.EQUAL_POOL": 0.25,
+        },
+        "a7a70c923369d7b3cf978eff986373473da3db3addf6c986fd35710f5d0ee83f",
+    ),
+}
+OVERRIDE_MONTHS = 120
+
 LARGE_POOL_SCALE = 10
 LARGE_POOL_MONTHS = 6
 LARGE_POOL_MONTHLY_SHA256 = "2d4c156b2b102048ac5ae36b113538050ec9a4f3989f9322ff02f62bc982c27e"
@@ -62,6 +95,19 @@ def test_regime_monthly_csv_fingerprint(fixture3, tmp_path, alternative0, fpm_di
     write_monthly_csv(run(fixture3, params, 1), path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == REGIME_MONTHLY_SHA256[(alternative0, fpm_distribution)]
+
+
+@pytest.mark.parametrize("case", sorted(OVERRIDE_CASES))
+def test_structure_override_monthly_csv_fingerprint(fixture3, tmp_path, case):
+    fpm_distribution, overrides, expected = OVERRIDE_CASES[case]
+    params = SimParams(
+        fpm_distribution=fpm_distribution, months=OVERRIDE_MONTHS, taxes_structure=overrides
+    )
+    params.taxes.property = 0.002
+    params.validate()
+    path = tmp_path / "monthly.csv"
+    write_monthly_csv(run(fixture3, params, 1), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
 
 def scaled_region(source, target, scale):
