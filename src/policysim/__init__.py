@@ -8,10 +8,10 @@ two-sample KS validation tooling.
 
 from .fiscal import (
     ALL_REGIMES,
-    DistributionMatrix,
     DistributionRegime,
     FiscalError,
     TaxLedger,
+    channel_fractions,
     distribute,
     fpm_allocate,
     invest_qli,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_REGIMES",
     "Citizens",
-    "DistributionMatrix",
     "DistributionRegime",
     "ExperimentPlan",
     "Families",
@@ -72,6 +71,7 @@ __all__ = [
     "TaxLedger",
     "TaxRates",
     "World",
+    "channel_fractions",
     "compare_tax_distributions",
     "derive_seed",
     "distance",

@@ -121,72 +121,51 @@ _DEFAULT_FRACTIONS: dict[DistributionRegime, dict[str, list[tuple[str, float]]]]
 ALL_REGIMES = tuple(_DEFAULT_FRACTIONS)
 
 
-class DistributionMatrix:
-    """Channel fractions per (tax kind, regime), overridable from config."""
+def channel_fractions(
+    regime: DistributionRegime, overrides: dict[str, float]
+) -> dict[str, list[tuple[str, float]]]:
+    """Each tax kind's (channel, fraction) row under a regime.
 
-    def __init__(self, overrides: dict[str, float] | None = None) -> None:
-        self._rows: dict[DistributionRegime, dict[str, list[tuple[str, float]]]] = {
-            regime: {kind: list(rows) for kind, rows in table.items()}
-            for regime, table in _DEFAULT_FRACTIONS.items()
-        }
-        if overrides:
-            self._apply_overrides(overrides)
-        self.validate()
-
-    @staticmethod
-    def _parse_override_key(key: str) -> tuple[DistributionRegime, str, str]:
+    Every ``TAXES_STRUCTURE`` override key is checked, whatever regime it
+    names; only those naming ``regime`` apply. An override removes its
+    channel from the row and re-appends it at the end, or drops it for a
+    zero fraction. The regime's rows must then each sum to 1. Without
+    overrides the default table itself is returned: do not mutate it.
+    """
+    table = _DEFAULT_FRACTIONS[regime]
+    if not overrides:
+        return table
+    table = dict(table)
+    for key, fraction in overrides.items():
         # key format: <TRUE|FALSE>_<TRUE|FALSE>.<KIND>.<CHANNEL>
         parts = key.upper().split(".")
         if len(parts) != 3:
-            raise FiscalError(
-                f"bad structure override {key!r}; expected REGIME.KIND.CHANNEL"
-            )
-        regime_part, kind_part, channel_part = parts
-        try:
-            alt0_token, fpm_token = regime_part.split("_")
-            if alt0_token not in ("TRUE", "FALSE") or fpm_token not in ("TRUE", "FALSE"):
-                raise ValueError
-        except ValueError as exc:
-            raise FiscalError(f"bad regime token in override {key!r}") from exc
-        if alt0_token == "FALSE":
+            raise FiscalError(f"bad structure override {key!r}; expected REGIME.KIND.CHANNEL")
+        tokens = parts[0].split("_")
+        if len(tokens) != 2 or not {*tokens} <= {"TRUE", "FALSE"}:
+            raise FiscalError(f"bad regime token in override {key!r}")
+        if tokens[0] == "FALSE":
             raise FiscalError(
                 f"override {key!r}: merged regimes (ALTERNATIVE0 = false) "
                 "ignore channel fractions"
             )
-        regime = DistributionRegime(True, fpm_token == "TRUE")
-        kind = kind_part.lower()
+        kind, channel = parts[1].lower(), parts[2].lower()
         if kind not in TAX_KINDS:
             raise FiscalError(f"unknown tax kind in override {key!r}")
-        channel = channel_part.lower()
         if channel not in CHANNELS:
             raise FiscalError(f"unknown channel in override {key!r}")
-        return regime, kind, channel
-
-    def _apply_overrides(self, overrides: dict[str, float]) -> None:
-        for key, fraction in overrides.items():
-            regime, kind, channel = self._parse_override_key(key)
-            if not fraction >= 0.0:
-                raise FiscalError(f"override {key!r} = {fraction!r} must be >= 0")
-            rows = [(ch, fr) for ch, fr in self._rows[regime][kind] if ch != channel]
+        if not fraction >= 0.0:
+            raise FiscalError(f"override {key!r} = {fraction!r} must be >= 0")
+        if regime == DistributionRegime(True, tokens[1] == "TRUE"):
+            rows = [(ch, fr) for ch, fr in table[kind] if ch != channel]
             if fraction > 0.0:
                 rows.append((channel, float(fraction)))
-            self._rows[regime][kind] = rows
-
-    def validate(self) -> None:
-        for regime, table in self._rows.items():
-            for kind in TAX_KINDS:
-                if kind not in table:
-                    raise FiscalError(f"missing fractions for {kind} in {regime}")
-                total = sum(fraction for _, fraction in table[kind])
-                if abs(total - 1.0) > FRACTION_TOLERANCE:
-                    raise FiscalError(
-                        f"fractions for {kind} in regime {regime} sum to {total!r}"
-                    )
-
-    def rows(self, kind: str, regime: DistributionRegime) -> list[tuple[str, float]]:
-        if kind not in TAX_KINDS:
-            raise FiscalError(f"unknown tax kind {kind!r}")
-        return list(self._rows[regime][kind])
+            table[kind] = rows
+    for kind, rows in table.items():
+        total = sum(fraction for _, fraction in rows)
+        if abs(total - 1.0) > FRACTION_TOLERANCE:
+            raise FiscalError(f"fractions for {kind} in regime {regime} sum to {total!r}")
+    return table
 
 
 def coefficient_for(population: int, brackets: list[tuple[int, int, float]]) -> float:
@@ -255,13 +234,14 @@ def _split_by_population(
 def distribute(
     ledger: TaxLedger,
     regime: DistributionRegime,
-    matrix: DistributionMatrix,
+    overrides: dict[str, float],
     municipality_ids: list[str],
     populations: dict[str, int],
     fpm_brackets: list[tuple[int, int, float]],
 ) -> dict[str, float]:
     """Distribute the month's ledger to municipalities under a regime.
 
+    ``overrides`` is the ``TAXES_STRUCTURE`` dict (see channel_fractions).
     With alternative0 false the whole ACP behaves as one merged municipality:
     every tax ends up in a single pot that is handed back in
     population-proportional shares, regardless of channel structure.
@@ -272,21 +252,18 @@ def distribute(
         return _split_by_population(ledger.total(), municipality_ids, populations)
 
     receipts = {muni: 0.0 for muni in municipality_ids}
-    for kind in TAX_KINDS:
-        for channel, fraction in matrix.rows(kind, regime):
+    for kind, rows in channel_fractions(regime, overrides).items():
+        amounts = [ledger.get(muni, kind) for muni in municipality_ids]
+        for channel, fraction in rows:
             if channel == "local":
-                for muni in municipality_ids:
-                    receipts[muni] += fraction * ledger.get(muni, kind)
+                for muni, amount in zip(municipality_ids, amounts):
+                    receipts[muni] += fraction * amount
                 continue
-            pool = fraction * sum(ledger.get(muni, kind) for muni in municipality_ids)
+            pool = fraction * sum(amounts)
             if channel == "equal_pool":
                 allocated = _split_equally(pool, municipality_ids)
-            elif channel == "fpm_pool":
-                allocated = fpm_allocate(
-                    pool, municipality_ids, populations, fpm_brackets
-                )
             else:
-                raise FiscalError(f"unknown channel {channel!r}")
+                allocated = fpm_allocate(pool, municipality_ids, populations, fpm_brackets)
             for muni, share in allocated.items():
                 receipts[muni] += share
     return receipts

@@ -5,7 +5,7 @@ name, type, default and bounds. The config key is the upper-case field name
 (``TAXES.<KIND>`` for a tax rate) unless the field's metadata names another.
 Parsing, sweeps, validation and run metadata all read the one field table
 built from those declarations. ``TAXES_STRUCTURE.*`` keys are the exception:
-they override channel fractions and are checked by building the matrix.
+they override channel fractions and are checked under every fiscal regime.
 """
 
 from __future__ import annotations
@@ -118,10 +118,11 @@ class SimParams:
 
 
 def _structure_problems(overrides: dict[str, float]) -> list[str]:
-    from .fiscal import DistributionMatrix, FiscalError
+    from .fiscal import ALL_REGIMES, FiscalError, channel_fractions
 
     try:
-        DistributionMatrix(overrides)
+        for regime in ALL_REGIMES:
+            channel_fractions(regime, overrides)
     except FiscalError as exc:
         return [f"{STRUCTURE_PREFIX}*: {exc}"]
     return []

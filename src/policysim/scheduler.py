@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import demographics, firms, goods, labor, realestate
-from .fiscal import DistributionMatrix, DistributionRegime, distribute, invest_qli
+from .fiscal import DistributionRegime, distribute, invest_qli
 from .params import MAX_MONTHS, TAX_KINDS, SimParams
 from .stats import gini
 from .world.generate import generate_world
@@ -185,7 +185,7 @@ def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
     receipts = distribute(
         world.ledger,
         regime,
-        DistributionMatrix(params.taxes_structure),
+        params.taxes_structure,
         world.municipality_ids(),
         populations,
         world.region.fpm_brackets,

@@ -142,6 +142,10 @@ def load_tax_reference(path) -> dict[str, dict[str, float]]:
                 raise StatsError(
                     f"{path}:{reader.line_num}: total {total!r} is not a number"
                 ) from None
+            if not math.isfinite(value):
+                raise StatsError(
+                    f"{path}:{reader.line_num}: total {total!r} is not a finite number"
+                )
             totals = out.setdefault(region, {})
             if kind in totals:
                 raise StatsError(f"{path}:{reader.line_num}: second {kind} total for {region!r}")

@@ -9,9 +9,9 @@ import pytest
 from policysim import SimParams, generate_world, run
 from policysim.fiscal import (
     ALL_REGIMES,
-    DistributionMatrix,
     DistributionRegime,
     TaxLedger,
+    channel_fractions,
     distribute,
 )
 from policysim.labor import calibrate_initial_unemployment
@@ -80,26 +80,25 @@ def regime_outcomes(fixture3_region):
 
 
 def test_c01_distribution_fractions_exact():
-    matrix = DistributionMatrix()
     tt = DistributionRegime(True, True)
     ft = DistributionRegime(False, True)
     tf = DistributionRegime(True, False)
     ff = DistributionRegime(False, False)
-    assert dict(matrix.rows("consumption", tt)) == {"local": 0.1875, "equal_pool": 0.8125}
-    assert dict(matrix.rows("labor", tt)) == {"equal_pool": 0.765, "fpm_pool": 0.235}
-    assert dict(matrix.rows("transaction", tt)) == {"local": 1.0}
-    assert dict(matrix.rows("firms", tt)) == {"equal_pool": 0.765, "fpm_pool": 0.235}
-    assert dict(matrix.rows("property", tt)) == {"local": 1.0}
-    assert dict(matrix.rows("consumption", ft)) == {"equal_pool": 1.0}
-    assert dict(matrix.rows("labor", ft)) == {"equal_pool": 0.765, "fpm_pool": 0.235}
+    assert dict(channel_fractions(tt, {})["consumption"]) == {"local": 0.1875, "equal_pool": 0.8125}
+    assert dict(channel_fractions(tt, {})["labor"]) == {"equal_pool": 0.765, "fpm_pool": 0.235}
+    assert dict(channel_fractions(tt, {})["transaction"]) == {"local": 1.0}
+    assert dict(channel_fractions(tt, {})["firms"]) == {"equal_pool": 0.765, "fpm_pool": 0.235}
+    assert dict(channel_fractions(tt, {})["property"]) == {"local": 1.0}
+    assert dict(channel_fractions(ft, {})["consumption"]) == {"equal_pool": 1.0}
+    assert dict(channel_fractions(ft, {})["labor"]) == {"equal_pool": 0.765, "fpm_pool": 0.235}
     for kind in TAX_KINDS:
-        assert dict(matrix.rows(kind, tf)) == {"local": 1.0}
-        assert dict(matrix.rows(kind, ff)) == {"equal_pool": 1.0}
+        assert dict(channel_fractions(tf, {})[kind]) == {"local": 1.0}
+        assert dict(channel_fractions(ff, {})[kind]) == {"equal_pool": 1.0}
 
     ledger = TaxLedger()
     ledger.add("a", "consumption", 100.0)
     receipts = distribute(
-        ledger, tt, matrix, ["a", "b", "c"], {"a": 1, "b": 1, "c": 1}, [(0, 10**9, 1.0)]
+        ledger, tt, {}, ["a", "b", "c"], {"a": 1, "b": 1, "c": 1}, [(0, 10**9, 1.0)]
     )
     assert abs(receipts["a"] - 45.833333333333336) <= 1e-9
     verdict("C1", "default matrix fractions are exact digit for digit")
@@ -107,7 +106,6 @@ def test_c01_distribution_fractions_exact():
 
 def test_c02_conservation_over_randomized_ledgers():
     rng = np.random.default_rng(2024)
-    matrix = DistributionMatrix()
     municipalities = ["a", "b", "c", "d"]
     brackets = [(0, 100, 0.6), (100, 1000, 1.0), (1000, 10**9, 1.6)]
     for _ in range(1000):
@@ -118,7 +116,7 @@ def test_c02_conservation_over_randomized_ledgers():
         populations = {m: int(rng.integers(1, 5000)) for m in municipalities}
         total = ledger.total()
         for regime in ALL_REGIMES:
-            receipts = distribute(ledger, regime, matrix, municipalities, populations, brackets)
+            receipts = distribute(ledger, regime, {}, municipalities, populations, brackets)
             assert abs(sum(receipts.values()) - total) <= 1e-9 * total
     verdict("C2", "1000 randomized ledgers x 4 regimes conserve the collected total")
 

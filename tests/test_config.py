@@ -25,6 +25,8 @@ BAD_STRUCTURES = {
     "unknown-shape": "TAXES_STRUCTURE.BOGUS = 1",
     "unknown-channel": "TAXES_STRUCTURE.TRUE_TRUE.LABOR.SIDEWAYS = 1",
     "row-sum": "TAXES_STRUCTURE.TRUE_TRUE.CONSUMPTION.LOCAL = 0.5",
+    # params.validate checks every regime, not only the one a config runs
+    "row-sum-other-regime": "TAXES_STRUCTURE.TRUE_FALSE.LABOR.LOCAL = 0.5",
     # a negative fraction used to drop the channel silently, leaving a valid row
     "negative": "TAXES_STRUCTURE.TRUE_FALSE.LABOR.EQUAL_POOL = -0.5",
     "merged-regime": "TAXES_STRUCTURE.FALSE_TRUE.CONSUMPTION.EQUAL_POOL = 1",

@@ -3,10 +3,10 @@ import pytest
 
 from policysim.fiscal import (
     ALL_REGIMES,
-    DistributionMatrix,
     DistributionRegime,
     FiscalError,
     TaxLedger,
+    channel_fractions,
     coefficient_for,
     distribute,
     fpm_allocate,
@@ -21,26 +21,25 @@ ONE_BRACKET = [(0, 10**9, 1.0)]
 
 
 def test_default_matrix_fractions():
-    matrix = DistributionMatrix()
     tt = DistributionRegime(True, True)
-    assert matrix.rows("consumption", tt) == [("local", 0.1875), ("equal_pool", 0.8125)]
-    assert matrix.rows("labor", tt) == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
-    assert matrix.rows("transaction", tt) == [("local", 1.0)]
-    assert matrix.rows("firms", tt) == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
-    assert matrix.rows("property", tt) == [("local", 1.0)]
+    assert channel_fractions(tt, {})["consumption"] == [("local", 0.1875), ("equal_pool", 0.8125)]
+    assert channel_fractions(tt, {})["labor"] == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
+    assert channel_fractions(tt, {})["transaction"] == [("local", 1.0)]
+    assert channel_fractions(tt, {})["firms"] == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
+    assert channel_fractions(tt, {})["property"] == [("local", 1.0)]
 
     ft = DistributionRegime(False, True)
-    assert matrix.rows("consumption", ft) == [("equal_pool", 1.0)]
-    assert matrix.rows("labor", ft) == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
-    assert matrix.rows("transaction", ft) == [("equal_pool", 1.0)]
-    assert matrix.rows("firms", ft) == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
-    assert matrix.rows("property", ft) == [("equal_pool", 1.0)]
+    assert channel_fractions(ft, {})["consumption"] == [("equal_pool", 1.0)]
+    assert channel_fractions(ft, {})["labor"] == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
+    assert channel_fractions(ft, {})["transaction"] == [("equal_pool", 1.0)]
+    assert channel_fractions(ft, {})["firms"] == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
+    assert channel_fractions(ft, {})["property"] == [("equal_pool", 1.0)]
 
     tf = DistributionRegime(True, False)
     ff = DistributionRegime(False, False)
     for kind in TAX_KINDS:
-        assert matrix.rows(kind, tf) == [("local", 1.0)]
-        assert matrix.rows(kind, ff) == [("equal_pool", 1.0)]
+        assert channel_fractions(tf, {})[kind] == [("local", 1.0)]
+        assert channel_fractions(ff, {})[kind] == [("equal_pool", 1.0)]
 
 
 def test_consumption_distribution_worked_example():
@@ -49,7 +48,7 @@ def test_consumption_distribution_worked_example():
     receipts = distribute(
         ledger,
         DistributionRegime(True, True),
-        DistributionMatrix(),
+        {},
         THREE_MUNIS,
         EQUAL_POPS,
         ONE_BRACKET,
@@ -66,7 +65,7 @@ def test_labor_distribution_pools():
     receipts = distribute(
         ledger,
         DistributionRegime(True, True),
-        DistributionMatrix(),
+        {},
         THREE_MUNIS,
         EQUAL_POPS,
         ONE_BRACKET,
@@ -83,7 +82,7 @@ def test_local_regime_keeps_taxes_at_home():
     receipts = distribute(
         ledger,
         DistributionRegime(True, False),
-        DistributionMatrix(),
+        {},
         THREE_MUNIS,
         EQUAL_POPS,
         ONE_BRACKET,
@@ -97,7 +96,7 @@ def test_single_municipality_receives_everything():
     ledger.add("solo", "labor", 11.0)
     for regime in ALL_REGIMES:
         receipts = distribute(
-            ledger, regime, DistributionMatrix(), ["solo"], {"solo": 10}, ONE_BRACKET
+            ledger, regime, {}, ["solo"], {"solo": 10}, ONE_BRACKET
         )
         assert abs(receipts["solo"] - 44.0) <= 1e-9
 
@@ -111,7 +110,7 @@ def test_merged_regime_population_proportional():
         receipts = distribute(
             ledger,
             DistributionRegime(False, fpm),
-            DistributionMatrix(),
+            {},
             THREE_MUNIS,
             populations,
             ONE_BRACKET,
@@ -128,9 +127,8 @@ def test_merged_regime_is_collection_permutation_invariant():
     second = TaxLedger()
     second.add("c", "consumption", 77.0)
     regime = DistributionRegime(False, True)
-    matrix = DistributionMatrix()
-    out1 = distribute(first, regime, matrix, THREE_MUNIS, populations, ONE_BRACKET)
-    out2 = distribute(second, regime, matrix, THREE_MUNIS, populations, ONE_BRACKET)
+    out1 = distribute(first, regime, {}, THREE_MUNIS, populations, ONE_BRACKET)
+    out2 = distribute(second, regime, {}, THREE_MUNIS, populations, ONE_BRACKET)
     assert out1 == out2
 
 
@@ -164,7 +162,6 @@ def test_population_outside_brackets_is_an_error():
 
 def test_conservation_over_random_ledgers():
     rng = np.random.default_rng(123)
-    matrix = DistributionMatrix()
     brackets = [(0, 100, 0.6), (100, 500, 1.0), (500, 10**9, 1.8)]
     for _ in range(100):
         ledger = TaxLedger()
@@ -174,28 +171,62 @@ def test_conservation_over_random_ledgers():
         pops = {m: int(rng.integers(1, 1000)) for m in THREE_MUNIS}
         total = ledger.total()
         for regime in ALL_REGIMES:
-            receipts = distribute(ledger, regime, matrix, THREE_MUNIS, pops, brackets)
+            receipts = distribute(ledger, regime, {}, THREE_MUNIS, pops, brackets)
             assert abs(sum(receipts.values()) - total) <= 1e-9 * total
 
 
 def test_structure_override_changes_fractions():
     overrides = {"TRUE_TRUE.CONSUMPTION.LOCAL": 0.5, "TRUE_TRUE.CONSUMPTION.EQUAL_POOL": 0.5}
-    matrix = DistributionMatrix(overrides)
-    rows = dict(matrix.rows("consumption", DistributionRegime(True, True)))
+    rows = dict(channel_fractions(DistributionRegime(True, True), overrides)["consumption"])
     assert rows == {"local": 0.5, "equal_pool": 0.5}
 
 
 def test_structure_override_must_sum_to_one():
     with pytest.raises(FiscalError):
-        DistributionMatrix({"TRUE_TRUE.CONSUMPTION.LOCAL": 0.9})
+        channel_fractions(DistributionRegime(True, True), {"TRUE_TRUE.CONSUMPTION.LOCAL": 0.9})
+
+
+def test_override_reappends_its_channel_at_the_end_of_the_row():
+    tt = DistributionRegime(True, True)
+    overrides = {"TRUE_TRUE.CONSUMPTION.LOCAL": 0.25, "TRUE_TRUE.CONSUMPTION.EQUAL_POOL": 0.75}
+    assert channel_fractions(tt, overrides)["consumption"] == [
+        ("local", 0.25),
+        ("equal_pool", 0.75),
+    ]
+    reordered = {"TRUE_TRUE.CONSUMPTION.EQUAL_POOL": 0.75, "TRUE_TRUE.CONSUMPTION.LOCAL": 0.25}
+    assert channel_fractions(tt, reordered)["consumption"] == [
+        ("equal_pool", 0.75),
+        ("local", 0.25),
+    ]
+    # the untouched rows and the default table stay as they were
+    assert channel_fractions(tt, overrides)["labor"] == [("equal_pool", 0.765), ("fpm_pool", 0.235)]
+    assert channel_fractions(tt, {})["consumption"] == [("local", 0.1875), ("equal_pool", 0.8125)]
+
+
+def test_zero_override_drops_its_channel():
+    overrides = {"TRUE_TRUE.LABOR.FPM_POOL": 0.0, "TRUE_TRUE.LABOR.EQUAL_POOL": 1.0}
+    rows = channel_fractions(DistributionRegime(True, True), overrides)
+    assert rows["labor"] == [("equal_pool", 1.0)]
+
+
+def test_override_for_another_regime_is_parsed_but_not_applied():
+    tt = DistributionRegime(True, True)
+    other = {"TRUE_FALSE.LABOR.LOCAL": 0.5}  # a bad row, but not tt's
+    assert channel_fractions(tt, other) == channel_fractions(tt, {})
+    with pytest.raises(FiscalError, match="fractions for labor"):
+        channel_fractions(DistributionRegime(True, False), other)
+    with pytest.raises(FiscalError, match="bad regime token"):
+        channel_fractions(tt, {"MAYBE_FALSE.LABOR.LOCAL": 1.0})
+    with pytest.raises(FiscalError, match="unknown channel"):
+        channel_fractions(tt, {"TRUE_FALSE.LABOR.SIDEWAYS": 1.0})
+    with pytest.raises(FiscalError, match="must be >= 0"):
+        channel_fractions(tt, {"TRUE_FALSE.LABOR.LOCAL": -1.0})
 
 
 def test_unknown_tax_kind_rejected():
     ledger = TaxLedger()
     with pytest.raises(FiscalError):
         ledger.add("a", "tithe", 1.0)
-    with pytest.raises(FiscalError):
-        DistributionMatrix().rows("tithe", DistributionRegime(True, True))
 
 
 def test_invest_qli_examples():
@@ -289,7 +320,7 @@ def test_population_split_gives_an_empty_municipality_nothing():
     ledger = TaxLedger()
     ledger.add("m0", "consumption", 981.2478859778818)
     regime = DistributionRegime(False, True)
-    receipts = distribute(ledger, regime, DistributionMatrix(), ids, populations, ONE_BRACKET)
+    receipts = distribute(ledger, regime, {}, ids, populations, ONE_BRACKET)
     assert receipts["m5"] == 0.0
     assert all(share > 0.0 for muni, share in receipts.items() if muni != "m5")
     assert sum(receipts.values()) == 981.2478859778818

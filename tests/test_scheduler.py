@@ -160,7 +160,7 @@ def test_unemployment_bounds_and_population(fixture3):
 def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
     # the transfer rule is read from params every month, so a world stepped
     # under one TAXES_STRUCTURE and then another follows the second
-    from policysim.fiscal import DistributionMatrix, DistributionRegime, TaxLedger, distribute
+    from policysim.fiscal import DistributionRegime, TaxLedger, distribute
 
     params = SimParams()
     world = generate_world(fixture3, params, seed=4)
@@ -181,7 +181,7 @@ def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
     receipts = distribute(
         expected_ledger,
         DistributionRegime(override.alternative0, override.fpm_distribution),
-        DistributionMatrix(override.taxes_structure),
+        override.taxes_structure,
         world.municipality_ids(),
         populations,
         fixture3.fpm_brackets,

@@ -161,8 +161,18 @@ def test_reference_roundtrip(tmp_path):
         ("region,tax_kind,total\nr1,labor\n", "expected region,tax_kind,total"),
         ("region,tax_kind,total\nr1,wealth,1.0\n", "unknown tax kind 'wealth'"),
         ("region,tax_kind,total\nr1,labor,1.0\nr1,labor,5.0\n", "second labor total for 'r1'"),
+        ("region,tax_kind,total\nr1,labor,nan\n", "reference.csv:2: total 'nan' is not a finite"),
+        ("region,tax_kind,total\nr1,labor,1.0\nr2,labor,inf\n", "reference.csv:3: total 'inf'"),
     ],
-    ids=["missing column", "non-numeric total", "short row", "unknown kind", "duplicate row"],
+    ids=[
+        "missing column",
+        "non-numeric total",
+        "short row",
+        "unknown kind",
+        "duplicate row",
+        "nan total",
+        "infinite total",
+    ],
 )
 def test_malformed_reference_raises_stats_error(tmp_path, text, message):
     path = tmp_path / "reference.csv"
