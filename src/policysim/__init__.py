@@ -34,7 +34,6 @@ from .world import (
     Firms,
     GenerationError,
     Houses,
-    Municipality,
     RegionData,
     RegionDataError,
     World,
@@ -58,7 +57,6 @@ __all__ = [
     "Houses",
     "Job",
     "MonthRecord",
-    "Municipality",
     "ParamError",
     "RegionData",
     "RegionDataError",

@@ -177,26 +177,20 @@ def coefficient_for(population: int, brackets: list[tuple[int, int, float]]) -> 
 
 
 def fpm_allocate(
-    pool: float,
-    municipality_ids: list[str],
-    populations: dict[str, int],
-    brackets: list[tuple[int, int, float]],
-) -> dict[str, float]:
+    pool: float, populations: list[int], brackets: list[tuple[int, int, float]]
+) -> list[float]:
     """Split a pool by each municipality's population-bracket coefficient.
 
     Shares are proportional to coefficients; the last recipient with a
     positive coefficient absorbs the rounding residual so the shares sum to
     the pool exactly.
     """
-    coefficients = [
-        coefficient_for(populations.get(muni, 0), brackets) for muni in municipality_ids
-    ]
-    return _split_by_weight(pool, municipality_ids, coefficients)
+    return _split_by_weight(
+        pool, [coefficient_for(population, brackets) for population in populations]
+    )
 
 
-def _split_by_weight(
-    pool: float, municipality_ids: list[str], weights: list[float]
-) -> dict[str, float]:
+def _split_by_weight(pool: float, weights: list[float]) -> list[float]:
     """Shares proportional to weights; the last recipient with a positive
     weight takes the rounding residual, and a zero weight gets exactly 0.0."""
     total_weight = sum(weights)
@@ -204,31 +198,25 @@ def _split_by_weight(
         (index for index, weight in enumerate(weights) if weight > 0),
         default=len(weights) - 1,
     )
-    shares: dict[str, float] = {}
+    shares = [0.0] * len(weights)
     running = 0.0
-    for index, (muni, weight) in enumerate(zip(municipality_ids, weights)):
+    for index, weight in enumerate(weights):
         if index != last:
-            shares[muni] = pool * weight / total_weight
-            running += shares[muni]
-    shares[municipality_ids[last]] = pool - running
+            shares[index] = pool * weight / total_weight
+            running += shares[index]
+    shares[last] = pool - running
     return shares
 
 
-def _split_equally(pool: float, municipality_ids: list[str]) -> dict[str, float]:
-    count = len(municipality_ids)
+def _split_equally(pool: float, count: int) -> list[float]:
     share = pool / count
-    out = {muni: share for muni in municipality_ids[:-1]}
-    out[municipality_ids[-1]] = pool - share * (count - 1)
-    return out
+    return [share] * (count - 1) + [pool - share * (count - 1)]
 
 
-def _split_by_population(
-    pool: float, municipality_ids: list[str], populations: dict[str, int]
-) -> dict[str, float]:
-    weights = [populations.get(muni, 0) for muni in municipality_ids]
-    if sum(weights) <= 0:
-        return _split_equally(pool, municipality_ids)
-    return _split_by_weight(pool, municipality_ids, weights)
+def _split_by_population(pool: float, populations: list[int]) -> list[float]:
+    if sum(populations) <= 0:
+        return _split_equally(pool, len(populations))
+    return _split_by_weight(pool, populations)
 
 
 def distribute(
@@ -236,48 +224,48 @@ def distribute(
     regime: DistributionRegime,
     overrides: dict[str, float],
     municipality_ids: list[str],
-    populations: dict[str, int],
+    populations: list[int],
     fpm_brackets: list[tuple[int, int, float]],
-) -> dict[str, float]:
-    """Distribute the month's ledger to municipalities under a regime.
+) -> list[float]:
+    """Each municipality's receipts from the month's ledger under a regime.
 
-    ``overrides`` is the ``TAXES_STRUCTURE`` dict (see channel_fractions).
-    With alternative0 false the whole ACP behaves as one merged municipality:
-    every tax ends up in a single pot that is handed back in
-    population-proportional shares, regardless of channel structure.
+    ``populations`` and the returned receipts are in the order of
+    ``municipality_ids``. ``overrides`` is the ``TAXES_STRUCTURE`` dict (see
+    channel_fractions). With alternative0 false the whole ACP behaves as one
+    merged municipality: every tax ends up in a single pot that is handed
+    back in population-proportional shares, regardless of channel structure.
     """
     if not municipality_ids:
         raise FiscalError("cannot distribute without municipalities")
     if not regime.alternative0:
-        return _split_by_population(ledger.total(), municipality_ids, populations)
+        return _split_by_population(ledger.total(), populations)
 
-    receipts = {muni: 0.0 for muni in municipality_ids}
+    receipts = [0.0] * len(municipality_ids)
     for kind, rows in channel_fractions(regime, overrides).items():
         amounts = [ledger.get(muni, kind) for muni in municipality_ids]
         for channel, fraction in rows:
             if channel == "local":
-                for muni, amount in zip(municipality_ids, amounts):
-                    receipts[muni] += fraction * amount
-                continue
-            pool = fraction * sum(amounts)
-            if channel == "equal_pool":
-                allocated = _split_equally(pool, municipality_ids)
+                shares = [fraction * amount for amount in amounts]
+            elif channel == "equal_pool":
+                shares = _split_equally(fraction * sum(amounts), len(amounts))
             else:
-                allocated = fpm_allocate(pool, municipality_ids, populations, fpm_brackets)
-            for muni, share in allocated.items():
-                receipts[muni] += share
+                shares = fpm_allocate(fraction * sum(amounts), populations, fpm_brackets)
+            receipts = [receipt + share for receipt, share in zip(receipts, shares)]
     return receipts
 
 
 def invest_qli(
-    municipality, funds: float, population: int, reference_cost_per_capita: float
-) -> float:
-    """Convert a month's receipts into quality of life, per resident.
+    qli: np.ndarray,
+    funds: Sequence[float],
+    populations: Sequence[int],
+    reference_cost_per_capita: float,
+) -> None:
+    """Convert a month's receipts into quality of life, per resident, in place.
 
-    Money leaves circulation here. Returns the new index value.
+    Each entry gains ``(funds / max(1, population)) / reference_cost_per_capita``.
+    Money leaves circulation here. Negative funds raise before any change.
     """
-    if funds < 0.0:
+    funds = np.asarray(funds, dtype=float)
+    if (funds < 0.0).any():
         raise FiscalError("investment funds must be >= 0")
-    municipality.qli += (funds / max(1, population)) / reference_cost_per_capita
-    return municipality.qli
-
+    qli += (funds / np.maximum(1, populations)) / reference_cost_per_capita

@@ -181,5 +181,7 @@ def goods_market_step(
     taxes, change = transact(firms, chosen, budgets[order], consumption_tax_rate)
     # each shopper appears once, so its change adds to its own cash
     families.monthly_cash[shoppers] += change
-    world.ledger.book("consumption", firms.municipality_ids, firms.municipality[chosen], taxes)
+    world.ledger.book(
+        "consumption", world.region.municipality_ids, firms.municipality[chosen], taxes
+    )
     return chosen

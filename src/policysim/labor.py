@@ -127,7 +127,7 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     # in payroll order, so a family's wages add up as a loop over it would
     np.add.at(world.families.monthly_cash, citizens.family[payroll], wages - tax)
     world.ledger.book(
-        "labor", firms.municipality_ids, firms.municipality[citizens.employer[payroll]], tax
+        "labor", world.region.municipality_ids, firms.municipality[citizens.employer[payroll]], tax
     )
     firms.cash -= bills
     return bills
@@ -187,9 +187,8 @@ def calibrate_initial_unemployment(
     firms = world.firms
     if not len(firms):
         return
-    populations = world.population_by_municipality()
-    residents = np.array([populations.get(muni, 0) for muni in firms.municipality_ids])
-    firms_per_muni = np.bincount(firms.municipality, minlength=len(firms.municipality_ids))
+    residents = world.population_by_municipality()
+    firms_per_muni = np.bincount(firms.municipality, minlength=len(residents))
     weights = residents[firms.municipality] / firms_per_muni[firms.municipality]
 
     employed = int(np.count_nonzero(working_age & (citizens.employer != UNEMPLOYED)))

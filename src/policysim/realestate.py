@@ -42,7 +42,7 @@ def hedonic_offer_prices(houses: Houses, qli: np.ndarray, base_coefficient: floa
 
 
 def reprice_houses(world: World, base_coefficient: float) -> None:
-    world.houses.price = hedonic_offer_prices(world.houses, world.qli(), base_coefficient)
+    world.houses.price = hedonic_offer_prices(world.houses, world.qli, base_coefficient)
 
 
 def build_listings(world: World, active: np.ndarray) -> list[int]:
@@ -86,7 +86,7 @@ def match_market(
     owners = {house_id: family for family in sellers.tolist() for house_id in owned[family]}
     entrant_ids = np.asarray(entrant_ids, dtype=np.int64)
     order = sorted(zip((-savings[entrant_ids]).tolist(), entrant_ids.tolist()))
-    qli = world.qli()
+    qli = world.qli
 
     def amenity_score(house_id: int) -> float:
         town_qli = qli[houses.municipality[house_id]]
@@ -130,7 +130,9 @@ def match_market(
             owners[home] = buyer
             residence[buyer] = house_id
     codes = houses.municipality[[sale.house_id for sale in sales]]
-    world.ledger.book("transaction", houses.municipality_ids, codes, [sale.tax for sale in sales])
+    world.ledger.book(
+        "transaction", world.region.municipality_ids, codes, [sale.tax for sale in sales]
+    )
     return sales
 
 
@@ -151,4 +153,6 @@ def collect_property_tax(world: World, active: np.ndarray, property_tax_rate: fl
     paid = np.where(cash < owed, cash, owed)
     # each family lives in one house; x - 0.0 is x, so no charge leaves cash as it is
     families.monthly_cash[payers] = cash - paid
-    world.ledger.book("property", houses.municipality_ids, houses.municipality[occupied], paid)
+    world.ledger.book(
+        "property", world.region.municipality_ids, houses.municipality[occupied], paid
+    )

@@ -102,7 +102,7 @@ class JobResult:
     def __post_init__(self, result: RunResult | None) -> None:
         if result is not None:
             self.columns, self.monthly = monthly_table(
-                result.records, list(result.world.municipalities)
+                result.records, result.world.region.municipality_ids
             )
             self.dumps = {
                 flag: [
@@ -208,7 +208,7 @@ def _write_run(output_dir: str, job_result: JobResult) -> None:
 
 
 def write_monthly_csv(result: RunResult, path) -> None:
-    columns, matrix = monthly_table(result.records, list(result.world.municipalities))
+    columns, matrix = monthly_table(result.records, result.world.region.municipality_ids)
     _write_csv(path, columns, matrix.tolist())
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import demographics, firms, goods, labor, realestate
 from .fiscal import DistributionRegime, distribute, invest_qli
-from .params import MAX_MONTHS, TAX_KINDS, SimParams
+from .params import TAX_KINDS, SimParams
 from .stats import gini
 from .world.generate import generate_world
 from .world.regions import RegionData
@@ -180,20 +180,17 @@ def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
     Returns the month's collection totals by kind (captured before reset).
     """
     totals = world.ledger.total_by_kind()
-    populations = world.population_by_municipality()
+    populations = world.population_by_municipality().tolist()
     regime = DistributionRegime(params.alternative0, params.fpm_distribution)
     receipts = distribute(
         world.ledger,
         regime,
         params.taxes_structure,
-        world.municipality_ids(),
+        world.region.municipality_ids,
         populations,
         world.region.fpm_brackets,
     )
-    for muni_id, muni in world.municipalities.items():
-        invest_qli(
-            muni, receipts[muni_id], populations[muni_id], params.reference_cost_per_capita
-        )
+    invest_qli(world.qli, receipts, populations, params.reference_cost_per_capita)
     world.ledger.reset()
     return totals
 
@@ -220,7 +217,7 @@ def record_month(
         house_price_index=house_price_index,
         gini_wealth=gini(wealth) if len(wealth) else 0.0,
         taxes=dict(taxes),
-        qli={muni_id: muni.qli for muni_id, muni in world.municipalities.items()},
+        qli=dict(zip(world.region.municipality_ids, world.qli.tolist())),
     )
 
 
@@ -244,11 +241,6 @@ def step(world: World, params: SimParams) -> MonthRecord:
 
 def run(region: RegionData, params: SimParams, seed: int) -> RunResult:
     """Generate, calibrate, and simulate params.months months."""
-    if params.months > MAX_MONTHS:
-        raise RunError(
-            f"months={params.months} exceeds the {MAX_MONTHS}-month ceiling "
-            "set by available data projections"
-        )
     world = generate_world(region, params, seed)
     labor.calibrate_initial_unemployment(
         world, params.initial_unemployment, params, world.rng

@@ -43,7 +43,11 @@ def ks_two_sample(a, b) -> tuple[float, float]:
 
 
 def kolmogorov_survival(lam: float) -> float:
-    """Asymptotic Kolmogorov survival function Q(lambda)."""
+    """Asymptotic Kolmogorov survival function Q(lambda).
+
+    Below lambda ~0.043, where 100 terms of the alternating series do not
+    converge, the small-lambda form of Q is summed instead.
+    """
     if lam <= 0.0:
         return 1.0
     total = 0.0
@@ -51,8 +55,11 @@ def kolmogorov_survival(lam: float) -> float:
         term = 2.0 * (-1.0) ** (k - 1) * math.exp(-2.0 * k * k * lam * lam)
         total += term
         if abs(term) < 1e-16:
-            break
-    return min(1.0, max(0.0, total))
+            return min(1.0, max(0.0, total))
+    # Q = 1 - sqrt(2 pi) / lambda * sum_k exp(-(2k-1)^2 pi^2 / (8 lambda^2)); its
+    # k = 2 term is exp(-pi^2 / lambda^2) < 1e-2000 times the k = 1 term here
+    tail = math.exp(-(math.pi**2) / (8.0 * lam * lam))
+    return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / lam * tail))
 
 
 def gini(values) -> float:

@@ -144,18 +144,17 @@ def expand_plan(
 
     Sensitivity takes the cartesian product of its sweeps; distributions
     expands to the four fiscal regimes; acps covers every region at least
-    once. Every configuration runs runs_per_config times.
+    once. Every configuration runs runs_per_config times. The other run
+    types simulate the first PROCESSING_ACPS region, or the first region
+    when it is empty; every name it lists must be a region.
     """
     plan.validate()
     if not region_names:
         raise SweepSpecError("no regions available to simulate")
-    default_region = (
-        base_params.processing_acps[0]
-        if base_params.processing_acps
-        else region_names[0]
-    )
-    if default_region not in region_names:
-        raise SweepSpecError(f"region {default_region!r} not found")
+    for name in base_params.processing_acps:
+        if name not in region_names:
+            raise SweepSpecError(f"PROCESSING_ACPS: region {name!r} not found")
+    default_region = (base_params.processing_acps or region_names)[0]
 
     configs: list[tuple[str, SimParams, str]] = []
     if plan.run_type == "run":

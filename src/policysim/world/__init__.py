@@ -16,7 +16,6 @@ from .types import (
     Firms,
     Houses,
     Location,
-    Municipality,
     World,
     distance,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "GenerationError",
     "Houses",
     "Location",
-    "Municipality",
     "MunicipalitySpec",
     "RegionData",
     "RegionDataError",

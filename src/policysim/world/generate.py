@@ -39,7 +39,7 @@ from ..params import SimParams
 from ..realestate import hedonic_offer_prices
 from ..sampling import COIN_BOUND, unit_doubles
 from .regions import MunicipalitySpec, RegionData
-from .types import Citizens, Families, Firms, Houses, Municipality, World
+from .types import Citizens, Families, Firms, Houses, World
 
 HOUSE_SIZE_RANGE = (30.0, 120.0)  # m2
 HOUSE_QUALITY_LEVELS = 4
@@ -215,10 +215,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
             "a municipality received zero citizens; raise PERCENTAGE_ACTUAL_POP"
         )
 
-    municipalities: dict[str, Municipality] = {}
-    for spec in specs:
-        municipalities[spec.id] = Municipality(id=spec.id, qli=INITIAL_QLI)
-
     # citizen, family, house and firm columns, each municipality's part in id order
     citizens: dict[str, list[np.ndarray]] = {
         "family": [], "age": [], "female": [], "qualification": [], "birth_month": [],
@@ -303,11 +299,9 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         families.owned_houses[owner].add(house_id)
     families.owned += np.bincount(owners, minlength=len(homes))
 
-    municipality_ids = [spec.id for spec in specs]
-    house_store = Houses.open(municipality_ids, **_joined(houses))
-    house_store.price = hedonic_offer_prices(
-        house_store, np.full(len(specs), INITIAL_QLI), params.hedonic_base_coefficient
-    )
+    qli = np.full(len(specs), INITIAL_QLI)
+    house_store = Houses.open(**_joined(houses))
+    house_store.price = hedonic_offer_prices(house_store, qli, params.hedonic_base_coefficient)
     return World(
         clock=0,
         region=region,
@@ -315,11 +309,8 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         families=families,
         houses=house_store,
         firms=Firms.open(
-            municipality_ids,
-            **_joined(firms),
-            price=INITIAL_GOODS_PRICE,
-            wage_offer=INITIAL_WAGE_OFFER,
+            **_joined(firms), price=INITIAL_GOODS_PRICE, wage_offer=INITIAL_WAGE_OFFER
         ),
-        municipalities=municipalities,
+        qli=qli,
         rng=rng,
     )

@@ -72,6 +72,9 @@ def _by_age(table: dict[int, float], length: int) -> np.ndarray:
 class RegionData:
     """Validated demographic and geographic tables for one region (ACP).
 
+    ``municipality_ids``, built at construction, is the one municipality id
+    list: a municipality's row in every per-municipality column is its index.
+
     The month tables are derived from ``mortality`` and ``fertility`` at
     construction, so a region with other vital rates is a new RegionData.
     Both are indexed by age, hold NaN where the source table has no row, and
@@ -91,10 +94,12 @@ class RegionData:
     mortality: dict[str, dict[int, float]]  # gender -> age -> annual p
     fertility: dict[int, float]  # age -> annual births per woman
     fpm_brackets: list[tuple[int, int, float]]
+    municipality_ids: list[str] = field(init=False, repr=False, compare=False)
     monthly_hazard: np.ndarray = field(init=False, repr=False, compare=False)
     birth_chance: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.municipality_ids = [spec.id for spec in self.municipalities]
         hazards = [
             {age: monthly_probability(annual) for age, annual in by_age.items()}
             for by_age in (self.mortality.get("male", {}), self.mortality.get("female", {}))
@@ -134,12 +139,15 @@ def _rows(path: str, filename: str, required: tuple[str, ...]):
             raise RegionDataError(
                 filename, 1, f"missing columns: {', '.join(missing)}"
             )
-        # as csv.DictReader reads them: blank lines skipped, absent cells None
+        # as csv.DictReader reads them: blank lines skipped, absent cells None;
+        # each row is numbered by the physical line it starts on
         padding = [None] * len(header)
-        out = [
-            (lineno, dict(zip(header, fields + padding[len(fields) :])))
-            for lineno, fields in enumerate(filter(None, reader), start=2)
-        ]
+        out = []
+        lineno = reader.line_num + 1
+        for fields in reader:
+            if fields:
+                out.append((lineno, dict(zip(header, fields + padding[len(fields) :]))))
+            lineno = reader.line_num + 1
     if not out:
         raise RegionDataError(filename, None, "no data rows")
     return out

@@ -2,13 +2,14 @@
 
 Citizens, families, houses and firms are column stores whose rows are
 their ids, so id order is row order. Id order is the canonical
-deterministic iteration order.
+deterministic iteration order. Municipalities are the rows of the region's
+``municipality_ids``, and their quality of life is the column ``World.qli``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -246,11 +247,10 @@ class Houses:
     """Every house as one row of columns; a house's id is its row.
 
     Generation builds every house, numbered 0..n-1, and none is added or
-    removed later. ``municipality`` indexes ``municipality_ids``, which is
-    the world's municipality order; ``price`` is the current hedonic offer.
+    removed later. ``municipality`` indexes the region's
+    ``municipality_ids``; ``price`` is the current hedonic offer.
     """
 
-    municipality_ids: list[str]
     municipality: np.ndarray  # int64
     x: np.ndarray
     y: np.ndarray
@@ -261,7 +261,6 @@ class Houses:
     @classmethod
     def open(
         cls,
-        municipality_ids: list[str],
         municipality: Sequence[int],
         x: Sequence[float],
         y: Sequence[float],
@@ -270,7 +269,6 @@ class Houses:
     ) -> Houses:
         """Houses not yet priced."""
         return cls(
-            municipality_ids=list(municipality_ids),
             municipality=np.asarray(municipality, dtype=np.int64),
             x=np.asarray(x, dtype=float),
             y=np.asarray(y, dtype=float),
@@ -282,10 +280,11 @@ class Houses:
     def __len__(self) -> int:
         return len(self.price)
 
-    def records(self) -> list[dict]:
-        """One dict of Python values per house, in id order, keyed by HOUSE_RECORD_KEYS."""
+    def records(self, municipality_ids: list[str]) -> list[dict]:
+        """One dict of Python values per house, in id order, keyed by
+        HOUSE_RECORD_KEYS; ``municipality_ids`` names the codes."""
         columns = (
-            [self.municipality_ids[code] for code in self.municipality.tolist()],
+            [municipality_ids[code] for code in self.municipality.tolist()],
             zip(self.x.tolist(), self.y.tolist()),
             self.size.tolist(), self.quality.tolist(), self.price.tolist(),
         )
@@ -307,12 +306,10 @@ class Firms:
     """Every firm as one row of columns; a firm's id is its row.
 
     Generation numbers the firms 0..n-1 and no firm is created or removed
-    later. ``municipality`` indexes ``municipality_ids``, which is the
-    world's municipality order. Who works where is the citizens' column
-    ``employer``.
+    later. ``municipality`` indexes the region's ``municipality_ids``.
+    Who works where is the citizens' column ``employer``.
     """
 
-    municipality_ids: list[str]
     municipality: np.ndarray  # int64
     x: np.ndarray
     y: np.ndarray
@@ -327,7 +324,6 @@ class Firms:
     @classmethod
     def open(
         cls,
-        municipality_ids: list[str],
         municipality: Sequence[int],
         x: Sequence[float],
         y: Sequence[float],
@@ -338,7 +334,6 @@ class Firms:
         """New firms with empty stock and books."""
         count = len(municipality)
         return cls(
-            municipality_ids=list(municipality_ids),
             municipality=np.asarray(municipality, dtype=np.int64),
             x=np.asarray(x, dtype=float),
             y=np.asarray(y, dtype=float),
@@ -354,11 +349,12 @@ class Firms:
     def __len__(self) -> int:
         return len(self.price)
 
-    def records(self, staff: list[set[int]]) -> list[dict]:
+    def records(self, municipality_ids: list[str], staff: list[set[int]]) -> list[dict]:
         """One dict of Python values per firm, in id order, keyed by
-        FIRM_RECORD_KEYS; ``staff`` holds each firm's employee ids."""
+        FIRM_RECORD_KEYS; ``municipality_ids`` names the codes and ``staff``
+        holds each firm's employee ids."""
         columns = (
-            [self.municipality_ids[code] for code in self.municipality.tolist()],
+            [municipality_ids[code] for code in self.municipality.tolist()],
             zip(self.x.tolist(), self.y.tolist()),
             self.stock.tolist(), self.price.tolist(), self.cash.tolist(),
             self.wage_offer.tolist(), staff, self.last_profit.tolist(),
@@ -371,12 +367,6 @@ class Firms:
 
 
 @dataclass(slots=True)
-class Municipality:
-    id: str
-    qli: float = 1.0
-
-
-@dataclass(slots=True)
 class World:
     """Complete mutable state of one simulation run."""
 
@@ -386,7 +376,7 @@ class World:
     families: Families
     houses: Houses
     firms: Firms
-    municipalities: dict[str, Municipality]
+    qli: np.ndarray  # float64, in region.municipality_ids order
     rng: np.random.Generator
     ledger: TaxLedger = field(default_factory=TaxLedger)
     price_index_prev: float | None = None
@@ -397,24 +387,17 @@ class World:
     def next_citizen_id(self) -> int:
         return self.citizens.rows
 
-    def municipality_ids(self) -> list[str]:
-        return list(self.municipalities.keys())
-
-    def qli(self) -> np.ndarray:
-        """Each municipality's quality of life, in municipality order."""
-        return np.array([muni.qli for muni in self.municipalities.values()])
-
     def active_families(self) -> np.ndarray:
         """The ids of the families with members. Only births and deaths change
         them, so a month finds them once, after demographics."""
         return self.families.active(self.citizens)
 
-    def population_by_municipality(self) -> dict[str, int]:
-        """Living citizens per municipality of their family's residence."""
+    def population_by_municipality(self) -> np.ndarray:
+        """Living citizens per municipality of their family's residence, in
+        municipality order (int64)."""
         citizens = self.citizens
         homes = self.families.residence[citizens.family[citizens.alive]]
-        counts = np.bincount(self.houses.municipality[homes], minlength=len(self.municipalities))
-        return dict(zip(self.municipalities, counts.tolist()))
+        return np.bincount(self.houses.municipality[homes], minlength=len(self.qli))
 
     def unemployment_rate(self, age_min: int, age_max: int) -> float:
         citizens = self.citizens
@@ -465,16 +448,21 @@ class World:
         return self.families.records(self.citizens)
 
     def firm_records(self) -> list[dict]:
-        return self.firms.records(self.citizens.employee_sets(len(self.firms)))
+        return self.firms.records(
+            self.region.municipality_ids, self.citizens.employee_sets(len(self.firms))
+        )
 
     def to_dict(self) -> dict:
         """Full-state snapshot of agents, clock and random stream, for determinism checks."""
         return {
             "citizens": self.citizens.records(),
             "families": self.family_records(),
-            "houses": self.houses.records(),
+            "houses": self.houses.records(self.region.municipality_ids),
             "firms": self.firm_records(),
-            "municipalities": [asdict(muni) for muni in self.municipalities.values()],
+            "municipalities": [
+                {"id": muni_id, "qli": qli}
+                for muni_id, qli in zip(self.region.municipality_ids, self.qli.tolist())
+            ],
             "clock": self.clock,
             "next_citizen_id": self.next_citizen_id,
             "rng_state": self.rng.bit_generator.state,

@@ -6,7 +6,7 @@ import pytest
 from policysim.fiscal import TaxLedger
 from policysim.params import SimParams
 from policysim.world.regions import MunicipalitySpec, RegionData
-from policysim.world.types import UNEMPLOYED, Citizens, Families, Firms, Houses, Municipality, World
+from policysim.world.types import UNEMPLOYED, Citizens, Families, Firms, Houses, World
 
 from policysim.cli import default_data_dir
 import os
@@ -68,7 +68,6 @@ def make_firms(municipality_ids, firms):
     """The column store of simple_firm specs, which must hold ids 0..n-1 in order."""
     assert [firm["id"] for firm in firms] == list(range(len(firms)))
     store = Firms.open(
-        municipality_ids,
         [municipality_ids.index(firm["muni"]) for firm in firms],
         [firm["location"][0] for firm in firms],
         [firm["location"][1] for firm in firms],
@@ -102,7 +101,6 @@ def make_houses(municipality_ids, houses):
     """The column store of simple_house specs, which must hold ids 0..n-1 in order."""
     assert [house["id"] for house in houses] == list(range(len(houses)))
     store = Houses.open(
-        municipality_ids,
         [municipality_ids.index(house["muni"]) for house in houses],
         [house["location"][0] for house in houses],
         [house["location"][1] for house in houses],
@@ -143,18 +141,15 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
         assert named.get(family.id, set()) == family.member_ids, family.id
     if region is None:
         region = make_region()
-    municipalities = {
-        spec.id: Municipality(id=spec.id)
-        for spec in region.municipalities
-    }
+    municipality_ids = region.municipality_ids
     world = World(
         clock=0,
         region=region,
         citizens=make_citizens(list(citizens)),
         families=make_families(list(families)),
-        houses=make_houses(list(municipalities), list(houses)),
-        firms=make_firms(list(municipalities), list(firms)),
-        municipalities=municipalities,
+        houses=make_houses(municipality_ids, list(houses)),
+        firms=make_firms(municipality_ids, list(firms)),
+        qli=np.ones(len(municipality_ids)),
         rng=np.random.default_rng(seed),
         ledger=TaxLedger(),
     )

@@ -37,8 +37,8 @@ def location(store, row):
     return float(store.x[row]), float(store.y[row])
 
 
-def municipality(firms, firm_id):
-    return firms.municipality_ids[int(firms.municipality[firm_id])]
+def municipality(municipality_ids, firms, firm_id):
+    return municipality_ids[int(firms.municipality[firm_id])]
 
 
 def set_budget(families, family_id, beta):
@@ -54,7 +54,9 @@ def add_cash(families, family_id, amount):
     families.monthly_cash[family_id] = float(families.monthly_cash[family_id]) + amount
 
 
-def transact(families, family_id, firms, firm_id, budget, consumption_tax_rate, ledger):
+def transact(
+    families, family_id, firms, firm_id, budget, consumption_tax_rate, ledger, municipality_ids
+):
     price, stock = float(firms.price[firm_id]), float(firms.stock[firm_id])
     demanded = budget / price if budget > 0.0 else 0.0
     if stock >= demanded:
@@ -67,7 +69,7 @@ def transact(families, family_id, firms, firm_id, budget, consumption_tax_rate, 
     firms.stock[firm_id] = stock - quantity
     firms.cash[firm_id] = float(firms.cash[firm_id]) + (gross - tax)
     firms.revenue[firm_id] = float(firms.revenue[firm_id]) + (gross - tax)
-    ledger.add(municipality(firms, firm_id), "consumption", tax)
+    ledger.add(municipality(municipality_ids, firms, firm_id), "consumption", tax)
     add_cash(families, family_id, budget - gross)
     return firm_id
 
@@ -101,7 +103,7 @@ def goods_market_step(
         )
         purchases.append(
             transact(families, family_id, firms, firm_id, budget, consumption_tax_rate,
-                     ledger=world.ledger)
+                     ledger=world.ledger, municipality_ids=world.region.municipality_ids)
         )
     return purchases
 
@@ -165,7 +167,8 @@ def pay_wages(world, labor_tax_rate):
             wage = float(citizens.wage[citizen_id])
             tax = wage * labor_tax_rate
             add_cash(world.families, int(citizens.family[citizen_id]), wage - tax)
-            world.ledger.add(municipality(firms, firm_id), "labor", tax)
+            muni = municipality(world.region.municipality_ids, firms, firm_id)
+            world.ledger.add(muni, "labor", tax)
             bill += wage
         firms.cash[firm_id] = float(firms.cash[firm_id]) - bill
         bills[firm_id] = bill

@@ -594,6 +594,28 @@ def test_cli_rejects_meaningless_cores(tmp_path, capsys, cores):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("run_type", ["run", "sensitivity", "distributions", "acps"])
+def test_every_processing_acps_name_must_be_a_region(run_type):
+    params = SimParams(processing_acps=["fixture3", "nowhere"])
+    sweeps = [parse_sweep_spec("ALPHA:0.1:0.2:2")] if run_type == "sensitivity" else []
+    plan = ExperimentPlan(run_type=run_type, sweeps=sweeps)
+    with pytest.raises(SweepSpecError, match="'nowhere' not found"):
+        expand_plan(plan, params, ["fixture3"])
+
+
+def test_cli_rejects_an_unknown_region_after_the_first(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text("PROCESSING_ACPS = fixture3,nowhere\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([
+        "distributions", "--months", "3", "--cores", "1",
+        "--config", str(config), "--output", str(out),
+    ])
+    assert code == 2
+    assert "'nowhere' not found" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_rejects_unknown_sweep(tmp_path, capsys):
     code = main(["sensitivity", "BOGUS:1:2:3", "--output", str(tmp_path)])
     assert code == 2

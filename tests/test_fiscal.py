@@ -13,10 +13,9 @@ from policysim.fiscal import (
     invest_qli,
 )
 from policysim.params import TAX_KINDS
-from policysim.world.types import Municipality
 
 THREE_MUNIS = ["a", "b", "c"]
-EQUAL_POPS = {"a": 100, "b": 100, "c": 100}
+EQUAL_POPS = [100, 100, 100]
 ONE_BRACKET = [(0, 10**9, 1.0)]
 
 
@@ -53,9 +52,9 @@ def test_consumption_distribution_worked_example():
         EQUAL_POPS,
         ONE_BRACKET,
     )
-    assert abs(receipts["a"] - (18.75 + 81.25 / 3)) <= 1e-9
-    assert abs(receipts["b"] - 81.25 / 3) <= 1e-9
-    assert abs(receipts["a"] - 45.833333333) <= 1e-6
+    assert abs(receipts[0] - (18.75 + 81.25 / 3)) <= 1e-9
+    assert abs(receipts[1] - 81.25 / 3) <= 1e-9
+    assert abs(receipts[0] - 45.833333333) <= 1e-6
 
 
 def test_labor_distribution_pools():
@@ -71,8 +70,8 @@ def test_labor_distribution_pools():
         ONE_BRACKET,
     )
     expected_each = 153.0 / 3 + 47.0 / 3
-    for muni in THREE_MUNIS:
-        assert abs(receipts[muni] - expected_each) <= 1e-9
+    for receipt in receipts:
+        assert abs(receipt - expected_each) <= 1e-9
 
 
 def test_local_regime_keeps_taxes_at_home():
@@ -87,7 +86,7 @@ def test_local_regime_keeps_taxes_at_home():
         EQUAL_POPS,
         ONE_BRACKET,
     )
-    assert receipts == {"a": 0.0, "b": 50.0, "c": 0.0}
+    assert receipts == [0.0, 50.0, 0.0]
 
 
 def test_single_municipality_receives_everything():
@@ -96,16 +95,16 @@ def test_single_municipality_receives_everything():
     ledger.add("solo", "labor", 11.0)
     for regime in ALL_REGIMES:
         receipts = distribute(
-            ledger, regime, {}, ["solo"], {"solo": 10}, ONE_BRACKET
+            ledger, regime, {}, ["solo"], [10], ONE_BRACKET
         )
-        assert abs(receipts["solo"] - 44.0) <= 1e-9
+        assert abs(receipts[0] - 44.0) <= 1e-9
 
 
 def test_merged_regime_population_proportional():
     ledger = TaxLedger()
     ledger.add("a", "property", 60.0)
     ledger.add("c", "labor", 40.0)
-    populations = {"a": 500, "b": 300, "c": 200}
+    populations = [500, 300, 200]
     for fpm in (True, False):
         receipts = distribute(
             ledger,
@@ -115,13 +114,13 @@ def test_merged_regime_population_proportional():
             populations,
             ONE_BRACKET,
         )
-        assert abs(receipts["a"] - 50.0) <= 1e-9
-        assert abs(receipts["b"] - 30.0) <= 1e-9
-        assert abs(receipts["c"] - 20.0) <= 1e-9
+        assert abs(receipts[0] - 50.0) <= 1e-9
+        assert abs(receipts[1] - 30.0) <= 1e-9
+        assert abs(receipts[2] - 20.0) <= 1e-9
 
 
 def test_merged_regime_is_collection_permutation_invariant():
-    populations = {"a": 500, "b": 300, "c": 200}
+    populations = [500, 300, 200]
     first = TaxLedger()
     first.add("a", "consumption", 77.0)
     second = TaxLedger()
@@ -133,16 +132,12 @@ def test_merged_regime_is_collection_permutation_invariant():
 
 
 def test_fpm_allocate_examples():
-    assert fpm_allocate(90.0, ["a", "b", "c"], EQUAL_POPS, ONE_BRACKET) == {
-        "a": 30.0,
-        "b": 30.0,
-        "c": 90.0 - 60.0,
-    }
+    assert fpm_allocate(90.0, EQUAL_POPS, ONE_BRACKET) == [30.0, 30.0, 90.0 - 60.0]
     brackets = [(0, 150, 1.0), (150, 10**9, 3.0)]
-    shares = fpm_allocate(100.0, ["a", "b"], {"a": 100, "b": 200}, brackets)
-    assert abs(shares["a"] - 25.0) <= 1e-12
-    assert abs(shares["b"] - 75.0) <= 1e-12
-    assert fpm_allocate(42.0, ["a"], {"a": 5}, ONE_BRACKET) == {"a": 42.0}
+    shares = fpm_allocate(100.0, [100, 200], brackets)
+    assert abs(shares[0] - 25.0) <= 1e-12
+    assert abs(shares[1] - 75.0) <= 1e-12
+    assert fpm_allocate(42.0, [5], ONE_BRACKET) == [42.0]
 
 
 def test_fpm_allocate_sums_exactly():
@@ -150,9 +145,9 @@ def test_fpm_allocate_sums_exactly():
     brackets = [(0, 100, 0.6), (100, 500, 1.0), (500, 10**9, 1.8)]
     for _ in range(200):
         pool = float(rng.uniform(0, 1e6))
-        pops = {m: int(rng.integers(1, 2000)) for m in THREE_MUNIS}
-        shares = fpm_allocate(pool, THREE_MUNIS, pops, brackets)
-        assert sum(shares.values()) == pool
+        pops = [int(rng.integers(1, 2000)) for _ in THREE_MUNIS]
+        shares = fpm_allocate(pool, pops, brackets)
+        assert sum(shares) == pool
 
 
 def test_population_outside_brackets_is_an_error():
@@ -168,11 +163,11 @@ def test_conservation_over_random_ledgers():
         for muni in THREE_MUNIS:
             for kind in TAX_KINDS:
                 ledger.add(muni, kind, float(rng.uniform(0, 1000)))
-        pops = {m: int(rng.integers(1, 1000)) for m in THREE_MUNIS}
+        pops = [int(rng.integers(1, 1000)) for _ in THREE_MUNIS]
         total = ledger.total()
         for regime in ALL_REGIMES:
             receipts = distribute(ledger, regime, {}, THREE_MUNIS, pops, brackets)
-            assert abs(sum(receipts.values()) - total) <= 1e-9 * total
+            assert abs(sum(receipts) - total) <= 1e-9 * total
 
 
 def test_structure_override_changes_fractions():
@@ -230,24 +225,52 @@ def test_unknown_tax_kind_rejected():
 
 
 def test_invest_qli_examples():
-    muni = Municipality(id="a", qli=1.0)
-    new_qli = invest_qli(muni, 1000.0, population=100, reference_cost_per_capita=10.0)
-    assert abs(new_qli - 2.0) <= 1e-12
+    qli = np.array([1.0])
+    invest_qli(qli, [1000.0], populations=[100], reference_cost_per_capita=10.0)
+    assert abs(qli[0] - 2.0) <= 1e-12
 
-    untouched = Municipality(id="b", qli=1.5)
-    assert invest_qli(untouched, 0.0, 100, 10.0) == 1.5
+    untouched = np.array([1.5])
+    invest_qli(untouched, [0.0], [100], 10.0)
+    assert untouched[0] == 1.5
 
-    crowded = Municipality(id="c", qli=1.0)
-    assert abs(invest_qli(crowded, 1000.0, 200, 10.0) - 1.5) <= 1e-12
+    crowded = np.array([1.0])
+    invest_qli(crowded, [1000.0], [200], 10.0)
+    assert abs(crowded[0] - 1.5) <= 1e-12
 
 
 def test_invest_qli_never_decreases():
     rng = np.random.default_rng(9)
-    muni = Municipality(id="a", qli=1.0)
+    qli = np.array([1.0])
     for _ in range(100):
-        before = muni.qli
-        invest_qli(muni, float(rng.uniform(0, 100)), 50, 1.0)
-        assert muni.qli >= before
+        before = qli[0]
+        invest_qli(qli, [float(rng.uniform(0, 100))], [50], 1.0)
+        assert qli[0] >= before
+
+
+def test_invest_qli_rejects_negative_funds_and_changes_nothing():
+    qli = np.array([1.0, 1.25, 1.5])
+    with pytest.raises(FiscalError, match="investment funds must be >= 0"):
+        invest_qli(qli, [10.0, -1e-9, 10.0], [100, 100, 100], 1.0)
+    assert qli.tolist() == [1.0, 1.25, 1.5]
+
+
+def test_invest_qli_divides_an_empty_municipality_by_one():
+    qli = np.array([1.0, 1.0])
+    invest_qli(qli, [6.0, 6.0], [0, 3], 2.0)
+    assert qli.tolist() == [1.0 + 6.0 / 2.0, 1.0 + (6.0 / 3) / 2.0]
+
+
+def test_invest_qli_equals_the_scalar_formula_bit_for_bit():
+    start = [1.0, 1.3759172035, 2.0000000000000004]
+    funds = [981.2478859778818, 0.1, 7.3e-5]
+    populations = [393, 1, 29777]
+    cost = 0.2
+    qli = np.array(start)
+    invest_qli(qli, funds, populations, cost)
+    expected = [
+        q + (f / max(1, n)) / cost for q, f, n in zip(start, funds, populations)
+    ]
+    assert qli.tolist() == expected
 
 
 
@@ -316,11 +339,11 @@ def test_population_split_gives_an_empty_municipality_nothing():
     # the last municipality is empty; the residual goes to the last
     # populated one, so no share is negative
     ids = [f"m{index}" for index in range(6)]
-    populations = dict(zip(ids, [393, 39, 297, 80, 312, 0]))
+    populations = [393, 39, 297, 80, 312, 0]
     ledger = TaxLedger()
     ledger.add("m0", "consumption", 981.2478859778818)
     regime = DistributionRegime(False, True)
     receipts = distribute(ledger, regime, {}, ids, populations, ONE_BRACKET)
-    assert receipts["m5"] == 0.0
-    assert all(share > 0.0 for muni, share in receipts.items() if muni != "m5")
-    assert sum(receipts.values()) == 981.2478859778818
+    assert receipts[5] == 0.0
+    assert all(share > 0.0 for share in receipts[:5])
+    assert sum(receipts) == 981.2478859778818

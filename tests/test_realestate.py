@@ -226,10 +226,11 @@ def test_reprice_houses_applies_qli(fixture3):
 
     params = SimParams()
     world = generate_world(fixture3, params, seed=6)
-    world.municipalities["core"].qli = 2.0
+    ids = world.region.municipality_ids
+    world.qli[ids.index("core")] = 2.0
     reprice_houses(world, params.hedonic_base_coefficient)
-    for house in world.houses.records():
-        qli = world.municipalities[house["municipality_id"]].qli
+    for house in world.houses.records(ids):
+        qli = world.qli[ids.index(house["municipality_id"])]
         expected = params.hedonic_base_coefficient * house["size"] * house["quality"] * qli
         assert abs(house["current_price"] - expected) <= 1e-12
 
@@ -311,10 +312,10 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
     open_listings = {hid: float(houses.price[hid]) for hid in listings}
 
     def municipality(house_id):
-        return houses.municipality_ids[int(houses.municipality[house_id])]
+        return world.region.municipality_ids[int(houses.municipality[house_id])]
 
     def amenity_score(house_id):
-        qli = world.municipalities[municipality(house_id)].qli
+        qli = float(world.qli[int(houses.municipality[house_id])])
         return float(houses.size[house_id]) * int(houses.quality[house_id]) * qli
 
     vacated = set()

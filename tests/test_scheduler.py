@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from policysim import RunError, SimParams, generate_world, run
+from policysim import ParamError, SimParams, generate_world, run
 from policysim.scheduler import (
     step,
     step_demographics,
@@ -54,7 +54,7 @@ def test_run_produces_requested_months(fixture3):
 def test_run_rejects_more_than_360_months(fixture3):
     params = SimParams()
     params.months = 361
-    with pytest.raises(RunError):
+    with pytest.raises(ParamError):
         run(fixture3, params, seed=0)
 
 
@@ -177,24 +177,25 @@ def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
         ledger.reset()
         for muni_id, amount in collected.items():
             ledger.add(muni_id, "consumption", amount)
-    populations = world.population_by_municipality()
+    populations = world.population_by_municipality().tolist()
     receipts = distribute(
         expected_ledger,
         DistributionRegime(override.alternative0, override.fpm_distribution),
         override.taxes_structure,
-        world.municipality_ids(),
+        world.region.municipality_ids,
         populations,
         fixture3.fpm_brackets,
     )
-    assert receipts == pytest.approx(collected)  # all of it stays local
-    before = {muni_id: muni.qli for muni_id, muni in world.municipalities.items()}
+    # all of it stays local
+    assert dict(zip(world.region.municipality_ids, receipts)) == pytest.approx(collected)
+    before = world.qli.copy()
 
     step_fiscal(world, override)
 
-    for muni_id, muni in world.municipalities.items():
-        gain = receipts[muni_id] / max(1, populations[muni_id])
+    for index, receipt in enumerate(receipts):
+        gain = receipt / max(1, populations[index])
         gain /= override.reference_cost_per_capita
-        assert muni.qli - before[muni_id] == pytest.approx(gain, rel=1e-9)
+        assert world.qli[index] - before[index] == pytest.approx(gain, rel=1e-9)
 
 
 def test_merged_run_survives_an_emptied_municipality(fixture3):

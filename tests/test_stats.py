@@ -71,6 +71,12 @@ def test_kolmogorov_survival_reference_points():
     # classical critical value: Q(1.3581) is roughly 0.05
     assert abs(kolmogorov_survival(1.3581) - 0.05) <= 5e-4
     assert kolmogorov_survival(10.0) <= 1e-12
+    # below lambda ~0.043 the alternating series needs more than 100 terms
+    for lam in (3e-5, 0.001, 0.005, 0.04):
+        assert abs(kolmogorov_survival(lam) - 1.0) <= 1e-12
+    # a shift of half a unit over a million points: D = 1e-6, lambda ~ 0.0007
+    shifted = np.arange(1e6)
+    assert ks_two_sample(shifted, shifted + 0.5)[1] > 0.99
 
 
 def brute_force_gini(values):

@@ -90,6 +90,21 @@ def test_mortality_probability_out_of_range_names_file_and_line(tmp_path):
     assert ":6" in str(err.value)
 
 
+def test_mortality_probability_out_of_range_after_blank_lines_names_its_line(tmp_path):
+    rows = ["age,gender,annual_probability"]
+    for age in range(121):
+        p = "1.0" if age == 120 else "0.01"
+        rows.append(f"{age},female,{p}")
+        rows.append(f"{age},male,{p}")
+    rows[5] = "2,female,1.2"
+    rows[3:3] = [""]
+    rows[1:1] = [""]  # the bad row is now on line 8 of the file
+    write_minimal_region(tmp_path, {"mortality.csv": "\n".join(rows) + "\n"})
+    with pytest.raises(RegionDataError) as err:
+        load_region_data(str(tmp_path))
+    assert "mortality.csv:8" in str(err.value)
+
+
 def test_missing_file_reported(tmp_path):
     write_minimal_region(tmp_path)
     os.remove(os.path.join(tmp_path, "fertility.csv"))
@@ -207,7 +222,8 @@ def test_generate_counts_match_formulas(fixture3):
     assert len(world.citizens) == 100
     assert len(world.families) == 40
     assert len(world.houses) == 44
-    assert world.population_by_municipality() == {
+    populations = world.population_by_municipality().tolist()
+    assert dict(zip(world.region.municipality_ids, populations)) == {
         "core": 60, "north": 30, "east": 10
     }
 
@@ -335,7 +351,6 @@ def test_every_municipality_gets_a_firm(fixture3):
     params.percentage_actual_pop = 0.1
     world = generate_world(fixture3, params, seed=2)
     firms = world.firms
-    assert firms.municipality_ids == list(world.municipalities)
     assert np.bincount(firms.municipality, minlength=3).min() >= 1
 
 
