@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampling import sample_blocks
+from .sampling import GOODS_BLOCK_CELLS, sample_blocks
 from .world.types import Families, Firms, World, distances
 
 # squared sums round within ~1e-16 of the exact ones, far inside NEAR_TIE,
@@ -122,15 +122,16 @@ def choose_firms(
     so those shoppers compare ``distances``, the lower firm id winning ties.
     """
     firms, houses = world.firms, world.houses
+    by_price = np.argsort(firms.price, kind="stable")
     price_rank = np.empty(len(firms), dtype=np.int64)
-    price_rank[np.argsort(firms.price, kind="stable")] = np.arange(len(firms))
+    price_rank[by_price] = np.arange(len(firms))
 
     chosen: list[np.ndarray] = []
     start = 0
     pool_sizes = np.full(len(homes), len(firms))
-    for picks, coins in sample_blocks(rng, pool_sizes, size_market):
-        # the price ranks are unique, so the order of a sample cannot matter
-        best = picks[np.arange(len(picks)), np.argmin(price_rank[picks], axis=1)]
+    for picks, coins in sample_blocks(rng, pool_sizes, size_market, GOODS_BLOCK_CELLS):
+        # the price ranks are unique, so the least rank names one firm
+        best = by_price[price_rank[picks].min(axis=1)]
         near = (coins >= price_criterion_probability).nonzero()[0]
         if len(near):
             home = homes[start + near, None]

@@ -55,7 +55,10 @@ def match(
     Every vacancy up to the number of candidates hires exactly one, so the
     pool shrinks by one per vacancy and every sample size is known before
     the first hire; the samples come from batched draws. The candidates'
-    qualifications and home coordinates are gathered once, in pool order.
+    qualifications and home coordinates are gathered once, in pool order,
+    and each block of vacancies gathers its hiring firms' coordinates. A
+    block's picks are read as one flat list: a vacancy's row is the slice
+    of its ``width`` picks, padded with -1 past the pool's size.
     """
     citizens, firms = world.citizens, world.firms
     ids = np.asarray(pool.candidates, dtype=np.int64)
@@ -65,16 +68,21 @@ def match(
     by_qualification = (ids - citizens.qualification[ids] * citizens.rows).tolist()
     homes = world.families.residence[citizens.family[ids]]
     home_x, home_y = world.houses.x[homes].tolist(), world.houses.y[homes].tolist()
-    firm_x, firm_y = firms.x.tolist(), firms.y.tolist()
     remaining = list(range(count))
     filled = pool.vacancies[:count]
+    hiring = np.array([firm_id for firm_id, _ in filled], dtype=np.int64)
     hired: list[int] = []
     for picks, coins in sample_blocks(rng, np.arange(count, 0, -1)[: len(filled)], sample_size):
-        for sample, by_distance in zip(picks.tolist(), (coins < pct_distance_hiring).tolist()):
-            positions = sample[: min(sample_size, len(remaining))]
-            if by_distance:
-                firm_id = filled[len(hired)][0]
-                x, y = firm_x[firm_id], firm_y[firm_id]
+        flat, width = picks.ravel().tolist(), picks.shape[1]
+        firm_ids = hiring[len(hired) : len(hired) + len(picks)]
+        rows = zip(
+            range(0, len(flat), width),
+            (coins < pct_distance_hiring).tolist(),
+            firms.x[firm_ids].tolist(),
+            firms.y[firm_ids].tolist(),
+        )
+        for start, by_distance, x, y in rows:
+            positions = flat[start : start + min(sample_size, len(remaining))]
             # the smallest key; each key is unique to its citizen, so none ties
             best = None
             for at in positions:
@@ -91,7 +99,7 @@ def match(
     # both at once is calibration's peak memory
     del id_list, by_qualification, home_x, home_y
     hired_ids = ids[hired]
-    citizens.employer[hired_ids] = [firm_id for firm_id, _ in filled]
+    citizens.employer[hired_ids] = hiring
     citizens.wage[hired_ids] = [wage for _, wage in filled]
     pool.candidates = ids[remaining].tolist()
     return [(firm_id, citizen_id) for (firm_id, _), citizen_id in zip(filled, hired_ids.tolist())]

@@ -19,6 +19,12 @@ draws them with one ``Generator.integers`` call. The values, and the
 generator's state afterwards, are those of the per-agent calls; the
 positions of a sample come back as a set (unshuffled), which is all that a
 choice by a key ending in an id needs.
+
+Floyd's step t keeps its draw unless the draw repeats an earlier pick, and
+then takes n-k+t. A row whose k draws are all distinct never substitutes:
+each draw differs from every earlier draw, and so from every earlier pick,
+which are those draws. So such a row's draws are its sample, and Floyd's
+pass only has to find the few draws that repeat and replace those.
 """
 
 from __future__ import annotations
@@ -33,15 +39,19 @@ TAIL_SHUFFLE_MIN_POOL = 10000
 TAIL_SHUFFLE_DIVISOR = 50
 # pools x sample width per batched draw: large enough that numpy's per-call
 # cost vanishes, small enough that the draw's index arrays add no peak memory
+# (labor's calibration round, the largest, sets a run's peak)
 BLOCK_CELLS = 1 << 12
+# the goods market's blocks: its month costs less at 4x than at 1x or 16x,
+# and its arrays stay below calibration's peak
+GOODS_BLOCK_CELLS = 4 * BLOCK_CELLS
 
 
 def sample_blocks(
-    rng: np.random.Generator, pool_sizes: np.ndarray, sample_size: int
+    rng: np.random.Generator, pool_sizes: np.ndarray, sample_size: int, cells: int = BLOCK_CELLS
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``sample_positions`` over consecutive blocks of the pools, drawn lazily.
 
-    A block holds about BLOCK_CELLS sampled positions, so the arrays stay
+    A block holds about ``cells`` sampled positions, so the arrays stay
     small whatever the sample size. The blocks continue one stream: their
     draws are those of one call over all the pools.
     """
@@ -49,7 +59,7 @@ def sample_blocks(
     if not len(n):
         return
     width = int(min(sample_size, n.max()))
-    rows = max(1, BLOCK_CELLS // width)
+    rows = max(1, cells // width)
     for start in range(0, len(n), rows):
         yield sample_positions(rng, n[start : start + rows], sample_size)
 
@@ -79,21 +89,26 @@ def sample_positions(
     bounds[:, :width] = (n - width)[:, None] + steps
     bounds[:, width:] = steps[::-1]
     bounds[:, -1] = COIN_BOUND
-    drawn = np.ones(bounds.shape, dtype=bool)
-    drawn[whole, :-1] = False
     floyd = ~whole
     tail = None
     if largest > TAIL_SHUFFLE_MIN_POOL:
         tail = floyd & (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
         bounds[tail, :width] = (n[tail] - 1)[:, None] - steps
-        drawn[tail, width:-1] = False
         floyd &= ~tail
+    if floyd.all():
+        # every bound is drawn, and every row is a sample by Floyd's algorithm
+        draws = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)
+        return _floyd_picks(draws[:, :width], n), unit_doubles(draws[:, -1])
+    drawn = np.ones(bounds.shape, dtype=bool)
+    drawn[whole, :-1] = False
+    if tail is not None:
+        drawn[tail, width:-1] = False
     draws = np.zeros_like(bounds)
     draws[drawn] = rng.integers(0, bounds[drawn], dtype=np.uint64, endpoint=True)
 
     picks = np.where(steps < k[:, None], steps, -1)  # a whole pool's positions
     if floyd.any():
-        picks[floyd] = _floyd_picks(draws[floyd, :width].astype(np.int64), n[floyd])
+        picks[floyd] = _floyd_picks(draws[floyd, :width], n[floyd])
     if tail is not None:
         for r in tail.nonzero()[0].tolist():
             picks[r] = _tail_picks(draws[r, :width], int(n[r]))
@@ -105,18 +120,22 @@ def unit_doubles(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _WORD_SCALE
 
 
-def _floyd_picks(picks: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Floyd's algorithm over many rows, in place on each row's k draws:
-    a repeat of an earlier pick takes j = n-k+t.
+def _floyd_picks(draws: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Floyd's algorithm over many rows of k draws: a draw that repeats an
+    earlier pick of its row takes j = n-k+t instead.
 
-    The first pick has nothing to repeat, so the loop starts at the second.
+    The picks are held one step to a row, so that each step compares every
+    sample at once over contiguous memory; the (samples, k) result is a view
+    of them. The first pick has nothing to repeat, so the loop starts at the
+    second.
     """
-    k = picks.shape[1]
+    picks = np.ascontiguousarray(draws.T, dtype=np.int64)
+    k = len(picks)
     for t in range(1, k):
-        value = picks[:, t]
-        repeat = np.logical_or.reduce(picks[:, :t] == value[:, None], axis=1)
-        picks[:, t] = np.where(repeat, n - k + t, value)
-    return picks
+        repeat = np.logical_or.reduce(picks[:t] == picks[t], axis=0).nonzero()[0]
+        if len(repeat):
+            picks[t, repeat] = n[repeat] - k + t
+    return picks.T
 
 
 def _tail_picks(draws: np.ndarray, n: int) -> list[int]:

@@ -19,7 +19,7 @@ import pytest
 import reference_markets
 from policysim import SimParams, generate_world, labor
 from policysim.labor import build_pool, calibrate_initial_unemployment, match
-from policysim.sampling import BLOCK_CELLS, sample_blocks, sample_positions
+from policysim.sampling import BLOCK_CELLS, GOODS_BLOCK_CELLS, sample_blocks, sample_positions
 from policysim.scheduler import step
 from policysim.world.regions import load_region_data
 
@@ -161,6 +161,13 @@ SAMPLER_CASES = {
     "whole-n10050": ([10_050], 10_050),
     "tail-then-whole": ([10_051, 10_050, 10_049], 10_050),
     "floyd-k90": ([500] * 20, 90),
+    # pools that all run Floyd's algorithm, drawn without a mask; Floyd's
+    # pass replaces only the draws that repeat, which most rows of 6 to 8 do
+    "floyd-equal-n8000": ([8_000] * 400, 5),
+    "floyd-repeats-n6-to-8": ([6, 7, 8] * 200, 5),
+    "floyd-shrinking-above-n10000": (list(range(12_000, 10_000, -1)), 5),
+    # one whole pool among Floyd rows sends the block down the masked path
+    "floyd-with-one-whole": ([40] * 60 + [5] + [40] * 60, 5),
 }
 
 
@@ -179,13 +186,24 @@ def test_sampler_replays_generator_choice(case, buffered):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-def test_sample_blocks_continue_one_stream():
-    pool_sizes = np.arange(9_000, 1, -1)
+def assert_blocks_continue_one_stream(pool_sizes, sample_size, cells=BLOCK_CELLS):
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
-    rows, coins = [], []
-    for picks, block_coins in sample_blocks(ours, pool_sizes, 100):
-        assert picks.size <= BLOCK_CELLS
+    rows, coins, blocks = [], [], 0
+    for picks, block_coins in sample_blocks(ours, pool_sizes, sample_size, cells):
+        assert picks.size <= cells
+        blocks += 1
         rows += [sorted(position for position in row if position >= 0) for row in picks.tolist()]
         coins += block_coins.tolist()
-    assert (rows, coins) == reference_markets.per_agent_sample(theirs, pool_sizes, 100)
+    assert blocks >= 3
+    assert (rows, coins) == reference_markets.per_agent_sample(theirs, pool_sizes, sample_size)
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_sample_blocks_continue_one_stream():
+    assert_blocks_continue_one_stream(np.arange(9_000, 1, -1), 100)
+
+
+def test_goods_blocks_continue_one_stream():
+    # every shopper samples 5 of the same 900 firms: one row of bounds a block
+    pool_sizes = np.full(3 * GOODS_BLOCK_CELLS // 5 + 7, 900)
+    assert_blocks_continue_one_stream(pool_sizes, 5, GOODS_BLOCK_CELLS)

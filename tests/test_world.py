@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -211,6 +213,16 @@ def test_negative_fertility_age_rejected(tmp_path):
     with pytest.raises(RegionDataError) as err:
         load_region_data(str(tmp_path))
     assert str(err.value) == "fertility.csv:3: negative age -1"
+
+
+def test_blank_first_line_is_a_header_missing_every_column(tmp_path):
+    # csv.DictReader also takes a blank first line for an empty header
+    text = "\nage,annual_rate\n30,0.1\n"
+    assert csv.DictReader(io.StringIO(text)).fieldnames == []
+    write_minimal_region(tmp_path, {"fertility.csv": text})
+    with pytest.raises(RegionDataError) as err:
+        load_region_data(str(tmp_path))
+    assert str(err.value) == "fertility.csv:1: missing columns: age, annual_rate"
 
 
 def test_generate_counts_match_formulas(fixture3):
