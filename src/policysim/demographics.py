@@ -58,8 +58,6 @@ def mortality_step(world: World, rng: np.random.Generator) -> list[int]:
     """
     citizens = world.citizens
     living = citizens.alive.nonzero()[0]
-    if not len(living):
-        return []
     table = world.region.monthly_hazard
     ages, female = citizens.age[living], citizens.female[living]
     hazards = table[female.view(np.int8), np.minimum(ages, table.shape[1] - 1)]
@@ -115,8 +113,6 @@ def fertility_step(world: World, rng: np.random.Generator) -> list[int]:
     chances = table[np.minimum(citizens.age[women], len(table) - 1)]
     fertile = ~np.isnan(chances)
     mothers, chances = women[fertile], chances[fertile]
-    if not len(mothers):
-        return []
     mothers = mothers[rng.random(len(mothers)) < chances]
     count = len(mothers)
     if not count:

@@ -14,8 +14,10 @@ depends only on n and k, never on the values already drawn:
 - the coin is one whole 64-bit word, which numpy also returns for the
   bound 2**64-1.
 
-So ``sample_positions`` lays the bounds of a run of samples end to end and
-draws them with one ``Generator.integers`` call. The values, and the
+numpy answers the bound 0 with 0 and draws nothing for it, not even half a
+buffered word. So ``sample_positions`` lays the bounds of a run of samples
+end to end, puts 0 in every cell that a sample does not draw, and draws
+them all with one ``Generator.integers`` call. The values, and the
 generator's state afterwards, are those of the per-agent calls; the
 positions of a sample come back as a set (unshuffled), which is all that a
 choice by a key ending in an id needs.
@@ -82,33 +84,26 @@ def sample_positions(
     # every pool not taken whole samples k == width positions
     width = min(sample_size, largest)
     steps = np.arange(width)
-    # one row of bounds per pool, drawn where ``drawn`` holds: Floyd's picks
-    # n-k ... n-1 and shuffle k-1 ... 1, or the tail shuffle's n-1 ... n-k,
-    # or nothing for a whole pool (its other cells are never drawn); then the coin
+    # one row of bounds per pool: Floyd's picks n-k ... n-1 and shuffle
+    # k-1 ... 1, or the tail shuffle's n-1 ... n-k, or nothing for a whole
+    # pool; then the coin. A cell that a pool does not draw holds the bound 0,
+    # which draws nothing
     bounds = np.empty((len(n), 2 * width), dtype=np.uint64)
     bounds[:, :width] = (n - width)[:, None] + steps
     bounds[:, width:] = steps[::-1]
-    bounds[:, -1] = COIN_BOUND
-    floyd = ~whole
     tail = None
     if largest > TAIL_SHUFFLE_MIN_POOL:
-        tail = floyd & (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
+        tail = ~whole & (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
         bounds[tail, :width] = (n[tail] - 1)[:, None] - steps
-        floyd &= ~tail
-    if floyd.all():
-        # every bound is drawn, and every row is a sample by Floyd's algorithm
-        draws = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)
-        return _floyd_picks(draws[:, :width], n), unit_doubles(draws[:, -1])
-    drawn = np.ones(bounds.shape, dtype=bool)
-    drawn[whole, :-1] = False
-    if tail is not None:
-        drawn[tail, width:-1] = False
-    draws = np.zeros_like(bounds)
-    draws[drawn] = rng.integers(0, bounds[drawn], dtype=np.uint64, endpoint=True)
+        bounds[tail, width:] = 0
+    if whole.any():
+        bounds[whole] = 0
+    bounds[:, -1] = COIN_BOUND
+    draws = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)
 
-    picks = np.where(steps < k[:, None], steps, -1)  # a whole pool's positions
-    if floyd.any():
-        picks[floyd] = _floyd_picks(draws[floyd, :width], n[floyd])
+    picks = _floyd_picks(draws[:, :width], n)
+    if whole.any():
+        picks[whole] = np.where(steps < k[whole, None], steps, -1)
     if tail is not None:
         for r in tail.nonzero()[0].tolist():
             picks[r] = _tail_picks(draws[r, :width], int(n[r]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -425,9 +425,9 @@ class World:
         summed in the iteration order of its owned_houses set.
 
         An active family owns the house it lives in, so the only house of a
-        family that owns one is its residence. Two prices add to the same
-        bits in either order, so only a family with three or more houses
-        needs its set's order.
+        family that owns one is its residence. The prices of the families
+        with several houses add up in one segment sum (``np.add.at`` from
+        zero, in set order), which is ``sum()`` of each set's prices.
         """
         families, price = self.families, self.houses.price
         counts = families.owned[active]
@@ -437,11 +437,9 @@ class World:
         several = (counts > 1).nonzero()[0]
         owned = [families.owned_houses[family_id] for family_id in active[several].tolist()]
         houses = np.fromiter(chain.from_iterable(owned), dtype=np.int64)
-        first = np.cumsum(counts[several]) - counts[several]
-        two = counts[several] == 2
-        wealth[several[two]] += price[houses[first[two]]] + price[houses[first[two] + 1]]
-        for row, family_houses in zip(several[~two].tolist(), compress(owned, ~two)):
-            wealth[row] += sum(price[list(family_houses)].tolist())
+        prices = np.zeros(len(several))
+        np.add.at(prices, np.repeat(np.arange(len(several)), counts[several]), price[houses])
+        wealth[several] += prices
         return wealth
 
     def family_records(self) -> list[dict]:

@@ -107,6 +107,10 @@ def test_dead_are_fully_removed():
     assert world.citizens.headcount(1).tolist() == [0]
     assert world.citizens.wage.tolist() == [0.0] * 30
     assert world.families.members(world.citizens).tolist() == [0] * 30
+    # nobody is left to die: an empty draw, which leaves the stream alone
+    state = world.rng.bit_generator.state
+    assert mortality_step(world, world.rng) == []
+    assert world.rng.bit_generator.state == state
 
 
 def test_inheritance_moves_estate_to_surviving_family():
@@ -161,7 +165,9 @@ def test_fertility_binomial_rate():
 
 def test_males_do_not_give_birth():
     world = build_population(50, fertility=12.0, gender="male")
+    state = world.rng.bit_generator.state
     assert fertility_step(world, world.rng) == []
+    assert world.rng.bit_generator.state == state
 
 
 def test_population_accounting_over_time(fixture3):

@@ -19,7 +19,13 @@ import pytest
 import reference_markets
 from policysim import SimParams, generate_world, labor
 from policysim.labor import build_pool, calibrate_initial_unemployment, match
-from policysim.sampling import BLOCK_CELLS, GOODS_BLOCK_CELLS, sample_blocks, sample_positions
+from policysim.sampling import (
+    BLOCK_CELLS,
+    COIN_BOUND,
+    GOODS_BLOCK_CELLS,
+    sample_blocks,
+    sample_positions,
+)
 from policysim.scheduler import step
 from policysim.world.regions import load_region_data
 
@@ -166,8 +172,10 @@ SAMPLER_CASES = {
     "floyd-equal-n8000": ([8_000] * 400, 5),
     "floyd-repeats-n6-to-8": ([6, 7, 8] * 200, 5),
     "floyd-shrinking-above-n10000": (list(range(12_000, 10_000, -1)), 5),
-    # one whole pool among Floyd rows sends the block down the masked path
+    # one whole pool among Floyd rows: its cells hold the bound 0 but the coin
     "floyd-with-one-whole": ([40] * 60 + [5] + [40] * 60, 5),
+    # a tail-shuffle row, Floyd rows and whole pools in one block
+    "tail-floyd-whole": ([10_300, 10_001, 9_000, 150, 10_001, 200], 201),
 }
 
 
@@ -184,6 +192,30 @@ def test_sampler_replays_generator_choice(case, buffered):
     expected = reference_markets.per_agent_sample(theirs, pool_sizes, sample_size)
     assert batched(ours, pool_sizes, sample_size) == expected
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-uint32"])
+def test_zero_bound_draws_nothing(buffered):
+    # sample_positions puts the bound 0 in every cell a pool does not draw:
+    # numpy must answer it with 0 and leave the stream, and the buffered half
+    # word, to the nonzero bounds around it
+    nonzero = np.array(
+        [COIN_BOUND, 7, 2**32 - 1, 2**40 + 3, 1, COIN_BOUND, 2**33, 12_345], dtype=np.uint64
+    )
+    bounds = np.zeros(2 * len(nonzero) + 3, dtype=np.uint64)
+    drawn = np.zeros(len(bounds), dtype=bool)
+    drawn[[1, 2, 5, 8, 9, 13, 16, 18]] = True
+    bounds[drawn] = nonzero
+    with_zeros, alone = np.random.default_rng(5), np.random.default_rng(5)
+    if buffered:
+        for rng in (with_zeros, alone):
+            rng.integers(0, 1000, size=3)
+            assert rng.bit_generator.state["has_uint32"] == 1
+    draws = with_zeros.integers(0, bounds, dtype=np.uint64, endpoint=True)
+    assert not draws[~drawn].any()
+    expected = alone.integers(0, nonzero, dtype=np.uint64, endpoint=True)
+    assert draws[drawn].tolist() == expected.tolist()
+    assert with_zeros.bit_generator.state == alone.bit_generator.state
 
 
 def assert_blocks_continue_one_stream(pool_sizes, sample_size, cells=BLOCK_CELLS):
