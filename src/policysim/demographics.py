@@ -38,7 +38,10 @@ def _transfer_estates(world: World, extinct: np.ndarray, heirs: np.ndarray) -> N
     for family_id, heir_id in zip(extinct.tolist(), heirs.tolist()):
         owned[heir_id].update(sorted(owned[family_id]))
         owned[family_id] = set()
-    for column in (families.owned, families.monthly_cash, families.savings):
+    heir_of = np.arange(len(families.present))
+    heir_of[extinct] = heirs
+    world.houses.owner = heir_of[world.houses.owner]  # an heir is never extinct
+    for column in (families.monthly_cash, families.savings):
         np.add.at(column, heirs, column[extinct])
         column[extinct] = 0
     families.present[extinct] = False

@@ -79,11 +79,7 @@ def match_market(
     houses, families = world.houses, world.families
     open_listings = sorted(zip(houses.price[listings].tolist(), [-h for h in listings]))
     savings, owned, residence = families.savings, families.owned_houses, families.residence
-    # a listed house is vacant: its owner owns another house, the one it
-    # lives in, or has no members left to live in it
-    members = families.members(world.citizens)
-    sellers = (families.present & ((families.owned > 1) | (members == 0))).nonzero()[0]
-    owners = {house_id: family for family in sellers.tolist() for house_id in owned[family]}
+    owner = houses.owner
     entrant_ids = np.asarray(entrant_ids, dtype=np.int64)
     order = sorted(zip((-savings[entrant_ids]).tolist(), entrant_ids.tolist()))
     qli = world.qli
@@ -96,22 +92,20 @@ def match_market(
     for _, buyer in order:
         bid = float(savings[buyer])
         index = bisect_right(open_listings, (bid, math.inf))
-        while index and -open_listings[index - 1][1] in owned[buyer]:
+        while index and owner[-open_listings[index - 1][1]] == buyer:
             index -= 1
         if not index:
             continue
         offer, negative_id = open_listings.pop(index - 1)
         house_id = -negative_id
-        seller = owners[house_id]
+        seller = int(owner[house_id])
         price = (bid + offer) / 2.0
         tax = price * transaction_tax_rate
         savings[buyer] -= price
         savings[seller] += price - tax
         owned[seller].discard(house_id)
         owned[buyer].add(house_id)
-        families.owned[seller] -= 1
-        families.owned[buyer] += 1
-        owners[house_id] = buyer
+        owner[house_id] = buyer
         sales.append(
             SaleRecord(
                 month=world.clock,
@@ -127,7 +121,6 @@ def match_market(
         home = int(residence[buyer])
         if amenity_score(house_id) > amenity_score(home):
             insort(open_listings, (float(houses.price[home]), -home))
-            owners[home] = buyer
             residence[buyer] = house_id
     codes = houses.municipality[[sale.house_id for sale in sales]]
     world.ledger.book(

@@ -91,23 +91,30 @@ def sample_positions(
     bounds = np.empty((len(n), 2 * width), dtype=np.uint64)
     bounds[:, :width] = (n - width)[:, None] + steps
     bounds[:, width:] = steps[::-1]
+    floyd = ~whole
     tail = None
     if largest > TAIL_SHUFFLE_MIN_POOL:
-        tail = ~whole & (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
+        tail = floyd & (n > TAIL_SHUFFLE_MIN_POOL) & (k > n // TAIL_SHUFFLE_DIVISOR)
         bounds[tail, :width] = (n[tail] - 1)[:, None] - steps
         bounds[tail, width:] = 0
+        floyd &= ~tail
     if whole.any():
         bounds[whole] = 0
     bounds[:, -1] = COIN_BOUND
     draws = rng.integers(0, bounds, dtype=np.uint64, endpoint=True)
+    coins = unit_doubles(draws[:, -1])
+    if floyd.all():
+        return _floyd_picks(draws[:, :width], n), coins
 
-    picks = _floyd_picks(draws[:, :width], n)
-    if whole.any():
-        picks[whole] = np.where(steps < k[whole, None], steps, -1)
+    # Floyd's pass costs width steps over its rows, however few they are, so
+    # it runs on the Floyd rows only, and not at all without them
+    picks = np.where(steps < k[:, None], steps, -1)  # a whole pool's positions
+    if floyd.any():
+        picks[floyd] = _floyd_picks(draws[floyd, :width], n[floyd])
     if tail is not None:
         for r in tail.nonzero()[0].tolist():
             picks[r] = _tail_picks(draws[r, :width], int(n[r]))
-    return picks, unit_doubles(draws[:, -1])
+    return picks, coins
 
 
 def unit_doubles(words: np.ndarray) -> np.ndarray:

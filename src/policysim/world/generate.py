@@ -15,7 +15,7 @@ whatever its population:
 
 Then one ``integers(0, families)`` call draws an owner per surplus house,
 in house order. Everything between these calls is array passes over the
-draws; only the owners are added to the families' house sets one by one.
+draws; only the surplus houses join their owners' house sets one by one.
 
 Steps 4, 6 and 7 each make one ``Generator.integers`` call over mixed
 inclusive bounds, which returns the values of one scalar ``uniform`` or
@@ -245,7 +245,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     categories, female_categories, category_p = _age_gender_categories(region)
     schooling = _schooling_tables(region)
     homes: list[int] = []  # each family's residence, in family id order
-    surplus_house_ids: list[int] = []
     house_count = 0
 
     for muni_index, spec in enumerate(specs):
@@ -282,7 +281,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         # vacant surplus houses, owners drawn later over all families
         n_surplus = surplus_per_muni[muni_index]
         _build_houses(houses, muni_index, spec, n_surplus, rng)
-        surplus_house_ids += range(house_count, house_count + n_surplus)
         house_count += n_surplus
 
         expected_employees = int(np.count_nonzero(working_age)) / n_firms
@@ -292,15 +290,16 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         firms["y"].append(ys)
         firms["cash"].append(np.full(n_firms, INITIAL_WAGE_OFFER * expected_employees))
 
-    # assign surplus houses to randomly drawn existing families
+    # each family owns its home, and the surplus houses left go to drawn families
     families = Families.open(homes, np.concatenate(family_cash))
-    owners = rng.integers(0, len(homes), size=len(surplus_house_ids))
-    for house_id, owner in zip(surplus_house_ids, owners.tolist()):
-        families.owned_houses[owner].add(house_id)
-    families.owned += np.bincount(owners, minlength=len(homes))
+    house_store = Houses.open(**_joined(houses))
+    house_store.owner[families.residence] = np.arange(len(homes))
+    surplus = (house_store.owner < 0).nonzero()[0]
+    house_store.owner[surplus] = rng.integers(0, len(homes), size=len(surplus))
+    for house_id, family_id in zip(surplus.tolist(), house_store.owner[surplus].tolist()):
+        families.owned_houses[family_id].add(house_id)
 
     qli = np.full(len(specs), INITIAL_QLI)
-    house_store = Houses.open(**_joined(houses))
     house_store.price = hedonic_offer_prices(house_store, qli, params.hedonic_base_coefficient)
     return World(
         clock=0,

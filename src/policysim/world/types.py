@@ -180,14 +180,13 @@ class Families:
     last member dies keeps its assets until an heir takes them, which
     clears ``present``. ``owned_houses`` holds each family's house ids; a
     set's iteration order is the order its prices are summed in. Only sales
-    and estate transfers change a set's size, and both keep ``owned`` equal
-    to it. ``len`` counts the present families, and iteration yields their
-    ids.
+    and estate transfers change the sets, and both move the same houses in
+    ``Houses.owner``. ``len`` counts the present families, and iteration
+    yields their ids.
     """
 
     residence: np.ndarray  # int64, the house the members live in
     owned_houses: list[set[int]]
-    owned: np.ndarray  # int64, len(owned_houses[family])
     monthly_cash: np.ndarray  # liquid, funds consumption
     savings: np.ndarray  # illiquid, real-estate only
     present: np.ndarray  # bool
@@ -198,7 +197,6 @@ class Families:
         return cls(
             residence=np.asarray(residence, dtype=np.int64),
             owned_houses=[{house_id} for house_id in residence],
-            owned=np.ones(len(residence), dtype=np.int64),
             monthly_cash=np.asarray(monthly_cash, dtype=float),
             savings=np.zeros(len(residence)),
             present=np.ones(len(residence), dtype=bool),
@@ -249,6 +247,7 @@ class Houses:
     Generation builds every house, numbered 0..n-1, and none is added or
     removed later. ``municipality`` indexes the region's
     ``municipality_ids``; ``price`` is the current hedonic offer.
+    ``owner`` is the owning family's id, the record of ownership the engine reads.
     """
 
     municipality: np.ndarray  # int64
@@ -257,6 +256,7 @@ class Houses:
     size: np.ndarray  # m2, fixed
     quality: np.ndarray  # int64, ordinal 1..4, fixed
     price: np.ndarray
+    owner: np.ndarray  # int64, a family id
 
     @classmethod
     def open(
@@ -267,7 +267,7 @@ class Houses:
         size: Sequence[float],
         quality: Sequence[int],
     ) -> Houses:
-        """Houses not yet priced."""
+        """Houses not yet priced, and not yet owned (owner -1)."""
         return cls(
             municipality=np.asarray(municipality, dtype=np.int64),
             x=np.asarray(x, dtype=float),
@@ -275,6 +275,7 @@ class Houses:
             size=np.asarray(size, dtype=float),
             quality=np.asarray(quality, dtype=np.int64),
             price=np.zeros(len(municipality)),
+            owner=np.full(len(municipality), -1, dtype=np.int64),
         )
 
     def __len__(self) -> int:
@@ -424,13 +425,13 @@ class World:
         """Each active family's cash, savings and house prices; the prices are
         summed in the iteration order of its owned_houses set.
 
-        An active family owns the house it lives in, so the only house of a
-        family that owns one is its residence. The prices of the families
-        with several houses add up in one segment sum (``np.add.at`` from
-        zero, in set order), which is ``sum()`` of each set's prices.
+        Its house count is the count of its id in ``Houses.owner``; an active
+        family owns its residence, so a family with one house owns only that.
+        Several houses add up in one segment sum (``np.add.at`` from zero, in
+        set order), which is ``sum()`` of each set's prices.
         """
         families, price = self.families, self.houses.price
-        counts = families.owned[active]
+        counts = np.bincount(self.houses.owner, minlength=len(families.present))[active]
         wealth = families.monthly_cash[active] + families.savings[active]
         single = counts == 1
         wealth[single] += price[families.residence[active[single]]]

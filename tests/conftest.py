@@ -118,13 +118,11 @@ def make_families(families):
     store = Families.open([0] * rows, [0.0] * rows)
     store.present[:] = False
     store.owned_houses = [set() for _ in range(rows)]
-    store.owned[:] = 0
     for family in families:
         row = family.id
         store.present[row] = True
         store.residence[row] = family.residence
         store.owned_houses[row] = set(family.owned_houses)
-        store.owned[row] = len(family.owned_houses)
         store.monthly_cash[row] = family.monthly_cash
         store.savings[row] = family.savings
     return store
@@ -133,7 +131,8 @@ def make_families(families):
 def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=0):
     """Assemble a world from simple_citizen, simple_family, simple_house and
     simple_firm specs, for unit tests. A family's members are the citizens
-    that name it, and must be the spec's member_ids."""
+    that name it, and must be the spec's member_ids. A house's owner is the
+    family whose spec's owned_houses holds it."""
     named = {}
     for citizen in citizens:
         named.setdefault(citizen["family_id"], set()).add(citizen["id"])
@@ -153,6 +152,8 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
         rng=np.random.default_rng(seed),
         ledger=TaxLedger(),
     )
+    for family in families:
+        world.houses.owner[sorted(family.owned_houses)] = family.id
     return world
 
 
@@ -168,11 +169,15 @@ def citizen(world, cid):
 
 
 def assert_ownership_partition(world):
-    """Every house has exactly one owning family, a present one; active
-    families own their home."""
+    """Every house has exactly one owning family, a present one, which is
+    its owner in ``Houses.owner``; active families own their home."""
     families = world.families
-    owned = [house_id for family_id in families for house_id in families.owned_houses[family_id]]
-    assert sorted(owned) == list(range(len(world.houses)))
+    owned = sorted(
+        (house_id, family_id)
+        for family_id in families for house_id in families.owned_houses[family_id]
+    )
+    assert [house_id for house_id, _ in owned] == list(range(len(world.houses)))
+    assert world.houses.owner.tolist() == [family_id for _, family_id in owned]
     for family_id in world.active_families().tolist():
         assert families.residence[family_id] in families.owned_houses[family_id]
 

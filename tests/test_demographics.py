@@ -127,6 +127,7 @@ def test_inheritance_moves_estate_to_surviving_family():
     mortality_step(world, world.rng)
     assert 0 not in world.families
     assert world.families.owned_houses[1] == {0, 1}
+    assert world.houses.owner.tolist() == [1, 1]
     assert world.families.monthly_cash[1] == 7.0
     assert world.families.savings[1] == 3.0
     assert 0 in world.families.owned_houses[1]
@@ -224,6 +225,7 @@ def test_families_dying_out_together_draw_heirs_from_one_survivor_list():
     assert {fid: world.families.monthly_cash[fid] for fid in world.families} == expected_cash
     assert 1 in world.families.owned_houses[heir_of_family_1]
     assert 0 in world.families.owned_houses[heir_of_family_0]
+    assert world.houses.owner.tolist() == [heir_of_family_0, heir_of_family_1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("missing", ["age row", "gender table"])

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import reference_markets
-from policysim import SimParams, generate_world, labor
+from policysim import SimParams, generate_world, labor, sampling
 from policysim.labor import build_pool, calibrate_initial_unemployment, match
 from policysim.sampling import (
     BLOCK_CELLS,
@@ -216,6 +216,33 @@ def test_zero_bound_draws_nothing(buffered):
     expected = alone.integers(0, nonzero, dtype=np.uint64, endpoint=True)
     assert draws[drawn].tolist() == expected.tolist()
     assert with_zeros.bit_generator.state == alone.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "case, floyd_rows",
+    [
+        ("whole-pool", None),
+        ("whole-n10050", None),
+        ("tail-n10001-k201", None),
+        ("tail-floyd-whole", [10_300, 9_000]),
+        ("floyd-k90", [500] * 20),
+    ],
+)
+def test_floyd_pass_gets_only_floyd_rows(monkeypatch, case, floyd_rows):
+    # Floyd's pass takes width steps however few rows it gets, which made
+    # whole pools and tail-shuffle rows cost width**2 each: the pass must get
+    # the Floyd rows of a block, and no call when there are none
+    calls = []
+    floyd_picks = sampling._floyd_picks
+
+    def spy(draws, n):
+        calls.append(n.tolist())
+        return floyd_picks(draws, n)
+
+    monkeypatch.setattr(sampling, "_floyd_picks", spy)
+    pool_sizes, sample_size = SAMPLER_CASES[case]
+    sample_positions(np.random.default_rng(7), pool_sizes, sample_size)
+    assert calls == ([] if floyd_rows is None else [floyd_rows])
 
 
 def assert_blocks_continue_one_stream(pool_sizes, sample_size, cells=BLOCK_CELLS):

@@ -288,7 +288,7 @@ def test_extinct_family_without_heir_sells_its_only_house():
     world = sale_world()
     world.families.owned_houses[1].discard(2)
     world.families.owned_houses[0].add(2)
-    world.families.owned[:2] = [2, 1]
+    world.houses.owner[2] = 0
     world.citizens.alive[1] = False
     listings = build_listings(world, world.active_families())
     assert listings == [1, 2]

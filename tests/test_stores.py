@@ -32,10 +32,10 @@ from policysim.world.types import (
 )
 
 from conftest import (
+    FamilySpec,
     assert_ownership_partition,
     make_world,
     simple_citizen,
-    simple_family,
     simple_house,
 )
 
@@ -68,12 +68,6 @@ def check_listing(world):
     assert [family["id"] for family in state["families"]] == list(world.families)
     # the active families are the present rows with members
     assert world.active_families().tolist() == sorted(members)
-
-
-def check_house_counts(world):
-    """The count column against the size of each family's house set."""
-    families = world.families
-    assert families.owned.tolist() == [len(houses) for houses in families.owned_houses]
 
 
 def check_residences(world, active):
@@ -132,7 +126,6 @@ def step_months(world, params, months):
         check_employment(world)
         check_listing(world)
         assert_ownership_partition(world)
-        check_house_counts(world)
         # one uniform per living citizen, then one heir draw per extinct family
         replay.random(living)
         heirs = len(world.active_families())
@@ -156,7 +149,6 @@ def step_months(world, params, months):
         step_real_estate(world, params, rng, active)
         check_residences(world, active)
         assert_ownership_partition(world)
-        check_house_counts(world)
         taxes = step_fiscal(world, params)
         check_wealth(world, active)
         record = record_month(world, params, taxes, active)
@@ -286,9 +278,11 @@ def test_wealth_sums_prices_in_set_order():
     houses = [simple_house(house_id=hid, price=0.0) for hid in range(17)]
     for house_id, price in ((1, 0.1), (8, 0.2), (16, 0.3)):
         houses[house_id]["price"] = price
-    family = simple_family(family_id=0, member_ids=(0,), residence=16)
-    world = make_world([simple_citizen()], [family], houses)
+    family = FamilySpec(id=0, member_ids={0}, residence=16, owned_houses=owned)
+    # family 1, with no members, owns the other houses
+    others = FamilySpec(id=1, member_ids=set(), residence=0, owned_houses=set(range(17)) - owned)
+    world = make_world([simple_citizen()], [family, others], houses)
+    # make_world copies the sets; this one keeps its iteration order
     world.families.owned_houses[0] = owned
-    world.families.owned[0] = len(owned)
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
     assert world.wealth(world.active_families()).tolist() == [(0.3 + 0.2) + 0.1]
