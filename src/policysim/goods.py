@@ -39,7 +39,7 @@ def set_budget(
 def rank_layout(owners: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Order items so that pass t takes the t-th item of every owner at once.
 
-    ``owners`` holds each item's owner in 0..count-1, and each owner's items
+    ``owners[i]`` is item i's owner in 0..count-1, and each owner's items
     are in their sequential order. Returns (order, rows, ends): pass t
     takes the items ``order[ends[t-1]:ends[t]]``, one for each of the owners
     ``rows[:ends[t] - ends[t-1]]``. ``rows`` lists the owners that have
