@@ -7,6 +7,7 @@ of the remaining candidates either the closest one or the best qualified.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +57,14 @@ def match(
     pool shrinks by one per vacancy and every sample size is known before
     the first hire; the samples come from batched draws. The candidates'
     qualifications and home coordinates are gathered once, in pool order,
-    and each block of vacancies gathers its hiring firms' coordinates. A
-    block's picks are read as one flat list: a vacancy's row is the slice
-    of its ``width`` picks, padded with -1 past the pool's size.
+    and each block of vacancies gathers its hiring firms' coordinates.
+
+    The remaining pool holds candidate positions in an ``array.array``, in
+    pool order, so a hire's ``pop`` moves 2-byte entries (4-byte past
+    65,536 candidates, where positions no longer fit 16 bits) instead of
+    8-byte list slots, and the pool stays in cache. A block's picks are
+    read as ``tolist()`` rows, padded with -1 past the pool's size; a row
+    is cut only once fewer candidates remain than its width.
     """
     citizens, firms = world.citizens, world.firms
     ids = np.asarray(pool.candidates, dtype=np.int64)
@@ -68,32 +74,41 @@ def match(
     by_qualification = (ids - citizens.qualification[ids] * citizens.rows).tolist()
     homes = world.families.residence[citizens.family[ids]]
     home_x, home_y = world.houses.x[homes].tolist(), world.houses.y[homes].tolist()
-    remaining = list(range(count))
+    remaining = array("H" if count <= 1 << 16 else "I", range(count))
     filled = pool.vacancies[:count]
     hiring = np.array([firm_id for firm_id, _ in filled], dtype=np.int64)
     hired: list[int] = []
     for picks, coins in sample_blocks(rng, np.arange(count, 0, -1)[: len(filled)], sample_size):
-        flat, width = picks.ravel().tolist(), picks.shape[1]
+        width = picks.shape[1]
         firm_ids = hiring[len(hired) : len(hired) + len(picks)]
         rows = zip(
-            range(0, len(flat), width),
+            picks.tolist(),
             (coins < pct_distance_hiring).tolist(),
             firms.x[firm_ids].tolist(),
             firms.y[firm_ids].tolist(),
         )
-        for start, by_distance, x, y in rows:
-            positions = flat[start : start + min(sample_size, len(remaining))]
-            # the smallest key; each key is unique to its citizen, so none ties
-            best = None
-            for at in positions:
-                index = remaining[at]
-                if by_distance:
-                    # math.hypot of the differences, as types.distance(s) measures
-                    key = (math.hypot(home_x[index] - x, home_y[index] - y), id_list[index])
-                else:
-                    key = by_qualification[index]
-                if best is None or key < best:
-                    best, position = key, at
+        for row, by_distance, x, y in rows:
+            if len(remaining) < width:
+                row = row[: len(remaining)]
+            position = row[0]
+            index = remaining[position]
+            if by_distance:
+                # math.hypot of the differences, as types.distance(s) measures;
+                # an exact tie goes to the lower id
+                best = math.hypot(home_x[index] - x, home_y[index] - y)
+                best_id = id_list[index]
+                for at in row[1:]:
+                    index = remaining[at]
+                    key = math.hypot(home_x[index] - x, home_y[index] - y)
+                    if key < best or (key == best and id_list[index] < best_id):
+                        best, best_id, position = key, id_list[index], at
+            else:
+                # each key is unique to its citizen, so none ties
+                best = by_qualification[index]
+                for at in row[1:]:
+                    key = by_qualification[remaining[at]]
+                    if key < best:
+                        best, position = key, at
             hired.append(remaining.pop(position))
     # free the per-candidate lists before building the outputs: holding
     # both at once is calibration's peak memory

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_markets
 from policysim import SimParams, generate_world
 from policysim.fiscal import FiscalError
 from policysim.labor import build_pool, calibrate_initial_unemployment, match, pay_wages
@@ -269,6 +270,41 @@ def test_match_replay_respects_wage_order():
     hires = match(world, pool, pct_distance_hiring=0.5, sample_size=3, rng=world.rng)
     hire_wages = [world.firms.wage_offer[fid] for fid, _ in hires]
     assert hire_wages == sorted(hire_wages, reverse=True)
+
+
+def match_both_ways(specs, firm_specs, sample_size, order):
+    """``match`` and the per-agent reference on one world, the pool in ``order``:
+    each side's hires, remaining pool and generator state."""
+    outcomes = []
+    for matcher in (match, reference_markets.match):
+        world, openings = staffed_world(specs, firm_specs)
+        pool = build_pool(world, SimParams(), openings)
+        pool.candidates = list(order)
+        hires = matcher(world, pool, 1.0, sample_size, world.rng)
+        outcomes.append((hires, pool.candidates, world.rng.bit_generator.state))
+    return outcomes
+
+
+@pytest.mark.parametrize("sample_size", [50, 4], ids=["whole-pool", "sampled"])
+def test_match_breaks_equal_distances_by_id(sample_size):
+    # 16 candidates at four distances from the firm at x = 0, two on each
+    # side, in a shuffled pool: equal distances are exact ties, and the
+    # lower id must win each
+    specs = [(cid, 30, 5, float((cid // 2 % 4 + 1) * (-1) ** cid)) for cid in range(16)]
+    order = np.random.default_rng(3).permutation(16).tolist()
+    ours, theirs = match_both_ways(specs, [(0, 3.0, 6, 0.0), (1, 2.0, 4, 0.0)], sample_size, order)
+    assert len(ours[0]) == 10
+    assert ours == theirs
+
+
+def test_match_picks_by_id_among_overflowing_distances():
+    # the differences overflow to inf, so math.hypot is inf for every
+    # candidate: the choice among them falls to the lower id
+    specs = [(cid, 30, 5, 1e308 * (1.0 - cid / 100)) for cid in range(9)]
+    order = [4, 7, 1, 8, 0, 5, 2, 6, 3]
+    ours, theirs = match_both_ways(specs, [(0, 3.0, 5, -1e308)], 3, order)
+    assert len(ours[0]) == 5
+    assert ours == theirs
 
 
 @pytest.mark.parametrize("sample_size", [50, 3], ids=["whole-pool", "sampled"])

@@ -18,7 +18,7 @@ import pytest
 
 import reference_markets
 from policysim import SimParams, generate_world, labor, sampling
-from policysim.labor import build_pool, calibrate_initial_unemployment, match
+from policysim.labor import LaborPool, build_pool, calibrate_initial_unemployment, match
 from policysim.sampling import (
     BLOCK_CELLS,
     COIN_BOUND,
@@ -116,9 +116,8 @@ def test_fixture3_x10_payroll_shortfalls_match_per_agent_payroll(regions, monkey
     assert simulate_reference(regions[10], params, 1, monkeypatch) == (state, records)
 
 
-def tail_shuffle_world():
-    """10,050 unemployed candidates and nine vacancies at three firms."""
-    count = 10_050
+def candidate_world(count):
+    """``count`` unemployed candidates, each in a house of their own, and three firms."""
     citizens = [
         simple_citizen(cid=cid, family_id=cid, qualification=cid % 13) for cid in range(count)
     ]
@@ -130,7 +129,12 @@ def tail_shuffle_world():
         for cid in range(count)
     ]
     firms = [simple_firm(firm_id=j, wage_offer=5.0 - j, location=(3.0 * j, 1.0)) for j in range(3)]
-    world = make_world(citizens, families, houses, firms, seed=11)
+    return make_world(citizens, families, houses, firms, seed=11)
+
+
+def tail_shuffle_world():
+    """10,050 unemployed candidates and nine vacancies at three firms."""
+    world = candidate_world(10_050)
     return world, build_pool(world, SimParams(), {0: 4, 1: 3, 2: 2})
 
 
@@ -144,6 +148,29 @@ def test_match_on_the_tail_shuffle_branch(sample_size):
         world, pool = tail_shuffle_world()
         hires = matcher(world, pool, 0.5, sample_size, world.rng)
         outcomes.append((hires, pool.candidates, world.rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
+
+
+@pytest.fixture(scope="module", params=[1 << 16, (1 << 16) + 1])
+def wide_pool(request):
+    """A world of ``request.param`` candidates and its pool of 30 vacancies."""
+    world = candidate_world(request.param)
+    pool = build_pool(world, SimParams(), {0: 12, 1: 10, 2: 8})
+    assert len(pool.candidates) == request.param
+    return world, pool
+
+
+@pytest.mark.parametrize("sample_size", [5, 1_400], ids=["floyd", "tail-shuffle"])
+def test_match_on_both_sides_of_the_16_bit_pool(wide_pool, sample_size):
+    # labor.match holds pool positions in 16 bits up to 65,536 candidates
+    # and in 32 bits past that; 1,400 > n // 50 takes the tail shuffle
+    world, pool = wide_pool
+    outcomes = []
+    for matcher in (match, reference_markets.match):
+        rng = np.random.default_rng(11)
+        fresh = LaborPool(list(pool.candidates), list(pool.vacancies))
+        hires = matcher(world, fresh, 0.5, sample_size, rng)
+        outcomes.append((hires, fresh.candidates, rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]
 
 
