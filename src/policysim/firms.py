@@ -117,6 +117,6 @@ def close_books(world: World, wage_bills: np.ndarray, firm_tax_rate: float) -> N
     firms = world.firms
     tax = np.where(firms.last_profit > 0.0, firms.last_profit, 0.0) * firm_tax_rate
     firms.cash -= tax
-    world.ledger.book("firms", world.region.municipality_ids, firms.municipality, tax)
+    world.ledger.book("firms", firms.municipality, tax)
     firms.last_profit = firms.revenue - wage_bills - tax
     firms.revenue = np.zeros(len(firms))

@@ -25,23 +25,17 @@ class FiscalError(ValueError):
 
 
 class TaxLedger:
-    """Current-month collections keyed by (municipality id, tax kind)."""
+    """Current-month collections keyed by (municipality row, tax kind)."""
 
     def __init__(self) -> None:
-        self._amounts: dict[tuple[str, str], float] = {}
+        self._amounts: dict[tuple[int, str], float] = {}
 
-    def add(self, municipality_id: str, kind: str, amount: float) -> None:
+    def add(self, code: int, kind: str, amount: float) -> None:
         """Book a single charge."""
-        self.book(kind, [municipality_id], np.zeros(1, dtype=np.int64), [amount])
+        self.book(kind, [code], [amount])
 
-    def book(
-        self,
-        kind: str,
-        municipality_ids: Sequence[str],
-        codes: np.ndarray,
-        amounts: Sequence[float],
-    ) -> None:
-        """Book charge i, ``amounts[i]``, to ``(municipality_ids[codes[i]], kind)``.
+    def book(self, kind: str, codes: Sequence[int], amounts: Sequence[float]) -> None:
+        """Book charge i, ``amounts[i]``, to ``(codes[i], kind)``.
 
         The result is that of booking the charges one by one, in order: a
         key enters the ledger at its first charge, and each key's charges
@@ -56,22 +50,23 @@ class TaxLedger:
         negative = (amounts < 0.0).nonzero()[0]
         end = int(negative[0]) if len(negative) else len(amounts)
         codes = np.asarray(codes, dtype=np.int64)[:end]
+        rows = int(codes.max()) + 1 if end else 0
         # the charged municipalities, in the order of their first charges
-        first = np.full(len(municipality_ids), end)
+        first = np.full(rows, end)
         np.minimum.at(first, codes, np.arange(end))
         order = first.argsort()
         charged = order[first[order] < end].tolist()
-        totals = np.zeros(len(municipality_ids))
+        totals = np.zeros(rows)
         for code in charged:
-            totals[code] = self._amounts.get((municipality_ids[code], kind), 0.0)
+            totals[code] = self._amounts.get((code, kind), 0.0)
         np.add.at(totals, codes, amounts[:end])
         for code, total in zip(charged, totals[charged].tolist()):
-            self._amounts[municipality_ids[code], kind] = total
+            self._amounts[code, kind] = total
         if end < len(amounts):
             raise FiscalError(f"negative tax amount {float(amounts[end])!r} for {kind}")
 
-    def get(self, municipality_id: str, kind: str) -> float:
-        return self._amounts.get((municipality_id, kind), 0.0)
+    def get(self, code: int, kind: str) -> float:
+        return self._amounts.get((code, kind), 0.0)
 
     def total(self) -> float:
         return sum(self._amounts.values())
@@ -223,26 +218,26 @@ def distribute(
     ledger: TaxLedger,
     regime: DistributionRegime,
     overrides: dict[str, float],
-    municipality_ids: list[str],
     populations: list[int],
     fpm_brackets: list[tuple[int, int, float]],
 ) -> list[float]:
     """Each municipality's receipts from the month's ledger under a regime.
 
-    ``populations`` and the returned receipts are in the order of
-    ``municipality_ids``. ``overrides`` is the ``TAXES_STRUCTURE`` dict (see
-    channel_fractions). With alternative0 false the whole ACP behaves as one
-    merged municipality: every tax ends up in a single pot that is handed
-    back in population-proportional shares, regardless of channel structure.
+    ``populations`` and the returned receipts are indexed by municipality
+    row, the ledger's codes. ``overrides`` is the ``TAXES_STRUCTURE`` dict
+    (see channel_fractions). With alternative0 false the whole ACP behaves
+    as one merged municipality: every tax ends up in a single pot that is
+    handed back in population-proportional shares, regardless of channel
+    structure.
     """
-    if not municipality_ids:
+    if not populations:
         raise FiscalError("cannot distribute without municipalities")
     if not regime.alternative0:
         return _split_by_population(ledger.total(), populations)
 
-    receipts = [0.0] * len(municipality_ids)
+    receipts = [0.0] * len(populations)
     for kind, rows in channel_fractions(regime, overrides).items():
-        amounts = [ledger.get(muni, kind) for muni in municipality_ids]
+        amounts = [ledger.get(code, kind) for code in range(len(populations))]
         for channel, fraction in rows:
             if channel == "local":
                 shares = [fraction * amount for amount in amounts]

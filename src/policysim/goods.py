@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampling import GOODS_BLOCK_CELLS, sample_blocks
+from .sampling import sample_blocks
 from .world.types import Families, Firms, World, distances
 
 # squared sums round within ~1e-16 of the exact ones, far inside NEAR_TIE,
@@ -129,7 +129,7 @@ def choose_firms(
     chosen: list[np.ndarray] = []
     start = 0
     pool_sizes = np.full(len(homes), len(firms))
-    for picks, coins in sample_blocks(rng, pool_sizes, size_market, GOODS_BLOCK_CELLS):
+    for picks, coins in sample_blocks(rng, pool_sizes, size_market):
         # the price ranks are unique, so the least rank names one firm
         best = by_price[price_rank[picks].min(axis=1)]
         near = (coins >= price_criterion_probability).nonzero()[0]
@@ -186,7 +186,5 @@ def goods_market_step(
     taxes, change = transact(firms, chosen, budgets[order], consumption_tax_rate)
     # each shopper appears once, so its change adds to its own cash
     families.monthly_cash[shoppers] += change
-    world.ledger.book(
-        "consumption", world.region.municipality_ids, firms.municipality[chosen], taxes
-    )
+    world.ledger.book("consumption", firms.municipality[chosen], taxes)
     return chosen

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,23 +20,21 @@ from .world.types import UNEMPLOYED, World
 
 @dataclass
 class LaborPool:
-    candidates: list[int] = field(default_factory=list)
-    vacancies: list[tuple[int, float]] = field(default_factory=list)  # (firm, wage)
+    candidates: np.ndarray  # citizen ids, in pool order
+    vacancies: np.ndarray  # firm ids, one per vacancy, in hiring order
+    wages: np.ndarray  # each vacancy's offer
 
 
-def build_pool(world: World, params: SimParams, openings: dict[int, int]) -> LaborPool:
-    """Unemployed working-age citizens, and the openings' vacancies sorted by wage."""
+def build_pool(world: World, params: SimParams, vacancies: np.ndarray) -> LaborPool:
+    """Unemployed working-age citizens, and the vacancies (a firm id each)
+    sorted by wage."""
     citizens = world.citizens
     looking = citizens.working_age(params.working_age_min, params.working_age_max)
-    candidates = (looking & (citizens.employer == UNEMPLOYED)).nonzero()[0].tolist()
-    firm_ids = np.repeat(
-        np.array(list(openings), dtype=np.int64), np.array(list(openings.values()), dtype=np.int64)
-    )
-    offers = world.firms.wage_offer[firm_ids]
+    candidates = (looking & (citizens.employer == UNEMPLOYED)).nonzero()[0]
+    offers = world.firms.wage_offer[vacancies]
     # the highest offer first, ties going to the lower firm id
-    order = np.lexsort((firm_ids, -offers))
-    vacancies = list(zip(firm_ids[order].tolist(), offers[order].tolist()))
-    return LaborPool(candidates=candidates, vacancies=vacancies)
+    order = np.lexsort((vacancies, -offers))
+    return LaborPool(candidates, vacancies[order], offers[order])
 
 
 def match(
@@ -45,13 +43,14 @@ def match(
     pct_distance_hiring: float,
     sample_size: int,
     rng: np.random.Generator,
-) -> list[tuple[int, int]]:
+) -> np.ndarray:
     """Fill vacancies in wage order; each hire leaves the candidate pool.
 
     Per vacancy, the firm samples up to sample_size remaining candidates
     and takes the closest one with probability pct_distance_hiring, the
     best qualified otherwise. Ties break toward the lower citizen id.
-    The hired citizen's wage is the vacancy's offer.
+    The hired citizen's wage is the vacancy's offer. Returns the hired
+    ids, one per vacancy filled, in hiring order.
 
     Every vacancy up to the number of candidates hires exactly one, so the
     pool shrinks by one per vacancy and every sample size is known before
@@ -67,7 +66,7 @@ def match(
     is cut only once fewer candidates remain than its width.
     """
     citizens, firms = world.citizens, world.firms
-    ids = np.asarray(pool.candidates, dtype=np.int64)
+    ids = pool.candidates
     count = len(ids)
     id_list = ids.tolist()
     # one key per candidate: the best qualified first, then the lower id
@@ -75,10 +74,9 @@ def match(
     homes = world.families.residence[citizens.family[ids]]
     home_x, home_y = world.houses.x[homes].tolist(), world.houses.y[homes].tolist()
     remaining = array("H" if count <= 1 << 16 else "I", range(count))
-    filled = pool.vacancies[:count]
-    hiring = np.array([firm_id for firm_id, _ in filled], dtype=np.int64)
+    hiring = pool.vacancies[:count]
     hired: list[int] = []
-    for picks, coins in sample_blocks(rng, np.arange(count, 0, -1)[: len(filled)], sample_size):
+    for picks, coins in sample_blocks(rng, np.arange(count, 0, -1)[: len(hiring)], sample_size):
         width = picks.shape[1]
         firm_ids = hiring[len(hired) : len(hired) + len(picks)]
         rows = zip(
@@ -115,9 +113,9 @@ def match(
     del id_list, by_qualification, home_x, home_y
     hired_ids = ids[hired]
     citizens.employer[hired_ids] = hiring
-    citizens.wage[hired_ids] = [wage for _, wage in filled]
-    pool.candidates = ids[remaining].tolist()
-    return [(firm_id, citizen_id) for (firm_id, _), citizen_id in zip(filled, hired_ids.tolist())]
+    citizens.wage[hired_ids] = pool.wages[: len(hiring)]
+    pool.candidates = ids[remaining]
+    return hired_ids
 
 
 def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
@@ -149,9 +147,7 @@ def pay_wages(world: World, labor_tax_rate: float) -> np.ndarray:
     tax = wages * labor_tax_rate
     # in payroll order, so a family's wages add up as a loop over it would
     np.add.at(world.families.monthly_cash, citizens.family[payroll], wages - tax)
-    world.ledger.book(
-        "labor", world.region.municipality_ids, firms.municipality[citizens.employer[payroll]], tax
-    )
+    world.ledger.book("labor", firms.municipality[citizens.employer[payroll]], tax)
     firms.cash -= bills
     return bills
 
@@ -218,6 +214,6 @@ def calibrate_initial_unemployment(
     needed = round((1.0 - target_rate) * candidates) - employed
     if needed <= 0:
         return
-    openings = dict(enumerate(allocate_proportionally(needed, weights)))
-    pool = build_pool(world, params, openings)
+    vacancies = np.repeat(np.arange(len(firms)), allocate_proportionally(needed, weights))
+    pool = build_pool(world, params, vacancies)
     match(world, pool, params.pct_distance_hiring, params.size_market, rng)

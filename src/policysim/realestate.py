@@ -123,9 +123,7 @@ def match_market(
             insort(open_listings, (float(houses.price[home]), -home))
             residence[buyer] = house_id
     codes = houses.municipality[[sale.house_id for sale in sales]]
-    world.ledger.book(
-        "transaction", world.region.municipality_ids, codes, [sale.tax for sale in sales]
-    )
+    world.ledger.book("transaction", codes, [sale.tax for sale in sales])
     return sales
 
 
@@ -146,6 +144,4 @@ def collect_property_tax(world: World, active: np.ndarray, property_tax_rate: fl
     paid = np.where(cash < owed, cash, owed)
     # each family lives in one house; x - 0.0 is x, so no charge leaves cash as it is
     families.monthly_cash[payers] = cash - paid
-    world.ledger.book(
-        "property", world.region.municipality_ids, houses.municipality[occupied], paid
-    )
+    world.ledger.book("property", houses.municipality[occupied], paid)

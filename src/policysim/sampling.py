@@ -39,21 +39,19 @@ COIN_BOUND = np.iinfo(np.uint64).max
 _WORD_SCALE = 1.0 / 9007199254740992.0  # 2**-53, as numpy's random()
 TAIL_SHUFFLE_MIN_POOL = 10000
 TAIL_SHUFFLE_DIVISOR = 50
-# pools x sample width per batched draw: large enough that numpy's per-call
-# cost vanishes, small enough that the draw's index arrays add no peak memory
-# (labor's calibration round, the largest, sets a run's peak)
-BLOCK_CELLS = 1 << 12
-# the goods market's blocks: its month costs less at 4x than at 1x or 16x,
-# and its arrays stay below calibration's peak
-GOODS_BLOCK_CELLS = 4 * BLOCK_CELLS
+# pools x sample width per batched draw, in both markets: at fixture3 x40 a
+# quarter of this made the month about 5% slower (the goods market's share),
+# while calibration took the same time at either size, with a traced peak
+# 1 MB higher at this one
+BLOCK_CELLS = 1 << 14
 
 
 def sample_blocks(
-    rng: np.random.Generator, pool_sizes: np.ndarray, sample_size: int, cells: int = BLOCK_CELLS
+    rng: np.random.Generator, pool_sizes: np.ndarray, sample_size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """``sample_positions`` over consecutive blocks of the pools, drawn lazily.
 
-    A block holds about ``cells`` sampled positions, so the arrays stay
+    A block holds about ``BLOCK_CELLS`` sampled positions, so the arrays stay
     small whatever the sample size. The blocks continue one stream: their
     draws are those of one call over all the pools.
     """
@@ -61,7 +59,7 @@ def sample_blocks(
     if not len(n):
         return
     width = int(min(sample_size, n.max()))
-    rows = max(1, cells // width)
+    rows = max(1, BLOCK_CELLS // width)
     for start in range(0, len(n), rows):
         yield sample_positions(rng, n[start : start + rows], sample_size)
 

@@ -123,8 +123,8 @@ def step_goods_market(
 
 def step_firm_decisions(
     world: World, params: SimParams, rng: np.random.Generator
-) -> dict[int, int]:
-    """Reprice, offer wages, hire or fire; returns firm id -> vacancies opened.
+) -> np.ndarray:
+    """Reprice, offer wages, hire or fire; returns the firm id of each vacancy opened.
 
     One uniform per firm, in id order, decides whether it reprices; they
     are the substep's only draws.
@@ -148,13 +148,13 @@ def step_firm_decisions(
         world.firms, headcount, world.clock, params.labor_market_frequency
     )
     firms.fire_lowest_qualified(world, (decisions == firms.FIRE_ONE).nonzero()[0])
-    return dict.fromkeys((decisions == firms.OPEN_VACANCY).nonzero()[0].tolist(), 1)
+    return (decisions == firms.OPEN_VACANCY).nonzero()[0]
 
 
 def step_labor_market(
-    world: World, params: SimParams, rng: np.random.Generator, openings: dict[int, int]
+    world: World, params: SimParams, rng: np.random.Generator, vacancies: np.ndarray
 ) -> None:
-    pool = labor.build_pool(world, params, openings)
+    pool = labor.build_pool(world, params, vacancies)
     labor.match(world, pool, params.pct_distance_hiring, params.size_market, rng)
     bills = labor.pay_wages(world, params.taxes.labor)
     firms.close_books(world, bills, params.taxes.firms)
@@ -186,7 +186,6 @@ def step_fiscal(world: World, params: SimParams) -> dict[str, float]:
         world.ledger,
         regime,
         params.taxes_structure,
-        world.region.municipality_ids,
         populations,
         world.region.fpm_brackets,
     )
@@ -228,8 +227,8 @@ def step(world: World, params: SimParams) -> MonthRecord:
         step_production(world, params)
         active = step_demographics(world, params, rng)
         step_goods_market(world, params, rng, active)
-        openings = step_firm_decisions(world, params, rng)
-        step_labor_market(world, params, rng, openings)
+        vacancies = step_firm_decisions(world, params, rng)
+        step_labor_market(world, params, rng, vacancies)
         step_real_estate(world, params, rng, active)
         taxes = step_fiscal(world, params)
         record = record_month(world, params, taxes, active)

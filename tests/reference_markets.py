@@ -37,10 +37,6 @@ def location(store, row):
     return float(store.x[row]), float(store.y[row])
 
 
-def municipality(municipality_ids, firms, firm_id):
-    return municipality_ids[int(firms.municipality[firm_id])]
-
-
 def set_budget(families, family_id, beta):
     """Split one family's liquid cash into a consumption budget and savings."""
     cash = float(families.monthly_cash[family_id])
@@ -54,9 +50,7 @@ def add_cash(families, family_id, amount):
     families.monthly_cash[family_id] = float(families.monthly_cash[family_id]) + amount
 
 
-def transact(
-    families, family_id, firms, firm_id, budget, consumption_tax_rate, ledger, municipality_ids
-):
+def transact(families, family_id, firms, firm_id, budget, consumption_tax_rate, ledger):
     price, stock = float(firms.price[firm_id]), float(firms.stock[firm_id])
     demanded = budget / price if budget > 0.0 else 0.0
     if stock >= demanded:
@@ -69,7 +63,7 @@ def transact(
     firms.stock[firm_id] = stock - quantity
     firms.cash[firm_id] = float(firms.cash[firm_id]) + (gross - tax)
     firms.revenue[firm_id] = float(firms.revenue[firm_id]) + (gross - tax)
-    ledger.add(municipality(municipality_ids, firms, firm_id), "consumption", tax)
+    ledger.add(int(firms.municipality[firm_id]), "consumption", tax)
     add_cash(families, family_id, budget - gross)
     return firm_id
 
@@ -103,15 +97,15 @@ def goods_market_step(
         )
         purchases.append(
             transact(families, family_id, firms, firm_id, budget, consumption_tax_rate,
-                     ledger=world.ledger, municipality_ids=world.region.municipality_ids)
+                     ledger=world.ledger)
         )
     return purchases
 
 
 def match(world, pool, pct_distance_hiring, sample_size, rng):
-    remaining = list(pool.candidates)
+    remaining = pool.candidates.tolist()
     hires = []
-    for firm_id, wage in pool.vacancies:
+    for firm_id, wage in zip(pool.vacancies.tolist(), pool.wages.tolist()):
         if not remaining:
             break
         firm_location = location(world.firms, firm_id)
@@ -134,9 +128,9 @@ def match(world, pool, pct_distance_hiring, sample_size, rng):
         del remaining[position]
         world.citizens.employer[chosen] = firm_id
         world.citizens.wage[chosen] = wage
-        hires.append((firm_id, chosen))
-    pool.candidates = remaining
-    return hires
+        hires.append(chosen)
+    pool.candidates = np.array(remaining, dtype=np.int64)
+    return np.array(hires, dtype=np.int64)
 
 
 def staff(citizens, firm_count):
@@ -167,8 +161,7 @@ def pay_wages(world, labor_tax_rate):
             wage = float(citizens.wage[citizen_id])
             tax = wage * labor_tax_rate
             add_cash(world.families, int(citizens.family[citizen_id]), wage - tax)
-            muni = municipality(world.region.municipality_ids, firms, firm_id)
-            world.ledger.add(muni, "labor", tax)
+            world.ledger.add(int(firms.municipality[firm_id]), "labor", tax)
             bill += wage
         firms.cash[firm_id] = float(firms.cash[firm_id]) - bill
         bills[firm_id] = bill

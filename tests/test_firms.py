@@ -230,7 +230,7 @@ def test_close_books_examples(last_profit, rate, revenue, bills, tax, profit):
     close_books(world, np.array([bills]), rate)
     firms = world.firms
     assert firms.cash[0] == 50.0 - tax
-    assert world.ledger.get("m0", "firms") == tax
+    assert world.ledger.get(0, "firms") == tax
     assert firms.last_profit[0] == profit
     assert firms.revenue[0] == 0.0
 
@@ -245,4 +245,4 @@ def test_close_books_taxes_last_months_profit():
     close_books(world, np.array([0.0]), 0.25)
     assert firms.last_profit[0] == 50.0 - 3.75
     assert firms.cash[0] == 50.0 - 25.0 - 3.75
-    assert world.ledger.get("m0", "firms") == 25.0 + 3.75
+    assert world.ledger.get(0, "firms") == 25.0 + 3.75

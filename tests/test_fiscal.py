@@ -14,7 +14,6 @@ from policysim.fiscal import (
 )
 from policysim.params import TAX_KINDS
 
-THREE_MUNIS = ["a", "b", "c"]
 EQUAL_POPS = [100, 100, 100]
 ONE_BRACKET = [(0, 10**9, 1.0)]
 
@@ -43,12 +42,11 @@ def test_default_matrix_fractions():
 
 def test_consumption_distribution_worked_example():
     ledger = TaxLedger()
-    ledger.add("a", "consumption", 100.0)
+    ledger.add(0, "consumption", 100.0)
     receipts = distribute(
         ledger,
         DistributionRegime(True, True),
         {},
-        THREE_MUNIS,
         EQUAL_POPS,
         ONE_BRACKET,
     )
@@ -60,12 +58,11 @@ def test_consumption_distribution_worked_example():
 def test_labor_distribution_pools():
     # equal coefficients: fpm acts as an equal split, so receipts decompose
     ledger = TaxLedger()
-    ledger.add("a", "labor", 200.0)
+    ledger.add(0, "labor", 200.0)
     receipts = distribute(
         ledger,
         DistributionRegime(True, True),
         {},
-        THREE_MUNIS,
         EQUAL_POPS,
         ONE_BRACKET,
     )
@@ -77,12 +74,11 @@ def test_labor_distribution_pools():
 def test_local_regime_keeps_taxes_at_home():
     ledger = TaxLedger()
     for kind in TAX_KINDS:
-        ledger.add("b", kind, 10.0)
+        ledger.add(1, kind, 10.0)
     receipts = distribute(
         ledger,
         DistributionRegime(True, False),
         {},
-        THREE_MUNIS,
         EQUAL_POPS,
         ONE_BRACKET,
     )
@@ -91,26 +87,23 @@ def test_local_regime_keeps_taxes_at_home():
 
 def test_single_municipality_receives_everything():
     ledger = TaxLedger()
-    ledger.add("solo", "consumption", 33.0)
-    ledger.add("solo", "labor", 11.0)
+    ledger.add(0, "consumption", 33.0)
+    ledger.add(0, "labor", 11.0)
     for regime in ALL_REGIMES:
-        receipts = distribute(
-            ledger, regime, {}, ["solo"], [10], ONE_BRACKET
-        )
+        receipts = distribute(ledger, regime, {}, [10], ONE_BRACKET)
         assert abs(receipts[0] - 44.0) <= 1e-9
 
 
 def test_merged_regime_population_proportional():
     ledger = TaxLedger()
-    ledger.add("a", "property", 60.0)
-    ledger.add("c", "labor", 40.0)
+    ledger.add(0, "property", 60.0)
+    ledger.add(2, "labor", 40.0)
     populations = [500, 300, 200]
     for fpm in (True, False):
         receipts = distribute(
             ledger,
             DistributionRegime(False, fpm),
             {},
-            THREE_MUNIS,
             populations,
             ONE_BRACKET,
         )
@@ -122,12 +115,12 @@ def test_merged_regime_population_proportional():
 def test_merged_regime_is_collection_permutation_invariant():
     populations = [500, 300, 200]
     first = TaxLedger()
-    first.add("a", "consumption", 77.0)
+    first.add(0, "consumption", 77.0)
     second = TaxLedger()
-    second.add("c", "consumption", 77.0)
+    second.add(2, "consumption", 77.0)
     regime = DistributionRegime(False, True)
-    out1 = distribute(first, regime, {}, THREE_MUNIS, populations, ONE_BRACKET)
-    out2 = distribute(second, regime, {}, THREE_MUNIS, populations, ONE_BRACKET)
+    out1 = distribute(first, regime, {}, populations, ONE_BRACKET)
+    out2 = distribute(second, regime, {}, populations, ONE_BRACKET)
     assert out1 == out2
 
 
@@ -145,7 +138,7 @@ def test_fpm_allocate_sums_exactly():
     brackets = [(0, 100, 0.6), (100, 500, 1.0), (500, 10**9, 1.8)]
     for _ in range(200):
         pool = float(rng.uniform(0, 1e6))
-        pops = [int(rng.integers(1, 2000)) for _ in THREE_MUNIS]
+        pops = [int(rng.integers(1, 2000)) for _ in range(3)]
         shares = fpm_allocate(pool, pops, brackets)
         assert sum(shares) == pool
 
@@ -160,13 +153,13 @@ def test_conservation_over_random_ledgers():
     brackets = [(0, 100, 0.6), (100, 500, 1.0), (500, 10**9, 1.8)]
     for _ in range(100):
         ledger = TaxLedger()
-        for muni in THREE_MUNIS:
+        for code in range(3):
             for kind in TAX_KINDS:
-                ledger.add(muni, kind, float(rng.uniform(0, 1000)))
-        pops = [int(rng.integers(1, 1000)) for _ in THREE_MUNIS]
+                ledger.add(code, kind, float(rng.uniform(0, 1000)))
+        pops = [int(rng.integers(1, 1000)) for _ in range(3)]
         total = ledger.total()
         for regime in ALL_REGIMES:
-            receipts = distribute(ledger, regime, {}, THREE_MUNIS, pops, brackets)
+            receipts = distribute(ledger, regime, {}, pops, brackets)
             assert abs(sum(receipts) - total) <= 1e-9 * total
 
 
@@ -221,7 +214,7 @@ def test_override_for_another_regime_is_parsed_but_not_applied():
 def test_unknown_tax_kind_rejected():
     ledger = TaxLedger()
     with pytest.raises(FiscalError):
-        ledger.add("a", "tithe", 1.0)
+        ledger.add(0, "tithe", 1.0)
 
 
 def test_invest_qli_examples():
@@ -304,24 +297,24 @@ def test_book_sums_each_key_left_to_right():
     ledger = TaxLedger()
     codes = np.tile([0, 1], len(TINY_AFTER_ONE))
     amounts = np.repeat(TINY_AFTER_ONE, 2)
-    ledger.book("labor", ["a", "b"], codes, amounts)
+    ledger.book("labor", codes, amounts)
     expected = left_to_right(TINY_AFTER_ONE)
     assert expected != float(np.sum(TINY_AFTER_ONE))
-    assert ledger.get("a", "labor") == ledger.get("b", "labor") == expected
+    assert ledger.get(0, "labor") == ledger.get(1, "labor") == expected
     # a second batch continues each key's running sum
-    ledger.book("labor", ["a", "b"], np.array([1, 1]), [1e-16, 1.0])
-    assert ledger.get("b", "labor") == (expected + 1e-16) + 1.0
+    ledger.book("labor", np.array([1, 1]), [1e-16, 1.0])
+    assert ledger.get(1, "labor") == (expected + 1e-16) + 1.0
 
 
 def test_book_enters_keys_in_first_charge_order():
     # total() adds the keys in ledger order: 1 + 1 + 1e16 keeps both ones,
     # 1e16 + 1 + 1 loses them
     ledger = TaxLedger()
-    ledger.book("consumption", ["a", "b", "c"], np.array([2, 1, 2, 0, 1]), [1.0, 1.0, 0.0, 1e16, 0.0])
-    assert list(ledger._amounts) == [("c", "consumption"), ("b", "consumption"), ("a", "consumption")]
+    ledger.book("consumption", np.array([2, 1, 2, 0, 1]), [1.0, 1.0, 0.0, 1e16, 0.0])
+    assert list(ledger._amounts) == [(2, "consumption"), (1, "consumption"), (0, "consumption")]
     assert ledger.total() == (1.0 + 1.0) + 1e16
-    ledger.book("labor", ["a", "b", "c"], np.array([0]), [5.0])
-    assert list(ledger._amounts)[-1] == ("a", "labor")
+    ledger.book("labor", np.array([0]), [5.0])
+    assert list(ledger._amounts)[-1] == (0, "labor")
 
 
 @pytest.mark.parametrize("position", [0, 3, 6])
@@ -330,7 +323,7 @@ def test_book_rejects_a_negative_charge_anywhere(position):
     amounts[position] = -0.5
     ledger = TaxLedger()
     with pytest.raises(FiscalError, match="negative tax amount -0.5 for property"):
-        ledger.book("property", ["a", "b"], np.array([0, 1] * 3 + [0]), amounts)
+        ledger.book("property", np.array([0, 1] * 3 + [0]), amounts)
     # the charges before the negative one are booked, as one by one
     assert ledger.total() == float(position)
 
@@ -338,12 +331,11 @@ def test_book_rejects_a_negative_charge_anywhere(position):
 def test_population_split_gives_an_empty_municipality_nothing():
     # the last municipality is empty; the residual goes to the last
     # populated one, so no share is negative
-    ids = [f"m{index}" for index in range(6)]
     populations = [393, 39, 297, 80, 312, 0]
     ledger = TaxLedger()
-    ledger.add("m0", "consumption", 981.2478859778818)
+    ledger.add(0, "consumption", 981.2478859778818)
     regime = DistributionRegime(False, True)
-    receipts = distribute(ledger, regime, {}, ids, populations, ONE_BRACKET)
+    receipts = distribute(ledger, regime, {}, populations, ONE_BRACKET)
     assert receipts[5] == 0.0
     assert all(share > 0.0 for share in receipts[:5])
     assert sum(receipts) == 981.2478859778818

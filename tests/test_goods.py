@@ -6,7 +6,7 @@ import pytest
 from policysim import goods
 from policysim.goods import choose_firms, goods_market_step, set_budget, transact
 from policysim.params import SimParams
-from policysim.sampling import GOODS_BLOCK_CELLS
+from policysim.sampling import BLOCK_CELLS
 from policysim.world.types import distances
 
 from conftest import (
@@ -166,7 +166,7 @@ def test_tie_cases_are_ties(tie):
 
 @pytest.mark.parametrize(
     "homes,shoppers",
-    [([TIE_HOME], 1), ([CLEAR_HOME], 1), ([TIE_HOME, CLEAR_HOME], GOODS_BLOCK_CELLS // TIE_SIZE_MARKET + 1)],
+    [([TIE_HOME], 1), ([CLEAR_HOME], 1), ([TIE_HOME, CLEAR_HOME], BLOCK_CELLS // TIE_SIZE_MARKET + 1)],
     ids=["one-tied-shopper", "one-clear-shopper", "two-blocks"],
 )
 @pytest.mark.parametrize("tie", sorted(TIES))
@@ -273,7 +273,7 @@ def test_goods_market_consumption_tax_to_firm_municipality():
     goods_market_step(world, world.active_families(), beta=1.0, size_market=2,
                       consumption_tax_rate=0.25, rng=world.rng,
                       price_criterion_probability=PRICE_CRITERION)
-    collected = world.ledger.get("m0", "consumption")
+    collected = world.ledger.get(0, "consumption")
     spent = sum(world.firms.revenue.tolist())
     # collected tax is a third of net revenue at a 25% rate
     assert collected > 0.0

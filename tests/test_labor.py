@@ -5,6 +5,13 @@ import reference_markets
 from policysim import SimParams, generate_world
 from policysim.fiscal import FiscalError
 from policysim.labor import build_pool, calibrate_initial_unemployment, match, pay_wages
+from policysim.scheduler import (
+    step_demographics,
+    step_firm_decisions,
+    step_goods_market,
+    step_production,
+)
+from policysim.world.types import UNEMPLOYED
 
 from conftest import (
     citizen,
@@ -20,101 +27,103 @@ from conftest import (
 def staffed_world(candidate_specs, firm_specs):
     """candidate_specs: (id, age, qual, location-x); firm_specs: (id, wage, vacancies, x).
 
-    Returns the world and its openings (firm id -> vacancies).
+    Returns the world and its vacancies (the firm id of each).
     """
     citizens, families, houses, firms = [], [], [], []
-    openings = {}
+    vacancies = []
     for cid, age, qual, x in candidate_specs:
         citizens.append(simple_citizen(cid=cid, family_id=cid, age=age, qualification=qual))
         families.append(simple_family(family_id=cid, member_ids=(cid,), residence=cid))
         houses.append(simple_house(house_id=cid, location=(x, 0.0)))
-    for fid, wage, vacancies, x in firm_specs:
+    for fid, wage, count, x in firm_specs:
         firms.append(simple_firm(firm_id=fid, wage_offer=wage, location=(x, 0.0), cash=100.0))
-        openings[fid] = vacancies
-    return make_world(citizens, families, houses, firms), openings
+        vacancies += [fid] * count
+    return make_world(citizens, families, houses, firms), np.array(vacancies, dtype=np.int64)
 
 
 def test_build_pool_empty_without_unemployed():
-    world, openings = staffed_world([(0, 30, 5, 0.0)], [(0, 1.0, 1, 0.0)])
+    world, vacancies = staffed_world([(0, 30, 5, 0.0)], [(0, 1.0, 1, 0.0)])
     world.citizens.employer[0] = 0
-    pool = build_pool(world, SimParams(), openings)
-    assert pool.candidates == []
+    pool = build_pool(world, SimParams(), vacancies)
+    assert pool.candidates.tolist() == []
 
 
 def test_build_pool_sorts_vacancies_by_wage():
-    world, openings = staffed_world(
+    world, vacancies = staffed_world(
         [(0, 30, 5, 0.0)],
         [(0, 5.0, 1, 0.0), (1, 9.0, 1, 0.0), (2, 7.0, 1, 0.0)],
     )
-    pool = build_pool(world, SimParams(), openings)
-    assert [fid for fid, _ in pool.vacancies] == [1, 2, 0]
+    pool = build_pool(world, SimParams(), vacancies)
+    assert pool.vacancies.tolist() == [1, 2, 0]
+    assert pool.wages.tolist() == [9.0, 7.0, 5.0]
 
 
 def test_build_pool_age_gates():
     params = SimParams()
-    world, openings = staffed_world(
+    world, vacancies = staffed_world(
         [(0, 15, 5, 0.0), (1, 30, 5, 0.0), (2, 71, 5, 0.0)],
         [(0, 1.0, 1, 0.0)],
     )
-    pool = build_pool(world, params, openings)
-    assert pool.candidates == [1]
+    pool = build_pool(world, params, vacancies)
+    assert pool.candidates.tolist() == [1]
 
 
 def test_match_picks_best_qualified():
-    world, openings = staffed_world(
+    world, vacancies = staffed_world(
         [(0, 30, 3, 0.0), (1, 30, 8, 1.0), (2, 30, 5, 2.0)],
         [(0, 2.0, 1, 0.0)],
     )
-    pool = build_pool(world, SimParams(), openings)
+    pool = build_pool(world, SimParams(), vacancies)
     hires = match(world, pool, pct_distance_hiring=0.0, sample_size=10, rng=world.rng)
-    assert hires == [(0, 1)]
+    assert hires.tolist() == [1]
     assert citizen(world, 1)["employer"] == 0
     assert citizen(world, 1)["wage"] == 2.0
 
 
 def test_match_picks_closest_with_distance_criterion():
-    world, openings = staffed_world(
+    world, vacancies = staffed_world(
         [(0, 30, 3, 4.0), (1, 30, 8, 1.0), (2, 30, 5, 7.0)],
         [(0, 2.0, 1, 0.0)],
     )
-    pool = build_pool(world, SimParams(), openings)
+    pool = build_pool(world, SimParams(), vacancies)
     hires = match(world, pool, pct_distance_hiring=1.0, sample_size=10, rng=world.rng)
-    assert hires == [(0, 1)]
+    assert hires.tolist() == [1]
 
 
 def test_match_qualification_tie_breaks_by_id():
-    world, openings = staffed_world(
+    world, vacancies = staffed_world(
         [(0, 30, 8, 0.0), (1, 30, 8, 1.0)],
         [(0, 2.0, 1, 0.0)],
     )
-    pool = build_pool(world, SimParams(), openings)
+    pool = build_pool(world, SimParams(), vacancies)
     hires = match(world, pool, pct_distance_hiring=0.0, sample_size=10, rng=world.rng)
-    assert hires == [(0, 0)]
+    assert hires.tolist() == [0]
 
 
 def test_higher_wage_firm_picks_first():
-    world, openings = staffed_world(
+    world, vacancies = staffed_world(
         [(0, 30, 5, 0.0)],
         [(0, 10.0, 1, 0.0), (1, 6.0, 1, 0.0)],
     )
-    pool = build_pool(world, SimParams(), openings)
+    pool = build_pool(world, SimParams(), vacancies)
     hires = match(world, pool, pct_distance_hiring=0.0, sample_size=10, rng=world.rng)
-    assert hires == [(0, 0)]
+    assert hires.tolist() == [0]
+    assert citizen(world, 0)["employer"] == 0
     assert employees(world, 1) == set()
 
 
 def test_no_candidate_hired_twice():
-    world, openings = staffed_world(
+    world, vacancies = staffed_world(
         [(i, 30, i, float(i)) for i in range(5)],
         [(0, 3.0, 3, 0.0), (1, 2.0, 3, 1.0)],
     )
-    pool = build_pool(world, SimParams(), openings)
+    pool = build_pool(world, SimParams(), vacancies)
     hires = match(world, pool, pct_distance_hiring=0.3, sample_size=2, rng=world.rng)
-    hired = [cid for _, cid in hires]
+    hired = hires.tolist()
     assert len(hired) == len(set(hired))
     employed = employees(world, 0) | employees(world, 1)
     assert employed == set(hired)
-    assert set(pool.candidates).isdisjoint(employed)
+    assert set(pool.candidates.tolist()).isdisjoint(employed)
 
 
 def test_pay_wages_arithmetic():
@@ -125,7 +134,7 @@ def test_pay_wages_arithmetic():
     bills = pay_wages(world, labor_tax_rate=0.2)
     assert bills.tolist() == [100.0]
     assert world.families.monthly_cash[0] == 80.0
-    assert world.ledger.get("m0", "labor") == 20.0
+    assert world.ledger.get(0, "labor") == 20.0
     assert world.ledger.total() == 20.0
     assert world.firms.cash[0] == 50.0
 
@@ -182,7 +191,7 @@ def test_pay_wages_rejects_a_negative_charge_in_a_positive_total():
     world.citizens.wage[:] = [100.0, -1.0]
     with pytest.raises(FiscalError, match="negative tax amount"):
         pay_wages(world, labor_tax_rate=0.2)
-    assert world.ledger.get("m0", "labor") == 20.0  # the first wage's charge
+    assert world.ledger.get(0, "labor") == 20.0  # the first wage's charge
 
 
 def test_wages_are_sticky_per_contract():
@@ -251,24 +260,25 @@ def test_zero_distance_hiring_ignores_geography():
     firms = [(0, 3.0, 2, 0.0), (1, 2.0, 2, 1.0)]
     hires = []
     for candidate_specs in (specs_near, specs_far):
-        world, openings = staffed_world(candidate_specs, firms)
-        pool = build_pool(world, SimParams(), openings)
+        world, vacancies = staffed_world(candidate_specs, firms)
+        pool = build_pool(world, SimParams(), vacancies)
         hires.append(match(world, pool, pct_distance_hiring=0.0, sample_size=3,
-                           rng=np.random.default_rng(42)))
+                           rng=np.random.default_rng(42)).tolist())
     assert hires[0] == hires[1]
 
 
 def test_match_replay_respects_wage_order():
     rng = np.random.default_rng(5)
-    world, openings = staffed_world(
+    world, vacancies = staffed_world(
         [(i, 30, int(rng.integers(0, 21)), float(i)) for i in range(12)],
         [(j, float(10 - j), 2, float(j)) for j in range(4)],
     )
-    pool = build_pool(world, SimParams(), openings)
-    offers = [wage for _, wage in pool.vacancies]
+    pool = build_pool(world, SimParams(), vacancies)
+    offers = pool.wages.tolist()
     assert offers == sorted(offers, reverse=True)
+    assert offers == world.firms.wage_offer[pool.vacancies].tolist()
     hires = match(world, pool, pct_distance_hiring=0.5, sample_size=3, rng=world.rng)
-    hire_wages = [world.firms.wage_offer[fid] for fid, _ in hires]
+    hire_wages = world.citizens.wage[hires].tolist()
     assert hire_wages == sorted(hire_wages, reverse=True)
 
 
@@ -277,11 +287,11 @@ def match_both_ways(specs, firm_specs, sample_size, order):
     each side's hires, remaining pool and generator state."""
     outcomes = []
     for matcher in (match, reference_markets.match):
-        world, openings = staffed_world(specs, firm_specs)
-        pool = build_pool(world, SimParams(), openings)
-        pool.candidates = list(order)
+        world, vacancies = staffed_world(specs, firm_specs)
+        pool = build_pool(world, SimParams(), vacancies)
+        pool.candidates = np.array(order, dtype=np.int64)
         hires = matcher(world, pool, 1.0, sample_size, world.rng)
-        outcomes.append((hires, pool.candidates, world.rng.bit_generator.state))
+        outcomes.append((hires.tolist(), pool.candidates.tolist(), world.rng.bit_generator.state))
     return outcomes
 
 
@@ -313,11 +323,32 @@ def test_match_keeps_candidate_order(sample_size, pct_distance_hiring):
     # 12 candidates, 7 vacancies: a sample of 50 always covers the pool
     # (k == len(remaining)); a sample of 3 never does (k < len(remaining))
     specs = [(cid, 30, (cid * 7) % 11, float((cid * 5) % 13)) for cid in range(12)]
-    world, openings = staffed_world(specs, [(0, 3.0, 4, 0.0), (1, 2.0, 3, 6.0)])
-    pool = build_pool(world, SimParams(), openings)
-    pool.candidates = [int(cid) for cid in np.random.default_rng(8).permutation(12)]
-    before = list(pool.candidates)
+    world, vacancies = staffed_world(specs, [(0, 3.0, 4, 0.0), (1, 2.0, 3, 6.0)])
+    pool = build_pool(world, SimParams(), vacancies)
+    pool.candidates = np.random.default_rng(8).permutation(12)
+    before = pool.candidates.tolist()
     hires = match(world, pool, pct_distance_hiring, sample_size, rng=world.rng)
-    hired = {cid for _, cid in hires}
+    hired = set(hires.tolist())
     assert len(hires) == 7
-    assert pool.candidates == [cid for cid in before if cid not in hired]
+    assert pool.candidates.tolist() == [cid for cid in before if cid not in hired]
+
+
+def test_pool_and_hires_have_the_lengths_of_what_they_count(fixture3):
+    # the benchmark's tracer counts labor.vacancies as len(build_pool(...).vacancies)
+    # and labor.hires as len(match(...)): each must be the number it names
+    params = SimParams()
+    world = generate_world(fixture3, params, seed=5)
+    rng = world.rng
+    calibrate_initial_unemployment(world, params.initial_unemployment, params, rng)
+    step_production(world, params)
+    active = step_demographics(world, params, rng)
+    step_goods_market(world, params, rng, active)
+    vacancies = step_firm_decisions(world, params, rng)
+    pool = build_pool(world, params, vacancies)
+    assert len(pool.vacancies) == len(vacancies) > 0
+    assert sorted(pool.vacancies.tolist()) == vacancies.tolist()
+    unemployed = world.citizens.employer == UNEMPLOYED
+    hires = match(world, pool, params.pct_distance_hiring, params.size_market, rng)
+    hired = unemployed & (world.citizens.employer != UNEMPLOYED)
+    assert len(hires) == np.count_nonzero(hired) > 0
+    assert sorted(hires.tolist()) == hired.nonzero()[0].tolist()

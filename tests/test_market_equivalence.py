@@ -19,13 +19,7 @@ import pytest
 import reference_markets
 from policysim import SimParams, generate_world, labor, sampling
 from policysim.labor import LaborPool, build_pool, calibrate_initial_unemployment, match
-from policysim.sampling import (
-    BLOCK_CELLS,
-    COIN_BOUND,
-    GOODS_BLOCK_CELLS,
-    sample_blocks,
-    sample_positions,
-)
+from policysim.sampling import BLOCK_CELLS, COIN_BOUND, sample_blocks, sample_positions
 from policysim.scheduler import step
 from policysim.world.regions import load_region_data
 
@@ -135,7 +129,7 @@ def candidate_world(count):
 def tail_shuffle_world():
     """10,050 unemployed candidates and nine vacancies at three firms."""
     world = candidate_world(10_050)
-    return world, build_pool(world, SimParams(), {0: 4, 1: 3, 2: 2})
+    return world, build_pool(world, SimParams(), np.repeat(np.arange(3), [4, 3, 2]))
 
 
 @pytest.mark.parametrize("sample_size", [201, 300, WHOLE_MARKET])
@@ -147,7 +141,7 @@ def test_match_on_the_tail_shuffle_branch(sample_size):
     for matcher in (match, reference_markets.match):
         world, pool = tail_shuffle_world()
         hires = matcher(world, pool, 0.5, sample_size, world.rng)
-        outcomes.append((hires, pool.candidates, world.rng.bit_generator.state))
+        outcomes.append((hires.tolist(), pool.candidates.tolist(), world.rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]
 
 
@@ -155,7 +149,7 @@ def test_match_on_the_tail_shuffle_branch(sample_size):
 def wide_pool(request):
     """A world of ``request.param`` candidates and its pool of 30 vacancies."""
     world = candidate_world(request.param)
-    pool = build_pool(world, SimParams(), {0: 12, 1: 10, 2: 8})
+    pool = build_pool(world, SimParams(), np.repeat(np.arange(3), [12, 10, 8]))
     assert len(pool.candidates) == request.param
     return world, pool
 
@@ -168,9 +162,9 @@ def test_match_on_both_sides_of_the_16_bit_pool(wide_pool, sample_size):
     outcomes = []
     for matcher in (match, reference_markets.match):
         rng = np.random.default_rng(11)
-        fresh = LaborPool(list(pool.candidates), list(pool.vacancies))
+        fresh = LaborPool(pool.candidates, pool.vacancies, pool.wages)
         hires = matcher(world, fresh, 0.5, sample_size, rng)
-        outcomes.append((hires, fresh.candidates, rng.bit_generator.state))
+        outcomes.append((hires.tolist(), fresh.candidates.tolist(), rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]
 
 
@@ -272,11 +266,11 @@ def test_floyd_pass_gets_only_floyd_rows(monkeypatch, case, floyd_rows):
     assert calls == ([] if floyd_rows is None else [floyd_rows])
 
 
-def assert_blocks_continue_one_stream(pool_sizes, sample_size, cells=BLOCK_CELLS):
+def assert_blocks_continue_one_stream(pool_sizes, sample_size):
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
     rows, coins, blocks = [], [], 0
-    for picks, block_coins in sample_blocks(ours, pool_sizes, sample_size, cells):
-        assert picks.size <= cells
+    for picks, block_coins in sample_blocks(ours, pool_sizes, sample_size):
+        assert picks.size <= BLOCK_CELLS
         blocks += 1
         rows += [sorted(position for position in row if position >= 0) for row in picks.tolist()]
         coins += block_coins.tolist()
@@ -291,5 +285,5 @@ def test_sample_blocks_continue_one_stream():
 
 def test_goods_blocks_continue_one_stream():
     # every shopper samples 5 of the same 900 firms: one row of bounds a block
-    pool_sizes = np.full(3 * GOODS_BLOCK_CELLS // 5 + 7, 900)
-    assert_blocks_continue_one_stream(pool_sizes, 5, GOODS_BLOCK_CELLS)
+    pool_sizes = np.full(3 * BLOCK_CELLS // 5 + 7, 900)
+    assert_blocks_continue_one_stream(pool_sizes, 5)

@@ -71,7 +71,7 @@ def crowded_world(seed):
 def recorded_books(world):
     """Replace the world's ledger.book with a recorder of each call's arguments."""
     books = []
-    world.ledger.book = lambda kind, ids, codes, amounts: books.append(
+    world.ledger.book = lambda kind, codes, amounts: books.append(
         (kind, np.asarray(codes).tolist(), np.asarray(amounts).tolist())
     )
     return books

@@ -107,7 +107,7 @@ def test_sale_worked_example():
     savings, owned = world.families.savings, world.families.owned_houses
     assert abs(savings[0] - 10.0) <= 1e-9
     assert abs(savings[1] - (30.0 + 81.0)) <= 1e-9
-    assert abs(world.ledger.get("m0", "transaction") - 9.0) <= 1e-9
+    assert abs(world.ledger.get(0, "transaction") - 9.0) <= 1e-9
     assert 2 in owned[0]
     assert 2 not in owned[1]
 
@@ -174,7 +174,7 @@ def test_sale_conserves_money():
         sales = match_market(world, [0], [2], rate)
         after = world.families.savings[0] + world.families.savings[1]
         assert len(sales) == 1
-        leak = before - after - world.ledger.get("m0", "transaction")
+        leak = before - after - world.ledger.get(0, "transaction")
         assert abs(leak) <= 1e-9 * max(1.0, before)
         sale = sales[0]
         assert min(sale.bid, sale.offer) <= sale.transaction_price <= max(sale.bid, sale.offer)
@@ -241,7 +241,7 @@ def test_property_tax_examples():
     world.families.monthly_cash[0] = 5.0
     collect_property_tax(world, world.active_families(), 0.005)
     assert abs(world.families.monthly_cash[0] - 4.5) <= 1e-12
-    assert world.ledger.get("m0", "property") >= 0.5
+    assert world.ledger.get(0, "property") >= 0.5
 
 
 def test_property_tax_zero_rate():
@@ -260,7 +260,7 @@ def test_property_tax_clamped_at_cash():
     world.families.monthly_cash[1] = 1.0
     collect_property_tax(world, world.active_families(), 0.005)  # family 0 owes 0.5, has 0.2
     assert world.families.monthly_cash[0] == 0.0
-    assert abs(world.ledger.get("m0", "property") - (0.2 + 0.05)) <= 1e-12  # family 1 pays 0.05
+    assert abs(world.ledger.get(0, "property") - (0.2 + 0.05)) <= 1e-12  # family 1 pays 0.05
 
 
 def test_vacant_houses_pay_no_property_tax():
@@ -269,7 +269,7 @@ def test_vacant_houses_pay_no_property_tax():
     world.families.monthly_cash[1] = 10.0
     total_price = world.houses.price[0] + world.houses.price[1]
     collect_property_tax(world, world.active_families(), 0.01)
-    assert abs(world.ledger.get("m0", "property") - 0.01 * total_price) <= 1e-12
+    assert abs(world.ledger.get(0, "property") - 0.01 * total_price) <= 1e-12
 
 
 def test_home_of_an_extinct_family_is_vacant():
@@ -279,7 +279,7 @@ def test_home_of_an_extinct_family_is_vacant():
     world.families.monthly_cash[0] = world.families.monthly_cash[1] = 10.0
     assert build_listings(world, world.active_families()) == [1, 2]
     collect_property_tax(world, world.active_families(), 0.01)
-    assert world.ledger.get("m0", "property") == 0.01 * world.houses.price[0]
+    assert world.ledger.get(0, "property") == 0.01 * world.houses.price[0]
     assert world.families.monthly_cash[1] == 10.0
 
 
@@ -312,7 +312,7 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
     open_listings = {hid: float(houses.price[hid]) for hid in listings}
 
     def municipality(house_id):
-        return world.region.municipality_ids[int(houses.municipality[house_id])]
+        return int(houses.municipality[house_id])
 
     def amenity_score(house_id):
         qli = float(world.qli[int(houses.municipality[house_id])])
@@ -422,7 +422,7 @@ def market_state(world, ledger):
         [(fid, int(families.residence[fid]), sorted(families.owned_houses[fid]),
           float(families.savings[fid]))
          for families in [world.families] for fid in families],
-        ledger.get("m0", "transaction"),
+        ledger.get(0, "transaction"),
     )
 
 

@@ -92,9 +92,9 @@ def test_ledger_writes_only_in_market_steps(fixture3):
         totals.append(world.ledger.total())
         step_goods_market(world, params, rng, active)
         totals.append(world.ledger.total())
-        openings = step_firm_decisions(world, params, rng)
+        vacancies = step_firm_decisions(world, params, rng)
         totals.append(world.ledger.total())
-        step_labor_market(world, params, rng, openings)
+        step_labor_market(world, params, rng, vacancies)
         totals.append(world.ledger.total())
         step_real_estate(world, params, rng, active)
         totals.append(world.ledger.total())
@@ -121,8 +121,9 @@ def test_firm_decisions_return_the_openings_of_deciding_firms():
     families = [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in profits]
     houses = [simple_house(house_id=fid) for fid in profits]
     world = make_world(citizens, families, houses, firms)
-    openings = step_firm_decisions(world, params, world.rng)
-    assert list(openings.items()) == [(0, 1), (4, 1)]
+    vacancies = step_firm_decisions(world, params, world.rng)
+    assert vacancies.dtype == np.int64
+    assert vacancies.tolist() == [0, 4]
     assert not employees(world, 2)  # fired its one employee, opened nothing
     assert employees(world, 3) == {3}  # holds: not its decision month
 
@@ -176,13 +177,12 @@ def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
     for ledger in (world.ledger, expected_ledger):
         ledger.reset()
         for muni_id, amount in collected.items():
-            ledger.add(muni_id, "consumption", amount)
+            ledger.add(world.region.municipality_ids.index(muni_id), "consumption", amount)
     populations = world.population_by_municipality().tolist()
     receipts = distribute(
         expected_ledger,
         DistributionRegime(override.alternative0, override.fpm_distribution),
         override.taxes_structure,
-        world.region.municipality_ids,
         populations,
         fixture3.fpm_brackets,
     )

@@ -140,11 +140,11 @@ def step_months(world, params, months):
         active = world.active_families()
         check_residences(world, active)
         step_goods_market(world, params, rng, active)
-        openings = step_firm_decisions(world, params, rng)
+        vacancies = step_firm_decisions(world, params, rng)
         check_employment(world)
-        pool = build_pool(world, params, openings)
-        assert set(pool.candidates) <= set(world.citizens)
-        step_labor_market(world, params, rng, openings)
+        pool = build_pool(world, params, vacancies)
+        assert set(pool.candidates.tolist()) <= set(world.citizens)
+        step_labor_market(world, params, rng, vacancies)
         check_employment(world)
         step_real_estate(world, params, rng, active)
         check_residences(world, active)
