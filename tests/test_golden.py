@@ -17,6 +17,12 @@ re-appended at the end of its row, a zero that drops one) is pinned too.
 The default population share gives about 220 citizens, so one more case
 runs fixture3 with ten times its target population at share 1.0: its
 labor and housing markets draw from pools of thousands.
+
+Seed 1 at default parameters and the merged regimes' shared run also pin
+a projection: the hash of monthly.csv without its ``gini_wealth`` column.
+Wealth is read by nothing but that column, so a change to the order in
+which a family's house prices are summed moves the full hash and leaves
+the projection as it is.
 """
 
 import hashlib
@@ -40,6 +46,16 @@ REGIME_MONTHLY_SHA256 = {
     (False, True): "231e860fc9a644da92faf9890d058b90508df7bcc77214a8d6fcc6c6d82c8df8",
     (False, False): "231e860fc9a644da92faf9890d058b90508df7bcc77214a8d6fcc6c6d82c8df8",
 }
+
+# monthly.csv without gini_wealth (see sha256_without)
+GOLDEN_PROJECTION_SHA256 = {
+    1: "f16725d850b33d7fecb9476e3218f7ab4507773b655a7a9fd14ad9198e760181",
+}
+REGIME_PROJECTION_SHA256 = {
+    (False, True): "5932abb0866c9f0601d6d7c27d98f159a444a445c806de57688547434fb99535",
+    (False, False): "5932abb0866c9f0601d6d7c27d98f159a444a445c806de57688547434fb99535",
+}
+PROJECTED_OUT = "gini_wealth"
 
 # each dict is built in this insertion order: it sets the order of the rows
 OVERRIDE_CASES = {
@@ -75,12 +91,25 @@ LARGE_POOL_MONTHS = 6
 LARGE_POOL_MONTHLY_SHA256 = "2d4c156b2b102048ac5ae36b113538050ec9a4f3989f9322ff02f62bc982c27e"
 
 
+def sha256_without(path, column):
+    """sha256 of a CSV file with one column dropped: every line, header
+    included, keeps its other cells joined by commas, and the lines are
+    joined by newlines."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    index = lines[0].split(",").index(column)
+    rows = (line.split(",") for line in lines)
+    kept = "\n".join(",".join(cells[:index] + cells[index + 1:]) for cells in rows)
+    return hashlib.sha256(kept.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_MONTHLY_SHA256))
 def test_monthly_csv_fingerprint(fixture3, tmp_path, seed):
     params = SimParams()
     assert params.months == 240
     path = tmp_path / "monthly.csv"
     write_monthly_csv(run(fixture3, params, seed), path)
+    if seed in GOLDEN_PROJECTION_SHA256:
+        assert sha256_without(path, PROJECTED_OUT) == GOLDEN_PROJECTION_SHA256[seed]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MONTHLY_SHA256[seed]
 
 
@@ -93,8 +122,11 @@ def test_regime_monthly_csv_fingerprint(fixture3, tmp_path, alternative0, fpm_di
     params = SimParams(alternative0=alternative0, fpm_distribution=fpm_distribution)
     path = tmp_path / "monthly.csv"
     write_monthly_csv(run(fixture3, params, 1), path)
+    regime = (alternative0, fpm_distribution)
+    if regime in REGIME_PROJECTION_SHA256:
+        assert sha256_without(path, PROJECTED_OUT) == REGIME_PROJECTION_SHA256[regime]
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == REGIME_MONTHLY_SHA256[(alternative0, fpm_distribution)]
+    assert digest == REGIME_MONTHLY_SHA256[regime]
 
 
 @pytest.mark.parametrize("case", sorted(OVERRIDE_CASES))
