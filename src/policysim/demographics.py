@@ -28,16 +28,12 @@ def age_step(world: World) -> None:
 
 
 def _transfer_estates(world: World, extinct: np.ndarray, heirs: np.ndarray) -> None:
-    """Move each extinct family's houses and money to its heir, in list order.
+    """Move each extinct family's houses and money to its heir.
 
-    An heir can inherit more than once; its money adds up in list order, and
-    each estate's houses join its set in house id order.
+    The houses change owner in one write of ``Houses.owner``. An heir can
+    inherit more than once; its money adds up in list order.
     """
     families = world.families
-    owned = families.owned_houses
-    for family_id, heir_id in zip(extinct.tolist(), heirs.tolist()):
-        owned[heir_id].update(sorted(owned[family_id]))
-        owned[family_id] = set()
     heir_of = np.arange(len(families.present))
     heir_of[extinct] = heirs
     world.houses.owner = heir_of[world.houses.owner]  # an heir is never extinct
@@ -121,7 +117,7 @@ def fertility_step(world: World, rng: np.random.Generator) -> list[int]:
     if not count:
         return []
     female = rng.random(count) < 0.5
-    first = world.next_citizen_id
+    first = citizens.rows
     citizens.append(Citizens.born(
         family=citizens.family[mothers],
         age=[0] * count,

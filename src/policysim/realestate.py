@@ -78,8 +78,7 @@ def match_market(
     # last one at or below the bid, ties going to the lower house id
     houses, families = world.houses, world.families
     open_listings = sorted(zip(houses.price[listings].tolist(), [-h for h in listings]))
-    savings, owned, residence = families.savings, families.owned_houses, families.residence
-    owner = houses.owner
+    savings, residence, owner = families.savings, families.residence, houses.owner
     entrant_ids = np.asarray(entrant_ids, dtype=np.int64)
     order = sorted(zip((-savings[entrant_ids]).tolist(), entrant_ids.tolist()))
     qli = world.qli
@@ -103,8 +102,6 @@ def match_market(
         tax = price * transaction_tax_rate
         savings[buyer] -= price
         savings[seller] += price - tax
-        owned[seller].discard(house_id)
-        owned[buyer].add(house_id)
         owner[house_id] = buyer
         sales.append(
             SaleRecord(

@@ -15,7 +15,7 @@ whatever its population:
 
 Then one ``integers(0, families)`` call draws an owner per surplus house,
 in house order. Everything between these calls is array passes over the
-draws; only the surplus houses join their owners' house sets one by one.
+draws.
 
 Steps 4, 6 and 7 each make one ``Generator.integers`` call over mixed
 inclusive bounds, which returns the values of one scalar ``uniform`` or
@@ -296,8 +296,6 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     house_store.owner[families.residence] = np.arange(len(homes))
     surplus = (house_store.owner < 0).nonzero()[0]
     house_store.owner[surplus] = rng.integers(0, len(homes), size=len(surplus))
-    for house_id, family_id in zip(surplus.tolist(), house_store.owner[surplus].tolist()):
-        families.owned_houses[family_id].add(house_id)
 
     qli = np.full(len(specs), INITIAL_QLI)
     house_store.price = hedonic_offer_prices(house_store, qli, params.hedonic_base_coefficient)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -47,6 +46,16 @@ def distances(
     dx, dy = np.broadcast_arrays(ax - bx, ay - by)
     values = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
     return np.fromiter(values, dtype=float, count=dx.size).reshape(dx.shape)
+
+
+def _id_sets(keys: np.ndarray, rows: int) -> list[set[int]]:
+    """For each row 0..rows-1, the set of the ids (positions in ``keys``)
+    whose key is that row, added in id order; a negative key joins no set."""
+    sets: list[set[int]] = [set() for _ in range(rows)]
+    held = (keys >= 0).nonzero()[0]
+    for key_id, row in zip(held.tolist(), keys[held].tolist()):
+        sets[row].add(key_id)
+    return sets
 
 
 # the fields of a citizen's record in World.to_dict() and the agents dump
@@ -140,14 +149,6 @@ class Citizens:
         self.employer[ids] = UNEMPLOYED
         self.wage[ids] = 0.0
 
-    def employee_sets(self, firms: int) -> list[set[int]]:
-        """Each firm's set of employee ids, in firm id order."""
-        staff: list[set[int]] = [set() for _ in range(firms)]
-        employed = self.employed()
-        for citizen_id, firm_id in zip(employed.tolist(), self.employer[employed].tolist()):
-            staff[firm_id].add(citizen_id)
-        return staff
-
     def records(self) -> list[dict]:
         """One dict of Python values per living citizen, in id order, keyed by
         CITIZEN_RECORD_KEYS; the unemployed have employer None."""
@@ -176,27 +177,23 @@ class Families:
     """Every family as one row of columns; a family's id is its row.
 
     Generation numbers the families 0..n-1 and none is created later. Who
-    belongs to a family is the citizens' column ``family``. A family whose
-    last member dies keeps its assets until an heir takes them, which
-    clears ``present``. ``owned_houses`` holds each family's house ids; a
-    set's iteration order is the order its prices are summed in. Only sales
-    and estate transfers change the sets, and both move the same houses in
-    ``Houses.owner``. ``len`` counts the present families, and iteration
-    yields their ids.
+    belongs to a family is the citizens' column ``family``, and what it owns
+    is the houses' column ``owner``. A family whose last member dies keeps
+    its assets until an heir takes them, which clears ``present``. ``len``
+    counts the present families, and iteration yields their ids.
     """
 
     residence: np.ndarray  # int64, the house the members live in
-    owned_houses: list[set[int]]
     monthly_cash: np.ndarray  # liquid, funds consumption
     savings: np.ndarray  # illiquid, real-estate only
     present: np.ndarray  # bool
 
     @classmethod
     def open(cls, residence: Sequence[int], monthly_cash: Sequence[float]) -> Families:
-        """Present families numbered 0..n-1, each owning its residence, with no savings."""
+        """Present families numbered 0..n-1, living in ``residence``, with no
+        savings; who owns the houses is set in ``Houses.owner``."""
         return cls(
             residence=np.asarray(residence, dtype=np.int64),
-            owned_houses=[{house_id} for house_id in residence],
             monthly_cash=np.asarray(monthly_cash, dtype=float),
             savings=np.zeros(len(residence)),
             present=np.ones(len(residence), dtype=bool),
@@ -217,19 +214,19 @@ class Families:
         """The ids of the present families with members, in id order."""
         return (self.present & (self.members(citizens) > 0)).nonzero()[0]
 
-    def records(self, citizens: Citizens) -> list[dict]:
+    def records(self, citizens: Citizens, houses: Houses) -> list[dict]:
         """One dict of Python values per present family, in id order, keyed by
-        FAMILY_RECORD_KEYS; ``member_ids`` are the living citizens of the family."""
-        ids = self.present.nonzero()[0]
-        members: list[set[int]] = [set() for _ in range(len(self.present))]
-        living = citizens.alive.nonzero()[0]
-        for citizen_id, family_id in zip(living.tolist(), citizens.family[living].tolist()):
-            members[family_id].add(citizen_id)
+        FAMILY_RECORD_KEYS; ``member_ids`` are the living citizens of the
+        family and ``owned_houses`` the houses it owns (an unowned house,
+        owner -1, is listed under no family)."""
+        ids, rows = self.present.nonzero()[0], len(self.present)
+        members = _id_sets(np.where(citizens.alive, citizens.family, -1), rows)
+        owned = _id_sets(houses.owner, rows)
         columns = (
             ids.tolist(),
             [members[family_id] for family_id in ids.tolist()],
             self.residence[ids].tolist(),
-            [set(self.owned_houses[family_id]) for family_id in ids.tolist()],
+            [owned[family_id] for family_id in ids.tolist()],
             self.monthly_cash[ids].tolist(),
             self.savings[ids].tolist(),
         )
@@ -247,7 +244,7 @@ class Houses:
     Generation builds every house, numbered 0..n-1, and none is added or
     removed later. ``municipality`` indexes the region's
     ``municipality_ids``; ``price`` is the current hedonic offer.
-    ``owner`` is the owning family's id, the record of ownership the engine reads.
+    ``owner`` is the owning family's id, the only record of ownership.
     """
 
     municipality: np.ndarray  # int64
@@ -384,10 +381,6 @@ class World:
     grave: list[GraveRecord] = field(default_factory=list)
     sales_log: list[SaleRecord] = field(default_factory=list)
 
-    @property
-    def next_citizen_id(self) -> int:
-        return self.citizens.rows
-
     def active_families(self) -> np.ndarray:
         """The ids of the families with members. Only births and deaths change
         them, so a month finds them once, after demographics."""
@@ -422,33 +415,19 @@ class World:
         return total + self.ledger.total()
 
     def wealth(self, active: np.ndarray) -> np.ndarray:
-        """Each active family's cash, savings and house prices; the prices are
-        summed in the iteration order of its owned_houses set.
-
-        Its house count is the count of its id in ``Houses.owner``; an active
-        family owns its residence, so a family with one house owns only that.
-        Several houses add up in one segment sum (``np.add.at`` from zero, in
-        set order), which is ``sum()`` of each set's prices.
-        """
-        families, price = self.families, self.houses.price
-        counts = np.bincount(self.houses.owner, minlength=len(families.present))[active]
-        wealth = families.monthly_cash[active] + families.savings[active]
-        single = counts == 1
-        wealth[single] += price[families.residence[active[single]]]
-        several = (counts > 1).nonzero()[0]
-        owned = [families.owned_houses[family_id] for family_id in active[several].tolist()]
-        houses = np.fromiter(chain.from_iterable(owned), dtype=np.int64)
-        prices = np.zeros(len(several))
-        np.add.at(prices, np.repeat(np.arange(len(several)), counts[several]), price[houses])
-        wealth[several] += prices
-        return wealth
+        """Each active family's cash, savings and house prices; a family's
+        prices are summed from 0.0 in house id order (a weighted bincount
+        of ``Houses.owner``)."""
+        families, houses = self.families, self.houses
+        prices = np.bincount(houses.owner, weights=houses.price, minlength=len(families.present))
+        return families.monthly_cash[active] + families.savings[active] + prices[active]
 
     def family_records(self) -> list[dict]:
-        return self.families.records(self.citizens)
+        return self.families.records(self.citizens, self.houses)
 
     def firm_records(self) -> list[dict]:
         return self.firms.records(
-            self.region.municipality_ids, self.citizens.employee_sets(len(self.firms))
+            self.region.municipality_ids, _id_sets(self.citizens.employer, len(self.firms))
         )
 
     def to_dict(self) -> dict:
@@ -463,6 +442,6 @@ class World:
                 for muni_id, qli in zip(self.region.municipality_ids, self.qli.tolist())
             ],
             "clock": self.clock,
-            "next_citizen_id": self.next_citizen_id,
+            "next_citizen_id": self.citizens.rows,
             "rng_state": self.rng.bit_generator.state,
         }

@@ -117,12 +117,10 @@ def make_families(families):
     rows = max((family.id for family in families), default=-1) + 1
     store = Families.open([0] * rows, [0.0] * rows)
     store.present[:] = False
-    store.owned_houses = [set() for _ in range(rows)]
     for family in families:
         row = family.id
         store.present[row] = True
         store.residence[row] = family.residence
-        store.owned_houses[row] = set(family.owned_houses)
         store.monthly_cash[row] = family.monthly_cash
         store.savings[row] = family.savings
     return store
@@ -169,17 +167,13 @@ def citizen(world, cid):
 
 
 def assert_ownership_partition(world):
-    """Every house has exactly one owning family, a present one, which is
-    its owner in ``Houses.owner``; active families own their home."""
-    families = world.families
-    owned = sorted(
-        (house_id, family_id)
-        for family_id in families for house_id in families.owned_houses[family_id]
-    )
-    assert [house_id for house_id, _ in owned] == list(range(len(world.houses)))
-    assert world.houses.owner.tolist() == [family_id for _, family_id in owned]
-    for family_id in world.active_families().tolist():
-        assert families.residence[family_id] in families.owned_houses[family_id]
+    """Every house's owner in ``Houses.owner`` is a present family, and
+    every active family owns its home."""
+    families, owner = world.families, world.houses.owner
+    assert ((owner >= 0) & (owner < len(families.present))).all()
+    assert families.present[owner].all()
+    active = world.active_families()
+    assert (owner[families.residence[active]] == active).all()
 
 
 @dataclass

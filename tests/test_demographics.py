@@ -126,11 +126,10 @@ def test_inheritance_moves_estate_to_surviving_family():
     world = make_world([rich, poor], families, houses, region=region, seed=1)
     mortality_step(world, world.rng)
     assert 0 not in world.families
-    assert world.families.owned_houses[1] == {0, 1}
     assert world.houses.owner.tolist() == [1, 1]
+    assert [family["owned_houses"] for family in world.family_records()] == [{0, 1}]
     assert world.families.monthly_cash[1] == 7.0
     assert world.families.savings[1] == 3.0
-    assert 0 in world.families.owned_houses[1]
     assert world.families.residence[world.active_families()].tolist() == [1]
 
 
@@ -223,8 +222,6 @@ def test_families_dying_out_together_draw_heirs_from_one_survivor_list():
     expected_cash[heir_of_family_1] += 100.0
     expected_cash[heir_of_family_0] += 1.0
     assert {fid: world.families.monthly_cash[fid] for fid in world.families} == expected_cash
-    assert 1 in world.families.owned_houses[heir_of_family_1]
-    assert 0 in world.families.owned_houses[heir_of_family_0]
     assert world.houses.owner.tolist() == [heir_of_family_0, heir_of_family_1, 2, 3, 4]
 
 

@@ -36,15 +36,15 @@ from policysim.runner import write_monthly_csv
 from policysim.scheduler import run
 
 GOLDEN_MONTHLY_SHA256 = {
-    1: "e8c49cd08b97a190f2457dbb9a61a1223fdff57cb382ee265c17a3918108cd2d",
+    1: "b7c0df15cd50888d2b8deeb4180f22f8c4335eee99cf0fc01358aed37b711590",
     2: "13036149823e6788bc2289f163828f06647aa1ee14794d46bb81588235b2fcd2",
     3: "936ce3d4d619ab2771006ca3f42d5d7ac88da33e3148ce1a31db17c94ef91656",
 }
 
 REGIME_MONTHLY_SHA256 = {
     (True, False): "9514aed0373893b88b4a5147f4211646efc22c5dbc6abf04310041f4a9adf057",
-    (False, True): "231e860fc9a644da92faf9890d058b90508df7bcc77214a8d6fcc6c6d82c8df8",
-    (False, False): "231e860fc9a644da92faf9890d058b90508df7bcc77214a8d6fcc6c6d82c8df8",
+    (False, True): "57b0eaaa938acc0275dbffd41726e19d6e8029b24435f1be3ff629e3040c4943",
+    (False, False): "57b0eaaa938acc0275dbffd41726e19d6e8029b24435f1be3ff629e3040c4943",
 }
 
 # monthly.csv without gini_wealth (see sha256_without)

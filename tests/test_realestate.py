@@ -104,12 +104,11 @@ def test_sale_worked_example():
     assert sale.offer == 80.0
     assert sale.transaction_price == 90.0
     assert abs(sale.tax - 9.0) <= 1e-9
-    savings, owned = world.families.savings, world.families.owned_houses
+    savings = world.families.savings
     assert abs(savings[0] - 10.0) <= 1e-9
     assert abs(savings[1] - (30.0 + 81.0)) <= 1e-9
     assert abs(world.ledger.get(0, "transaction") - 9.0) <= 1e-9
-    assert 2 in owned[0]
-    assert 2 not in owned[1]
+    assert world.houses.owner[2] == 0
 
 
 def test_buyer_without_budget_buys_nothing():
@@ -286,8 +285,6 @@ def test_home_of_an_extinct_family_is_vacant():
 def test_extinct_family_without_heir_sells_its_only_house():
     # family 1 died out with no heir and owns one house, its old home
     world = sale_world()
-    world.families.owned_houses[1].discard(2)
-    world.families.owned_houses[0].add(2)
     world.houses.owner[2] = 0
     world.citizens.alive[1] = False
     listings = build_listings(world, world.active_families())
@@ -295,7 +292,7 @@ def test_extinct_family_without_heir_sells_its_only_house():
     [sale] = match_market(world, [0], listings, 0.0)
     assert (sale.house_id, sale.seller_id, sale.buyer_id) == (1, 1, 0)
     assert world.families.savings[1] == 30.0 + 55.0
-    assert world.families.owned_houses[1] == set()
+    assert 1 not in world.houses.owner
     assert_ownership_partition(world)
 
 
@@ -305,8 +302,9 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
 
     For every buyer it scans all open listings and keeps the maximum of
     (offer, -house_id) over the affordable ones the buyer does not own.
-    The seller is found by scanning every family's owned houses.
-    seen collects which edge cases the scan met.
+    The seller is found by scanning every family's owned houses, a set per
+    family built from ``Houses.owner`` on entry and written back to it on
+    return. seen collects which edge cases the scan met.
     """
     houses = world.houses
     open_listings = {hid: float(houses.price[hid]) for hid in listings}
@@ -320,7 +318,10 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
 
     vacated = set()
     families = world.families
-    savings, owned_houses = families.savings, families.owned_houses
+    savings = families.savings
+    owned_houses = [set() for _ in range(len(families.present))]
+    for house_id, fid in enumerate(houses.owner.tolist()):
+        owned_houses[fid].add(house_id)
     order = sorted(entrant_ids, key=lambda fid: (-float(savings[fid]), fid))
     sales = []
     for buyer in order:
@@ -382,6 +383,8 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
             open_listings[residence] = float(houses.price[residence])
             vacated.add(residence)
             families.residence[buyer] = best_house
+    for fid, owned in enumerate(owned_houses):
+        houses.owner[sorted(owned)] = fid
     return sales
 
 
@@ -419,8 +422,8 @@ def random_market(seed):
 
 def market_state(world, ledger):
     return (
-        [(fid, int(families.residence[fid]), sorted(families.owned_houses[fid]),
-          float(families.savings[fid]))
+        [(fid, int(families.residence[fid]),
+          np.flatnonzero(world.houses.owner == fid).tolist(), float(families.savings[fid]))
          for families in [world.families] for fid in families],
         ledger.get(0, "transaction"),
     )

@@ -36,6 +36,7 @@ from conftest import (
     assert_ownership_partition,
     make_world,
     simple_citizen,
+    simple_family,
     simple_house,
 )
 
@@ -78,11 +79,11 @@ def check_residences(world, active):
 
 
 def check_wealth(world, active):
-    """World.wealth against each family's cash + savings + sum(prices in set order)."""
-    families, prices = world.families, world.houses.price.tolist()
+    """World.wealth against each family's cash + savings + sum(prices in house id order)."""
+    families, prices, owner = world.families, world.houses.price.tolist(), world.houses.owner
     expected = [
         families.monthly_cash[fid].item() + families.savings[fid].item()
-        + sum(prices[house_id] for house_id in families.owned_houses[fid])
+        + sum(prices[house_id] for house_id in np.flatnonzero(owner == fid).tolist())
         for fid in active.tolist()
     ]
     assert world.wealth(active).tolist() == expected
@@ -90,16 +91,13 @@ def check_wealth(world, active):
 
 def full_scan_sellers(monkeypatch):
     """Wrap match_market so that it records, for each sale, its seller and
-    the owner that a scan over every family's houses finds."""
+    the owner in a copy of ``Houses.owner`` taken before the market, which
+    each earlier sale of the month has updated."""
     checked = []
     original = realestate.match_market
 
     def match_market(world, entrant_ids, listings, transaction_tax_rate):
-        families = world.families
-        owners = {
-            house_id: fid for fid in range(len(families.owned_houses))
-            for house_id in families.owned_houses[fid]
-        }
+        owners = world.houses.owner.copy()
         sales = original(world, entrant_ids, listings, transaction_tax_rate)
         for sale in sales:
             checked.append((sale.seller_id, owners[sale.house_id]))
@@ -132,10 +130,10 @@ def step_months(world, params, months):
         for _ in range(families - len(world.families)):
             replay.integers(0, heirs)
         same_stream = replay.bit_generator.state == rng.bit_generator.state
-        first_newborn = world.next_citizen_id
+        first_newborn = world.citizens.rows
         births = fertility_step(world, rng)
         check_listing(world)
-        assert world.next_citizen_id == first_newborn + len(births)
+        assert world.citizens.rows == first_newborn + len(births)
         months.append((deaths, births, first_newborn, same_stream, deleted))
         active = world.active_families()
         check_residences(world, active)
@@ -182,7 +180,7 @@ def test_newborns_take_the_next_ids(stepped):
     world, months, _ = stepped
     for _, births, first_newborn, _, _ in months:
         assert births == list(range(first_newborn, first_newborn + len(births)))
-    assert world.next_citizen_id == world.citizens.rows
+    assert world.to_dict()["next_citizen_id"] == world.citizens.rows
 
 
 def test_the_dead_leave_the_listing_and_keep_their_rows(stepped):
@@ -262,19 +260,32 @@ def test_families_deleted_after_an_estate_transfer_are_not_listed(stepped):
     assert len(listed) + len(deleted) == world.families.present.size
 
 
+def test_an_unowned_house_is_listed_under_no_family():
+    # house 2 has no owner (-1); the last family, 1, must not be given it
+    citizens = [simple_citizen(cid=fid, family_id=fid) for fid in range(2)]
+    families = [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in range(2)]
+    world = make_world(citizens, families, [simple_house(house_id=hid) for hid in range(3)])
+    assert world.houses.owner.tolist() == [0, 1, -1]
+    assert [family["owned_houses"] for family in world.to_dict()["families"]] == [{0}, {1}]
+    dump = DUMPS["family"]
+    column = [name for name, _ in dump.columns].index("owned_houses")
+    rows = [
+        [get(family) for _, get in dump.columns]
+        for family in dump.entities(RunResult(records=[], world=world, seed=0))
+    ]
+    assert [row[column] for row in rows] == [1, 1]
+
+
 def test_every_seller_is_the_owner_a_full_scan_finds(stepped):
     _, _, sellers = stepped
     assert len(sellers) > 100
     assert all(seller == owner for seller, owner in sellers)
 
 
-def test_wealth_sums_prices_in_set_order():
-    # the set's iteration order is 16, 8, 1; its prices sum to 0.6 in that
-    # order and to 0.6000000000000001 in id order
-    owned = set()
-    for house_id in (16, 8, 1):
-        owned.add(house_id)
-    assert list(owned) == [16, 8, 1]
+def test_wealth_sums_prices_in_house_id_order():
+    # prices 0.1, 0.2 and 0.3 sum to 0.6000000000000001 in house id order and
+    # to 0.6 in the iteration order of the set {16, 8, 1}, which is 16, 8, 1
+    owned = {1, 8, 16}
     houses = [simple_house(house_id=hid, price=0.0) for hid in range(17)]
     for house_id, price in ((1, 0.1), (8, 0.2), (16, 0.3)):
         houses[house_id]["price"] = price
@@ -282,7 +293,5 @@ def test_wealth_sums_prices_in_set_order():
     # family 1, with no members, owns the other houses
     others = FamilySpec(id=1, member_ids=set(), residence=0, owned_houses=set(range(17)) - owned)
     world = make_world([simple_citizen()], [family, others], houses)
-    # make_world copies the sets; this one keeps its iteration order
-    world.families.owned_houses[0] = owned
     assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
-    assert world.wealth(world.active_families()).tolist() == [(0.3 + 0.2) + 0.1]
+    assert world.wealth(world.active_families()).tolist() == [(0.1 + 0.2) + 0.3]
