@@ -321,7 +321,8 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
     savings = families.savings
     owned_houses = [set() for _ in range(len(families.present))]
     for house_id, fid in enumerate(houses.owner.tolist()):
-        owned_houses[fid].add(house_id)
+        if fid >= 0:  # an unowned house joins no family's set
+            owned_houses[fid].add(house_id)
     order = sorted(entrant_ids, key=lambda fid: (-float(savings[fid]), fid))
     sales = []
     for buyer in order:

@@ -284,8 +284,11 @@ def test_every_seller_is_the_owner_a_full_scan_finds(stepped):
 
 def test_wealth_sums_prices_in_house_id_order():
     # prices 0.1, 0.2 and 0.3 sum to 0.6000000000000001 in house id order and
-    # to 0.6 in the iteration order of the set {16, 8, 1}, which is 16, 8, 1
-    owned = {1, 8, 16}
+    # to 0.6 in the iteration order of this set, 16, 8, 1
+    owned = set()
+    for house_id in (16, 8, 1):
+        owned.add(house_id)
+    assert list(owned) == [16, 8, 1]
     houses = [simple_house(house_id=hid, price=0.0) for hid in range(17)]
     for house_id, price in ((1, 0.1), (8, 0.2), (16, 0.3)):
         houses[house_id]["price"] = price
