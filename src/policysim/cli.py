@@ -74,7 +74,6 @@ def main(argv: list[str] | None = None) -> int:
             run_type=args.run_type,
             runs_per_config=args.runs,
             sweeps=[parse_sweep_spec(text) for text in args.sweeps],
-            output_dir=args.output,
             save_data={flag for flag in args.save_data.split(",") if flag},
             master_seed=args.seed,
         )

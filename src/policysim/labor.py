@@ -20,9 +20,11 @@ from .world.types import UNEMPLOYED, World
 
 @dataclass
 class LaborPool:
+    """A hiring round's unemployed candidates and its vacancies. A vacancy
+    pays its firm's ``wage_offer``, which nothing changes during the round."""
+
     candidates: np.ndarray  # citizen ids, in pool order
     vacancies: np.ndarray  # firm ids, one per vacancy, in hiring order
-    wages: np.ndarray  # each vacancy's offer
 
 
 def build_pool(world: World, params: SimParams, vacancies: np.ndarray) -> LaborPool:
@@ -31,10 +33,9 @@ def build_pool(world: World, params: SimParams, vacancies: np.ndarray) -> LaborP
     citizens = world.citizens
     looking = citizens.working_age(params.working_age_min, params.working_age_max)
     candidates = (looking & (citizens.employer == UNEMPLOYED)).nonzero()[0]
-    offers = world.firms.wage_offer[vacancies]
     # the highest offer first, ties going to the lower firm id
-    order = np.lexsort((vacancies, -offers))
-    return LaborPool(candidates, vacancies[order], offers[order])
+    order = np.lexsort((vacancies, -world.firms.wage_offer[vacancies]))
+    return LaborPool(candidates, vacancies[order])
 
 
 def match(
@@ -49,7 +50,7 @@ def match(
     Per vacancy, the firm samples up to sample_size remaining candidates
     and takes the closest one with probability pct_distance_hiring, the
     best qualified otherwise. Ties break toward the lower citizen id.
-    The hired citizen's wage is the vacancy's offer. Returns the hired
+    The hired citizen's wage is its firm's current offer. Returns the hired
     ids, one per vacancy filled, in hiring order.
 
     Every vacancy up to the number of candidates hires exactly one, so the
@@ -113,7 +114,7 @@ def match(
     del id_list, by_qualification, home_x, home_y
     hired_ids = ids[hired]
     citizens.employer[hired_ids] = hiring
-    citizens.wage[hired_ids] = pool.wages[: len(hiring)]
+    citizens.wage[hired_ids] = firms.wage_offer[hiring]
     pool.candidates = ids[remaining]
     return hired_ids
 

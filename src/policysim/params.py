@@ -209,12 +209,12 @@ def _coerce(raw: str, kind: type, key: str):
         raise ParamError(f"{key}: expected {expected}, got {raw!r}") from exc
 
 
-def parse_config_text(text: str, base: SimParams | None = None) -> SimParams:
-    """Parse flat ``KEY = value`` lines on top of base (or default) params.
+def parse_config_text(text: str) -> SimParams:
+    """Parse flat ``KEY = value`` lines on top of the default params.
 
     Blank lines and lines starting with ``#`` are ignored.
     """
-    params = base.copy() if base is not None else SimParams()
+    params = SimParams()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

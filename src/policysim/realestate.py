@@ -81,11 +81,7 @@ def match_market(
     savings, residence, owner = families.savings, families.residence, houses.owner
     entrant_ids = np.asarray(entrant_ids, dtype=np.int64)
     order = sorted(zip((-savings[entrant_ids]).tolist(), entrant_ids.tolist()))
-    qli = world.qli
-
-    def amenity_score(house_id: int) -> float:
-        town_qli = qli[houses.municipality[house_id]]
-        return float(houses.size[house_id] * houses.quality[house_id] * town_qli)
+    amenity = houses.size * houses.quality * world.qli[houses.municipality]
 
     sales: list[SaleRecord] = []
     for _, buyer in order:
@@ -116,7 +112,7 @@ def match_market(
             )
         )
         home = int(residence[buyer])
-        if amenity_score(house_id) > amenity_score(home):
+        if amenity[house_id] > amenity[home]:
             insort(open_listings, (float(houses.price[home]), -home))
             residence[buyer] = house_id
     codes = houses.municipality[[sale.house_id for sale in sales]]

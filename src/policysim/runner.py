@@ -221,7 +221,8 @@ def aggregate(job_results: list[JobResult]) -> tuple[list[str], np.ndarray, np.n
 
 
 def _write_plot_script(directory: str, columns: list[str]) -> None:
-    """Emit a gnuplot script over mean.csv instead of rendered images."""
+    """Emit a gnuplot script over mean.csv instead of rendered images. A
+    plotted column missing from ``columns`` raises ValueError."""
     plot_columns = ["unemployment", "price_index", "gini_wealth", "tax_total"]
     lines = [
         "set datafile separator ','",
@@ -229,10 +230,8 @@ def _write_plot_script(directory: str, columns: list[str]) -> None:
         "set xlabel 'month'",
     ]
     for name in plot_columns:
-        if name in columns:
-            index = columns.index(name) + 1
-            lines.append(f"plot 'mean.csv' using 1:{index} with lines")
-            lines.append("pause -1")
+        lines.append(f"plot 'mean.csv' using 1:{columns.index(name) + 1} with lines")
+        lines.append("pause -1")
     with open(os.path.join(directory, "plot.gp"), "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -21,27 +21,19 @@ class SweepSpecError(ValueError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter: a boolean toggle or an evenly spaced range."""
+    """One swept parameter and the values it takes, in sweep order: True
+    then False for a boolean toggle, an evenly spaced grid for a range."""
 
     name: str
-    kind: str  # "boolean" | "range"
-    first: float | None = None
-    last: float | None = None
-    count: int | None = None
-
-    def values(self) -> list:
-        if self.kind == "boolean":
-            return [True, False]
-        step = (self.last - self.first) / (self.count - 1)
-        values = [self.first + index * step for index in range(self.count)]
-        values[-1] = self.last  # endpoints exact
-        if param_type(self.name) is int:
-            return [int(round(value)) for value in values]
-        return values
+    values: tuple
 
 
 def parse_sweep_spec(text: str) -> SweepSpec:
-    """Parse ``NAME`` (boolean) or ``NAME:first:last:count`` (range)."""
+    """Parse ``NAME`` (boolean) or ``NAME:first:last:count`` (range).
+
+    A range's grid is first + index * (last - first) / (count - 1), with
+    both endpoints exact, and rounded to int for an int parameter.
+    """
     pieces = text.strip().split(":")
     name = pieces[0].strip().upper()
     if not is_known_param(name):
@@ -53,7 +45,7 @@ def parse_sweep_spec(text: str) -> SweepSpec:
             raise SweepSpecError(
                 f"{name} is not boolean; use {name}:first:last:count"
             )
-        return SweepSpec(name=name, kind="boolean")
+        return SweepSpec(name=name, values=(True, False))
     if len(pieces) != 4:
         raise SweepSpecError(
             f"range sweep must look like NAME:first:last:count, got {text!r}"
@@ -76,11 +68,14 @@ def parse_sweep_spec(text: str) -> SweepSpec:
         raise SweepSpecError(f"count must be >= 2, got {count}")
     if first > last:
         raise SweepSpecError(f"first must be <= last in {text!r}")
-    spec = SweepSpec(name=name, kind="range", first=first, last=last, count=count)
-    values = spec.values()
+    step = (last - first) / (count - 1)
+    values = [first + index * step for index in range(count)]
+    values[-1] = last  # endpoints exact
+    if param_type(name) is int:
+        values = [int(round(value)) for value in values]
     if len(set(values)) < count:
         raise SweepSpecError(f"{text!r} repeats grid values: {values}")
-    return spec
+    return SweepSpec(name=name, values=tuple(values))
 
 
 @dataclass
@@ -163,7 +158,7 @@ def expand_plan(
         sweeps = plan.sweeps
         if plan.run_type == "distributions":  # the four fiscal regimes
             sweeps = [parse_sweep_spec(name) for name in ("ALTERNATIVE0", "FPM_DISTRIBUTION")]
-        for combo in itertools.product(*(spec.values() for spec in sweeps)):
+        for combo in itertools.product(*(spec.values for spec in sweeps)):
             params = base_params.copy()
             labels = []
             for spec, value in zip(sweeps, combo):

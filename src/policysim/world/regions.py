@@ -29,15 +29,6 @@ import numpy as np
 PROBABILITY_SUM_TOLERANCE = 1e-9
 MAX_SCHOOLING_YEARS = 21
 
-REGION_FILES = (
-    "municipalities.csv",
-    "age_gender.csv",
-    "qualification.csv",
-    "mortality.csv",
-    "fertility.csv",
-    "fpm_coefficients.csv",
-)
-
 
 class RegionDataError(ValueError):
     """Missing file, malformed row, or violated table invariant."""

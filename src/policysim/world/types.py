@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,10 +58,12 @@ def _id_sets(keys: np.ndarray, rows: int) -> list[set[int]]:
     return sets
 
 
-# the fields of a citizen's record in World.to_dict() and the agents dump
-CITIZEN_RECORD_KEYS = (
-    "id", "family_id", "age", "gender", "qualification", "birth_month", "employer", "wage",
-)
+def _records(**columns: Iterable) -> list[dict]:
+    """One dict per row of the equal-length ``columns``, keyed by their
+    names in argument order."""
+    return [dict(zip(columns, row)) for row in zip(*columns.values())]
+
+
 UNEMPLOYED = -1  # the employer of a citizen without a job
 
 
@@ -150,26 +152,21 @@ class Citizens:
         self.wage[ids] = 0.0
 
     def records(self) -> list[dict]:
-        """One dict of Python values per living citizen, in id order, keyed by
-        CITIZEN_RECORD_KEYS; the unemployed have employer None."""
+        """One dict of Python values per living citizen, in id order: its
+        record in World.to_dict() and the agents dump. The unemployed have
+        employer None."""
         living = self.alive.nonzero()[0]
-        columns = (
-            living.tolist(),
-            self.family[living].tolist(),
-            self.age[living].tolist(),
-            [FEMALE if female else MALE for female in self.female[living].tolist()],
-            self.qualification[living].tolist(),
-            self.birth_month[living].tolist(),
-            [None if firm == UNEMPLOYED else firm for firm in self.employer[living].tolist()],
-            self.wage[living].tolist(),
+        employers = self.employer[living].tolist()
+        return _records(
+            id=living.tolist(),
+            family_id=self.family[living].tolist(),
+            age=self.age[living].tolist(),
+            gender=[FEMALE if female else MALE for female in self.female[living].tolist()],
+            qualification=self.qualification[living].tolist(),
+            birth_month=self.birth_month[living].tolist(),
+            employer=[None if firm == UNEMPLOYED else firm for firm in employers],
+            wage=self.wage[living].tolist(),
         )
-        return [dict(zip(CITIZEN_RECORD_KEYS, row)) for row in zip(*columns)]
-
-
-# the fields of a family's record in World.to_dict() and the families dump
-FAMILY_RECORD_KEYS = (
-    "id", "member_ids", "residence", "owned_houses", "monthly_cash", "savings",
-)
 
 
 @dataclass(slots=True)
@@ -215,26 +212,21 @@ class Families:
         return (self.present & (self.members(citizens) > 0)).nonzero()[0]
 
     def records(self, citizens: Citizens, houses: Houses) -> list[dict]:
-        """One dict of Python values per present family, in id order, keyed by
-        FAMILY_RECORD_KEYS; ``member_ids`` are the living citizens of the
-        family and ``owned_houses`` the houses it owns (an unowned house,
-        owner -1, is listed under no family)."""
+        """One dict of Python values per present family, in id order: its
+        record in World.to_dict() and the families dump. ``member_ids`` are
+        the living citizens of the family and ``owned_houses`` the houses it
+        owns."""
         ids, rows = self.present.nonzero()[0], len(self.present)
         members = _id_sets(np.where(citizens.alive, citizens.family, -1), rows)
         owned = _id_sets(houses.owner, rows)
-        columns = (
-            ids.tolist(),
-            [members[family_id] for family_id in ids.tolist()],
-            self.residence[ids].tolist(),
-            [owned[family_id] for family_id in ids.tolist()],
-            self.monthly_cash[ids].tolist(),
-            self.savings[ids].tolist(),
+        return _records(
+            id=ids.tolist(),
+            member_ids=[members[family_id] for family_id in ids.tolist()],
+            residence=self.residence[ids].tolist(),
+            owned_houses=[owned[family_id] for family_id in ids.tolist()],
+            monthly_cash=self.monthly_cash[ids].tolist(),
+            savings=self.savings[ids].tolist(),
         )
-        return [dict(zip(FAMILY_RECORD_KEYS, row)) for row in zip(*columns)]
-
-
-# the fields of a house's record in World.to_dict()
-HOUSE_RECORD_KEYS = ("id", "municipality_id", "location", "size", "quality", "current_price")
 
 
 @dataclass(slots=True)
@@ -279,24 +271,16 @@ class Houses:
         return len(self.price)
 
     def records(self, municipality_ids: list[str]) -> list[dict]:
-        """One dict of Python values per house, in id order, keyed by
-        HOUSE_RECORD_KEYS; ``municipality_ids`` names the codes."""
-        columns = (
-            [municipality_ids[code] for code in self.municipality.tolist()],
-            zip(self.x.tolist(), self.y.tolist()),
-            self.size.tolist(), self.quality.tolist(), self.price.tolist(),
+        """One dict of Python values per house, in id order: its record in
+        World.to_dict(). ``municipality_ids`` names the codes."""
+        return _records(
+            id=range(len(self)),
+            municipality_id=[municipality_ids[code] for code in self.municipality.tolist()],
+            location=zip(self.x.tolist(), self.y.tolist()),
+            size=self.size.tolist(),
+            quality=self.quality.tolist(),
+            current_price=self.price.tolist(),
         )
-        return [
-            dict(zip(HOUSE_RECORD_KEYS, (house_id, *row)))
-            for house_id, row in enumerate(zip(*columns))
-        ]
-
-
-# the fields of a firm's record in World.to_dict() and the firms dump
-FIRM_RECORD_KEYS = (
-    "id", "municipality_id", "location", "stock", "price", "cash", "wage_offer",
-    "employee_ids", "last_profit", "revenue_this_month", "last_output",
-)
 
 
 @dataclass(slots=True)
@@ -348,20 +332,22 @@ class Firms:
         return len(self.price)
 
     def records(self, municipality_ids: list[str], staff: list[set[int]]) -> list[dict]:
-        """One dict of Python values per firm, in id order, keyed by
-        FIRM_RECORD_KEYS; ``municipality_ids`` names the codes and ``staff``
-        holds each firm's employee ids."""
-        columns = (
-            [municipality_ids[code] for code in self.municipality.tolist()],
-            zip(self.x.tolist(), self.y.tolist()),
-            self.stock.tolist(), self.price.tolist(), self.cash.tolist(),
-            self.wage_offer.tolist(), staff, self.last_profit.tolist(),
-            self.revenue.tolist(), self.last_output.tolist(),
+        """One dict of Python values per firm, in id order: its record in
+        World.to_dict() and the firms dump. ``municipality_ids`` names the
+        codes and ``staff`` holds each firm's employee ids."""
+        return _records(
+            id=range(len(self)),
+            municipality_id=[municipality_ids[code] for code in self.municipality.tolist()],
+            location=zip(self.x.tolist(), self.y.tolist()),
+            stock=self.stock.tolist(),
+            price=self.price.tolist(),
+            cash=self.cash.tolist(),
+            wage_offer=self.wage_offer.tolist(),
+            employee_ids=staff,
+            last_profit=self.last_profit.tolist(),
+            revenue_this_month=self.revenue.tolist(),
+            last_output=self.last_output.tolist(),
         )
-        return [
-            dict(zip(FIRM_RECORD_KEYS, (firm_id, *row)))
-            for firm_id, row in enumerate(zip(*columns))
-        ]
 
 
 @dataclass(slots=True)
@@ -380,6 +366,13 @@ class World:
     price_index_prev: float | None = None
     grave: list[GraveRecord] = field(default_factory=list)
     sales_log: list[SaleRecord] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        """Every house is owned by a family row: ``Houses.open``'s owner -1
+        lasts only until generation draws the owners."""
+        owner = self.houses.owner
+        if ((owner < 0) | (owner >= len(self.families.present))).any():
+            raise ValueError("every house must be owned by one of the world's families")
 
     def active_families(self) -> np.ndarray:
         """The ids of the families with members. Only births and deaths change

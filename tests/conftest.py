@@ -130,7 +130,8 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
     """Assemble a world from simple_citizen, simple_family, simple_house and
     simple_firm specs, for unit tests. A family's members are the citizens
     that name it, and must be the spec's member_ids. A house's owner is the
-    family whose spec's owned_houses holds it."""
+    family whose spec's owned_houses holds it, or the first family spec
+    when none does."""
     named = {}
     for citizen in citizens:
         named.setdefault(citizen["family_id"], set()).add(citizen["id"])
@@ -139,20 +140,22 @@ def make_world(citizens=(), families=(), houses=(), firms=(), region=None, seed=
     if region is None:
         region = make_region()
     municipality_ids = region.municipality_ids
-    world = World(
+    house_store = make_houses(municipality_ids, list(houses))
+    if families:
+        house_store.owner[:] = families[0].id
+    for family in families:
+        house_store.owner[sorted(family.owned_houses)] = family.id
+    return World(
         clock=0,
         region=region,
         citizens=make_citizens(list(citizens)),
         families=make_families(list(families)),
-        houses=make_houses(municipality_ids, list(houses)),
+        houses=house_store,
         firms=make_firms(municipality_ids, list(firms)),
         qli=np.ones(len(municipality_ids)),
         rng=np.random.default_rng(seed),
         ledger=TaxLedger(),
     )
-    for family in families:
-        world.houses.owner[sorted(family.owned_houses)] = family.id
-    return world
 
 
 def employees(world, firm_id):

@@ -105,7 +105,7 @@ def goods_market_step(
 def match(world, pool, pct_distance_hiring, sample_size, rng):
     remaining = pool.candidates.tolist()
     hires = []
-    for firm_id, wage in zip(pool.vacancies.tolist(), pool.wages.tolist()):
+    for firm_id in pool.vacancies.tolist():
         if not remaining:
             break
         firm_location = location(world.firms, firm_id)
@@ -127,7 +127,7 @@ def match(world, pool, pct_distance_hiring, sample_size, rng):
         chosen = remaining[position]
         del remaining[position]
         world.citizens.employer[chosen] = firm_id
-        world.citizens.wage[chosen] = wage
+        world.citizens.wage[chosen] = world.firms.wage_offer[firm_id]
         hires.append(chosen)
     pool.candidates = np.array(remaining, dtype=np.int64)
     return np.array(hires, dtype=np.int64)

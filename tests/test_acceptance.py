@@ -289,7 +289,7 @@ def test_c09_demographic_oracles():
 
 def test_c10_sweep_grammar():
     spec = parse_sweep_spec("ALPHA:.04:.94:7")
-    values = spec.values()
+    values = spec.values
     assert len(values) == 7
     expected = [0.04 + i * 0.15 for i in range(7)]
     for got, want in zip(values, expected):

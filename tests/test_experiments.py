@@ -29,7 +29,7 @@ from conftest import make_world
 
 def test_parse_sweep_alpha_grid():
     spec = parse_sweep_spec("ALPHA:.04:.94:7")
-    values = spec.values()
+    values = spec.values
     # oracle: first + i * (last - first) / (count - 1)
     expected = [0.04 + i * (0.94 - 0.04) / 6 for i in range(7)]
     assert len(values) == 7
@@ -41,17 +41,15 @@ def test_parse_sweep_alpha_grid():
 
 def test_parse_sweep_boolean():
     spec = parse_sweep_spec("ALTERNATIVE0")
-    assert spec.kind == "boolean"
-    assert spec.values() == [True, False]
+    assert spec.values == (True, False)
 
 
 def test_parse_sweep_two_point_range():
-    assert parse_sweep_spec("BETA:0:1:2").values() == [0.0, 1.0]
+    assert parse_sweep_spec("BETA:0:1:2").values == (0.0, 1.0)
 
 
 def test_parse_sweep_integer_param_rounds():
-    values = parse_sweep_spec("SIZE_MARKET:1:5:3").values()
-    assert values == [1, 3, 5]
+    assert parse_sweep_spec("SIZE_MARKET:1:5:3").values == (1, 3, 5)
 
 
 def test_parse_sweep_errors():

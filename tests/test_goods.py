@@ -10,6 +10,7 @@ from policysim.sampling import BLOCK_CELLS
 from policysim.world.types import distances
 
 from conftest import (
+    FamilySpec,
     make_families,
     make_firms,
     make_world,
@@ -136,13 +137,15 @@ TIE_SIZE_MARKET = 4  # every firm of tie_world, so every shopper samples the pai
 
 def tie_world(pair):
     """Firms 0 and 1 at the pair, firm 2 far off and firm 3 1 km from the
-    clear home; the tie home is at the origin."""
+    clear home; the tie home is at the origin. A memberless family 0 owns
+    both houses."""
     firms = [
         simple_firm(firm_id=fid, location=location)
         for fid, location in enumerate((*pair, (50.0, 50.0), (100.0, 0.0)))
     ]
     houses = [simple_house(house_id=0), simple_house(house_id=1, location=(101.0, 0.0))]
-    return make_world(houses=houses, firms=firms)
+    owner = FamilySpec(id=0, member_ids=set(), residence=0, owned_houses={0, 1})
+    return make_world(families=[owner], houses=houses, firms=firms)
 
 
 def nearest_by_hypot(world, house):

@@ -162,7 +162,7 @@ def test_match_on_both_sides_of_the_16_bit_pool(wide_pool, sample_size):
     outcomes = []
     for matcher in (match, reference_markets.match):
         rng = np.random.default_rng(11)
-        fresh = LaborPool(pool.candidates, pool.vacancies, pool.wages)
+        fresh = LaborPool(pool.candidates, pool.vacancies)
         hires = matcher(world, fresh, 0.5, sample_size, rng)
         outcomes.append((hires.tolist(), fresh.candidates.tolist(), rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]

@@ -13,10 +13,12 @@ from policysim.realestate import (
     reprice_houses,
     select_entrants,
 )
+from policysim.world.regions import MunicipalitySpec
 
 from conftest import (
     assert_ownership_partition,
     make_houses,
+    make_region,
     make_world,
     simple_citizen,
     simple_family,
@@ -321,8 +323,7 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
     savings = families.savings
     owned_houses = [set() for _ in range(len(families.present))]
     for house_id, fid in enumerate(houses.owner.tolist()):
-        if fid >= 0:  # an unowned house joins no family's set
-            owned_houses[fid].add(house_id)
+        owned_houses[fid].add(house_id)
     order = sorted(entrant_ids, key=lambda fid: (-float(savings[fid]), fid))
     sales = []
     for buyer in order:
@@ -389,9 +390,15 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
     return sales
 
 
+MARKET_TOWNS = {"m0": 1.0, "m1": 1.7}  # qli by municipality
+
+
 def random_market(seed):
-    """A small market on a coarse price grid, so ties and exact bids are common."""
+    """A small market on a coarse price grid, so ties and exact bids are
+    common. The houses alternate between two towns of unequal qli, so a
+    move compares size x quality x qli, not size x quality alone."""
     rng = np.random.default_rng(seed)
+    towns = list(MARKET_TOWNS)
     n_families = int(rng.integers(2, 9))
     citizens, families, houses = [], [], []
     for fid in range(n_families):
@@ -401,19 +408,23 @@ def random_market(seed):
                           savings=10.0 * int(rng.integers(0, 9)))
         )
         houses.append(
-            simple_house(house_id=fid, size=float(rng.integers(1, 4)),
+            simple_house(house_id=fid, muni=towns[fid % 2], size=float(rng.integers(1, 4)),
                          quality=int(rng.integers(1, 4)),
                          price=10.0 * int(rng.integers(1, 6)))
         )
     for hid in range(n_families, n_families + int(rng.integers(0, 8))):
         owner = int(rng.integers(0, n_families))
         houses.append(
-            simple_house(house_id=hid, size=float(rng.integers(1, 4)),
+            simple_house(house_id=hid, muni=towns[hid % 2], size=float(rng.integers(1, 4)),
                          quality=int(rng.integers(1, 4)),
                          price=10.0 * int(rng.integers(1, 6)))
         )
         families[owner].owned_houses.add(hid)
-    world = make_world(citizens, families, houses)
+    region = make_region(
+        municipalities=[MunicipalitySpec(town, 100, (0.0, 0.0, 10.0, 10.0)) for town in towns]
+    )
+    world = make_world(citizens, families, houses, region=region)
+    world.qli[:] = list(MARKET_TOWNS.values())
     entrants = [fid for fid in range(n_families) if rng.random() < 0.7]
     order = rng.permutation(len(houses))
     residences = {family.residence for family in families}
@@ -426,7 +437,7 @@ def market_state(world, ledger):
         [(fid, int(families.residence[fid]),
           np.flatnonzero(world.houses.owner == fid).tolist(), float(families.savings[fid]))
          for families in [world.families] for fid in families],
-        ledger.get(0, "transaction"),
+        [ledger.get(row, "transaction") for row in range(len(MARKET_TOWNS))],
     )
 
 

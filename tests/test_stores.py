@@ -7,6 +7,8 @@ through months that hold births, deaths and estate transfers and look at
 the stores between the substeps.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,12 +26,7 @@ from policysim.scheduler import (
     step_production,
     step_real_estate,
 )
-from policysim.world.types import (
-    CITIZEN_RECORD_KEYS,
-    FAMILY_RECORD_KEYS,
-    HOUSE_RECORD_KEYS,
-    UNEMPLOYED,
-)
+from policysim.world.types import UNEMPLOYED
 
 from conftest import (
     FamilySpec,
@@ -206,7 +203,10 @@ def test_records_hold_python_values(stepped):
     state = world.to_dict()
     employed = unemployed = 0
     for record in state["citizens"]:
-        assert tuple(record) == CITIZEN_RECORD_KEYS
+        assert tuple(record) == (
+            "id", "family_id", "age", "gender", "qualification", "birth_month", "employer",
+            "wage",
+        )
         assert record["gender"] in ("female", "male")
         types = python_types(record)
         assert types == {
@@ -222,7 +222,9 @@ def test_records_hold_python_values(stepped):
             employed += 1
     assert employed and unemployed
     for record in state["houses"]:
-        assert tuple(record) == HOUSE_RECORD_KEYS
+        assert tuple(record) == (
+            "id", "municipality_id", "location", "size", "quality", "current_price",
+        )
         assert python_types(record) == {
             "id": "int", "municipality_id": "str", "location": "tuple", "size": "float",
             "quality": "int", "current_price": "float",
@@ -232,12 +234,19 @@ def test_records_hold_python_values(stepped):
     for record in state["citizens"]:
         if record["employer"] is not None:
             staff.setdefault(record["employer"], set()).add(record["id"])
+    for record in state["firms"]:
+        assert tuple(record) == (
+            "id", "municipality_id", "location", "stock", "price", "cash", "wage_offer",
+            "employee_ids", "last_profit", "revenue_this_month", "last_output",
+        )
     listed = {firm["id"]: firm["employee_ids"] for firm in state["firms"] if firm["employee_ids"]}
     assert listed == staff
     families = state["families"]
     assert families
     for record in families:
-        assert tuple(record) == FAMILY_RECORD_KEYS
+        assert tuple(record) == (
+            "id", "member_ids", "residence", "owned_houses", "monthly_cash", "savings",
+        )
         assert python_types(record) == {
             "id": "int", "member_ids": "set", "residence": "int", "owned_houses": "set",
             "monthly_cash": "float", "savings": "float",
@@ -260,20 +269,18 @@ def test_families_deleted_after_an_estate_transfer_are_not_listed(stepped):
     assert len(listed) + len(deleted) == world.families.present.size
 
 
-def test_an_unowned_house_is_listed_under_no_family():
-    # house 2 has no owner (-1); the last family, 1, must not be given it
-    citizens = [simple_citizen(cid=fid, family_id=fid) for fid in range(2)]
-    families = [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in range(2)]
-    world = make_world(citizens, families, [simple_house(house_id=hid) for hid in range(3)])
-    assert world.houses.owner.tolist() == [0, 1, -1]
-    assert [family["owned_houses"] for family in world.to_dict()["families"]] == [{0}, {1}]
-    dump = DUMPS["family"]
-    column = [name for name, _ in dump.columns].index("owned_houses")
-    rows = [
-        [get(family) for _, get in dump.columns]
-        for family in dump.entities(RunResult(records=[], world=world, seed=0))
-    ]
-    assert [row[column] for row in rows] == [1, 1]
+def test_a_world_with_an_unowned_house_is_rejected():
+    # house 2 has no owner (-1), or an owner past the family rows: wealth,
+    # match_market and the estate transfer would each read the last family
+    world = make_world(
+        [simple_citizen(cid=fid, family_id=fid) for fid in range(2)],
+        [simple_family(family_id=fid, member_ids=(fid,), residence=fid) for fid in range(2)],
+        [simple_house(house_id=hid) for hid in range(3)],
+    )
+    for owner in (-1, 2):
+        houses = replace(world.houses, owner=np.array([0, 1, owner]))
+        with pytest.raises(ValueError, match="owned by one of the world's families"):
+            replace(world, houses=houses)
 
 
 def test_every_seller_is_the_owner_a_full_scan_finds(stepped):
