@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from importlib import resources
 
 from .params import ParamError, SimParams, load_config, set_param
@@ -89,7 +90,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     print(f"{plan.run_type}: {len(jobs)} job(s) on {args.cores} core(s)")
-    job_results = execute(jobs, args.cores, data_dir, args.output)
+    try:
+        job_results = execute(jobs, args.cores, data_dir, args.output)
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process exited: {exc}", file=sys.stderr)
+        return 1
     summary = write_outputs(plan, job_results, args.output, reference)
     completed = sum(config["completed"] for config in summary["configs"])
     print(f"completed {completed}/{len(jobs)} runs -> {args.output}")

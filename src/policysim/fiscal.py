@@ -30,10 +30,6 @@ class TaxLedger:
     def __init__(self) -> None:
         self._amounts: dict[tuple[int, str], float] = {}
 
-    def add(self, code: int, kind: str, amount: float) -> None:
-        """Book a single charge."""
-        self.book(kind, [code], [amount])
-
     def book(self, kind: str, codes: Sequence[int], amounts: Sequence[float]) -> None:
         """Book charge i, ``amounts[i]``, to ``(codes[i], kind)``.
 

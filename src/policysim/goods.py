@@ -19,21 +19,19 @@ NEAR_TIE = 1e-9
 SMALLEST_NORMAL = np.finfo(float).tiny
 
 
-def set_budget(
-    families: Families, ids: np.ndarray, beta: float
-) -> tuple[np.ndarray, np.ndarray]:
+def set_budget(families: Families, ids: np.ndarray, beta: float) -> np.ndarray:
     """Split the liquid cash of the families ``ids`` into a consumption budget
     and illiquid savings.
 
-    Returns (consume_budget, saved_amount) per family; their liquid cash is
-    emptied and the change of their purchases flows back.
+    Returns the consumption budget per family; the rest is added to their
+    savings, their liquid cash is emptied and the change of their purchases
+    flows back.
     """
     cash = families.monthly_cash[ids]
     budget = beta * cash
-    saved = cash - budget
-    families.savings[ids] += saved
+    families.savings[ids] += cash - budget
     families.monthly_cash[ids] = 0.0
-    return budget, saved
+    return budget
 
 
 def rank_layout(owners: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -172,7 +170,7 @@ def goods_market_step(
     purchase books its consumption tax to the firm's municipality.
     """
     families, firms = world.families, world.firms
-    budgets = set_budget(families, active, beta)[0]
+    budgets = set_budget(families, active, beta)
     if not len(firms) or not len(active):
         # nowhere to shop; planned budgets return to liquid cash
         families.monthly_cash[active] += budgets

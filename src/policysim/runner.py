@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import InitVar, dataclass, field, fields
 from functools import partial
 from operator import attrgetter, itemgetter
@@ -161,7 +161,9 @@ def execute(
 
     Each distinct region under data_dir is loaded once, here, and travels
     with its jobs. With output_dir, each job's run_<k>/ is on disk when the
-    job ends; without it, write_outputs writes the run files.
+    job ends; without it, write_outputs writes the run files. A worker
+    process that exits mid-job raises BrokenProcessPool instead of leaving
+    the sweep waiting.
     """
     if not jobs:
         raise ValueError("no jobs to execute")
@@ -174,10 +176,8 @@ def execute(
         return [_execute_job(payload, output_dir) for payload in payloads]
     processes = os.cpu_count() if cores == -1 else cores
     processes = max(1, min(processes or 1, len(jobs)))
-    with multiprocessing.Pool(processes=processes) as pool:
-        # one job per task: jobs differ in length, and a chunk of them
-        # handed out last can keep one worker busy while the others idle
-        return pool.map(partial(_execute_job, output_dir=output_dir), payloads, chunksize=1)
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(partial(_execute_job, output_dir=output_dir), payloads))
 
 
 def _write_csv(path, columns: list[str], rows: list[list]) -> None:
@@ -205,11 +205,6 @@ def _write_run(output_dir: str, job_result: JobResult) -> None:
         dump = DUMPS[flag]
         columns = [name for name, _ in dump.columns]
         _write_csv(os.path.join(run_dir, dump.file_name), columns, rows)
-
-
-def write_monthly_csv(result: RunResult, path) -> None:
-    columns, matrix = monthly_table(result.records, result.world.region.municipality_ids)
-    _write_csv(path, columns, matrix.tolist())
 
 
 def aggregate(job_results: list[JobResult]) -> tuple[list[str], np.ndarray, np.ndarray]:

@@ -5,6 +5,8 @@ import pytest
 
 from policysim.fiscal import TaxLedger
 from policysim.params import SimParams
+from policysim.runner import _write_csv
+from policysim.scheduler import monthly_table
 from policysim.world.regions import MunicipalitySpec, RegionData
 from policysim.world.types import UNEMPLOYED, Citizens, Families, Firms, Houses, World
 
@@ -27,6 +29,12 @@ def fixture3(fixture3_path):
 @pytest.fixture
 def params():
     return SimParams()
+
+
+def write_monthly_csv(result, path):
+    """A run's monthly.csv, written as a sweep writes it."""
+    columns, matrix = monthly_table(result.records, result.world.region.municipality_ids)
+    _write_csv(path, columns, matrix.tolist())
 
 
 def make_region(

@@ -63,7 +63,7 @@ def transact(families, family_id, firms, firm_id, budget, consumption_tax_rate, 
     firms.stock[firm_id] = stock - quantity
     firms.cash[firm_id] = float(firms.cash[firm_id]) + (gross - tax)
     firms.revenue[firm_id] = float(firms.revenue[firm_id]) + (gross - tax)
-    ledger.add(int(firms.municipality[firm_id]), "consumption", tax)
+    ledger.book("consumption", [int(firms.municipality[firm_id])], [tax])
     add_cash(families, family_id, budget - gross)
     return firm_id
 
@@ -161,7 +161,7 @@ def pay_wages(world, labor_tax_rate):
             wage = float(citizens.wage[citizen_id])
             tax = wage * labor_tax_rate
             add_cash(world.families, int(citizens.family[citizen_id]), wage - tax)
-            world.ledger.add(int(firms.municipality[firm_id]), "labor", tax)
+            world.ledger.book("labor", [int(firms.municipality[firm_id])], [tax])
             bill += wage
         firms.cash[firm_id] = float(firms.cash[firm_id]) - bill
         bills[firm_id] = bill

@@ -23,6 +23,8 @@ from policysim.sweeps import ExperimentPlan, expand_plan, parse_sweep_spec
 from policysim.cli import default_data_dir
 from policysim.world.regions import load_region_data
 
+from conftest import write_monthly_csv
+
 SEEDS = list(range(1, 11))
 
 
@@ -97,7 +99,7 @@ def test_c01_distribution_fractions_exact():
         assert dict(channel_fractions(ff, {})[kind]) == {"equal_pool": 1.0}
 
     ledger = TaxLedger()
-    ledger.add(0, "consumption", 100.0)
+    ledger.book("consumption", [0], [100.0])
     receipts = distribute(ledger, tt, {}, [1, 1, 1], [(0, 10**9, 1.0)])
     assert abs(receipts[0] - 45.833333333333336) <= 1e-9
     verdict("C1", "default matrix fractions are exact digit for digit")
@@ -111,7 +113,7 @@ def test_c02_conservation_over_randomized_ledgers():
         ledger = TaxLedger()
         for code in municipalities:
             for kind in TAX_KINDS:
-                ledger.add(code, kind, float(rng.uniform(0, 10_000)))
+                ledger.book(kind, [code], [float(rng.uniform(0, 10_000))])
         populations = [int(rng.integers(1, 5000)) for _ in municipalities]
         total = ledger.total()
         for regime in ALL_REGIMES:
@@ -138,8 +140,6 @@ def test_c03_monetary_audit(fixture3_region):
 
 
 def test_c04_determinism_and_core_invariance(tmp_path, fixture3_region):
-    from policysim.runner import write_monthly_csv
-
     params = SimParams()
     params.months = 240
     for index in (1, 2):

@@ -2,6 +2,9 @@ import json
 import os
 import pickle
 import re
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -341,6 +344,74 @@ def test_write_error_stops_the_sweep(tmp_path, cores):
     blocked.write_text("a file, not a directory\n", encoding="utf-8")
     with pytest.raises(OSError):
         execute(jobs, cores, default_data_dir(), str(blocked))
+
+
+DYING_WORKER_SWEEP = """
+import os
+import sys
+from concurrent.futures.process import BrokenProcessPool
+
+import policysim.runner
+from policysim import SimParams
+from policysim.cli import default_data_dir
+from policysim.sweeps import ExperimentPlan, expand_plan
+
+execute_job = policysim.runner._execute_job
+
+
+def exit_on_replicate_1(payload, output_dir=None):
+    if payload[0].replicate == 1:
+        os._exit(9)
+    return execute_job(payload, output_dir)
+
+
+policysim.runner._execute_job = exit_on_replicate_1
+
+if __name__ == "__main__":
+    params = SimParams(months=2, percentage_actual_pop=0.1)
+    plan = ExperimentPlan(run_type="run", runs_per_config=4, master_seed=7)
+    jobs = expand_plan(plan, params, ["fixture3"])
+    assert len(jobs) == 4
+    try:
+        policysim.runner.execute(jobs, 2, default_data_dir(), sys.argv[1])
+    except BrokenProcessPool as exc:
+        print(f"BrokenProcessPool: {exc}")
+"""
+
+
+def test_a_dying_worker_ends_the_sweep(tmp_path):
+    """A worker that exits mid-job raises BrokenProcessPool in the
+    coordinator. The sweep runs in a subprocess under a timeout, so a
+    sweep that waits forever fails the test instead of hanging it."""
+    import policysim
+
+    script = tmp_path / "sweep.py"
+    script.write_text(DYING_WORKER_SWEEP, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(policysim.__file__).parents[1])}
+    try:
+        finished = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail("the sweep was still waiting for a dead worker after 60 s")
+    assert finished.returncode == 0, finished.stderr
+    assert finished.stdout.startswith("BrokenProcessPool: ")
+
+
+def test_cli_reports_a_dying_worker(tmp_path, monkeypatch, capsys):
+    import policysim.cli
+
+    def broken_pool(*args):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+    monkeypatch.setattr(policysim.cli, "execute", broken_pool)
+    out = tmp_path / "out"
+    assert main(["run", "--months", "2", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: a worker process exited: a child process terminated abruptly\n"
+    )
+    assert not (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("cores", [1, 2])

@@ -42,7 +42,7 @@ def test_default_matrix_fractions():
 
 def test_consumption_distribution_worked_example():
     ledger = TaxLedger()
-    ledger.add(0, "consumption", 100.0)
+    ledger.book("consumption", [0], [100.0])
     receipts = distribute(
         ledger,
         DistributionRegime(True, True),
@@ -58,7 +58,7 @@ def test_consumption_distribution_worked_example():
 def test_labor_distribution_pools():
     # equal coefficients: fpm acts as an equal split, so receipts decompose
     ledger = TaxLedger()
-    ledger.add(0, "labor", 200.0)
+    ledger.book("labor", [0], [200.0])
     receipts = distribute(
         ledger,
         DistributionRegime(True, True),
@@ -74,7 +74,7 @@ def test_labor_distribution_pools():
 def test_local_regime_keeps_taxes_at_home():
     ledger = TaxLedger()
     for kind in TAX_KINDS:
-        ledger.add(1, kind, 10.0)
+        ledger.book(kind, [1], [10.0])
     receipts = distribute(
         ledger,
         DistributionRegime(True, False),
@@ -87,8 +87,8 @@ def test_local_regime_keeps_taxes_at_home():
 
 def test_single_municipality_receives_everything():
     ledger = TaxLedger()
-    ledger.add(0, "consumption", 33.0)
-    ledger.add(0, "labor", 11.0)
+    ledger.book("consumption", [0], [33.0])
+    ledger.book("labor", [0], [11.0])
     for regime in ALL_REGIMES:
         receipts = distribute(ledger, regime, {}, [10], ONE_BRACKET)
         assert abs(receipts[0] - 44.0) <= 1e-9
@@ -96,8 +96,8 @@ def test_single_municipality_receives_everything():
 
 def test_merged_regime_population_proportional():
     ledger = TaxLedger()
-    ledger.add(0, "property", 60.0)
-    ledger.add(2, "labor", 40.0)
+    ledger.book("property", [0], [60.0])
+    ledger.book("labor", [2], [40.0])
     populations = [500, 300, 200]
     for fpm in (True, False):
         receipts = distribute(
@@ -115,9 +115,9 @@ def test_merged_regime_population_proportional():
 def test_merged_regime_is_collection_permutation_invariant():
     populations = [500, 300, 200]
     first = TaxLedger()
-    first.add(0, "consumption", 77.0)
+    first.book("consumption", [0], [77.0])
     second = TaxLedger()
-    second.add(2, "consumption", 77.0)
+    second.book("consumption", [2], [77.0])
     regime = DistributionRegime(False, True)
     out1 = distribute(first, regime, {}, populations, ONE_BRACKET)
     out2 = distribute(second, regime, {}, populations, ONE_BRACKET)
@@ -155,7 +155,7 @@ def test_conservation_over_random_ledgers():
         ledger = TaxLedger()
         for code in range(3):
             for kind in TAX_KINDS:
-                ledger.add(code, kind, float(rng.uniform(0, 1000)))
+                ledger.book(kind, [code], [float(rng.uniform(0, 1000))])
         pops = [int(rng.integers(1, 1000)) for _ in range(3)]
         total = ledger.total()
         for regime in ALL_REGIMES:
@@ -214,7 +214,7 @@ def test_override_for_another_regime_is_parsed_but_not_applied():
 def test_unknown_tax_kind_rejected():
     ledger = TaxLedger()
     with pytest.raises(FiscalError):
-        ledger.add(0, "tithe", 1.0)
+        ledger.book("tithe", [0], [1.0])
 
 
 def test_invest_qli_examples():
@@ -333,7 +333,7 @@ def test_population_split_gives_an_empty_municipality_nothing():
     # populated one, so no share is negative
     populations = [393, 39, 297, 80, 312, 0]
     ledger = TaxLedger()
-    ledger.add(0, "consumption", 981.2478859778818)
+    ledger.book("consumption", [0], [981.2478859778818])
     regime = DistributionRegime(False, True)
     receipts = distribute(ledger, regime, {}, populations, ONE_BRACKET)
     assert receipts[5] == 0.0

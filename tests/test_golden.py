@@ -32,8 +32,9 @@ import pytest
 
 from policysim.params import SimParams
 from policysim.world.regions import load_region_data
-from policysim.runner import write_monthly_csv
 from policysim.scheduler import run
+
+from conftest import write_monthly_csv
 
 GOLDEN_MONTHLY_SHA256 = {
     1: "b7c0df15cd50888d2b8deeb4180f22f8c4335eee99cf0fc01358aed37b711590",

@@ -365,7 +365,7 @@ def reference_match_market(world, entrant_ids, listings, transaction_tax_rate, l
         tax = price * transaction_tax_rate
         savings[buyer] = float(savings[buyer]) - price
         savings[seller] = float(savings[seller]) + (price - tax)
-        ledger.add(municipality(best_house), "transaction", tax)
+        ledger.book("transaction", [municipality(best_house)], [tax])
         owned_houses[seller].discard(best_house)
         owned_houses[buyer].add(best_house)
         sales.append(

@@ -177,7 +177,7 @@ def test_fiscal_step_uses_the_current_taxes_structure(fixture3):
     for ledger in (world.ledger, expected_ledger):
         ledger.reset()
         for muni_id, amount in collected.items():
-            ledger.add(world.region.municipality_ids.index(muni_id), "consumption", amount)
+            ledger.book("consumption", [world.region.municipality_ids.index(muni_id)], [amount])
     populations = world.population_by_municipality().tolist()
     receipts = distribute(
         expected_ledger,
