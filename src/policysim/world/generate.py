@@ -88,50 +88,12 @@ def allocate_proportionally(
     return (minimum + floors).tolist()
 
 
-def _age_gender_categories(region: RegionData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (age, female) categories of positive probability, female first
-    within an age, and their normalised probabilities: (ages, female, p)."""
-    table = np.array(region.age_gender, dtype=float)  # rows of (age, p_female, p_male)
-    probabilities = table[:, 1:].ravel()
-    drawn = probabilities > 0.0
-    ages = np.repeat(table[:, 0].astype(np.int64), 2)[drawn]
-    female = np.tile([True, False], len(table))[drawn]
-    weights = probabilities[drawn]
-    return ages, female, weights / weights.sum()
-
-
-def _schooling_tables(region: RegionData) -> tuple[np.ndarray, np.ndarray]:
-    """Per age, a row of the running sums of its band's probabilities and a
-    row of their years: (sums, years), indexed by age.
-
-    The sums are made left to right and padded with +inf, the years padded
-    with the last row's years, and every row has at least one pad. An age
-    takes the first band that covers it, as qualification_rows_for_age does.
-    """
-    ages = [age for age, _, _ in region.age_gender]
-    width = max(map(len, region.qualification.values())) + 1
-    sums = np.full((max(ages) + 1, width), np.nan)
-    years = np.zeros(sums.shape, dtype=np.int64)
-    # the first band that covers an age is written last
-    for (low, high), rows in reversed(region.qualification.items()):
-        band_sums, cumulative = [], 0.0
-        for _, probability in rows:
-            cumulative += probability
-            band_sums.append(cumulative)
-        pad = width - len(rows)
-        sums[low : high + 1] = band_sums + [np.inf] * pad
-        years[low : high + 1] = [row_years for row_years, _ in rows] + [rows[-1][0]] * pad
-    # an age that no band covers keeps NaN, and qualification_rows_for_age raises for it
-    for age in np.array(ages)[np.isnan(sums[ages, 0])].tolist():
-        region.qualification_rows_for_age(age)
-    return sums, years
-
-
 def _schooling(
     tables: tuple[np.ndarray, np.ndarray], ages: np.ndarray, draws: np.ndarray
 ) -> np.ndarray:
-    """Each citizen's years of schooling: those of the first row of its age
-    whose running sum exceeds its uniform, else those of the last row.
+    """Each citizen's years of schooling from ``RegionData.schooling``: those
+    of the first row of its age whose running sum exceeds its uniform, else
+    those of the last row.
 
     The probabilities are in [0, 1], so the sums never decrease and the
     count of sums at or below u is ``bisect_right(sums, u)``; the padded
@@ -200,16 +162,9 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
     rng = np.random.default_rng(seed)
 
     specs = region.municipalities
-    for spec in specs:
-        if spec.target_population <= 0:
-            raise GenerationError(f"municipality {spec.id!r} has no population")
-
-    total_citizens = _round_half_up(
-        region.total_target_population * params.percentage_actual_pop
-    )
-    citizens_per_muni = allocate_proportionally(
-        total_citizens, [float(spec.target_population) for spec in specs]
-    )
+    targets = [spec.target_population for spec in specs]
+    total_citizens = _round_half_up(sum(targets) * params.percentage_actual_pop)
+    citizens_per_muni = allocate_proportionally(total_citizens, targets)
     if any(count == 0 for count in citizens_per_muni):
         raise GenerationError(
             "a municipality received zero citizens; raise PERCENTAGE_ACTUAL_POP"
@@ -242,8 +197,7 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         total_firms, [float(count) for count in citizens_per_muni], minimum=1
     )
 
-    categories, female_categories, category_p = _age_gender_categories(region)
-    schooling = _schooling_tables(region)
+    categories, female_categories, category_p = region.categories
     homes: list[int] = []  # each family's residence, in family id order
     house_count = 0
 
@@ -257,7 +211,8 @@ def generate_world(region: RegionData, params: SimParams, seed: int) -> World:
         citizens["age"].append(ages)
         citizens["female"].append(female_categories[picks])
         citizens["birth_month"].append(rng.integers(0, 12, size=n_citizens))
-        citizens["qualification"].append(_schooling(schooling, ages, rng.random(n_citizens)))
+        draws = rng.random(n_citizens)
+        citizens["qualification"].append(_schooling(region.schooling, ages, draws))
         working_age = (ages >= params.working_age_min) & (ages <= params.working_age_max)
 
         # family homes, one per family

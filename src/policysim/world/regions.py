@@ -1,7 +1,7 @@
 """Region table ingestion and validation.
 
-A region is a directory of six CSV files (UTF-8, header row, ``.`` decimal
-separator):
+A region is a directory of six CSV files (UTF-8, a byte-order mark allowed,
+header row, ``.`` decimal separator):
 
     municipalities.csv    id, target_population, xmin, ymin, xmax, ymax
     age_gender.csv        age, p_female, p_male        (joint distribution)
@@ -10,11 +10,13 @@ separator):
     fertility.csv         age, annual_rate
     fpm_coefficients.csv  population_min, population_max, coefficient
 
-Validation failures name the offending file and line. Every number must
-be finite.
+Each loader states its file's columns once, as the ``{column: parser}``
+table it reads through ``_rows``, and keeps only its own row and table
+checks. Validation failures name the offending file and line. Every number
+must be finite.
 
-A RegionData also holds the month tables that demographics reads, built
-once from its mortality and fertility tables when it is constructed.
+A RegionData also holds every table the engine derives from those, built
+once when it is constructed.
 """
 
 from __future__ import annotations
@@ -63,19 +65,30 @@ def _by_age(table: dict[int, float], length: int) -> np.ndarray:
 class RegionData:
     """Validated demographic and geographic tables for one region (ACP).
 
-    ``municipality_ids``, built at construction, is the one municipality id
-    list: a municipality's row in every per-municipality column is its index.
+    The tables below are derived from the source tables at construction, so
+    a region with other tables is a new RegionData, and a hand-built region
+    gets the tables a loaded one gets:
 
-    The month tables are derived from ``mortality`` and ``fertility`` at
-    construction, so a region with other vital rates is a new RegionData.
-    Both are indexed by age, hold NaN where the source table has no row, and
-    end with a NaN entry that every age past the table reads:
-
+    - ``municipality_ids``: the one municipality id list; a municipality's
+      row in every per-municipality column is its index.
     - ``monthly_hazard[female, age]``: ``monthly_probability`` of the annual
       mortality, row 0 for men and row 1 for women (a missing gender table
-      is all NaN);
+      is all NaN).
     - ``birth_chance[age]``: ``min(1, rate / 12)`` over the positive
       fertility rates.
+    - ``categories``: ``(ages, female, p)``, the (age, gender) categories of
+      ``age_gender`` with positive probability, female first within an age,
+      and their probabilities normalised to sum to 1.
+    - ``schooling``: ``(sums, years)``, one row per age from 0 to the last
+      mortality or ``age_gender`` age: the running sums of the
+      probabilities of the first ``qualification`` band that covers the age,
+      made left to right and padded with +inf, and their years, padded with
+      the last row's years. Every row has at least one pad.
+
+    The two month tables are indexed by age, hold NaN where the source table
+    has no row, and end with a NaN entry that every age past the table
+    reads. An age of the schooling table that no band covers raises
+    RegionDataError.
     """
 
     name: str
@@ -88,6 +101,10 @@ class RegionData:
     municipality_ids: list[str] = field(init=False, repr=False, compare=False)
     monthly_hazard: np.ndarray = field(init=False, repr=False, compare=False)
     birth_chance: np.ndarray = field(init=False, repr=False, compare=False)
+    categories: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
+        init=False, repr=False, compare=False
+    )
+    schooling: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.municipality_ids = [spec.id for spec in self.municipalities]
@@ -102,87 +119,132 @@ class RegionData:
         }
         self.birth_chance = _by_age(chances, max(chances, default=-1) + 2)
 
-    @property
-    def total_target_population(self) -> int:
-        return sum(spec.target_population for spec in self.municipalities)
-
-    @property
-    def max_mortality_age(self) -> int:
-        return max(self.mortality["female"])
-
-    def qualification_rows_for_age(self, age: int) -> list[tuple[int, float]]:
-        for (low, high), rows in self.qualification.items():
-            if low <= age <= high:
-                return rows
-        raise RegionDataError(
-            "qualification.csv", None, f"no age band covers age {age}"
+        table = np.array(self.age_gender, dtype=float)  # rows of (age, p_female, p_male)
+        ages = table[:, 0].astype(np.int64)
+        probabilities = table[:, 1:].ravel()
+        drawn = probabilities > 0.0
+        weights = probabilities[drawn]
+        self.categories = (
+            np.repeat(ages, 2)[drawn],
+            np.tile([True, False], len(table))[drawn],
+            weights / weights.sum(),
         )
 
+        width = max(map(len, self.qualification.values()), default=0) + 1
+        sums = np.full((max(int(ages.max()), length - 2) + 1, width), np.nan)
+        years = np.zeros(sums.shape, dtype=np.int64)
+        # the first band that covers an age is written last
+        for (low, high), rows in reversed(self.qualification.items()):
+            band_sums, cumulative = [], 0.0
+            for _, probability in rows:
+                cumulative += probability
+                band_sums.append(cumulative)
+            pad = width - len(rows)
+            sums[low : high + 1] = band_sums + [np.inf] * pad
+            years[low : high + 1] = [row_years for row_years, _ in rows] + [rows[-1][0]] * pad
+        uncovered = np.flatnonzero(np.isnan(sums[:, 0])).tolist()
+        if uncovered:
+            raise RegionDataError(
+                "qualification.csv", None, f"no age band covers age {uncovered[0]}"
+            )
+        self.schooling = (sums, years)
 
-def _rows(path: str, filename: str, required: tuple[str, ...]):
+
+def _rows(directory: str, filename: str, columns: dict):
+    """The parsed cells of a file's data rows: ``(line, values)`` per row,
+    with ``values`` in the order of ``columns``, a ``{column: parser}`` table.
+
+    Rows are read as ``csv.DictReader`` reads them: blank lines are skipped,
+    absent cells are None, each row is numbered by the physical line it
+    starts on, and a column named twice reads its last cell. A parser takes
+    ``(cell, column)`` and raises ValueError with a bare message, to which
+    this adds ``file:line``. Rows are parsed one at a time as they are
+    taken, so the first fault in row order is the one reported; within a
+    row, a cell that does not parse comes before the loader's own checks.
+    """
+    path = os.path.join(directory, filename)
     if not os.path.isfile(path):
         raise RegionDataError(filename, None, "file is missing")
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
-        missing = [column for column in required if column not in header]
+        missing = [column for column in columns if column not in header]
         if missing:
-            raise RegionDataError(
-                filename, 1, f"missing columns: {', '.join(missing)}"
-            )
-        # as csv.DictReader reads them: blank lines skipped, absent cells None;
-        # each row is numbered by the physical line it starts on
-        padding = [None] * len(header)
-        out = []
+            raise RegionDataError(filename, 1, f"missing columns: {', '.join(missing)}")
+        index = {column: at for at, column in enumerate(header)}
+        cells = [(index[column], column, parse) for column, parse in columns.items()]
+        width = len(header)
+        empty = True
         lineno = reader.line_num + 1
         for fields in reader:
             if fields:
-                out.append((lineno, dict(zip(header, fields + padding[len(fields) :]))))
+                empty = False
+                fields += [None] * (width - len(fields))
+                try:
+                    values = [parse(fields[at], column) for at, column, parse in cells]
+                except ValueError as exc:
+                    raise RegionDataError(filename, lineno, str(exc)) from exc
+                yield lineno, values
             lineno = reader.line_num + 1
-    if not out:
+    if empty:
         raise RegionDataError(filename, None, "no data rows")
-    return out
 
 
-def _parse_float(raw, filename: str, lineno: int, column: str) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise RegionDataError(
-            filename, lineno, f"column {column!r}: not a number: {raw!r}"
-        ) from exc
-    if not math.isfinite(value):
-        raise RegionDataError(
-            filename, lineno, f"column {column!r}: not a finite number: {raw!r}"
-        )
-    return value
-
-
-def _parse_int(raw, filename: str, lineno: int, column: str) -> int:
+def _int(raw, column: str) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise RegionDataError(
-            filename, lineno, f"column {column!r}: not an integer: {raw!r}"
-        ) from exc
+    except (TypeError, ValueError):
+        raise ValueError(f"column {column!r}: not an integer: {raw!r}") from None
 
 
-def _parse_probability(raw, filename: str, lineno: int, column: str) -> float:
-    value = _parse_float(raw, filename, lineno, column)
-    if not 0.0 <= value <= 1.0:
-        raise RegionDataError(
-            filename, lineno, f"column {column!r}: probability {value} not in [0, 1]"
-        )
+def _float(raw, column: str) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"column {column!r}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"column {column!r}: not a finite number: {raw!r}")
     return value
+
+
+def _probability(raw, column: str) -> float:
+    value = _float(raw, column)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"column {column!r}: probability {value} not in [0, 1]")
+    return value
+
+
+def _age_band(raw, column: str) -> tuple[int, int]:
+    try:
+        low_text, high_text = (raw or "").strip().split("-")
+        low, high = int(low_text), int(high_text)
+    except ValueError:
+        raise ValueError(f"{column} must look like '16-24', got {raw!r}") from None
+    if low > high or low < 0:
+        raise ValueError(f"bad age band {raw!r}")
+    return low, high
+
+
+def _text(raw, column: str) -> str:
+    return (raw or "").strip()
+
+
+def _gender(raw, column: str) -> str:
+    gender = (raw or "").strip().lower()
+    if gender not in ("female", "male"):
+        raise ValueError(f"unknown gender {raw!r}")
+    return gender
 
 
 def _load_municipalities(directory: str) -> list[MunicipalitySpec]:
     filename = "municipalities.csv"
+    columns = {
+        "id": _text, "target_population": _int,
+        "xmin": _float, "ymin": _float, "xmax": _float, "ymax": _float,
+    }
     specs = []
     seen: set[str] = set()
-    columns = ("id", "target_population", "xmin", "ymin", "xmax", "ymax")
-    for lineno, row in _rows(os.path.join(directory, filename), filename, columns):
-        muni_id = (row["id"] or "").strip()
+    for lineno, (muni_id, target, *bounds) in _rows(directory, filename, columns):
         if not muni_id:
             raise RegionDataError(filename, lineno, "empty municipality id")
         if any(char in muni_id for char in ',"\r\n'):
@@ -193,36 +255,28 @@ def _load_municipalities(directory: str) -> list[MunicipalitySpec]:
         if muni_id in seen:
             raise RegionDataError(filename, lineno, f"duplicate id {muni_id!r}")
         seen.add(muni_id)
-        target = _parse_int(row["target_population"], filename, lineno, "target_population")
         if target <= 0:
             raise RegionDataError(
                 filename, lineno, f"target_population must be positive, got {target}"
             )
-        bounds = tuple(
-            _parse_float(row[column], filename, lineno, column)
-            for column in ("xmin", "ymin", "xmax", "ymax")
-        )
         if not (bounds[0] < bounds[2] and bounds[1] < bounds[3]):
             raise RegionDataError(filename, lineno, "bounding box has no area")
-        specs.append(MunicipalitySpec(muni_id, target, bounds))
+        specs.append(MunicipalitySpec(muni_id, target, tuple(bounds)))
     return specs
 
 
 def _load_age_gender(directory: str) -> list[tuple[int, float, float]]:
     filename = "age_gender.csv"
+    columns = {"age": _int, "p_female": _probability, "p_male": _probability}
     table = []
     seen_ages: set[int] = set()
     total = 0.0
-    columns = ("age", "p_female", "p_male")
-    for lineno, row in _rows(os.path.join(directory, filename), filename, columns):
-        age = _parse_int(row["age"], filename, lineno, "age")
+    for lineno, (age, p_female, p_male) in _rows(directory, filename, columns):
         if age < 0:
             raise RegionDataError(filename, lineno, f"negative age {age}")
         if age in seen_ages:
             raise RegionDataError(filename, lineno, f"duplicate age {age}")
         seen_ages.add(age)
-        p_female = _parse_probability(row["p_female"], filename, lineno, "p_female")
-        p_male = _parse_probability(row["p_male"], filename, lineno, "p_male")
         table.append((age, p_female, p_male))
         total += p_female + p_male
     if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
@@ -233,79 +287,47 @@ def _load_age_gender(directory: str) -> list[tuple[int, float, float]]:
     return table
 
 
-def _parse_age_band(raw: str, filename: str, lineno: int) -> tuple[int, int]:
-    try:
-        low_text, high_text = raw.strip().split("-")
-        low, high = int(low_text), int(high_text)
-    except ValueError as exc:
-        raise RegionDataError(
-            filename, lineno, f"age_band must look like '16-24', got {raw!r}"
-        ) from exc
-    if low > high or low < 0:
-        raise RegionDataError(filename, lineno, f"bad age band {raw!r}")
-    return low, high
-
-
 def _load_qualification(directory: str) -> dict[tuple[int, int], list[tuple[int, float]]]:
     filename = "qualification.csv"
+    columns = {"age_band": _age_band, "years_schooling": _int, "probability": _probability}
     bands: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    columns = ("age_band", "years_schooling", "probability")
-    for lineno, row in _rows(os.path.join(directory, filename), filename, columns):
-        band = _parse_age_band(row["age_band"], filename, lineno)
-        years = _parse_int(row["years_schooling"], filename, lineno, "years_schooling")
+    for lineno, (band, years, probability) in _rows(directory, filename, columns):
         if not 0 <= years <= MAX_SCHOOLING_YEARS:
             raise RegionDataError(
                 filename, lineno, f"years_schooling {years} not in [0, {MAX_SCHOOLING_YEARS}]"
             )
-        probability = _parse_probability(row["probability"], filename, lineno, "probability")
         bands.setdefault(band, []).append((years, probability))
     for band, rows in bands.items():
         total = sum(probability for _, probability in rows)
         if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
             raise RegionDataError(
-                filename,
-                None,
-                f"probabilities for band {band[0]}-{band[1]} sum to {total!r}",
+                filename, None, f"probabilities for band {band[0]}-{band[1]} sum to {total!r}"
             )
     return bands
 
 
 def _load_mortality(directory: str) -> dict[str, dict[int, float]]:
     filename = "mortality.csv"
+    columns = {"age": _int, "gender": _gender, "annual_probability": _probability}
     tables: dict[str, dict[int, float]] = {"female": {}, "male": {}}
-    columns = ("age", "gender", "annual_probability")
-    for lineno, row in _rows(os.path.join(directory, filename), filename, columns):
-        age = _parse_int(row["age"], filename, lineno, "age")
-        gender = (row["gender"] or "").strip().lower()
-        if gender not in tables:
-            raise RegionDataError(filename, lineno, f"unknown gender {row['gender']!r}")
+    for lineno, (age, gender, probability) in _rows(directory, filename, columns):
         if age in tables[gender]:
             raise RegionDataError(filename, lineno, f"duplicate ({age}, {gender}) row")
-        tables[gender][age] = _parse_probability(
-            row["annual_probability"], filename, lineno, "annual_probability"
-        )
+        tables[gender][age] = probability
     for gender, table in tables.items():
         if not table:
             raise RegionDataError(filename, None, f"no rows for gender {gender!r}")
         ages = sorted(table)
-        if ages != list(range(ages[0], ages[-1] + 1)) or ages[0] != 0:
+        if ages != list(range(ages[-1] + 1)):
+            raise RegionDataError(filename, None, f"{gender} ages must be contiguous from 0")
+        decreases = [age for age in ages[1:] if table[age] < table[age - 1]]
+        if decreases:
             raise RegionDataError(
-                filename, None, f"{gender} ages must be contiguous from 0"
+                filename, None, f"{gender} mortality decreases at age {decreases[0]}"
             )
-        previous = -1.0
-        for age in ages:
-            if table[age] < previous:
-                raise RegionDataError(
-                    filename,
-                    None,
-                    f"{gender} mortality decreases at age {age}",
-                )
-            previous = table[age]
         if table[ages[-1]] != 1.0:
             raise RegionDataError(
-                filename,
-                None,
-                f"{gender} mortality must reach 1 at the terminal age {ages[-1]}",
+                filename, None, f"{gender} mortality must reach 1 at the terminal age {ages[-1]}"
             )
     if max(tables["female"]) != max(tables["male"]):
         raise RegionDataError(filename, None, "genders cover different age ranges")
@@ -315,11 +337,9 @@ def _load_mortality(directory: str) -> dict[str, dict[int, float]]:
 def _load_fertility(directory: str) -> dict[int, float]:
     filename = "fertility.csv"
     table: dict[int, float] = {}
-    for lineno, row in _rows(os.path.join(directory, filename), filename, ("age", "annual_rate")):
-        age = _parse_int(row["age"], filename, lineno, "age")
+    for lineno, (age, rate) in _rows(directory, filename, {"age": _int, "annual_rate": _float}):
         if age < 0:
             raise RegionDataError(filename, lineno, f"negative age {age}")
-        rate = _parse_float(row["annual_rate"], filename, lineno, "annual_rate")
         if rate < 0.0:
             raise RegionDataError(filename, lineno, f"negative annual_rate {rate}")
         if age in table:
@@ -330,12 +350,9 @@ def _load_fertility(directory: str) -> dict[int, float]:
 
 def _load_fpm_brackets(directory: str) -> list[tuple[int, int, float]]:
     filename = "fpm_coefficients.csv"
+    columns = {"population_min": _int, "population_max": _int, "coefficient": _float}
     brackets = []
-    columns = ("population_min", "population_max", "coefficient")
-    for lineno, row in _rows(os.path.join(directory, filename), filename, columns):
-        low = _parse_int(row["population_min"], filename, lineno, "population_min")
-        high = _parse_int(row["population_max"], filename, lineno, "population_max")
-        coefficient = _parse_float(row["coefficient"], filename, lineno, "coefficient")
+    for lineno, (low, high, coefficient) in _rows(directory, filename, columns):
         if coefficient <= 0.0:
             raise RegionDataError(filename, lineno, "coefficient must be > 0")
         if low >= high:
@@ -354,27 +371,27 @@ def load_region_data(path: str) -> RegionData:
     """Load and validate one region directory."""
     if not os.path.isdir(path):
         raise RegionDataError(str(path), None, "region directory does not exist")
-    region = RegionData(
-        name=os.path.basename(os.path.normpath(path)),
-        municipalities=_load_municipalities(path),
-        age_gender=_load_age_gender(path),
-        qualification=_load_qualification(path),
-        mortality=_load_mortality(path),
-        fertility=_load_fertility(path),
-        fpm_brackets=_load_fpm_brackets(path),
-    )
-    max_drawable_age = max(age for age, _, _ in region.age_gender)
-    if max_drawable_age > region.max_mortality_age:
+    municipalities = _load_municipalities(path)
+    age_gender = _load_age_gender(path)
+    qualification = _load_qualification(path)
+    mortality = _load_mortality(path)
+    fertility = _load_fertility(path)
+    fpm_brackets = _load_fpm_brackets(path)
+    terminal_age, max_drawable_age = max(mortality["female"]), age_gender[-1][0]
+    if max_drawable_age > terminal_age:
         raise RegionDataError(
             "mortality.csv",
             None,
-            f"mortality table ends at {region.max_mortality_age} but the age "
+            f"mortality table ends at {terminal_age} but the age "
             f"distribution reaches {max_drawable_age}",
         )
-    for age in range(0, region.max_mortality_age + 1):
-        region.qualification_rows_for_age(age)
-    top = region.fpm_brackets[-1][1]
-    for spec in region.municipalities:
+    # raises for an age that no qualification band covers
+    region = RegionData(
+        os.path.basename(os.path.normpath(path)),
+        municipalities, age_gender, qualification, mortality, fertility, fpm_brackets,
+    )
+    top = fpm_brackets[-1][1]
+    for spec in municipalities:
         if spec.target_population >= top:
             raise RegionDataError(
                 "fpm_coefficients.csv",

@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python tests/call_counts.py
 
-Builds fixture3 at population share 0.2 and at 1.0 (seed 1), counting the
-calls of set-up (``generate_world`` and the calibration round), and
-profiles the next 12 months. The counts are deterministic: the same code
+Counts the calls of one ``load_region_data`` of fixture3. Then builds
+fixture3 at population share 0.2 and at 1.0 (seed 1), counting the calls
+of set-up (``generate_world`` and the calibration round), and profiles the
+next 12 months. The counts are deterministic: the same code
 and seed give the same number on every host, so a change in a small
 world's fixed cost shows here without timing noise. pytest does not
 collect this file.
@@ -36,6 +37,15 @@ def set_up(region, params):
     return world
 
 
+def load_calls() -> int:
+    """cProfile's call count over one load of fixture3, after a first load."""
+    path = os.path.join(default_data_dir(), "fixture3")
+    load_region_data(path)
+    load = cProfile.Profile()
+    load.runcall(load_region_data, path)
+    return calls(load)
+
+
 def call_counts(share: float) -> tuple[int, float]:
     """cProfile's call count over set-up, and over MONTHS months after it per month."""
     params = SimParams()
@@ -60,6 +70,7 @@ def calls(profile: cProfile.Profile) -> int:
 
 
 def main() -> None:
+    print(f"fixture3 load: {load_calls():,} calls")
     for share in SHARES:
         setup, per_month = call_counts(share)
         print(f"fixture3 share {share}: {setup:,} calls in set-up, {per_month:,.0f} calls per month")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from policysim import ParamError, SimParams, generate_world, run
+from policysim import ParamError, SimParams, generate_world, run, scheduler
 from policysim.scheduler import (
+    RunError,
     step,
     step_demographics,
     step_firm_decisions,
@@ -74,6 +75,21 @@ def test_monetary_audit_per_month(fixture3):
         record = step(world, params)
         after = world.total_money()
         assert abs((after - before) + record.tax_total) <= 1e-6
+
+
+def test_run_raises_when_a_substep_creates_money(fixture3, monkeypatch):
+    params = SimParams()
+    params.months = 6
+    goods_market = scheduler.step_goods_market
+
+    def leaking(world, *args):
+        goods_market(world, *args)
+        if world.clock == 3:
+            world.families.monthly_cash[0] += 1.0
+
+    monkeypatch.setattr(scheduler, "step_goods_market", leaking)
+    with pytest.raises(RunError, match=r"^month 3: money changed by 1\.0"):
+        run(fixture3, params, seed=17)
 
 
 def test_ledger_writes_only_in_market_steps(fixture3):

@@ -158,6 +158,12 @@ def test_reference_roundtrip(tmp_path):
     loaded = load_tax_reference(ref_path)
     assert loaded == totals()
 
+    # a spreadsheet export may start with a byte-order mark
+    bom_path = tmp_path / "reference_bom.csv"
+    bom_path.write_text(ref_path.read_text(), encoding="utf-8-sig")
+    assert bom_path.read_bytes().startswith(b"\xef\xbb\xbfregion,")
+    assert load_tax_reference(bom_path) == totals()
+
 
 @pytest.mark.parametrize(
     "text, message",

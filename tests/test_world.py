@@ -5,12 +5,14 @@ import json
 import math
 import os
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from policysim import (
     GenerationError,
+    RegionData,
     RegionDataError,
     SimParams,
     distance,
@@ -26,10 +28,10 @@ from policysim.world.generate import (
     INITIAL_WAGE_OFFER,
     _draw_rows,
     _schooling,
-    _schooling_tables,
     _uniforms,
     allocate_proportionally,
 )
+from policysim.world.regions import MunicipalitySpec
 from policysim.world.types import distances
 
 from conftest import assert_ownership_partition, make_region
@@ -39,8 +41,8 @@ from test_golden import scaled_region
 def test_fixture3_loads(fixture3):
     assert [m.id for m in fixture3.municipalities] == ["core", "north", "east"]
     assert [m.target_population for m in fixture3.municipalities] == [600, 300, 100]
-    assert fixture3.total_target_population == 1000
-    assert fixture3.max_mortality_age == 120
+    assert sum(m.target_population for m in fixture3.municipalities) == 1000
+    assert max(fixture3.mortality["female"]) == 120
 
 
 MINIMAL_FILES = {
@@ -225,6 +227,29 @@ def test_blank_first_line_is_a_header_missing_every_column(tmp_path):
     assert str(err.value) == "fertility.csv:1: missing columns: age, annual_rate"
 
 
+def test_absent_age_band_cell_names_file_and_line(tmp_path):
+    write_minimal_region(
+        tmp_path, {"qualification.csv": "years_schooling,probability,age_band\n9,1.0\n"}
+    )
+    with pytest.raises(RegionDataError) as err:
+        load_region_data(str(tmp_path))
+    assert str(err.value) == (
+        "qualification.csv:2: age_band must look like '16-24', got None"
+    )
+
+
+def test_files_that_start_with_a_byte_order_mark_load(tmp_path, fixture3, fixture3_path):
+    # spreadsheet exports often save CSV as utf-8-sig
+    directory = tmp_path / "fixture3"
+    directory.mkdir()
+    for name in os.listdir(fixture3_path):
+        with open(os.path.join(fixture3_path, name), encoding="utf-8") as fh:
+            text = fh.read()
+        (directory / name).write_text(text, encoding="utf-8-sig")
+    assert (directory / "municipalities.csv").read_bytes().startswith(b"\xef\xbb\xbfid,")
+    assert load_region_data(str(directory)) == fixture3
+
+
 def test_generate_counts_match_formulas(fixture3):
     params = SimParams()
     params.percentage_actual_pop = 0.1
@@ -324,18 +349,17 @@ def test_dealing_keeps_families_even_within_each_municipality(fixture3):
 
 
 def test_schooling_lookup_is_bisect_over_running_sums():
-    region = make_region(ages=(5, 20, 40))
-    region.qualification = {
+    qualification = {
         (0, 15): [(0, 1.0)],
         # a zero-probability row repeats the running sum before it
         (16, 29): [(6, 0.25), (9, 0.0), (12, 0.25), (16, 0.5)],
         # summed left to right these end at 0.9999999999999998, below 1.0
         (30, 120): [(6, 0.186), (9, 0.694), (12, 0.059), (16, 0.061)],
     }
-    tables = _schooling_tables(region)
+    region = replace(make_region(ages=(5, 20, 40)), qualification=qualification)
     ages, draws, expected = [], [], []
     for age in (5, 20, 40):
-        rows = region.qualification_rows_for_age(age)
+        rows = next(rows for (low, high), rows in qualification.items() if low <= age <= high)
         sums, cumulative = [], 0.0
         for _, probability in rows:
             cumulative += probability
@@ -350,12 +374,47 @@ def test_schooling_lookup_is_bisect_over_running_sums():
             expected.append(years[min(bisect_right(sums, u), len(years) - 1)])
     assert sums[-1] < math.nextafter(1.0, 0.0)
     assert region.qualification[16, 29][1][1] == 0.0
-    looked_up = _schooling(tables, np.array(ages), np.array(draws))
+    looked_up = _schooling(region.schooling, np.array(ages), np.array(draws))
     assert looked_up.tolist() == expected
     assert expected[-1] == 16  # past the last sum, the last row's years
-    del region.qualification[16, 29]
-    with pytest.raises(RegionDataError, match="no age band covers age 20"):
-        _schooling_tables(region)
+    del qualification[16, 29]
+    with pytest.raises(RegionDataError, match="no age band covers age 16"):
+        replace(region, qualification=qualification)
+
+
+def test_a_hand_built_region_derives_the_tables_of_a_loaded_one(fixture3):
+    built = RegionData(
+        fixture3.name,
+        list(fixture3.municipalities),
+        list(fixture3.age_gender),
+        dict(fixture3.qualification),
+        {gender: dict(table) for gender, table in fixture3.mortality.items()},
+        dict(fixture3.fertility),
+        list(fixture3.fpm_brackets),
+    )
+    assert built.municipality_ids == fixture3.municipality_ids == ["core", "north", "east"]
+    for name in ("monthly_hazard", "birth_chance"):
+        np.testing.assert_array_equal(getattr(built, name), getattr(fixture3, name))
+    for name in ("categories", "schooling"):
+        derived, loaded = getattr(built, name), getattr(fixture3, name)
+        assert len(derived) == len(loaded)
+        for column, expected in zip(derived, loaded):
+            assert column.dtype == expected.dtype
+            np.testing.assert_array_equal(column, expected)
+    # one schooling row per age up to the terminal age, each band's last
+    # running sum then +inf
+    sums, years = built.schooling
+    assert sums.shape == years.shape == (121, 6)
+    assert sums[16].tolist() == [0.2, 0.5, 0.9, 1.0, np.inf, np.inf]
+    assert years[16].tolist() == [6, 9, 12, 16, 16, 16]
+    ages, female, p = built.categories
+    assert len(ages) == 2 * len(fixture3.age_gender) and female[:2].tolist() == [True, False]
+    assert p.sum() == pytest.approx(1.0)
+    # an age that no band covers, whether drawn or not, fails at construction
+    gap = {band: rows for band, rows in fixture3.qualification.items() if band != (71, 120)}
+    with pytest.raises(RegionDataError) as err:
+        replace(fixture3, qualification=gap)
+    assert str(err.value) == "qualification.csv: no age band covers age 71"
 
 
 def test_every_municipality_gets_a_firm(fixture3):
@@ -371,6 +430,18 @@ def test_generate_zero_share_municipality_rejected(fixture3):
     params.percentage_actual_pop = 0.002  # two citizens for three municipalities
     with pytest.raises(GenerationError):
         generate_world(fixture3, params, seed=1)
+
+
+def test_generate_rejects_a_hand_built_zero_target():
+    # the loader rejects such a target; a hand-built region gets no citizens there
+    region = make_region(
+        municipalities=[
+            MunicipalitySpec("m0", 100, (0.0, 0.0, 10.0, 10.0)),
+            MunicipalitySpec("m1", 0, (0.0, 0.0, 10.0, 10.0)),
+        ]
+    )
+    with pytest.raises(GenerationError, match="a municipality received zero citizens"):
+        generate_world(region, SimParams(), seed=1)
 
 
 def test_distance_examples():
