@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import TAX_KINDS
+from .stats import ordered_sum
 
 CHANNELS = ("local", "equal_pool", "fpm_pool")
 FRACTION_TOLERANCE = 1e-12
@@ -65,7 +66,7 @@ class TaxLedger:
         return self._amounts.get((code, kind), 0.0)
 
     def total(self) -> float:
-        return sum(self._amounts.values())
+        return ordered_sum(self._amounts.values())
 
     def total_by_kind(self) -> dict[str, float]:
         totals = {kind: 0.0 for kind in TAX_KINDS}
@@ -153,7 +154,7 @@ def channel_fractions(
                 rows.append((channel, float(fraction)))
             table[kind] = rows
     for kind, rows in table.items():
-        total = sum(fraction for _, fraction in rows)
+        total = ordered_sum(fraction for _, fraction in rows)
         if abs(total - 1.0) > FRACTION_TOLERANCE:
             raise FiscalError(f"fractions for {kind} in regime {regime} sum to {total!r}")
     return table
@@ -184,7 +185,7 @@ def fpm_allocate(
 def _split_by_weight(pool: float, weights: list[float]) -> list[float]:
     """Shares proportional to weights; the last recipient with a positive
     weight takes the rounding residual, and a zero weight gets exactly 0.0."""
-    total_weight = sum(weights)
+    total_weight = ordered_sum(weights)
     last = max(
         (index for index, weight in enumerate(weights) if weight > 0),
         default=len(weights) - 1,
@@ -238,9 +239,9 @@ def distribute(
             if channel == "local":
                 shares = [fraction * amount for amount in amounts]
             elif channel == "equal_pool":
-                shares = _split_equally(fraction * sum(amounts), len(amounts))
+                shares = _split_equally(fraction * ordered_sum(amounts), len(amounts))
             else:
-                shares = fpm_allocate(fraction * sum(amounts), populations, fpm_brackets)
+                shares = fpm_allocate(fraction * ordered_sum(amounts), populations, fpm_brackets)
             receipts = [receipt + share for receipt, share in zip(receipts, shares)]
     return receipts
 

@@ -56,27 +56,32 @@ def match(
     Every vacancy up to the number of candidates hires exactly one, so the
     pool shrinks by one per vacancy and every sample size is known before
     the first hire; the samples come from batched draws. The candidates'
-    qualifications and home coordinates are gathered once, in pool order,
-    and each block of vacancies gathers its hiring firms' coordinates.
+    qualification keys and home coordinates are gathered once, in pool
+    order, and each block of vacancies gathers its hiring firms'
+    coordinates.
 
-    The remaining pool holds candidate positions in an ``array.array``, in
-    pool order, so a hire's ``pop`` moves 2-byte entries (4-byte past
-    65,536 candidates, where positions no longer fit 16 bits) instead of
-    8-byte list slots, and the pool stays in cache. A block's picks are
-    read as ``tolist()`` rows, padded with -1 past the pool's size; a row
-    is cut only once fewer candidates remain than its width.
+    The candidates' columns are read through ``memoryview``s of their numpy
+    arrays, which index to the same Python int or float ``tolist()`` gives,
+    so no Python object is built per candidate: a hire reads only its
+    sample's few. The remaining pool holds candidate positions in an
+    ``array.array``, in pool order, so a hire's ``pop`` moves 2-byte entries
+    (4-byte past 65,536 candidates, where positions no longer fit 16 bits)
+    instead of 8-byte list slots, and the pool stays in cache; the hires
+    are collected as positions of the same width. A block's picks are read
+    as ``tolist()`` rows, padded with -1 past the pool's size; a row is cut
+    only once fewer candidates remain than its width.
     """
     citizens, firms = world.citizens, world.firms
     ids = pool.candidates
     count = len(ids)
-    id_list = ids.tolist()
+    id_view = memoryview(ids)
     # one key per candidate: the best qualified first, then the lower id
-    by_qualification = (ids - citizens.qualification[ids] * citizens.rows).tolist()
+    by_qualification = memoryview(ids - citizens.qualification[ids] * citizens.rows)
     homes = world.families.residence[citizens.family[ids]]
-    home_x, home_y = world.houses.x[homes].tolist(), world.houses.y[homes].tolist()
+    home_x, home_y = memoryview(world.houses.x[homes]), memoryview(world.houses.y[homes])
     remaining = array("H" if count <= 1 << 16 else "I", range(count))
     hiring = pool.vacancies[:count]
-    hired: list[int] = []
+    hired = array(remaining.typecode)
     for picks, coins in sample_blocks(rng, np.arange(count, 0, -1)[: len(hiring)], sample_size):
         width = picks.shape[1]
         firm_ids = hiring[len(hired) : len(hired) + len(picks)]
@@ -95,12 +100,12 @@ def match(
                 # math.hypot of the differences, as types.distance(s) measures;
                 # an exact tie goes to the lower id
                 best = math.hypot(home_x[index] - x, home_y[index] - y)
-                best_id = id_list[index]
+                best_id = id_view[index]
                 for at in row[1:]:
                     index = remaining[at]
                     key = math.hypot(home_x[index] - x, home_y[index] - y)
-                    if key < best or (key == best and id_list[index] < best_id):
-                        best, best_id, position = key, id_list[index], at
+                    if key < best or (key == best and id_view[index] < best_id):
+                        best, best_id, position = key, id_view[index], at
             else:
                 # each key is unique to its citizen, so none ties
                 best = by_qualification[index]
@@ -109,9 +114,6 @@ def match(
                     if key < best:
                         best, position = key, at
             hired.append(remaining.pop(position))
-    # free the per-candidate lists before building the outputs: holding
-    # both at once is calibration's peak memory
-    del id_list, by_qualification, home_x, home_y
     hired_ids = ids[hired]
     citizens.employer[hired_ids] = hiring
     citizens.wage[hired_ids] = firms.wage_offer[hiring]

@@ -23,7 +23,7 @@ import numpy as np
 from . import demographics, firms, goods, labor, realestate
 from .fiscal import DistributionRegime, distribute, invest_qli
 from .params import TAX_KINDS, SimParams
-from .stats import gini
+from .stats import gini, ordered_sum
 from .world.generate import generate_world
 from .world.regions import RegionData
 from .world.types import World
@@ -53,7 +53,7 @@ class MonthRecord:
 
     @property
     def tax_total(self) -> float:
-        return sum(self.taxes.values())
+        return ordered_sum(self.taxes.values())
 
 
 TAX_COLUMNS = tuple(f"tax_{kind}" for kind in TAX_KINDS)

@@ -25,8 +25,11 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+
+from ..stats import ordered_sum
 
 PROBABILITY_SUM_TOLERANCE = 1e-9
 MAX_SCHOOLING_YEARS = 21
@@ -61,13 +64,14 @@ def _by_age(table: dict[int, float], length: int) -> np.ndarray:
     return values
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionData:
     """Validated demographic and geographic tables for one region (ACP).
 
     The tables below are derived from the source tables at construction, so
-    a region with other tables is a new RegionData, and a hand-built region
-    gets the tables a loaded one gets:
+    a region with other tables is a new RegionData (``dataclasses.replace``
+    derives them again; the dataclass is frozen, so assigning a field
+    raises), and a hand-built region gets the tables a loaded one gets:
 
     - ``municipality_ids``: the one municipality id list; a municipality's
       row in every per-municipality column is its index.
@@ -107,27 +111,32 @@ class RegionData:
     schooling: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.municipality_ids = [spec.id for spec in self.municipalities]
+        # the dataclass is frozen, so derived fields are set past its __setattr__
+        derive = partial(object.__setattr__, self)
+        derive("municipality_ids", [spec.id for spec in self.municipalities])
         hazards = [
             {age: monthly_probability(annual) for age, annual in by_age.items()}
             for by_age in (self.mortality.get("male", {}), self.mortality.get("female", {}))
         ]
         length = max(max(table, default=-1) for table in hazards) + 2
-        self.monthly_hazard = np.stack([_by_age(table, length) for table in hazards])
+        derive("monthly_hazard", np.stack([_by_age(table, length) for table in hazards]))
         chances = {
             age: min(1.0, rate / 12.0) for age, rate in self.fertility.items() if rate > 0.0
         }
-        self.birth_chance = _by_age(chances, max(chances, default=-1) + 2)
+        derive("birth_chance", _by_age(chances, max(chances, default=-1) + 2))
 
         table = np.array(self.age_gender, dtype=float)  # rows of (age, p_female, p_male)
         ages = table[:, 0].astype(np.int64)
         probabilities = table[:, 1:].ravel()
         drawn = probabilities > 0.0
         weights = probabilities[drawn]
-        self.categories = (
-            np.repeat(ages, 2)[drawn],
-            np.tile([True, False], len(table))[drawn],
-            weights / weights.sum(),
+        derive(
+            "categories",
+            (
+                np.repeat(ages, 2)[drawn],
+                np.tile([True, False], len(table))[drawn],
+                weights / weights.sum(),
+            ),
         )
 
         width = max(map(len, self.qualification.values()), default=0) + 1
@@ -147,7 +156,7 @@ class RegionData:
             raise RegionDataError(
                 "qualification.csv", None, f"no age band covers age {uncovered[0]}"
             )
-        self.schooling = (sums, years)
+        derive("schooling", (sums, years))
 
 
 def _rows(directory: str, filename: str, columns: dict):
@@ -298,7 +307,7 @@ def _load_qualification(directory: str) -> dict[tuple[int, int], list[tuple[int,
             )
         bands.setdefault(band, []).append((years, probability))
     for band, rows in bands.items():
-        total = sum(probability for _, probability in rows)
+        total = ordered_sum(probability for _, probability in rows)
         if abs(total - 1.0) > PROBABILITY_SUM_TOLERANCE:
             raise RegionDataError(
                 filename, None, f"probabilities for band {band[0]}-{band[1]} sum to {total!r}"

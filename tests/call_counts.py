@@ -5,10 +5,14 @@
 Counts the calls of one ``load_region_data`` of fixture3. Then builds
 fixture3 at population share 0.2 and at 1.0 (seed 1), counting the calls
 of set-up (``generate_world`` and the calibration round), and profiles the
-next 12 months. The counts are deterministic: the same code
-and seed give the same number on every host, so a change in a small
-world's fixed cost shows here without timing noise. pytest does not
-collect this file.
+next 12 months. Each share also prints set-up's tracemalloc peak, taken in
+a set-up of its own with the profiler off. The counts are deterministic:
+the same code and seed give the same number on every host, so a change in
+a small world's fixed cost shows here without timing noise. The peak's
+bytes vary by a few hundred between runs, as CPython's type attribute
+cache, whose slots follow memory addresses, keeps some of the attribute
+names numpy builds; it is printed in whole kB, which repeat. pytest does
+not collect this file.
 
 Calls are summed over the profiler's entries, one per code object.
 ``pstats`` keys functions by (file, line, name) and keeps one entry per
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import cProfile
 import os
+import tracemalloc
 
 from policysim import SimParams, generate_world, load_region_data, step
 from policysim.cli import default_data_dir
@@ -46,14 +51,21 @@ def load_calls() -> int:
     return calls(load)
 
 
-def call_counts(share: float) -> tuple[int, float]:
-    """cProfile's call count over set-up, and over MONTHS months after it per month."""
+def call_counts(share: float) -> tuple[int, float, int]:
+    """cProfile's call count over set-up, over MONTHS months after it per
+    month, and tracemalloc's peak over another set-up, in bytes."""
     params = SimParams()
     params.percentage_actual_pop = share
     region = load_region_data(os.path.join(default_data_dir(), "fixture3"))
     # the first set-up in a process also imports modules and compiles
     # regular expressions, so the one counted is the second
     set_up(region, params)
+    tracemalloc.start()
+    try:
+        set_up(region, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     setup = cProfile.Profile()
     world = setup.runcall(set_up, region, params)
     months = cProfile.Profile()
@@ -61,7 +73,7 @@ def call_counts(share: float) -> tuple[int, float]:
     for _ in range(MONTHS):
         step(world, params)
     months.disable()
-    return calls(setup), calls(months) / MONTHS
+    return calls(setup), calls(months) / MONTHS, peak
 
 
 def calls(profile: cProfile.Profile) -> int:
@@ -72,8 +84,9 @@ def calls(profile: cProfile.Profile) -> int:
 def main() -> None:
     print(f"fixture3 load: {load_calls():,} calls")
     for share in SHARES:
-        setup, per_month = call_counts(share)
+        setup, per_month, peak = call_counts(share)
         print(f"fixture3 share {share}: {setup:,} calls in set-up, {per_month:,.0f} calls per month")
+        print(f"fixture3 share {share}: set-up peak {peak / 1000:,.0f} kB traced")
 
 
 if __name__ == "__main__":

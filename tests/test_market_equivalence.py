@@ -13,6 +13,8 @@ The sampler canary compares ``sampling.sample_positions`` with
 their switch; a numpy release that changes ``choice`` fails here by name.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,26 @@ def test_match_on_both_sides_of_the_16_bit_pool(wide_pool, sample_size):
         hires = matcher(world, fresh, 0.5, sample_size, rng)
         outcomes.append((hires.tolist(), fresh.candidates.tolist(), rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]
+
+
+def test_match_builds_no_python_object_per_candidate():
+    # the marginal peak of match per candidate between 20,000 and 40,000,
+    # at the same 30 vacancies: the numpy columns it gathers, the pool's
+    # 2-byte positions and the remaining ids measure 42 bytes. A column read
+    # through a Python list holds an int or float object and its slot per
+    # candidate, 32-40 bytes: the four columns as lists measure 162, and the
+    # bound of 80 has room for one such list, not two
+    peaks = []
+    for count in (20_000, 40_000):
+        world = candidate_world(count)
+        pool = build_pool(world, SimParams(), np.repeat(np.arange(3), [12, 10, 8]))
+        tracemalloc.start()
+        try:
+            match(world, pool, 0.5, SimParams().size_market, world.rng)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 20_000 < 80
 
 
 def batched(rng, pool_sizes, sample_size):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from policysim.fiscal import TaxLedger
 from policysim.params import TAX_KINDS
+from policysim.scheduler import MonthRecord
 from policysim.stats import (
     KsReport,
     StatsError,
@@ -10,6 +12,7 @@ from policysim.stats import (
     kolmogorov_survival,
     ks_two_sample,
     load_tax_reference,
+    ordered_sum,
     write_ks_report,
 )
 
@@ -22,6 +25,27 @@ def brute_force_ks(a, b):
         fb = sum(1 for v in b if v <= x) / len(b)
         best = max(best, abs(fa - fb))
     return best
+
+
+def test_ordered_sum_adds_left_to_right():
+    # CPython 3.12's builtin sum compensates float rounding and gives 1.0
+    # for both lists; adding left to right gives 3.11's sum on every version
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum([0.1] * 10) == 0.9999999999999999
+    assert ordered_sum(iter([0.5, 0.25])) == 0.75
+    assert ordered_sum([]) == 0
+
+
+def test_tax_totals_add_left_to_right():
+    ledger = TaxLedger()
+    ledger.book("labor", range(10), [0.1] * 10)
+    assert ledger.total() == 0.9999999999999999
+    record = MonthRecord(0, 1, 0.0, 1.0, 0.0, 1.0, 0.0, {f"k{i}": 0.1 for i in range(10)}, {})
+    assert record.tax_total == 0.9999999999999999
+    # one region each: the totals' samples differ only by the order of adding
+    simulated = {"a": {f"k{i}": 0.1 for i in range(10)}}
+    report = compare_tax_distributions(simulated, {"a": {"labor": 1.0}})
+    assert report.rows[-1].d_statistic == 1.0
 
 
 def test_ks_identical_samples():

@@ -5,7 +5,7 @@ import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -415,6 +415,21 @@ def test_a_hand_built_region_derives_the_tables_of_a_loaded_one(fixture3):
     with pytest.raises(RegionDataError) as err:
         replace(fixture3, qualification=gap)
     assert str(err.value) == "qualification.csv: no age band covers age 71"
+
+
+def test_a_region_is_frozen_and_replace_derives_its_tables_again(fixture3):
+    region = replace(fixture3)
+    one_band = {(0, 120): [(21, 1.0)]}
+    # assigning a source table would leave the tables derived from it stale
+    with pytest.raises(FrozenInstanceError):
+        region.qualification = one_band
+    assert region.qualification == fixture3.qualification
+    narrowed = replace(region, qualification=one_band)
+    sums, years = narrowed.schooling
+    assert (sums == [1.0, np.inf]).all() and (years == 21).all()
+    params = SimParams()
+    params.percentage_actual_pop = 0.1
+    assert (generate_world(narrowed, params, seed=2).citizens.qualification == 21).all()
 
 
 def test_every_municipality_gets_a_firm(fixture3):
